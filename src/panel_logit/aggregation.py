@@ -1,4 +1,4 @@
-"""Sample averages of the window kernels, with per-individual summands.
+"""Sample averages of the window kernels, on the panel's distinct histories.
 
 For an estimation window ``t`` the eight kernels are averaged under four
 selectors built from the two pre-window outcomes:
@@ -12,11 +12,19 @@ selectors built from the two pre-window outcomes:
 
 Every summand is a product of 0/1 indicators with sign, hence an integer in
 {-1, 0, 1}, and a function of the five-period window
-``(y_{t-3}, .., y_{t+1})`` alone.  The fold counts individuals in each of
-the 32 windows (weighting each panel row by its frequency count) and maps
-those cell counts to exact ``int64`` sums, so aggregation over any sharding
-of individuals merges without rounding error; means are formed by a single
-division at the end.
+``(y_{t-3}, .., y_{t+1})`` alone.  Every estimator, its variance and the
+two-step correction therefore depend on the panel only through how many
+individuals share each outcome history.  ``aggregate`` collapses the panel
+to that table in one O(N) pass: each row is packed into an ``int64`` code
+over all stored periods (the first stored period in the highest bit) and
+one count weighted by the row frequencies gives the number of individuals
+with each code.  Everything after runs on at most 2**T history rows, so it
+costs O(2**T) whatever N is.  Because the table spans all stored periods,
+the aggregates of one panel at any two windows share the same rows in the
+same order, which the trend-model variance and the two-step dagger block
+need.  Kernel sums are exact ``int64`` counts, so aggregation over any
+sharding of individuals merges without rounding error; means are formed by
+a single division at the end.
 
 When the period before the window start (``t - 3``) is not stored in the
 panel, only the ``-``/``+`` selectors can be formed.  Such partial
@@ -36,6 +44,8 @@ from .panel import PanelData
 
 SELECTORS = ("-", "+", "-+", "++")
 _SEL_INDEX = {s: k for k, s in enumerate(SELECTORS)}
+# a history code of T periods and the table size 2**T both fit an int64
+MAX_PERIODS = 62
 
 # kernel values and selector weights of the 32 windows, in window-code order
 # (code = 16 y_{t-3} + 8 y_{t-2} + 4 y_{t-1} + 2 y_t + y_{t+1})
@@ -47,19 +57,23 @@ _SELECTOR_CELLS = np.stack((1 - _Y2, _Y2, (1 - _Y2) * _Y3, _Y2 * _Y3), axis=1)
 
 @dataclass(frozen=True)
 class KernelSummands:
-    """Per-row kernel values, pre-window outcomes and counts for one window.
+    """Kernel values of each distinct outcome history at one window.
 
+    Rows are the histories over the stored periods ``periods = (t0,
+    t_last)`` that at least one individual has, in ascending order of their
+    ``codes``; ``counts`` are the numbers of individuals with each.
     ``theta``/``xi`` are (rows, 4) int8 arrays; ``y_tm2`` is the outcome two
     periods before the window index and ``y_tm3`` three periods before
-    (``None`` for partial aggregates); ``counts`` are the panel's row
-    frequencies.
+    (``None`` for partial aggregates).
     """
 
+    codes: np.ndarray
+    counts: np.ndarray
+    periods: tuple[int, int]
     theta: np.ndarray
     xi: np.ndarray
     y_tm2: np.ndarray
     y_tm3: np.ndarray | None
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,8 @@ class AggregateStats:
     ``theta_bar``/``xi_bar`` are (4, 4) arrays indexed by (kernel - 1,
     selector) with selectors ordered as in ``SELECTORS``.  Interacted
     columns are NaN when ``has_interacted`` is false.  ``theta_sums``/
-    ``xi_sums`` hold the exact integer sums backing the means (absent for
+    ``xi_sums`` hold the exact integer sums backing the means, and
+    ``summands`` the history rows behind them (both absent for
     population-moment aggregates).
     """
 
@@ -94,21 +109,65 @@ class AggregateStats:
         return float(table[j - 1, col])
 
 
-def _kernel_matrices(panel: PanelData, t: int) -> tuple[np.ndarray, np.ndarray]:
-    y1, y0, yp = panel.col(t - 1), panel.col(t), panel.col(t + 1)
-    theta = np.stack(_theta_components(y1, y0, yp), axis=1).astype(np.int8)
-    xi = np.stack(_xi_components(y1, y0, yp), axis=1).astype(np.int8)
-    return theta, xi
+def _histories(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the panel's distinct outcome histories, ascending, and the
+    number of individuals with each (positive)."""
+    n_periods = panel.n_periods
+    if n_periods > MAX_PERIODS:
+        raise ValueError(f"panel stores {n_periods} periods; outcome histories "
+                         f"are packed into int64 codes of at most {MAX_PERIODS} periods")
+    code = np.zeros(panel.n_rows, dtype=np.int64)
+    for k in range(n_periods):
+        code <<= 1
+        code |= panel.y[:, k]
+    # float64 totals are exact integers: PanelData keeps N below 2**53
+    if (1 << n_periods) <= panel.n_rows:
+        codes = np.arange(1 << n_periods)
+        freq = np.bincount(code, weights=panel.counts, minlength=1 << n_periods)
+    else:
+        # a dense table of 2**T cells would outgrow the panel itself
+        codes, inverse = np.unique(code, return_inverse=True)
+        freq = np.bincount(inverse, weights=panel.counts, minlength=len(codes))
+    seen = freq > 0
+    return codes[seen], freq[seen].astype(np.int64)
 
 
-def aggregate(panel: PanelData, t: int, keep_summands: bool = True) -> AggregateStats:
+def _from_histories(t: int, periods: tuple[int, int], codes: np.ndarray,
+                    counts: np.ndarray) -> AggregateStats:
+    """Kernel sums and history rows at window ``t`` of a history table."""
+    has_interacted = t - 3 >= periods[0]
+    cell = (codes >> (periods[1] - t - 1)) & (31 if has_interacted else 15)
+    cells = np.bincount(cell, weights=counts, minlength=32).astype(np.int64)
+    weighted_sel = _SELECTOR_CELLS * cells[:, None]
+    theta_sums = _THETA_CELLS.T @ weighted_sel
+    xi_sums = _XI_CELLS.T @ weighted_sel
+
+    n = int(counts.sum())
+    theta_bar = theta_sums / n
+    xi_bar = xi_sums / n
+    if not has_interacted:
+        theta_bar[:, 2:] = np.nan
+        xi_bar[:, 2:] = np.nan
+
+    summands = KernelSummands(
+        codes=codes, counts=counts, periods=periods,
+        theta=_THETA_CELLS[cell].astype(np.int8), xi=_XI_CELLS[cell].astype(np.int8),
+        y_tm2=_Y2[cell].astype(np.int8),
+        y_tm3=_Y3[cell].astype(np.int8) if has_interacted else None)
+    return AggregateStats(window_t=t, n=n, theta_bar=theta_bar, xi_bar=xi_bar,
+                          has_interacted=has_interacted, summands=summands,
+                          theta_sums=theta_sums, xi_sums=xi_sums)
+
+
+def aggregate(panel: PanelData, t: int) -> AggregateStats:
     """Average the window kernels of ``panel`` at window index ``t``.
 
     Requires stored periods ``t-2 .. t+1``; if ``t-3`` is stored as well the
     interacted selectors are included, otherwise a partial aggregate is
-    returned.  Each row counts as ``panel.counts`` individuals.
-    ``keep_summands`` retains the per-row values needed later for variance
-    estimation.
+    returned.  Each row counts as ``panel.counts`` individuals.  The
+    result keeps the panel's distinct histories and their counts, from
+    which the variances are formed.  Panels of more than ``MAX_PERIODS``
+    stored periods are refused.
     """
     if panel.n == 0:
         raise ValueError("cannot aggregate an empty panel")
@@ -116,81 +175,33 @@ def aggregate(panel: PanelData, t: int, keep_summands: bool = True) -> Aggregate
         if not panel.has_period(s):
             raise ValueError(f"window {t} needs period {s}, panel stores "
                              f"{panel.t0}..{panel.t_last}")
-    has_interacted = panel.has_period(t - 3)
-
-    y_tm2 = panel.col(t - 2)
-    y_tm3 = panel.col(t - 3) if has_interacted else None
-    code = 8 * y_tm2 + 4 * panel.col(t - 1) + 2 * panel.col(t) + panel.col(t + 1)
-    if has_interacted:
-        code += 16 * y_tm3
-    # float64 cell totals are exact integers: PanelData keeps N below 2**53
-    cells = np.bincount(code, weights=panel.counts, minlength=32).astype(np.int64)
-    weighted_sel = _SELECTOR_CELLS * cells[:, None]
-    theta_sums = _THETA_CELLS.T @ weighted_sel
-    xi_sums = _XI_CELLS.T @ weighted_sel
-
-    theta_bar = theta_sums / panel.n
-    xi_bar = xi_sums / panel.n
-    if not has_interacted:
-        theta_bar[:, 2:] = np.nan
-        xi_bar[:, 2:] = np.nan
-
-    summands = None
-    if keep_summands:
-        theta, xi = _kernel_matrices(panel, t)
-        summands = KernelSummands(theta=theta, xi=xi, y_tm2=y_tm2.astype(np.int8),
-                                  y_tm3=None if y_tm3 is None else y_tm3.astype(np.int8),
-                                  counts=panel.counts)
-    return AggregateStats(window_t=t, n=panel.n, theta_bar=theta_bar, xi_bar=xi_bar,
-                          has_interacted=has_interacted, summands=summands,
-                          theta_sums=theta_sums, xi_sums=xi_sums)
+    codes, counts = _histories(panel)
+    return _from_histories(t, (panel.t0, panel.t_last), codes, counts)
 
 
 def merge_stats(parts: list[AggregateStats]) -> AggregateStats:
     """Combine shard aggregates into the single-pass result, exactly.
 
-    Shards must cover disjoint individuals of the same window.  Integer sums
-    make the merge independent of the sharding.
+    Shards must cover disjoint individuals of panels storing the same
+    periods, aggregated at the same window.  Their history counts add, so
+    the merge is independent of the sharding.
     """
     if not parts:
         raise ValueError("nothing to merge")
+    if any(p.summands is None for p in parts):
+        raise ValueError("shard lacks history counts; cannot merge exactly")
     first = parts[0]
     for p in parts[1:]:
-        if p.window_t != first.window_t or p.has_interacted != first.has_interacted:
-            raise ValueError("shards disagree on window or selector availability")
-        if p.theta_sums is None:
-            raise ValueError("shard lacks integer sums; cannot merge exactly")
-    if first.theta_sums is None:
-        raise ValueError("shard lacks integer sums; cannot merge exactly")
-
-    n = sum(p.n for p in parts)
-    theta_sums = np.sum([p.theta_sums for p in parts], axis=0)
-    xi_sums = np.sum([p.xi_sums for p in parts], axis=0)
-    theta_bar = theta_sums / n
-    xi_bar = xi_sums / n
-    if not first.has_interacted:
-        theta_bar[:, 2:] = np.nan
-        xi_bar[:, 2:] = np.nan
-
-    summands = None
-    if all(p.summands is not None for p in parts):
-        y_tm3 = None
-        if first.has_interacted:
-            y_tm3 = np.concatenate([p.summands.y_tm3 for p in parts])
-        summands = KernelSummands(
-            theta=np.concatenate([p.summands.theta for p in parts]),
-            xi=np.concatenate([p.summands.xi for p in parts]),
-            y_tm2=np.concatenate([p.summands.y_tm2 for p in parts]),
-            y_tm3=y_tm3,
-            counts=np.concatenate([p.summands.counts for p in parts]),
-        )
-    return AggregateStats(window_t=first.window_t, n=n, theta_bar=theta_bar,
-                          xi_bar=xi_bar, has_interacted=first.has_interacted,
-                          summands=summands, theta_sums=theta_sums, xi_sums=xi_sums)
+        if p.window_t != first.window_t or p.summands.periods != first.summands.periods:
+            raise ValueError("shards disagree on window or stored periods")
+    codes, inverse = np.unique(np.concatenate([p.summands.codes for p in parts]),
+                               return_inverse=True)
+    counts = np.bincount(inverse, weights=np.concatenate([p.summands.counts for p in parts]))
+    return _from_histories(first.window_t, first.summands.periods, codes,
+                           counts.astype(np.int64))
 
 
-def shard_aggregate(panel: PanelData, t: int, n_shards: int,
-                    keep_summands: bool = True) -> AggregateStats:
+def shard_aggregate(panel: PanelData, t: int, n_shards: int) -> AggregateStats:
     """Aggregate by splitting individuals into shards and merging.
 
     Equals ``aggregate(panel, t)`` exactly, for any shard count; exposed so
@@ -202,7 +213,7 @@ def shard_aggregate(panel: PanelData, t: int, n_shards: int,
         if hi > lo:
             shard = PanelData(y=panel.y[lo:hi], ids=panel.ids[lo:hi], t0=panel.t0,
                               counts=panel.counts[lo:hi])
-            parts.append(aggregate(shard, t, keep_summands=keep_summands))
+            parts.append(aggregate(shard, t))
     return merge_stats(parts)
 
 

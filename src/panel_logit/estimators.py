@@ -24,10 +24,11 @@ estimate.  The variance of the solution is
 
     (1/N) * inv(X' W X),   W = inv(mean_i V_i V_i'),
 
-with per-individual residuals ``V_i = Y_i - X_i alpha_hat`` streamed from
-the aggregation summands in chunks.  A panel row standing for ``c``
-individuals enters the mean ``c`` times: its residual is scaled by
-``sqrt(c)`` before the outer product.
+with residuals ``V_i = Y_i - X_i alpha_hat`` that depend on individual
+``i`` only through its outcome history.  The mean runs over the distinct
+histories the aggregates keep, ``S = V' diag(c) V / N`` with the unscaled
+residual ``V`` of each history and its exact integer count ``c``, so it
+costs O(2**T) whatever N is.
 """
 
 from __future__ import annotations
@@ -335,62 +336,64 @@ def _singular_message(system: LinearSystem, rcond: float) -> str:
     return msg
 
 
-def _summand_rows(system: LinearSystem, stats_t: AggregateStats,
-                  stats_tm1: AggregateStats | None, lo: int, hi: int,
-                  alpha: np.ndarray) -> np.ndarray:
-    """Residual block V[lo:hi] for the kept rows, from stored summands.
+def _history_counts(stats_t: AggregateStats,
+                    stats_tm1: AggregateStats | None = None) -> np.ndarray:
+    """Counts of the history rows behind ``stats_t``, after checking that
+    ``stats_tm1`` keeps the same rows (aggregates of one panel do)."""
+    s = stats_t.summands
+    if s is None:
+        raise ValueError("variance needs the history rows of a sample aggregate")
+    if stats_tm1 is not None:
+        p = stats_tm1.summands
+        if p is None or p.periods != s.periods or not np.array_equal(p.codes, s.codes):
+            raise ValueError("aggregates at the two windows must come from the same panel")
+    return s.counts
 
-    Each panel row's residual is scaled by the square root of its count,
-    so ``V' V`` sums the outer products over individuals.
-    """
+
+def _residual_rows(system: LinearSystem, stats_t: AggregateStats,
+                   stats_tm1: AggregateStats | None, alpha: np.ndarray) -> np.ndarray:
+    """Residuals ``Y - X alpha`` of each history row, for the kept rows."""
     m = len(system.row_ids)
-    v = np.empty((hi - lo, m))
+    v = np.empty((len(stats_t.summands.counts), m))
     col_pos = {c: k for k, c in enumerate(system.col_labels)}
     for k, row_id in enumerate(system.row_ids):
         src, sel, kind, unit, cols = _stacked_row(system.family, row_id, stats_t, stats_tm1)
         s = src.summands
-        if s is None:
-            raise ValueError("variance needs per-individual summands; "
-                             "aggregate with keep_summands=True")
-        kern = (s.theta if kind == "theta" else s.xi)[lo:hi]
-        weight = (1 - s.y_tm2[lo:hi]) if sel[0] == "-" else s.y_tm2[lo:hi]
+        kern = s.theta if kind == "theta" else s.xi
+        weight = (1 - s.y_tm2) if sel[0] == "-" else s.y_tm2
         if len(sel) > 1:  # interacted row
-            weight = weight * s.y_tm3[lo:hi]
-        w = weight * np.sqrt(s.counts[lo:hi])
-        acc = -kern[:, unit - 1] * w
+            weight = weight * s.y_tm3
+        acc = -kern[:, unit - 1] * weight
         for label, j in cols:
             if label in col_pos:
-                acc = acc - alpha[col_pos[label]] * (kern[:, j - 1] * w)
+                acc = acc - alpha[col_pos[label]] * (kern[:, j - 1] * weight)
         v[:, k] = acc
     return v
 
 
+def _moment_matrix(v: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """``V' diag(c) V / N``: the mean outer product over individuals."""
+    return (v.T * counts) @ v / n
+
+
 def variance(system: LinearSystem, alpha_hat: np.ndarray, stats_t: AggregateStats,
-             stats_tm1: AggregateStats | None = None,
-             chunk_size: int = 1 << 18) -> np.ndarray:
+             stats_tm1: AggregateStats | None = None) -> np.ndarray:
     """Asymptotic variance of the solved parameters.
 
-    Streams per-individual residual outer products in chunks, inverts their
-    mean to form the weight matrix, and returns ``inv(X' W X) / N``
-    symmetrized.  Raises ``SingularWeight`` when the residual second-moment
-    matrix is numerically singular.
+    Forms the residual second-moment matrix over the history rows of the
+    aggregates, inverts it to form the weight matrix, and returns
+    ``inv(X' W X) / N`` symmetrized.  Raises ``SingularWeight`` when the
+    residual second-moment matrix is numerically singular.
     """
     if system.family == "C" and stats_tm1 is None:
         raise ValueError("family C variance needs the preceding-window aggregate")
     n = system.n
     if n <= 0:
         raise ValueError("variance needs a sample-backed system")
-    if stats_t.summands is None:
-        raise ValueError("variance needs per-individual summands; "
-                         "aggregate with keep_summands=True")
-    rows = len(stats_t.summands.counts)
+    counts = _history_counts(stats_t, stats_tm1)
     m = len(system.row_ids)
-    s_mat = np.zeros((m, m))
-    for lo in range(0, rows, chunk_size):
-        hi = min(lo + chunk_size, rows)
-        v = _summand_rows(system, stats_t, stats_tm1, lo, hi, alpha_hat)
-        s_mat += v.T @ v
-    s_mat /= n
+    v = _residual_rows(system, stats_t, stats_tm1, alpha_hat)
+    s_mat = _moment_matrix(v, counts, n)
 
     try:
         lu, piv = lu_factor_quiet(s_mat)

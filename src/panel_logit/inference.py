@@ -36,8 +36,10 @@ from .estimators import (
     EstimationError,
     LinearSystem,
     TransformedEstimate,
+    _history_counts,
+    _moment_matrix,
     _reciprocal_condition,
-    _summand_rows,
+    _residual_rows,
     lu_factor_quiet,
 )
 
@@ -191,8 +193,8 @@ def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
     """Point value of the second-step ratio (effect step, or its inverse for B).
 
     Usable on population aggregates as well as samples; the full
-    ``two_step_dtd_tm1`` additionally needs per-individual summands for the
-    corrected variance.
+    ``two_step_dtd_tm1`` additionally needs the history rows of sample
+    aggregates for the corrected variance.
     """
     _, _, _, num, den = _dagger_parts(family, stats_tm1, a_hat, d_hat)
     if den == 0.0:
@@ -201,13 +203,13 @@ def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
 
 
 def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
-                     stats_t: AggregateStats, stats_tm1: AggregateStats,
-                     chunk_size: int = 1 << 18) -> TwoStepResult:
+                     stats_t: AggregateStats, stats_tm1: AggregateStats) -> TwoStepResult:
     """Estimate the effect step at ``window_t - 1`` from first-stage results.
 
     The first-stage system, its aggregates and the preceding-window
-    aggregates must all come from the same panel; its row counts weight the
-    dagger residual moments as they weight the first-stage ones.
+    aggregates must all come from the same panel, so that both aggregates
+    keep the same history rows; the dagger residual moments run over those
+    rows, weighted by their counts as the first-stage ones are.
     Unavailable for variants that drop the ``d`` component.
     """
     if est.family not in ("A", "B"):
@@ -235,26 +237,17 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
     x_dag[0, 0] = den
     x_dag[1:, 1:] = system.x_mat
 
+    counts = _history_counts(stats_t, stats_tm1)
     s_tm1 = stats_tm1.summands
-    if s_tm1 is None or stats_t.summands is None:
-        raise ValueError("two-step variance needs per-individual summands")
-    kern_all = s_tm1.theta if kind == "theta" else s_tm1.xi
-    sel_all = (1 - s_tm1.y_tm2) if sel == "-" else s_tm1.y_tm2
-
+    kern = s_tm1.theta if kind == "theta" else s_tm1.xi
+    w = (1 - s_tm1.y_tm2) if sel == "-" else s_tm1.y_tm2
+    y_i = -(a_hat * kern[:, 0] + kern[:, 1]) * w
+    x_i = (a_hat * a_hat * kern[:, 2] + d_hat * kern[:, 3]) * w
+    v = np.empty((len(counts), m + 1))
+    v[:, 0] = y_i - x_i * ratio
+    v[:, 1:] = _residual_rows(system, stats_t, None, est.alpha)
     n = est.n
-    rows = len(s_tm1.counts)
-    s_mat = np.zeros((m + 1, m + 1))
-    for lo in range(0, rows, chunk_size):
-        hi = min(lo + chunk_size, rows)
-        v = np.empty((hi - lo, m + 1))
-        kern = kern_all[lo:hi]
-        w = sel_all[lo:hi] * np.sqrt(s_tm1.counts[lo:hi])
-        y_i = -(a_hat * kern[:, 0] + kern[:, 1]) * w
-        x_i = (a_hat * a_hat * kern[:, 2] + d_hat * kern[:, 3]) * w
-        v[:, 0] = y_i - x_i * ratio
-        v[:, 1:] = _summand_rows(system, stats_t, None, lo, hi, est.alpha)
-        s_mat += v.T @ v
-    s_mat /= n
+    s_mat = _moment_matrix(v, counts, n)
 
     try:
         lu, piv = lu_factor_quiet(s_mat)

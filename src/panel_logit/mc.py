@@ -15,11 +15,15 @@ the summary instead of poisoning it.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .estimators import EstimationError, SingularSystem, SingularWeight
 from .inference import NonpositiveAlpha, NonpositivePhiHat, ZeroDenominator
@@ -206,20 +210,47 @@ def resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: run the OpenBLAS builds bundled with numpy and scipy
+    on one thread each.
+
+    A forked worker keeps the parent's BLAS thread count, so ``n`` workers
+    would otherwise start ``n`` times that many BLAS threads on the same
+    cores.  A BLAS that is not a bundled OpenBLAS is left as it is.
+    """
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in libs.glob("*openblas*"):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
+                                                    ("64_", "")):
+                set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if set_threads is not None:
+                    set_threads.argtypes = [ctypes.c_int]
+                    set_threads.restype = None
+                    set_threads(1)
+                    break
+
+
 def run_mc(config: McConfig, threads: int | None = None,
            keep_raw: bool = False) -> McSummary:
     """Run the replications and summarize per estimator and parameter.
 
     The summary is a pure function of ``config``: the worker count only
     changes how replications are scheduled, never their streams or the
-    reduction order.
+    reduction order.  Pool workers run BLAS on one thread each; the calling
+    process keeps its own setting.
     """
     n_threads = resolve_threads(threads)
     reps = range(config.replications)
     if n_threads == 1 or config.replications == 1:
         per_rep = [_run_replication(config, r) for r in reps]
     else:
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
+        with ProcessPoolExecutor(max_workers=n_threads,
+                                 initializer=_one_blas_thread) as pool:
             chunk = max(1, config.replications // (8 * n_threads))
             per_rep = list(pool.map(_run_replication, [config] * config.replications,
                                     reps, chunksize=chunk))

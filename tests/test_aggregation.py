@@ -55,7 +55,10 @@ def test_shard_merge_is_exact(seed, n, shards):
     assert np.array_equal(full.theta_bar, merged.theta_bar)
     assert np.array_equal(full.xi_bar, merged.xi_bar)
     assert merged.n == full.n == counts.sum()
-    assert np.array_equal(merged.summands.counts, counts)
+    assert merged.summands.periods == full.summands.periods
+    for name in ("codes", "counts", "theta", "xi", "y_tm2", "y_tm3"):
+        got, want = getattr(merged.summands, name), getattr(full.summands, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_partition_identity():

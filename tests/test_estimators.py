@@ -198,16 +198,6 @@ def test_variance_scales_inversely_with_duplication():
     assert np.allclose(v2, v1 / 2.0, rtol=1e-10)
 
 
-def test_variance_chunking_invariant():
-    panel = _random_panel(n=257, t_periods=6, seed=14)
-    stats = aggregate(panel, 4)
-    system = build_system("B", stats, VARIANT_MINUS_15)
-    alpha = solve(system)
-    full = variance(system, alpha, stats)
-    chunked = variance(system, alpha, stats, chunk_size=64)
-    assert np.allclose(full, chunked, atol=1e-14)
-
-
 def test_identical_individuals_give_singular_weight():
     row = np.array([1, 0, 1, 1, 0], dtype=np.int8)
     panel = PanelData(y=np.tile(row, (50, 1)), ids=np.arange(50), t0=1)

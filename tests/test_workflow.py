@@ -48,12 +48,7 @@ def test_history_counts_estimate_like_the_panel(spec, family, variant, two_step,
     kwargs = dict(two_step=two_step, wald=wald)
     expected = _outputs(estimate_panel(panel.drop_prefix(3), family, variant, 7, **kwargs))
     got = _outputs(estimate_panel(counted.drop_prefix(3), family, variant, 7, **kwargs))
+    # both representations collapse to the same table of history counts
     assert got.keys() == expected.keys()
-    # covariances relative to the product of their two sds: an off-diagonal
-    # entry near zero carries the rounding of its neighbours
-    vcov = expected.pop("vcov")
-    sd = np.sqrt(np.diag(vcov))
-    gap = np.abs(got.pop("vcov") - vcov) / np.outer(sd, sd)
-    assert gap.max() <= 1e-10, gap.max()
     for name, value in expected.items():
-        np.testing.assert_allclose(got[name], value, rtol=1e-10, atol=0, err_msg=name)
+        assert np.array_equal(got[name], value), name
