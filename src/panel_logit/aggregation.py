@@ -18,13 +18,18 @@ individuals share each outcome history.  ``aggregate`` collapses the panel
 to that table in one O(N) pass: each row is packed into an ``int64`` code
 over all stored periods (the first stored period in the highest bit) and
 one count weighted by the row frequencies gives the number of individuals
-with each code.  Everything after runs on at most 2**T history rows, so it
-costs O(2**T) whatever N is.  Because the table spans all stored periods,
-the aggregates of one panel at any two windows share the same rows in the
-same order, which the trend-model variance and the two-step dagger block
-need.  Kernel sums are exact ``int64`` counts, so aggregation over any
-sharding of individuals merges without rounding error; means are formed by
-a single division at the end.
+with each code.  ``from_histories`` builds the aggregate at any window from
+such a table, so everything after the collapse runs on at most 2**T history
+rows and costs O(2**T) whatever N is.  Because the table spans all stored
+periods, the aggregates of one panel at any two windows share the same rows
+in the same order, which the trend-model variance and the two-step dagger
+block need.
+
+The builder takes float weights: the integer counts of a sample, or the
+exact history probabilities of the population (``oracle.population_aggregates``,
+``n = 0``: no sample).  Means are cell sums divided by the total weight.  For
+counts every sum is an integer below 2**53 and exact in float64, so
+aggregation over any sharding of individuals merges without rounding error.
 
 When the period before the window start (``t - 3``) is not stored in the
 panel, only the ``-``/``+`` selectors can be formed.  Such partial
@@ -60,8 +65,10 @@ class KernelSummands:
     """Kernel values of each distinct outcome history at one window.
 
     Rows are the histories over the stored periods ``periods = (t0,
-    t_last)`` that at least one individual has, in ascending order of their
-    ``codes``; ``counts`` are the numbers of individuals with each.
+    t_last)``, in ascending order of their ``codes``.  In a sample they are
+    the histories at least one individual has and ``counts`` the numbers of
+    individuals with each; in the population they are all histories and
+    ``counts`` their probabilities.
     ``theta``/``xi`` are (rows, 4) int8 arrays; ``y_tm2`` is the outcome two
     periods before the window index and ``y_tm3`` three periods before
     (``None`` for partial aggregates).
@@ -82,10 +89,9 @@ class AggregateStats:
 
     ``theta_bar``/``xi_bar`` are (4, 4) arrays indexed by (kernel - 1,
     selector) with selectors ordered as in ``SELECTORS``.  Interacted
-    columns are NaN when ``has_interacted`` is false.  ``theta_sums``/
-    ``xi_sums`` hold the exact integer sums backing the means, and
-    ``summands`` the history rows behind them (both absent for
-    population-moment aggregates).
+    columns are NaN when ``has_interacted`` is false.  ``summands`` holds
+    the history rows behind the means; ``n`` is the number of individuals,
+    0 for the population.
     """
 
     window_t: int
@@ -94,8 +100,6 @@ class AggregateStats:
     xi_bar: np.ndarray
     has_interacted: bool = True
     summands: KernelSummands | None = None
-    theta_sums: np.ndarray | None = None
-    xi_sums: np.ndarray | None = None
 
     def bar(self, kind: str, j: int, selector: str) -> float:
         """Mean of kernel ``j`` (1..4) of a family under a selector."""
@@ -132,31 +136,38 @@ def _histories(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
     return codes[seen], freq[seen].astype(np.int64)
 
 
-def _from_histories(t: int, periods: tuple[int, int], codes: np.ndarray,
-                    counts: np.ndarray) -> AggregateStats:
-    """Kernel sums and history rows at window ``t`` of a history table."""
+def from_histories(t: int, periods: tuple[int, int], codes: np.ndarray,
+                   weights: np.ndarray, n: int) -> AggregateStats:
+    """Kernel means and history rows at window ``t`` of a weighted history table.
+
+    ``codes`` are histories over the stored ``periods``, the first period in
+    the highest bit; ``weights`` are their counts in a sample of ``n``
+    individuals, or their probabilities in the population (``n = 0``).
+    Requires periods ``t-2 .. t+1``; the interacted selectors also need
+    ``t-3``.
+    """
+    for s in (t - 2, t - 1, t, t + 1):
+        if not periods[0] <= s <= periods[1]:
+            raise ValueError(f"window {t} needs period {s}, panel stores "
+                             f"{periods[0]}..{periods[1]}")
     has_interacted = t - 3 >= periods[0]
     cell = (codes >> (periods[1] - t - 1)) & (31 if has_interacted else 15)
-    cells = np.bincount(cell, weights=counts, minlength=32).astype(np.int64)
+    cells = np.bincount(cell, weights=weights, minlength=32)
     weighted_sel = _SELECTOR_CELLS * cells[:, None]
-    theta_sums = _THETA_CELLS.T @ weighted_sel
-    xi_sums = _XI_CELLS.T @ weighted_sel
-
-    n = int(counts.sum())
-    theta_bar = theta_sums / n
-    xi_bar = xi_sums / n
+    total = cells.sum()
+    theta_bar = _THETA_CELLS.T @ weighted_sel / total
+    xi_bar = _XI_CELLS.T @ weighted_sel / total
     if not has_interacted:
         theta_bar[:, 2:] = np.nan
         xi_bar[:, 2:] = np.nan
 
     summands = KernelSummands(
-        codes=codes, counts=counts, periods=periods,
+        codes=codes, counts=weights, periods=periods,
         theta=_THETA_CELLS[cell].astype(np.int8), xi=_XI_CELLS[cell].astype(np.int8),
         y_tm2=_Y2[cell].astype(np.int8),
         y_tm3=_Y3[cell].astype(np.int8) if has_interacted else None)
     return AggregateStats(window_t=t, n=n, theta_bar=theta_bar, xi_bar=xi_bar,
-                          has_interacted=has_interacted, summands=summands,
-                          theta_sums=theta_sums, xi_sums=xi_sums)
+                          has_interacted=has_interacted, summands=summands)
 
 
 def aggregate(panel: PanelData, t: int) -> AggregateStats:
@@ -171,12 +182,8 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
     """
     if panel.n == 0:
         raise ValueError("cannot aggregate an empty panel")
-    for s in (t - 2, t - 1, t, t + 1):
-        if not panel.has_period(s):
-            raise ValueError(f"window {t} needs period {s}, panel stores "
-                             f"{panel.t0}..{panel.t_last}")
     codes, counts = _histories(panel)
-    return _from_histories(t, (panel.t0, panel.t_last), codes, counts)
+    return from_histories(t, (panel.t0, panel.t_last), codes, counts, panel.n)
 
 
 def merge_stats(parts: list[AggregateStats]) -> AggregateStats:
@@ -188,8 +195,8 @@ def merge_stats(parts: list[AggregateStats]) -> AggregateStats:
     """
     if not parts:
         raise ValueError("nothing to merge")
-    if any(p.summands is None for p in parts):
-        raise ValueError("shard lacks history counts; cannot merge exactly")
+    if any(p.n == 0 for p in parts):
+        raise ValueError("only sample aggregates with history counts merge exactly")
     first = parts[0]
     for p in parts[1:]:
         if p.window_t != first.window_t or p.summands.periods != first.summands.periods:
@@ -197,8 +204,8 @@ def merge_stats(parts: list[AggregateStats]) -> AggregateStats:
     codes, inverse = np.unique(np.concatenate([p.summands.codes for p in parts]),
                                return_inverse=True)
     counts = np.bincount(inverse, weights=np.concatenate([p.summands.counts for p in parts]))
-    return _from_histories(first.window_t, first.summands.periods, codes,
-                           counts.astype(np.int64))
+    return from_histories(first.window_t, first.summands.periods, codes,
+                          counts.astype(np.int64), sum(p.n for p in parts))
 
 
 def shard_aggregate(panel: PanelData, t: int, n_shards: int) -> AggregateStats:
@@ -216,12 +223,3 @@ def shard_aggregate(panel: PanelData, t: int, n_shards: int) -> AggregateStats:
             parts.append(aggregate(shard, t))
     return merge_stats(parts)
 
-
-def from_expected_bars(window_t: int, theta_bar: np.ndarray,
-                       xi_bar: np.ndarray) -> AggregateStats:
-    """Wrap exact population moments (no sample behind them) as aggregates."""
-    return AggregateStats(window_t=window_t, n=0,
-                          theta_bar=np.asarray(theta_bar, dtype=np.float64),
-                          xi_bar=np.asarray(xi_bar, dtype=np.float64),
-                          has_interacted=True, summands=None,
-                          theta_sums=None, xi_sums=None)

@@ -256,11 +256,11 @@ def _mc_raw_csv(summary, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replication", "estimator", "status", "parameter",
-                         "estimate", "se", "wald_stat", "wald_df", "wald_p"])
+                         "estimate", "se", "wald_stat", "wald_df", "wald_p", "message"])
         for rec in summary.raw:
             if rec["status"] != "ok":
                 writer.writerow([rec["replication"], rec["estimator"],
-                                 rec["status"], "", "", "", "", "", ""])
+                                 rec["status"], "", "", "", "", "", "", rec["message"]])
                 continue
             wald = rec.get("wald")
             for name, (value, se) in rec["params"].items():
@@ -268,7 +268,7 @@ def _mc_raw_csv(summary, path: str) -> None:
                                  repr(value), repr(se),
                                  repr(wald[0]) if wald else "",
                                  wald[1] if wald else "",
-                                 repr(wald[2]) if wald else ""])
+                                 repr(wald[2]) if wald else "", ""])
                 wald = None  # only on the first row of the record
 
 

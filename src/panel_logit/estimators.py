@@ -340,9 +340,9 @@ def _history_counts(stats_t: AggregateStats,
                     stats_tm1: AggregateStats | None = None) -> np.ndarray:
     """Counts of the history rows behind ``stats_t``, after checking that
     ``stats_tm1`` keeps the same rows (aggregates of one panel do)."""
-    s = stats_t.summands
-    if s is None:
+    if stats_t.n == 0:
         raise ValueError("variance needs the history rows of a sample aggregate")
+    s = stats_t.summands
     if stats_tm1 is not None:
         p = stats_tm1.summands
         if p is None or p.periods != s.periods or not np.array_equal(p.codes, s.codes):

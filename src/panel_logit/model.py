@@ -182,20 +182,16 @@ HISTORY_NODES = 64        # Gauss-Hermite nodes mixing the fixed effect
 MAX_HISTORY_PERIODS = 16  # the law holds nodes x 2**T floats
 
 
-def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
-                n_nodes: int = HISTORY_NODES) -> np.ndarray:
-    """Exact probabilities of the ``2**n_periods`` outcome histories.
+def chain_law(spec: ModelSpec, eta: np.ndarray, n_periods: int) -> np.ndarray:
+    """Probabilities of the ``2**n_periods`` outcome histories at each fixed effect.
 
-    Entry ``k`` is the probability of the history whose outcomes, period 1
-    first, are the binary digits of ``k``.  The N(0, sigma_eta_sq) fixed
-    effect is integrated out by ``n_nodes``-point Gauss-Hermite quadrature;
-    the integrand is smooth, so 64 nodes leave an error below 1e-12.
+    Row ``k`` is the law of the histories over periods ``1..n_periods``
+    given the fixed effect ``eta[k]``; column ``h`` is the history whose
+    outcomes, period 1 first, are the binary digits of ``h``.
     """
     if not 1 <= n_periods <= MAX_HISTORY_PERIODS:
         raise ValueError(f"history law enumerates 2**T histories; "
                          f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
     # probs[k, h]: P(first t outcomes spell h | eta_k), extended one period
     # at a time; logistic(-x) keeps the complement accurate near 1
     index = eta + spec.effect(1)
@@ -204,8 +200,23 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
         last = np.arange(probs.shape[1]) & 1
         index = eta[:, None] + spec.gamma * last + spec.effect(t)
         probs = np.stack((probs * expit(-index), probs * expit(index)),
-                         axis=2).reshape(n_nodes, -1)
-    return weights @ probs / math.sqrt(math.pi)
+                         axis=2).reshape(len(eta), -1)
+    return probs
+
+
+def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
+                n_nodes: int = HISTORY_NODES) -> np.ndarray:
+    """Exact probabilities of the ``2**n_periods`` outcome histories.
+
+    Entry ``k`` is the probability of the history whose outcomes, period 1
+    first, are the binary digits of ``k``.  The N(0, sigma_eta_sq) fixed
+    effect is integrated out of ``chain_law`` by ``n_nodes``-point
+    Gauss-Hermite quadrature; the integrand is smooth, so 64 nodes leave an
+    error below 1e-12.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
+    return weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)
 
 
 def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:

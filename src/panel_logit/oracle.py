@@ -1,11 +1,13 @@
 """Exact, estimator-independent verification layer.
 
 All checks here are finite enumerations: conditional expectations over the
-eight three-period continuation paths, population moments over all window
+eight three-period continuation paths, population moments over all outcome
 histories mixed across an explicit grid of fixed-effect values, and
 numerical ranks of moment-function value matrices over complete window
 enumerations.  Nothing is simulated, so pass/fail assertions carry no Monte
-Carlo error.
+Carlo error.  The population is a history table like a sample's, weighted
+by exact probabilities instead of counts, and goes through the same
+aggregation builder.
 
 The fixed-effect heterogeneity enters through finite grids because the
 conditional moment identities hold pointwise in the fixed effect; any grid
@@ -22,13 +24,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .aggregation import AggregateStats, from_expected_bars
+from .aggregation import AggregateStats, from_histories
 from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
                          VARIANT_MINUS_37, build_system, build_system_c, solve,
                          variant_minus_r, TransformedEstimate)
 from .inference import recover_original
 from .kernels import Window5, all_windows, alpha_from_spec, alpha_labels
-from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, logit_prob
+from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law, logit_prob
 
 
 @dataclass(frozen=True)
@@ -95,66 +97,33 @@ def hbar_function(kind: str, spec: ModelSpec, t: int) -> Callable[[Window5], flo
 # exact population moments
 
 
-def chain_initial_law(spec: ModelSpec, period: int) -> Callable[[float], float]:
-    """P(y_period = 1 | eta) under the model chain started at period 1."""
-    def law(eta: float) -> float:
-        p = logit_prob(eta, 0.0, 0, spec.effect(1))  # no lag at the first period
-        for s in range(2, period + 1):
-            p_next_1 = logit_prob(eta, spec.gamma, 1, spec.effect(s))
-            p_next_0 = logit_prob(eta, spec.gamma, 0, spec.effect(s))
-            p = p * p_next_1 + (1.0 - p) * p_next_0
-        return p
-    return law
-
-
 def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
-                          eta_weights: Sequence[float],
-                          init_p: float | Callable[[float], float] = 0.5,
-                          ) -> AggregateStats:
+                          eta_weights: Sequence[float]) -> AggregateStats:
     """Exact expected kernel averages at window ``t``.
 
-    Enumerates all 32 window histories starting from a supplied marginal for
-    the outcome at ``t - 3`` (constant or a function of the fixed effect)
-    and mixes over the fixed-effect grid.  The moment conditions hold for
-    any initial marginal, which is exactly what downstream checks exercise.
+    The law of the ``2**(t+1)`` outcome histories over periods ``1..t+1``,
+    mixed over the fixed-effect grid, is the history table: it goes through
+    the builder a sample's counts go through, with ``n = 0`` (no sample).
+    The aggregate keeps those rows, so any other window up to ``t`` can be
+    built from it.
     """
     weights = np.asarray(eta_weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("eta grid weights must sum to 1")
-    theta_bar = np.zeros((4, 4))
-    xi_bar = np.zeros((4, 4))
-    for eta, wgt in zip(eta_nodes, weights):
-        p_start = init_p(eta) if callable(init_p) else float(init_p)
-        for w in all_windows():
-            y3, y2, y1, y0, yp = w
-            pr = p_start if y3 else 1.0 - p_start
-            prev = y3
-            for step, y in zip((t - 2, t - 1, t, t + 1), (y2, y1, y0, yp)):
-                p = logit_prob(eta, spec.gamma, prev, spec.effect(step))
-                pr *= p if y else 1.0 - p
-                prev = y
-            th = kernels.theta_kernels(w)
-            xk = kernels.xi_kernels(w)
-            sels = (1 - y2, y2, (1 - y2) * y3, y2 * y3)
-            for col, s in enumerate(sels):
-                if s:
-                    theta_bar[:, col] += wgt * pr * th
-                    xi_bar[:, col] += wgt * pr * xk
-    return from_expected_bars(t, theta_bar, xi_bar)
+    law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64), t + 1)
+    return from_histories(t, (1, t + 1), np.arange(law.size), law, n=0)
 
 
 def population_system(family: str, spec: ModelSpec, t: int,
                       eta_nodes: Sequence[float], eta_weights: Sequence[float],
-                      variant: Variant,
-                      init_p: float | Callable[[float], float] = 0.5,
-                      ) -> LinearSystem:
+                      variant: Variant) -> LinearSystem:
     """Stacked system built from exact population moments."""
-    if family == "C":
-        stats_t = population_aggregates(spec, t, eta_nodes, eta_weights, init_p)
-        stats_tm1 = population_aggregates(spec, t - 1, eta_nodes, eta_weights, init_p)
-        return build_system_c(stats_t, stats_tm1, variant)
-    stats = population_aggregates(spec, t, eta_nodes, eta_weights, init_p)
-    return build_system(family, stats, variant)
+    stats = population_aggregates(spec, t, eta_nodes, eta_weights)
+    if family != "C":
+        return build_system(family, stats, variant)
+    rows = stats.summands
+    stats_tm1 = from_histories(t - 1, rows.periods, rows.codes, rows.counts, n=0)
+    return build_system_c(stats, stats_tm1, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +336,10 @@ _C_GRID = ((1.0, 0.3), (-0.7, -0.2), (0.4, 0.1))
 _ETA_GRID = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
 
-def population_estimate(family: str, spec: ModelSpec, t: int, variant: Variant,
-                        stats: AggregateStats | None = None,
-                        stats_tm1: AggregateStats | None = None) -> TransformedEstimate:
+def population_estimate(family: str, spec: ModelSpec, t: int,
+                        variant: Variant) -> TransformedEstimate:
     """Solve a population system and wrap it with a zero variance matrix."""
-    if stats is None:
-        stats = population_aggregates(spec, t, _ETA_GRID[0], _ETA_GRID[1])
-    if family == "C":
-        if stats_tm1 is None:
-            stats_tm1 = population_aggregates(spec, t - 1, _ETA_GRID[0], _ETA_GRID[1])
-        system = build_system_c(stats, stats_tm1, variant)
-    else:
-        system = build_system(family, stats, variant)
+    system = population_system(family, spec, t, _ETA_GRID[0], _ETA_GRID[1], variant)
     alpha = solve(system)
     return TransformedEstimate(family=family, variant=variant, window_t=t,
                                n=0, col_labels=system.col_labels, alpha=alpha,
@@ -396,12 +357,11 @@ def check_population(tol: float = 1e-8) -> list[CheckResult]:
     worst_orig = 0.0
     for gamma, dtd_t, dtd_tp1 in _AB_GRID:
         spec = spec_with_steps(gamma, dtd_t, dtd_tp1, t=t)
-        stats = population_aggregates(spec, t, _ETA_GRID[0], _ETA_GRID[1])
         for family in ("A", "B"):
             true_full = alpha_from_spec(family, spec, t)
             labels = alpha_labels(family)
             for variant in variants:
-                est = population_estimate(family, spec, t, variant, stats=stats)
+                est = population_estimate(family, spec, t, variant)
                 for c, v in zip(est.col_labels, est.alpha):
                     worst_alpha = max(worst_alpha, abs(v - true_full[labels.index(c)]))
                 orig = recover_original(est)

@@ -2,14 +2,16 @@
 
 This is the layer the CLI and the Monte Carlo harness share.  A
 ``stats_cache`` dict can be threaded through repeated calls on the same
-panel so each window is aggregated once per replication.
+panel so the panel is collapsed to its history table once: the first window
+asked for aggregates the panel, every further window is built from the
+cached table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregation import AggregateStats, aggregate
+from .aggregation import AggregateStats, aggregate, from_histories
 from .estimators import (TransformedEstimate, Variant, build_system,
                          build_system_c, parse_variant, solve, variance)
 from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
@@ -34,11 +36,14 @@ class EstimationResult:
         return out
 
 
-def _cached_aggregate(panel: PanelData, t: int, cache: dict | None) -> AggregateStats:
-    if cache is None:
-        return aggregate(panel, t)
+def _cached_aggregate(panel: PanelData, t: int, cache: dict) -> AggregateStats:
     if t not in cache:
-        cache[t] = aggregate(panel, t)
+        if cache:
+            base = next(iter(cache.values()))
+            rows = base.summands
+            cache[t] = from_histories(t, rows.periods, rows.codes, rows.counts, base.n)
+        else:
+            cache[t] = aggregate(panel, t)
     return cache[t]
 
 
@@ -50,9 +55,13 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
 
     ``two_step`` additionally estimates the effect step one period before
     the window (families A and B); ``wald`` names a restriction set to test.
+    ``stats_cache``, one dict per panel, keeps its window aggregates across
+    calls; with or without it the panel is collapsed once per call at most.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
+    if stats_cache is None:
+        stats_cache = {}
 
     stats_t = _cached_aggregate(panel, window_t, stats_cache)
     if family == "C":

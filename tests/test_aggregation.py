@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from panel_logit import PanelData, aggregate, merge_stats, shard_aggregate, theta_kernels, xi_kernels
 from panel_logit.aggregation import SELECTORS
+from panel_logit.oracle import population_aggregates, spec_with_steps
 
 
 def _panel_from_rows(rows, t0=1):
@@ -61,6 +62,14 @@ def test_shard_merge_is_exact(seed, n, shards):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
+def test_merge_refuses_population_aggregates():
+    # exact probabilities have no sample behind them: nothing to add up
+    spec = spec_with_steps(1.0, 0.2, -0.1)
+    pop = population_aggregates(spec, 5, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
+    with pytest.raises(ValueError, match="sample"):
+        merge_stats([pop, pop])
+
+
 def test_partition_identity():
     rng = np.random.default_rng(7)
     panel = _panel_from_rows(rng.integers(0, 2, size=(300, 5)))
@@ -78,8 +87,8 @@ def test_counts_weight_rows_like_repeated_rows():
     weighted = aggregate(PanelData(y=y, ids=np.arange(40), counts=counts), 4)
     repeated = aggregate(_panel_from_rows(np.repeat(y, counts, axis=0)), 4)
     assert weighted.n == repeated.n == counts.sum()
-    assert np.array_equal(weighted.theta_sums, repeated.theta_sums)
-    assert np.array_equal(weighted.xi_sums, repeated.xi_sums)
+    assert np.array_equal(weighted.theta_bar, repeated.theta_bar)
+    assert np.array_equal(weighted.xi_bar, repeated.xi_bar)
 
 
 def test_selector_nesting_brute_force():

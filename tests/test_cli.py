@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -135,6 +136,12 @@ def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     assert (tmp_path / "raw1.csv").read_bytes() == (tmp_path / "raw2.csv").read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "estimator,parameter,true,mean,sd,se,bias,rmse"
+    with open(tmp_path / "raw1.csv", newline="") as fh:
+        raw = list(csv.DictReader(fh))
+    failed = [row for row in raw if row["status"] != "ok"]
+    assert failed, "the config is small enough for some replications to fail"
+    assert all(row["message"] for row in failed)
+    assert all(row["message"] == "" for row in raw if row["status"] == "ok")
 
 
 def test_verify_passes(capsys):

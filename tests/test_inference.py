@@ -10,12 +10,12 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          corrected_ratio_variance, estimate_panel,
                          recover_original, simulate_panel, two_step_dtd_tm1,
                          two_step_ratio, wald_test)
-from panel_logit import DgpConfig, TimeDummiesSpec
-from panel_logit.aggregation import from_expected_bars
+from panel_logit import AggregateStats, DgpConfig, TimeDummiesSpec
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, variant_minus_r)
 from panel_logit.inference import RESTRICTION_SETS
-from panel_logit.oracle import population_aggregates, population_estimate, spec_with_steps
+from panel_logit.oracle import (population_aggregates, population_estimate,
+                                population_system, spec_with_steps)
 
 ETA = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
@@ -158,6 +158,17 @@ def test_two_step_population_value():
     assert ratio_b == pytest.approx(math.exp(-0.4), abs=1e-8)
 
 
+def test_two_step_refuses_population_aggregates():
+    # the population ratio is positive, so only the missing sample stops it
+    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
+    t = 7
+    est = population_estimate("A", spec, t, VARIANT_MINUS_37)
+    system = population_system("A", spec, t, *ETA, VARIANT_MINUS_37)
+    with pytest.raises(ValueError, match="sample aggregate"):
+        two_step_dtd_tm1(est, system, population_aggregates(spec, t, *ETA),
+                         population_aggregates(spec, t - 1, *ETA))
+
+
 def test_corrected_variance_reduces_without_covariances():
     jac = np.array([0.7, -0.3])
     assert corrected_ratio_variance(0.9, np.zeros(2), np.zeros((2, 2)), jac) == 0.9
@@ -168,7 +179,8 @@ def test_corrected_variance_reduces_without_covariances():
 
 
 def test_two_step_zero_denominator():
-    stats = from_expected_bars(4, np.zeros((4, 4)), np.zeros((4, 4)))
+    stats = AggregateStats(window_t=4, n=0, theta_bar=np.zeros((4, 4)),
+                           xi_bar=np.zeros((4, 4)))
     with pytest.raises(ZeroDenominator):
         two_step_ratio("A", stats, 1.0, 1.0)
 
@@ -177,7 +189,7 @@ def test_two_step_nonpositive_ratio():
     theta_bar = np.zeros((4, 4))
     theta_bar[0, 0] = 0.2   # kernel 1, '-' selector
     theta_bar[2, 0] = 0.1   # kernel 3 positive denominator -> ratio negative
-    stats = from_expected_bars(4, theta_bar, np.zeros((4, 4)))
+    stats = AggregateStats(window_t=4, n=0, theta_bar=theta_bar, xi_bar=np.zeros((4, 4)))
     est = _estimate("A", LABELS6, np.ones(6), n=0)
     with pytest.raises(NonpositivePhiHat):
         # ratio = -(a*0.2)/(a^2*0.1) < 0; the variance machinery is never reached
@@ -195,7 +207,8 @@ def _dummy_system(est):
 
 
 def _dummy_stats(window_t):
-    return from_expected_bars(window_t, np.zeros((4, 4)), np.zeros((4, 4)))
+    return AggregateStats(window_t=window_t, n=0, theta_bar=np.zeros((4, 4)),
+                          xi_bar=np.zeros((4, 4)))
 
 
 def test_two_step_rejects_variant_without_d():

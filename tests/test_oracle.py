@@ -1,9 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          conditional_moment, logit_prob, moment_rank, path_law,
-                         population_system, run_checks, solve)
+                         population_aggregates, population_system, run_checks,
+                         solve, theta_kernels, xi_kernels)
+from panel_logit.aggregation import from_histories
 from panel_logit.estimators import VARIANT_MINUS_37, variant_minus_r
 from panel_logit.oracle import (ConditioningState, check_identities,
                                 check_three_period_rank,
@@ -132,3 +136,42 @@ def test_vanishing_rows_and_three_period_rank():
     res = check_three_period_rank()
     assert res.passed
     assert res.max_violation <= 2
+
+
+def _enumerated_bars(spec, n_periods, window, eta_nodes, eta_weights):
+    """Kernel means at ``window`` by enumerating every history over periods
+    1..n_periods with scalar transition probabilities, one at a time."""
+    theta_bar = [[0.0] * 4 for _ in range(4)]
+    xi_bar = [[0.0] * 4 for _ in range(4)]
+    for eta, wgt in zip(eta_nodes, eta_weights):
+        for hist in product((0, 1), repeat=n_periods):
+            pr, prev = 1.0, 0  # the first period has no lag term
+            for period, y in enumerate(hist, start=1):
+                p = logit_prob(eta, spec.gamma, prev, spec.effect(period))
+                pr *= p if y else 1.0 - p
+                prev = y
+            w = hist[window - 4:window + 1]  # periods window-3 .. window+1
+            th, xk = theta_kernels(w), xi_kernels(w)
+            y3, y2 = w[0], w[1]
+            for col, sel in enumerate((1 - y2, y2, (1 - y2) * y3, y2 * y3)):
+                for j in range(4):
+                    theta_bar[j][col] += wgt * pr * sel * th[j]
+                    xi_bar[j][col] += wgt * pr * sel * xk[j]
+    return np.array(theta_bar), np.array(xi_bar)
+
+
+@pytest.mark.parametrize("spec, t", [(SPEC_31, 7),
+                                     (TimeTrendSpec(gamma=-0.6, phi_coef=0.3), 6)])
+def test_population_law_matches_plain_enumeration(spec, t):
+    grid = ((-1.2, 0.1, 0.9), (0.2, 0.5, 0.3))
+    stats_t = population_aggregates(spec, t, *grid)
+    rows = stats_t.summands
+    cases = [(t, stats_t),
+             (t - 1, population_aggregates(spec, t - 1, *grid)),
+             # the way population_system builds family C's second window
+             (t - 1, from_histories(t - 1, rows.periods, rows.codes, rows.counts, n=0))]
+    for window, stats in cases:
+        theta_ref, xi_ref = _enumerated_bars(spec, t + 1, window, *grid)
+        assert stats.n == 0 and stats.window_t == window
+        assert np.max(np.abs(stats.theta_bar - theta_ref)) <= 1e-14
+        assert np.max(np.abs(stats.xi_bar - xi_ref)) <= 1e-14

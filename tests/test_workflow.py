@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
-                         estimate_panel, simulate_panel)
+                         estimate_panel, simulate_panel, workflow)
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
@@ -52,3 +52,40 @@ def test_history_counts_estimate_like_the_panel(spec, family, variant, two_step,
     assert got.keys() == expected.keys()
     for name, value in expected.items():
         assert np.array_equal(got[name], value), name
+
+
+def _assert_same_aggregate(got, want):
+    assert (got.window_t, got.n, got.has_interacted) == (want.window_t, want.n,
+                                                         want.has_interacted)
+    for name in ("theta_bar", "xi_bar"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert got.summands.periods == want.summands.periods
+    for name in ("codes", "counts", "theta", "xi", "y_tm2", "y_tm3"):
+        a, b = getattr(got.summands, name), getattr(want.summands, name)
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b)), name
+
+
+def test_each_panel_is_collapsed_once(monkeypatch):
+    real = workflow.aggregate
+    calls = []
+
+    def counting(panel, t):
+        calls.append(t)
+        return real(panel, t)
+
+    monkeypatch.setattr(workflow, "aggregate", counting)
+    dgp = DgpConfig(n_individuals=200_000, n_periods=8, sigma_eta_sq=0.5, seed=2)
+    panel = simulate_panel(SPEC_DUMMIES, dgp).drop_prefix(3)
+    cache: dict = {}
+    estimate_panel(panel, "A", "minus-3-7", 7, two_step=True, stats_cache=cache)
+    estimate_panel(panel, "B", "minus-1-5", 7, two_step=True, stats_cache=cache)
+    estimate_panel(panel, "A", "minus-3-7", 7, wald="ab-dummies", stats_cache=cache)
+    assert calls == [7] and sorted(cache) == [6, 7]
+    # the window built from the cached table is the one a fresh pass gives
+    _assert_same_aggregate(cache[6], real(panel, 6))
+
+    # without a cache (the CLI's call) family C still collapses once
+    calls.clear()
+    trend = simulate_panel(SPEC_TREND, dgp).drop_prefix(3)
+    estimate_panel(trend, "C", "full", 7, wald="c-trend")
+    assert calls == [7]
