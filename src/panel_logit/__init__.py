@@ -16,7 +16,7 @@ The package provides three layers:
 
 __version__ = "0.1.0"
 
-from .aggregation import AggregateStats, aggregate, merge_stats, shard_aggregate
+from .aggregation import AggregateStats, aggregate
 from .estimators import (EstimationError, LinearSystem, SingularSystem,
                          SingularWeight, TransformedEstimate, Variant,
                          VARIANT_FULL, VARIANT_MINUS_15, VARIANT_MINUS_37,

@@ -1,4 +1,4 @@
-"""Sample averages of the window kernels, on the panel's distinct histories.
+"""Sample averages of the window kernels, from the 32-cell window table.
 
 For an estimation window ``t`` the eight kernels are averaged under four
 selectors built from the two pre-window outcomes:
@@ -14,28 +14,26 @@ Every summand is a product of 0/1 indicators with sign, hence an integer in
 {-1, 0, 1}, and a function of the five-period window
 ``(y_{t-3}, .., y_{t+1})`` alone.  Every estimator, its variance and the
 two-step correction therefore depend on the panel only through how many
-individuals share each outcome history.  ``aggregate`` collapses the panel
-to that table in one O(N) pass: each row is packed into an ``int64`` code
-over all stored periods (the first stored period in the highest bit) and
-one count weighted by the row frequencies gives the number of individuals
-with each code.  ``from_histories`` builds the aggregate at any window from
-such a table, so everything after the collapse runs on at most 2**T history
-rows and costs O(2**T) whatever N is.  Because the table spans all stored
-periods, the aggregates of one panel at any two windows share the same rows
-in the same order, which the trend-model variance and the two-step dagger
-block need.
+individuals share each of the 32 window patterns.  ``aggregate`` counts
+them in one O(N) pass (one ``bincount`` of the 5-bit window code, weighted
+by the row frequencies), whatever the number of stored periods, and
+``from_cells`` maps the 32 counts to the kernel means.  Everything after
+the count runs on 32 cells.  The trend-model rows at window ``t - 1`` read
+``y_{t-3} .. y_t``, four of the same five periods: ``window_before`` sums
+``y_{t+1}`` out of the table to get them.
 
 The builder takes float weights: the integer counts of a sample, or the
-exact history probabilities of the population (``oracle.population_aggregates``,
+exact cell probabilities of the population (``oracle.population_aggregates``,
 ``n = 0``: no sample).  Means are cell sums divided by the total weight.  For
-counts every sum is an integer below 2**53 and exact in float64, so
-aggregation over any sharding of individuals merges without rounding error.
+counts every sum is an integer below 2**53 and exact in float64, so the
+means do not depend on the order in which cells are added.
 
 When the period before the window start (``t - 3``) is not stored in the
-panel, only the ``-``/``+`` selectors can be formed.  Such partial
-aggregates (``has_interacted == False``) are all the trend-model system and
-the second-stage effect-step estimator need, which keeps five stored periods
-sufficient for every estimator.
+panel, the code has four bits and only the ``-``/``+`` selectors can be
+formed.  Such partial aggregates (``has_interacted == False``) are what
+``window_before`` returns: the trend-model rows and the second-stage
+effect-step estimator use only those selectors at window ``t - 1``, which
+keeps the five window periods sufficient for every estimator.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from .panel import PanelData
 
 SELECTORS = ("-", "+", "-+", "++")
 _SEL_INDEX = {s: k for k, s in enumerate(SELECTORS)}
-# a history code of T periods and the table size 2**T both fit an int64
-MAX_PERIODS = 62
 
 # kernel values and selector weights of the 32 windows, in window-code order
 # (code = 16 y_{t-3} + 8 y_{t-2} + 4 y_{t-1} + 2 y_t + y_{t+1})
@@ -60,27 +56,30 @@ _XI_CELLS = np.stack(_xi_components(_Y1, _Y0, _YP), axis=1)
 _SELECTOR_CELLS = np.stack((1 - _Y2, _Y2, (1 - _Y2) * _Y3, _Y2 * _Y3), axis=1)
 
 
+def _cell_kernels(kind: str, selector: str, back: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels (32, 4) and selector weights (32,) of each window-``t`` cell,
+    evaluated at window ``t - back``.
+
+    Window ``t - 1`` reads the first four periods of window ``t``, so its
+    code is the cell code shifted right by one (with ``y_{t-4}`` read as 0,
+    which only the interacted selectors would use).
+    """
+    cell = np.arange(32) >> back
+    kern = (_THETA_CELLS if kind == "theta" else _XI_CELLS)[cell]
+    return kern, _SELECTOR_CELLS[cell, _SEL_INDEX[selector]]
+
+
 @dataclass(frozen=True)
 class KernelSummands:
-    """Kernel values of each distinct outcome history at one window.
+    """Weights of the 32 window patterns behind one aggregate.
 
-    Rows are the histories over the stored periods ``periods = (t0,
-    t_last)``, in ascending order of their ``codes``.  In a sample they are
-    the histories at least one individual has and ``counts`` the numbers of
-    individuals with each; in the population they are all histories and
-    ``counts`` their probabilities.
-    ``theta``/``xi`` are (rows, 4) int8 arrays; ``y_tm2`` is the outcome two
-    periods before the window index and ``y_tm3`` three periods before
-    (``None`` for partial aggregates).
+    ``counts[code]`` is the number of individuals whose window
+    ``(y_{t-3}, .., y_{t+1})`` has that code in a sample, or its
+    probability in the population.  In a partial aggregate ``y_{t-3}`` is
+    not stored and counts as 0, so only the first 16 cells can be nonzero.
     """
 
-    codes: np.ndarray
     counts: np.ndarray
-    periods: tuple[int, int]
-    theta: np.ndarray
-    xi: np.ndarray
-    y_tm2: np.ndarray
-    y_tm3: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class AggregateStats:
     ``theta_bar``/``xi_bar`` are (4, 4) arrays indexed by (kernel - 1,
     selector) with selectors ordered as in ``SELECTORS``.  Interacted
     columns are NaN when ``has_interacted`` is false.  ``summands`` holds
-    the history rows behind the means; ``n`` is the number of individuals,
+    the cell weights behind the means; ``n`` is the number of individuals,
     0 for the population.
     """
 
@@ -113,46 +112,13 @@ class AggregateStats:
         return float(table[j - 1, col])
 
 
-def _histories(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the panel's distinct outcome histories, ascending, and the
-    number of individuals with each (positive)."""
-    n_periods = panel.n_periods
-    if n_periods > MAX_PERIODS:
-        raise ValueError(f"panel stores {n_periods} periods; outcome histories "
-                         f"are packed into int64 codes of at most {MAX_PERIODS} periods")
-    code = np.zeros(panel.n_rows, dtype=np.int64)
-    for k in range(n_periods):
-        code <<= 1
-        code |= panel.y[:, k]
-    # float64 totals are exact integers: PanelData keeps N below 2**53
-    if (1 << n_periods) <= panel.n_rows:
-        codes = np.arange(1 << n_periods)
-        freq = np.bincount(code, weights=panel.counts, minlength=1 << n_periods)
-    else:
-        # a dense table of 2**T cells would outgrow the panel itself
-        codes, inverse = np.unique(code, return_inverse=True)
-        freq = np.bincount(inverse, weights=panel.counts, minlength=len(codes))
-    seen = freq > 0
-    return codes[seen], freq[seen].astype(np.int64)
+def from_cells(t: int, cells: np.ndarray, n: int, has_interacted: bool) -> AggregateStats:
+    """Kernel means at window ``t`` of the 32 window-cell weights.
 
-
-def from_histories(t: int, periods: tuple[int, int], codes: np.ndarray,
-                   weights: np.ndarray, n: int) -> AggregateStats:
-    """Kernel means and history rows at window ``t`` of a weighted history table.
-
-    ``codes`` are histories over the stored ``periods``, the first period in
-    the highest bit; ``weights`` are their counts in a sample of ``n``
-    individuals, or their probabilities in the population (``n = 0``).
-    Requires periods ``t-2 .. t+1``; the interacted selectors also need
-    ``t-3``.
+    ``cells`` are the counts of a sample of ``n`` individuals, or the
+    probabilities of the population (``n = 0``), indexed by window code.
+    Without ``has_interacted`` the interacted means are NaN.
     """
-    for s in (t - 2, t - 1, t, t + 1):
-        if not periods[0] <= s <= periods[1]:
-            raise ValueError(f"window {t} needs period {s}, panel stores "
-                             f"{periods[0]}..{periods[1]}")
-    has_interacted = t - 3 >= periods[0]
-    cell = (codes >> (periods[1] - t - 1)) & (31 if has_interacted else 15)
-    cells = np.bincount(cell, weights=weights, minlength=32)
     weighted_sel = _SELECTOR_CELLS * cells[:, None]
     total = cells.sum()
     theta_bar = _THETA_CELLS.T @ weighted_sel / total
@@ -160,14 +126,9 @@ def from_histories(t: int, periods: tuple[int, int], codes: np.ndarray,
     if not has_interacted:
         theta_bar[:, 2:] = np.nan
         xi_bar[:, 2:] = np.nan
-
-    summands = KernelSummands(
-        codes=codes, counts=weights, periods=periods,
-        theta=_THETA_CELLS[cell].astype(np.int8), xi=_XI_CELLS[cell].astype(np.int8),
-        y_tm2=_Y2[cell].astype(np.int8),
-        y_tm3=_Y3[cell].astype(np.int8) if has_interacted else None)
     return AggregateStats(window_t=t, n=n, theta_bar=theta_bar, xi_bar=xi_bar,
-                          has_interacted=has_interacted, summands=summands)
+                          has_interacted=has_interacted,
+                          summands=KernelSummands(counts=cells))
 
 
 def aggregate(panel: PanelData, t: int) -> AggregateStats:
@@ -175,51 +136,37 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
 
     Requires stored periods ``t-2 .. t+1``; if ``t-3`` is stored as well the
     interacted selectors are included, otherwise a partial aggregate is
-    returned.  Each row counts as ``panel.counts`` individuals.  The
-    result keeps the panel's distinct histories and their counts, from
-    which the variances are formed.  Panels of more than ``MAX_PERIODS``
-    stored periods are refused.
+    returned.  Each row counts as ``panel.counts`` individuals.  Other
+    stored periods are not read.
     """
     if panel.n == 0:
         raise ValueError("cannot aggregate an empty panel")
-    codes, counts = _histories(panel)
-    return from_histories(t, (panel.t0, panel.t_last), codes, counts, panel.n)
+    for s in (t - 2, t - 1, t, t + 1):
+        if not panel.has_period(s):
+            raise ValueError(f"window {t} needs period {s}, panel stores "
+                             f"{panel.t0}..{panel.t_last}")
+    has_interacted = panel.has_period(t - 3)
+    code = np.zeros(panel.n_rows, dtype=np.int64)
+    for s in range(t - 3 if has_interacted else t - 2, t + 2):
+        code <<= 1
+        code |= panel.col(s)
+    # float64 totals are exact integers: PanelData keeps N below 2**53
+    cells = np.bincount(code, weights=panel.counts, minlength=32)
+    return from_cells(t, cells, panel.n, has_interacted)
 
 
-def merge_stats(parts: list[AggregateStats]) -> AggregateStats:
-    """Combine shard aggregates into the single-pass result, exactly.
+def window_before(stats: AggregateStats) -> AggregateStats:
+    """The partial aggregate at window ``t - 1`` of an aggregate at ``t``.
 
-    Shards must cover disjoint individuals of panels storing the same
-    periods, aggregated at the same window.  Their history counts add, so
-    the merge is independent of the sharding.
+    Summing ``y_{t+1}`` out of the 32 cells leaves the counts of
+    ``(y_{t-3}, .., y_t)``, the window ``t - 1`` without its first period.
+    For a sample the ``-``/``+`` means equal those of ``aggregate(panel,
+    t - 1)`` exactly, because the integer cell sums are exact.  Needs the
+    period ``t - 3`` in ``stats``.
     """
-    if not parts:
-        raise ValueError("nothing to merge")
-    if any(p.n == 0 for p in parts):
-        raise ValueError("only sample aggregates with history counts merge exactly")
-    first = parts[0]
-    for p in parts[1:]:
-        if p.window_t != first.window_t or p.summands.periods != first.summands.periods:
-            raise ValueError("shards disagree on window or stored periods")
-    codes, inverse = np.unique(np.concatenate([p.summands.codes for p in parts]),
-                               return_inverse=True)
-    counts = np.bincount(inverse, weights=np.concatenate([p.summands.counts for p in parts]))
-    return from_histories(first.window_t, first.summands.periods, codes,
-                          counts.astype(np.int64), sum(p.n for p in parts))
-
-
-def shard_aggregate(panel: PanelData, t: int, n_shards: int) -> AggregateStats:
-    """Aggregate by splitting individuals into shards and merging.
-
-    Equals ``aggregate(panel, t)`` exactly, for any shard count; exposed so
-    the schedule-independence of the fold is directly exercisable.
-    """
-    bounds = np.linspace(0, panel.n_rows, n_shards + 1).astype(int)
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            shard = PanelData(y=panel.y[lo:hi], ids=panel.ids[lo:hi], t0=panel.t0,
-                              counts=panel.counts[lo:hi])
-            parts.append(aggregate(shard, t))
-    return merge_stats(parts)
-
+    if not stats.has_interacted:
+        raise ValueError(f"window {stats.window_t - 1} needs period {stats.window_t - 3}, "
+                         f"which the aggregate at window {stats.window_t} lacks")
+    cells = np.zeros(32)
+    cells[:16] = stats.summands.counts.reshape(16, 2).sum(axis=1)
+    return from_cells(stats.window_t - 1, cells, stats.n, has_interacted=False)

@@ -245,11 +245,12 @@ def _mc_summary_csv(summary, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "parameter", "true", "mean", "sd", "se",
-                         "bias", "rmse"])
+                         "se_median", "bias", "rmse"])
         for row in summary.table_rows():
             writer.writerow([row["estimator"], row["parameter"],
                              repr(row["true"]), repr(row["mean"]), repr(row["sd"]),
-                             repr(row["se"]), repr(row["bias"]), repr(row["rmse"])])
+                             repr(row["se"]), repr(row["se_median"]),
+                             repr(row["bias"]), repr(row["rmse"])])
 
 
 def _mc_raw_csv(summary, path: str) -> None:

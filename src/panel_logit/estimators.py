@@ -7,7 +7,8 @@ Each estimator family stacks eight zero-mean rows into a square system
   same four interacted with the outcome three periods before the window
   (rows 5..8), all at one window;
 * family C: the four rows at window ``t`` stacked over the four rows at
-  window ``t - 1`` (no interaction).
+  window ``t - 1`` (no interaction).  The latter read ``y_{t-3} .. y_t``,
+  so both halves come from the one aggregate at window ``t``.
 
 Within each row, the kernel carrying a unit coefficient moves to the
 left-hand side with a sign flip and the remaining three kernels populate
@@ -25,10 +26,10 @@ estimate.  The variance of the solution is
     (1/N) * inv(X' W X),   W = inv(mean_i V_i V_i'),
 
 with residuals ``V_i = Y_i - X_i alpha_hat`` that depend on individual
-``i`` only through its outcome history.  The mean runs over the distinct
-histories the aggregates keep, ``S = V' diag(c) V / N`` with the unscaled
-residual ``V`` of each history and its exact integer count ``c``, so it
-costs O(2**T) whatever N is.
+``i`` only through its five-period window.  The mean runs over the 32
+window cells, ``S = V' diag(c) V / N`` with the residual ``V`` of each
+cell (a 32 x m table) and its exact integer count ``c``, so it costs the
+same whatever N is.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
-from .aggregation import AggregateStats
+from .aggregation import AggregateStats, _cell_kernels, window_before
 from .kernels import ROW_TABLE, alpha_labels
 
 RCOND_TOL = 1e-10
@@ -136,17 +137,19 @@ def _dropped_columns(family: str, removed_rows: tuple[int, ...]) -> tuple[str, .
     return tuple(label for label, rows in support.items() if rows <= removed)
 
 
-def _stacked_row(family: str, row_id: int, stats: AggregateStats,
-                 stats_prev: AggregateStats | None):
-    """Bar lookup plan for one stacked row: (stats, selector, kind, unit, cols)."""
+def _stacked_row(family: str, row_id: int):
+    """Bar lookup plan for one stacked row: (back, selector, kind, unit, cols).
+
+    ``back`` is 1 for the rows at window ``t - 1`` (family C rows 5..8), 0
+    for rows at window ``t``.
+    """
     base = (row_id - 1) % 4 + 1
     kind, sel, unit, cols = _row_placements(family)[base - 1]
+    if row_id <= 4:
+        return 0, sel, kind, unit, cols
     if family == "C":
-        src = stats if row_id <= 4 else stats_prev
-        return src, sel, kind, unit, cols
-    if row_id > 4:
-        sel = sel + "+"  # interact with the outcome at t-3
-    return stats, sel, kind, unit, cols
+        return 1, sel, kind, unit, cols
+    return 0, sel + "+", kind, unit, cols  # interact with the outcome at t-3
 
 
 def _assemble(family: str, variant: Variant, stats: AggregateStats,
@@ -164,7 +167,8 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats,
     y = np.zeros(m)
     x = np.zeros((m, m))
     for k, row_id in enumerate(kept_rows):
-        src, sel, kind, unit, cols = _stacked_row(family, row_id, stats, stats_prev)
+        back, sel, kind, unit, cols = _stacked_row(family, row_id)
+        src = stats_prev if back else stats
         y[k] = -src.bar(kind, unit, sel)
         for label, j in cols:
             if label in col_pos:
@@ -188,16 +192,16 @@ def build_system(family: str, stats: AggregateStats, variant: Variant) -> Linear
     return _assemble(family, variant, stats, None)
 
 
-def build_system_c(stats_t: AggregateStats, stats_tm1: AggregateStats,
+def build_system_c(stats: AggregateStats,
                    variant: Variant = VARIANT_FULL) -> LinearSystem:
-    """Stack the trend-model rows at windows t and t-1."""
+    """Stack the trend-model rows at windows t and t-1.
+
+    Both come from the aggregate at window ``t``, which must include the
+    period ``t - 3``.
+    """
     if variant.name != "full":
         raise ValueError("family C uses the full eight-row system")
-    if stats_tm1.window_t != stats_t.window_t - 1:
-        raise ValueError("second aggregate must be at the preceding window")
-    if stats_tm1.n != stats_t.n:
-        raise ValueError(f"window aggregates disagree on N: {stats_t.n} vs {stats_tm1.n}")
-    return _assemble("C", variant, stats_t, stats_tm1)
+    return _assemble("C", variant, stats, window_before(stats))
 
 
 # ---------------------------------------------------------------------------
@@ -336,33 +340,25 @@ def _singular_message(system: LinearSystem, rcond: float) -> str:
     return msg
 
 
-def _history_counts(stats_t: AggregateStats,
-                    stats_tm1: AggregateStats | None = None) -> np.ndarray:
-    """Counts of the history rows behind ``stats_t``, after checking that
-    ``stats_tm1`` keeps the same rows (aggregates of one panel do)."""
-    if stats_t.n == 0:
-        raise ValueError("variance needs the history rows of a sample aggregate")
-    s = stats_t.summands
-    if stats_tm1 is not None:
-        p = stats_tm1.summands
-        if p is None or p.periods != s.periods or not np.array_equal(p.codes, s.codes):
-            raise ValueError("aggregates at the two windows must come from the same panel")
-    return s.counts
+def _sample_cells(system: LinearSystem, stats: AggregateStats) -> np.ndarray:
+    """Cell counts of ``stats``, the sample aggregate ``system`` was built from."""
+    if stats.n == 0:
+        raise ValueError("variance needs the cell counts of a sample aggregate")
+    if (stats.window_t, stats.n) != (system.window_t, system.n):
+        raise ValueError(f"aggregate at window {stats.window_t} of N = {stats.n} is not "
+                         f"the one of the system at window {system.window_t} of "
+                         f"N = {system.n}")
+    return stats.summands.counts
 
 
-def _residual_rows(system: LinearSystem, stats_t: AggregateStats,
-                   stats_tm1: AggregateStats | None, alpha: np.ndarray) -> np.ndarray:
-    """Residuals ``Y - X alpha`` of each history row, for the kept rows."""
+def _residual_rows(system: LinearSystem, alpha: np.ndarray) -> np.ndarray:
+    """Residuals ``Y - X alpha`` of each of the 32 window cells, for the kept rows."""
     m = len(system.row_ids)
-    v = np.empty((len(stats_t.summands.counts), m))
+    v = np.empty((32, m))
     col_pos = {c: k for k, c in enumerate(system.col_labels)}
     for k, row_id in enumerate(system.row_ids):
-        src, sel, kind, unit, cols = _stacked_row(system.family, row_id, stats_t, stats_tm1)
-        s = src.summands
-        kern = s.theta if kind == "theta" else s.xi
-        weight = (1 - s.y_tm2) if sel[0] == "-" else s.y_tm2
-        if len(sel) > 1:  # interacted row
-            weight = weight * s.y_tm3
+        back, sel, kind, unit, cols = _stacked_row(system.family, row_id)
+        kern, weight = _cell_kernels(kind, sel, back)
         acc = -kern[:, unit - 1] * weight
         for label, j in cols:
             if label in col_pos:
@@ -376,24 +372,20 @@ def _moment_matrix(v: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     return (v.T * counts) @ v / n
 
 
-def variance(system: LinearSystem, alpha_hat: np.ndarray, stats_t: AggregateStats,
-             stats_tm1: AggregateStats | None = None) -> np.ndarray:
+def variance(system: LinearSystem, alpha_hat: np.ndarray,
+             stats: AggregateStats) -> np.ndarray:
     """Asymptotic variance of the solved parameters.
 
-    Forms the residual second-moment matrix over the history rows of the
-    aggregates, inverts it to form the weight matrix, and returns
-    ``inv(X' W X) / N`` symmetrized.  Raises ``SingularWeight`` when the
-    residual second-moment matrix is numerically singular.
+    Forms the residual second-moment matrix over the window cells of the
+    sample aggregate ``system`` was built from, inverts it to form the
+    weight matrix, and returns ``inv(X' W X) / N`` symmetrized.  Raises
+    ``SingularWeight`` when the residual second-moment matrix is
+    numerically singular.
     """
-    if system.family == "C" and stats_tm1 is None:
-        raise ValueError("family C variance needs the preceding-window aggregate")
+    counts = _sample_cells(system, stats)
     n = system.n
-    if n <= 0:
-        raise ValueError("variance needs a sample-backed system")
-    counts = _history_counts(stats_t, stats_tm1)
     m = len(system.row_ids)
-    v = _residual_rows(system, stats_t, stats_tm1, alpha_hat)
-    s_mat = _moment_matrix(v, counts, n)
+    s_mat = _moment_matrix(_residual_rows(system, alpha_hat), counts, n)
 
     try:
         lu, piv = lu_factor_quiet(s_mat)

@@ -30,16 +30,16 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.special import gammaincc
 
-from .aggregation import AggregateStats
+from .aggregation import AggregateStats, _cell_kernels, window_before
 from .estimators import (
     RCOND_TOL,
     EstimationError,
     LinearSystem,
     TransformedEstimate,
-    _history_counts,
     _moment_matrix,
     _reciprocal_condition,
     _residual_rows,
+    _sample_cells,
     lu_factor_quiet,
 )
 
@@ -193,8 +193,8 @@ def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
     """Point value of the second-step ratio (effect step, or its inverse for B).
 
     Usable on population aggregates as well as samples; the full
-    ``two_step_dtd_tm1`` additionally needs the history rows of sample
-    aggregates for the corrected variance.
+    ``two_step_dtd_tm1`` additionally needs the cell counts of a sample
+    aggregate for the corrected variance.
     """
     _, _, _, num, den = _dagger_parts(family, stats_tm1, a_hat, d_hat)
     if den == 0.0:
@@ -203,13 +203,13 @@ def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
 
 
 def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
-                     stats_t: AggregateStats, stats_tm1: AggregateStats) -> TwoStepResult:
+                     stats: AggregateStats) -> TwoStepResult:
     """Estimate the effect step at ``window_t - 1`` from first-stage results.
 
-    The first-stage system, its aggregates and the preceding-window
-    aggregates must all come from the same panel, so that both aggregates
-    keep the same history rows; the dagger residual moments run over those
-    rows, weighted by their counts as the first-stage ones are.
+    ``stats`` is the sample aggregate the first-stage ``system`` was built
+    from.  The dagger averages at window ``t - 1`` read four of its five
+    periods (``window_before``), so the dagger residual moments run over
+    the same 32 cells, weighted by their counts as the first-stage ones are.
     Unavailable for variants that drop the ``d`` component.
     """
     if est.family not in ("A", "B"):
@@ -217,13 +217,11 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
     if not est.has("d"):
         raise ValueError(f"variant {est.variant.name!r} drops component 'd'; "
                          "the second step is unavailable")
-    if stats_tm1.window_t != est.window_t - 1:
-        raise ValueError("second-step aggregate must be at the preceding window")
-    if stats_tm1.n != est.n:
-        raise ValueError("aggregates disagree on N")
+    counts = _sample_cells(system, stats)
 
     a_hat, d_hat = est.value("a"), est.value("d")
-    kind, sel, bars, num, den = _dagger_parts(est.family, stats_tm1, a_hat, d_hat)
+    kind, sel, bars, num, den = _dagger_parts(est.family, window_before(stats),
+                                              a_hat, d_hat)
     if den == 0.0:
         raise ZeroDenominator("dagger denominator at the preceding window is zero")
     ratio = -num / den
@@ -237,15 +235,12 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
     x_dag[0, 0] = den
     x_dag[1:, 1:] = system.x_mat
 
-    counts = _history_counts(stats_t, stats_tm1)
-    s_tm1 = stats_tm1.summands
-    kern = s_tm1.theta if kind == "theta" else s_tm1.xi
-    w = (1 - s_tm1.y_tm2) if sel == "-" else s_tm1.y_tm2
+    kern, w = _cell_kernels(kind, sel, 1)
     y_i = -(a_hat * kern[:, 0] + kern[:, 1]) * w
     x_i = (a_hat * a_hat * kern[:, 2] + d_hat * kern[:, 3]) * w
-    v = np.empty((len(counts), m + 1))
+    v = np.empty((32, m + 1))
     v[:, 0] = y_i - x_i * ratio
-    v[:, 1:] = _residual_rows(system, stats_t, None, est.alpha)
+    v[:, 1:] = _residual_rows(system, est.alpha)
     n = est.n
     s_mat = _moment_matrix(v, counts, n)
 

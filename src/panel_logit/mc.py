@@ -4,9 +4,9 @@ Each replication draws its panel from an independent stream of the keyed
 generator, so replications can run serially or across a process pool with
 bitwise-identical results; summaries are reductions over the replication-
 ordered records.  Statistics follow the usual reporting set: true value,
-Monte Carlo mean, standard deviation (sample, ddof=1), mean reported
-standard error, bias and root mean squared error about the truth, so that
-``rmse^2 == bias^2 + sd^2 * (R-1)/R`` holds by construction.
+Monte Carlo mean, standard deviation (sample, ddof=1), mean and median
+reported standard error, bias and root mean squared error about the truth,
+so that ``rmse^2 == bias^2 + sd^2 * (R-1)/R`` holds by construction.
 
 Replications where an estimator degenerates (singular system, nonpositive
 transformed estimate, ...) are excluded from the statistics and itemized in
@@ -153,6 +153,7 @@ class ParamSummary:
     mean: float
     sd: float
     se: float
+    se_median: float
     bias: float
     rmse: float
 
@@ -179,18 +180,19 @@ class McSummary:
             for name, p in est.params.items():
                 rows.append({"estimator": est.label, "parameter": name,
                              "true": p.true, "mean": p.mean, "sd": p.sd,
-                             "se": p.se, "bias": p.bias, "rmse": p.rmse})
+                             "se": p.se, "se_median": p.se_median,
+                             "bias": p.bias, "rmse": p.rmse})
         return rows
 
     def format_table(self) -> str:
         header = f"{'estimator':<28} {'parameter':<9} {'true':>9} {'mean':>10} " \
-                 f"{'sd':>10} {'se':>10} {'bias':>10} {'rmse':>10}"
+                 f"{'sd':>10} {'se':>10} {'se_median':>10} {'bias':>10} {'rmse':>10}"
         lines = [header, "-" * len(header)]
         for row in self.table_rows():
             lines.append(
                 f"{row['estimator']:<28} {row['parameter']:<9} {row['true']:>9.4f} "
                 f"{row['mean']:>10.5f} {row['sd']:>10.5f} {row['se']:>10.5f} "
-                f"{row['bias']:>10.5f} {row['rmse']:>10.5f}")
+                f"{row['se_median']:>10.5f} {row['bias']:>10.5f} {row['rmse']:>10.5f}")
         for est in self.estimators:
             fails = ", ".join(f"{k}={v}" for k, v in sorted(est.failures.items())) or "none"
             extra = ""
@@ -284,7 +286,7 @@ def _summarize(config: McConfig, run: EstimatorRun,
         sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         params[name] = ParamSummary(
             true=float(true), mean=mean, sd=sd, se=float(np.mean(ses)),
-            bias=mean - float(true),
+            se_median=float(np.median(ses)), bias=mean - float(true),
             rmse=float(np.sqrt(np.mean((values - true) ** 2))))
 
     rej = df = None

@@ -5,9 +5,9 @@ eight three-period continuation paths, population moments over all outcome
 histories mixed across an explicit grid of fixed-effect values, and
 numerical ranks of moment-function value matrices over complete window
 enumerations.  Nothing is simulated, so pass/fail assertions carry no Monte
-Carlo error.  The population is a history table like a sample's, weighted
-by exact probabilities instead of counts, and goes through the same
-aggregation builder.
+Carlo error.  The population is a 32-cell window table like a sample's,
+weighted by exact probabilities instead of counts, and goes through the
+same aggregation builder.
 
 The fixed-effect heterogeneity enters through finite grids because the
 conditional moment identities hold pointwise in the fixed effect; any grid
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .aggregation import AggregateStats, from_histories
+from .aggregation import AggregateStats, from_cells
 from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
                          VARIANT_MINUS_37, build_system, build_system_c, solve,
                          variant_minus_r, TransformedEstimate)
@@ -102,16 +102,18 @@ def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
     """Exact expected kernel averages at window ``t``.
 
     The law of the ``2**(t+1)`` outcome histories over periods ``1..t+1``,
-    mixed over the fixed-effect grid, is the history table: it goes through
-    the builder a sample's counts go through, with ``n = 0`` (no sample).
-    The aggregate keeps those rows, so any other window up to ``t`` can be
-    built from it.
+    mixed over the fixed-effect grid, is folded into the law of their last
+    five periods, the window cells: they go through the builder a sample's
+    counts go through, with ``n = 0`` (no sample).
     """
+    if t < 3:
+        raise ValueError(f"window {t} needs period {t - 2}, the chain starts at period 1")
     weights = np.asarray(eta_weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("eta grid weights must sum to 1")
     law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64), t + 1)
-    return from_histories(t, (1, t + 1), np.arange(law.size), law, n=0)
+    cells = np.bincount(np.arange(law.size) & 31, weights=law, minlength=32)
+    return from_cells(t, cells, n=0, has_interacted=t >= 4)
 
 
 def population_system(family: str, spec: ModelSpec, t: int,
@@ -121,9 +123,7 @@ def population_system(family: str, spec: ModelSpec, t: int,
     stats = population_aggregates(spec, t, eta_nodes, eta_weights)
     if family != "C":
         return build_system(family, stats, variant)
-    rows = stats.summands
-    stats_tm1 = from_histories(t - 1, rows.periods, rows.codes, rows.counts, n=0)
-    return build_system_c(stats, stats_tm1, variant)
+    return build_system_c(stats, variant)
 
 
 # ---------------------------------------------------------------------------

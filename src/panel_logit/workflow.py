@@ -1,17 +1,18 @@
 """End-to-end estimation on a panel: aggregate, solve, weight, recover.
 
-This is the layer the CLI and the Monte Carlo harness share.  A
-``stats_cache`` dict can be threaded through repeated calls on the same
-panel so the panel is collapsed to its history table once: the first window
-asked for aggregates the panel, every further window is built from the
-cached table.
+This is the layer the CLI and the Monte Carlo harness share.  Every
+estimator at window ``t``, family C and the two-step correction included,
+reads the panel only through the 32 cell counts of that window, so one call
+aggregates the panel once.  A ``stats_cache`` dict threaded through repeated
+calls on the same panel keeps those aggregates by window, so each window is
+counted once per panel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregation import AggregateStats, aggregate, from_histories
+from .aggregation import aggregate
 from .estimators import (TransformedEstimate, Variant, build_system,
                          build_system_c, parse_variant, solve, variance)
 from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
@@ -36,17 +37,6 @@ class EstimationResult:
         return out
 
 
-def _cached_aggregate(panel: PanelData, t: int, cache: dict) -> AggregateStats:
-    if t not in cache:
-        if cache:
-            base = next(iter(cache.values()))
-            rows = base.summands
-            cache[t] = from_histories(t, rows.periods, rows.codes, rows.counts, base.n)
-        else:
-            cache[t] = aggregate(panel, t)
-    return cache[t]
-
-
 def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
                    window_t: int, two_step: bool = False,
                    wald: str | None = None,
@@ -55,24 +45,24 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
 
     ``two_step`` additionally estimates the effect step one period before
     the window (families A and B); ``wald`` names a restriction set to test.
-    ``stats_cache``, one dict per panel, keeps its window aggregates across
-    calls; with or without it the panel is collapsed once per call at most.
+    ``stats_cache``, one dict per panel, keeps the aggregates built by
+    ``aggregate`` across calls, keyed by window.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
     if stats_cache is None:
         stats_cache = {}
+    stats = stats_cache.get(window_t)
+    if stats is None:
+        stats = stats_cache[window_t] = aggregate(panel, window_t)
 
-    stats_t = _cached_aggregate(panel, window_t, stats_cache)
     if family == "C":
-        stats_tm1 = _cached_aggregate(panel, window_t - 1, stats_cache)
-        system = build_system_c(stats_t, stats_tm1, variant)
+        system = build_system_c(stats, variant)
     else:
-        stats_tm1 = None
-        system = build_system(family, stats_t, variant)
+        system = build_system(family, stats, variant)
 
     alpha = solve(system)
-    vcov = variance(system, alpha, stats_t, stats_tm1)
+    vcov = variance(system, alpha, stats)
     est = TransformedEstimate(family=family, variant=variant,
                               window_t=window_t, n=system.n,
                               col_labels=system.col_labels, alpha=alpha,
@@ -83,8 +73,7 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
     if two_step:
         if family == "C":
             raise ValueError("the two-step effect step applies to families A and B")
-        stats_prev = _cached_aggregate(panel, window_t - 1, stats_cache)
-        two = two_step_dtd_tm1(est, system, stats_t, stats_prev)
+        two = two_step_dtd_tm1(est, system, stats)
         original = OriginalEstimate(
             family=original.family, gamma=original.gamma,
             gamma_from=original.gamma_from, dtd_t=original.dtd_t,

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_logit import PanelData, aggregate, merge_stats, shard_aggregate, theta_kernels, xi_kernels
-from panel_logit.aggregation import SELECTORS
-from panel_logit.oracle import population_aggregates, spec_with_steps
+from panel_logit import PanelData, aggregate, theta_kernels, xi_kernels
+from panel_logit.aggregation import SELECTORS, window_before
 
 
 def _panel_from_rows(rows, t0=1):
@@ -33,41 +32,6 @@ def test_single_row_matches_direct_kernels():
             assert stats.bar("xi", j, sel) == xk[j - 1] * weight
     assert stats.bar("theta", 1, "-") == 1.0
     assert stats.bar("theta", 1, "-+") == 1.0
-
-
-def test_two_equal_shards_match_full_pass():
-    rng = np.random.default_rng(0)
-    panel = _panel_from_rows(rng.integers(0, 2, size=(64, 6)))
-    full = aggregate(panel, 4)
-    sharded = shard_aggregate(panel, 4, 2)
-    assert np.array_equal(full.theta_bar, sharded.theta_bar)
-    assert np.array_equal(full.xi_bar, sharded.xi_bar)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 120), shards=st.integers(1, 7))
-def test_shard_merge_is_exact(seed, n, shards):
-    # rows carry frequency counts, so shards must split rows with their counts
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(1, 10**6, size=n)
-    panel = PanelData(y=rng.integers(0, 2, size=(n, 5)), ids=np.arange(n), counts=counts)
-    full = aggregate(panel, 4)
-    merged = shard_aggregate(panel, 4, min(shards, n))
-    assert np.array_equal(full.theta_bar, merged.theta_bar)
-    assert np.array_equal(full.xi_bar, merged.xi_bar)
-    assert merged.n == full.n == counts.sum()
-    assert merged.summands.periods == full.summands.periods
-    for name in ("codes", "counts", "theta", "xi", "y_tm2", "y_tm3"):
-        got, want = getattr(merged.summands, name), getattr(full.summands, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-
-
-def test_merge_refuses_population_aggregates():
-    # exact probabilities have no sample behind them: nothing to add up
-    spec = spec_with_steps(1.0, 0.2, -0.1)
-    pop = population_aggregates(spec, 5, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    with pytest.raises(ValueError, match="sample"):
-        merge_stats([pop, pop])
 
 
 def test_partition_identity():
@@ -147,12 +111,22 @@ def test_partial_window_without_pre_period():
         stats.bar("theta", 1, "-+")
 
 
-def test_merge_requires_matching_windows():
-    rng = np.random.default_rng(9)
-    a = aggregate(_panel_from_rows(rng.integers(0, 2, size=(10, 6))), 4)
-    b = aggregate(_panel_from_rows(rng.integers(0, 2, size=(10, 6))), 5)
-    with pytest.raises(ValueError):
-        merge_stats([a, b])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 120))
+def test_window_before_matches_fresh_aggregate(seed, n):
+    # six stored periods: window 6 reads periods 3..7, window 5 reads 2..6;
+    # the fresh window-5 aggregate has period 2 (t-4 for window 6) or not
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 10**6, size=n)
+    counts[0] += 1
+    panel = PanelData(y=rng.integers(0, 2, size=(n, 6)), ids=np.arange(n), t0=2,
+                      counts=counts)
+    for stored in (panel, panel.drop_prefix(1)):
+        got, want = window_before(aggregate(stored, 6)), aggregate(stored, 5)
+        assert want.has_interacted == (stored.t0 == 2)
+        assert (got.window_t, got.n, got.has_interacted) == (5, want.n, False)
+        assert np.array_equal(got.theta_bar[:, :2], want.theta_bar[:, :2])
+        assert np.array_equal(got.xi_bar[:, :2], want.xi_bar[:, :2])
 
 
 def test_selector_order_stable():

@@ -135,7 +135,7 @@ def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "raw1.csv").read_bytes() == (tmp_path / "raw2.csv").read_bytes()
     header = out1.read_text().splitlines()[0]
-    assert header == "estimator,parameter,true,mean,sd,se,bias,rmse"
+    assert header == "estimator,parameter,true,mean,sd,se,se_median,bias,rmse"
     with open(tmp_path / "raw1.csv", newline="") as fh:
         raw = list(csv.DictReader(fh))
     failed = [row for row in raw if row["status"] != "ok"]

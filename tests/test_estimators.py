@@ -82,8 +82,10 @@ def test_placement_matches_literal_layout(family, builder):
 
 def test_placement_c_matches_literal_layout():
     panel = _random_panel(n=500, t_periods=7, seed=4)
+    # the window-4 rows come from window 5's cells; the expected ones from
+    # an aggregate of their own
     st_t, st_p = aggregate(panel, 5), aggregate(panel, 4)
-    system = build_system_c(st_t, st_p)
+    system = build_system_c(st_t)
     y_exp, x_exp = _expected_system_c(st_t, st_p)
     assert np.array_equal(system.y_vec, y_exp)
     assert np.array_equal(system.x_mat, x_exp)
@@ -117,20 +119,18 @@ def test_invalid_variant_family_combinations():
     with pytest.raises(ValueError):
         build_system("C", stats, VARIANT_FULL)
     panel = _random_panel(n=100, t_periods=7)
-    st_t, st_p = aggregate(panel, 5), aggregate(panel, 4)
     with pytest.raises(ValueError):
-        build_system_c(st_t, st_p, VARIANT_MINUS_37)
+        build_system_c(aggregate(panel, 5), VARIANT_MINUS_37)
     with pytest.raises(ValueError):
         parse_variant("minus-2-6")
 
 
-def test_c_requires_adjacent_windows_same_n():
-    panel = _random_panel(n=100, t_periods=8)
-    with pytest.raises(ValueError):
-        build_system_c(aggregate(panel, 6), aggregate(panel, 4))
-    other = _random_panel(n=90, t_periods=8, seed=9)
-    with pytest.raises(ValueError):
-        build_system_c(aggregate(panel, 5), aggregate(other, 4))
+def test_c_refuses_window_without_pre_window_period():
+    # window 4 of periods 2..6: its rows at window 3 need period 1
+    panel = PanelData(y=_random_panel(n=100, t_periods=5).y, ids=np.arange(100), t0=2)
+    with pytest.raises(ValueError, match="needs period 1"):
+        build_system_c(aggregate(panel, 4))
+    build_system_c(aggregate(panel, 5))
 
 
 def test_degenerate_panel_zero_rows_then_singular():
@@ -187,6 +187,17 @@ def test_variance_refuses_population_aggregates():
     system = build_system("A", stats, VARIANT_MINUS_37)
     with pytest.raises(ValueError, match="sample"):
         variance(system, solve(system), stats)
+
+
+def test_variance_refuses_another_aggregate():
+    panel = _random_panel(n=300, t_periods=7, seed=13)
+    stats = aggregate(panel, 4)
+    system = build_system("A", stats, VARIANT_MINUS_37)
+    alpha = solve(system)
+    other = PanelData(y=panel.y[:200], ids=np.arange(200), t0=1)
+    for wrong in (aggregate(panel, 5), aggregate(other, 4)):
+        with pytest.raises(ValueError, match="is not the one of the system"):
+            variance(system, alpha, wrong)
 
 
 def test_variance_scales_inversely_with_duplication():

@@ -1,10 +1,10 @@
-"""Variances on the history table against a per-individual reference.
+"""Variances on the 32-cell window table against a per-individual reference.
 
 The reference below forms the residual second moments the textbook way,
 ``S = mean_i v_i v_i'`` over every individual of the panel.  Each
-individual's stacked moment row ``(y_i, X_i)`` is the system built from an
-aggregate of that individual alone, so the reference shares only the public
-layout with the code under test, not its history table.
+individual's stacked moment row ``(y_i, X_i)`` is the system built from
+aggregates of that individual alone, one per window, so the reference
+shares only the stacked layout with the code under test, not its cell table.
 """
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
                          aggregate, build_system, build_system_c, estimate_panel,
-                         parse_variant, simulate_panel, solve, two_step_dtd_tm1,
-                         variance)
-from panel_logit.estimators import TransformedEstimate
+                         parse_variant, simulate_histogram, simulate_panel, solve,
+                         two_step_dtd_tm1, variance)
+from panel_logit.estimators import TransformedEstimate, _assemble
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
@@ -22,7 +22,8 @@ SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
 
 def _build(family, variant, st_t, st_tm1):
     if family == "C":
-        return build_system_c(st_t, st_tm1, variant)
+        # the window t-1 rows from their own aggregate, not from window t's cells
+        return _assemble("C", variant, st_t, st_tm1)
     return build_system(family, st_t, variant)
 
 
@@ -62,11 +63,12 @@ def _assert_cov_close(got, want):
 def _check_against_reference(panel, family, variant, t, two_step):
     variant = parse_variant(variant)
     st_t, st_tm1 = aggregate(panel, t), aggregate(panel, t - 1)
-    for name in ("codes", "counts"):
-        assert np.array_equal(getattr(st_t.summands, name), getattr(st_tm1.summands, name))
-    system = _build(family, variant, st_t, st_tm1)
+    if family == "C":
+        system = build_system_c(st_t, variant)
+    else:
+        system = build_system(family, st_t, variant)
     alpha = solve(system)
-    vcov = variance(system, alpha, st_t, st_tm1 if family == "C" else None)
+    vcov = variance(system, alpha, st_t)
     v = _per_individual(panel, family, variant, t, alpha)
     assert len(v) == panel.n_rows
     _assert_cov_close(vcov, _reference_vcov(v, system.x_mat, panel.n))
@@ -75,7 +77,7 @@ def _check_against_reference(panel, family, variant, t, two_step):
 
     est = TransformedEstimate(family=family, variant=variant, window_t=t, n=system.n,
                               col_labels=system.col_labels, alpha=alpha, vcov=vcov)
-    two = two_step_dtd_tm1(est, system, st_t, st_tm1)
+    two = two_step_dtd_tm1(est, system, st_t)
     kind, sel = ("theta", "-") if family == "A" else ("xi", "+")
     a, d = est.value("a"), est.value("d")
     b1, b2, b3, b4 = (st_tm1.bar(kind, j, sel) for j in range(1, 5))
@@ -102,7 +104,7 @@ def _check_against_reference(panel, family, variant, t, two_step):
     (SPEC_TREND, "C", "full", False),
 ])
 def test_variances_match_per_individual_reference(spec, family, variant, two_step):
-    # seven stored periods: histories span several windows, and the window
+    # seven stored periods: two more than the window reads, and the window
     # before t is interacted as well
     panel = simulate_panel(spec, DgpConfig(n_individuals=200_000, n_periods=8,
                                            sigma_eta_sq=0.5, seed=2)).drop_prefix(1)
@@ -112,18 +114,30 @@ def test_variances_match_per_individual_reference(spec, family, variant, two_ste
 
 @pytest.mark.parametrize("family, variant", [("A", "minus-3-7"), ("C", "full")])
 def test_more_histories_than_rows_match_reference(family, variant):
-    # 2**24 possible histories for 300 rows: the table is built from the
-    # distinct codes present
+    # 2**24 possible histories for 300 rows: only the window's five periods
+    # are read
     rng = np.random.default_rng(31)
     panel = PanelData(y=rng.integers(0, 2, size=(300, 24)), ids=np.arange(300), t0=1)
     _check_against_reference(panel, family, variant, 20, two_step=False)
 
 
-def test_more_than_62_periods_refused():
-    panel = PanelData(y=np.zeros((4, 63), dtype=np.int8), ids=np.arange(4), t0=1)
-    with pytest.raises(ValueError, match="at most 62 periods"):
-        aggregate(panel, 10)
-    aggregate(panel.drop_prefix(1), 10)
+@pytest.mark.parametrize("spec, runs", [
+    (SPEC_DUMMIES, [dict(family="A", variant="minus-3-7", two_step=True, wald="ab-dummies"),
+                    dict(family="B", variant="minus-1-5", two_step=True)]),
+    (SPEC_TREND, [dict(family="C", variant="full", wald="c-trend")]),
+], ids=["dummies", "trend"])
+def test_long_panel_estimates_like_its_window(spec, runs):
+    # the history counts of periods 4..8 at N = 1e8, relabelled as periods
+    # 66..70 of a 70-period panel whose first 65 periods are noise
+    hist = simulate_histogram(spec, DgpConfig(n_individuals=10**8, n_periods=8,
+                                              sigma_eta_sq=0.5, seed=2)).drop_prefix(3)
+    noise = np.random.default_rng(5).integers(0, 2, size=(hist.n_rows, 65))
+    panel = PanelData(y=np.hstack([noise, hist.y]), ids=hist.ids, t0=1, counts=hist.counts)
+    window = panel.drop_prefix(65)
+    assert panel.n_periods == 70 and window.n_periods == 5
+    for kwargs in runs:
+        want = estimate_panel(window, window_t=69, **kwargs).to_dict()
+        assert estimate_panel(panel, window_t=69, **kwargs).to_dict() == want
 
 
 def test_zero_count_rows_change_nothing():

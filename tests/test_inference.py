@@ -11,6 +11,7 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          recover_original, simulate_panel, two_step_dtd_tm1,
                          two_step_ratio, wald_test)
 from panel_logit import AggregateStats, DgpConfig, TimeDummiesSpec
+from panel_logit.aggregation import from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, variant_minus_r)
 from panel_logit.inference import RESTRICTION_SETS
@@ -165,8 +166,7 @@ def test_two_step_refuses_population_aggregates():
     est = population_estimate("A", spec, t, VARIANT_MINUS_37)
     system = population_system("A", spec, t, *ETA, VARIANT_MINUS_37)
     with pytest.raises(ValueError, match="sample aggregate"):
-        two_step_dtd_tm1(est, system, population_aggregates(spec, t, *ETA),
-                         population_aggregates(spec, t - 1, *ETA))
+        two_step_dtd_tm1(est, system, population_aggregates(spec, t, *ETA))
 
 
 def test_corrected_variance_reduces_without_covariances():
@@ -186,14 +186,16 @@ def test_two_step_zero_denominator():
 
 
 def test_two_step_nonpositive_ratio():
-    theta_bar = np.zeros((4, 4))
-    theta_bar[0, 0] = 0.2   # kernel 1, '-' selector
-    theta_bar[2, 0] = 0.1   # kernel 3 positive denominator -> ratio negative
-    stats = AggregateStats(window_t=4, n=0, theta_bar=theta_bar, xi_bar=np.zeros((4, 4)))
-    est = _estimate("A", LABELS6, np.ones(6), n=0)
+    # one individual each with window-5 histories (0,0,0,1,0) and (0,1,0,0,0):
+    # their window-4 means under '-' are theta_1 = 1/2, theta_2 = theta_3 = -1/2
+    cells = np.zeros(32)
+    cells[[0b00010, 0b01000]] = 1.0
+    stats = from_cells(5, cells, n=2, has_interacted=True)
+    est = _estimate("A", LABELS6, [0.5, 1, 1, 1, 1, 1], n=2)
     with pytest.raises(NonpositivePhiHat):
-        # ratio = -(a*0.2)/(a^2*0.1) < 0; the variance machinery is never reached
-        two_step_dtd_tm1(est, _dummy_system(est), _dummy_stats(5), stats)
+        # ratio = -(a/2 - 1/2) / (-a^2/2) = -2 at a = 1/2; the variance
+        # machinery is never reached
+        two_step_dtd_tm1(est, _dummy_system(est), stats)
 
 
 def _dummy_system(est):
@@ -215,7 +217,7 @@ def test_two_step_rejects_variant_without_d():
     est = _estimate("A", ("a", "b", "c", "e", "f", "g"), np.ones(6),
                     variant=VARIANT_MINUS_15)
     with pytest.raises(ValueError, match="drops component 'd'"):
-        two_step_dtd_tm1(est, _dummy_system(est), _dummy_stats(5), _dummy_stats(4))
+        two_step_dtd_tm1(est, _dummy_system(est), _dummy_stats(5))
 
 
 def test_two_step_end_to_end_matches_manual_ratio():

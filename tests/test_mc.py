@@ -48,6 +48,20 @@ def test_summarize_constant_stub():
     assert p.se == pytest.approx(0.1, rel=1e-15)
 
 
+def test_summarize_skewed_se_stub():
+    # one replication with a wild se: the mean follows it, the median does not
+    config = _config(reps=5)
+    run = config.estimators[0]
+    ses = [0.1, 0.2, 0.3, 0.4, 9.0]
+    records = [{"status": "ok", "params": {name: (0.5, se) for name in
+                                           ("gamma", "dtd_t", "dtd_tp1")}}
+               for se in ses]
+    records.append({"status": "singular_system", "message": "stub"})
+    p = _summarize(config, run, records).params["gamma"]
+    assert p.se == pytest.approx(2.0, rel=1e-15)
+    assert p.se_median == 0.3
+
+
 def test_single_replication_summary():
     config = _config(reps=1)
     summary = run_mc(config, threads=1)
@@ -127,7 +141,7 @@ def test_estimator_labels():
 def test_table_rows_schema():
     summary = run_mc(_config(reps=2, seed=2), threads=1)
     rows = summary.table_rows()
-    assert {"estimator", "parameter", "true", "mean", "sd", "se", "bias", "rmse"} \
-        == set(rows[0])
+    assert {"estimator", "parameter", "true", "mean", "sd", "se", "se_median",
+            "bias", "rmse"} == set(rows[0])
     text = summary.format_table()
-    assert "gamma" in text and "rmse" in text
+    assert "gamma" in text and "se_median" in text and "rmse" in text

@@ -7,7 +7,7 @@ from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          conditional_moment, logit_prob, moment_rank, path_law,
                          population_aggregates, population_system, run_checks,
                          solve, theta_kernels, xi_kernels)
-from panel_logit.aggregation import from_histories
+from panel_logit.aggregation import window_before
 from panel_logit.estimators import VARIANT_MINUS_37, variant_minus_r
 from panel_logit.oracle import (ConditioningState, check_identities,
                                 check_three_period_rank,
@@ -165,13 +165,12 @@ def _enumerated_bars(spec, n_periods, window, eta_nodes, eta_weights):
 def test_population_law_matches_plain_enumeration(spec, t):
     grid = ((-1.2, 0.1, 0.9), (0.2, 0.5, 0.3))
     stats_t = population_aggregates(spec, t, *grid)
-    rows = stats_t.summands
-    cases = [(t, stats_t),
-             (t - 1, population_aggregates(spec, t - 1, *grid)),
-             # the way population_system builds family C's second window
-             (t - 1, from_histories(t - 1, rows.periods, rows.codes, rows.counts, n=0))]
-    for window, stats in cases:
+    cases = [(t, stats_t, 4),
+             (t - 1, population_aggregates(spec, t - 1, *grid), 4),
+             # the way build_system_c forms family C's second window
+             (t - 1, window_before(stats_t), 2)]
+    for window, stats, cols in cases:
         theta_ref, xi_ref = _enumerated_bars(spec, t + 1, window, *grid)
         assert stats.n == 0 and stats.window_t == window
-        assert np.max(np.abs(stats.theta_bar - theta_ref)) <= 1e-14
-        assert np.max(np.abs(stats.xi_bar - xi_ref)) <= 1e-14
+        assert np.max(np.abs(stats.theta_bar[:, :cols] - theta_ref[:, :cols])) <= 1e-14
+        assert np.max(np.abs(stats.xi_bar[:, :cols] - xi_ref[:, :cols])) <= 1e-14

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,17 +56,6 @@ def test_history_counts_estimate_like_the_panel(spec, family, variant, two_step,
         assert np.array_equal(got[name], value), name
 
 
-def _assert_same_aggregate(got, want):
-    assert (got.window_t, got.n, got.has_interacted) == (want.window_t, want.n,
-                                                         want.has_interacted)
-    for name in ("theta_bar", "xi_bar"):
-        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
-    assert got.summands.periods == want.summands.periods
-    for name in ("codes", "counts", "theta", "xi", "y_tm2", "y_tm3"):
-        a, b = getattr(got.summands, name), getattr(want.summands, name)
-        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b)), name
-
-
 def test_each_panel_is_collapsed_once(monkeypatch):
     real = workflow.aggregate
     calls = []
@@ -80,12 +71,26 @@ def test_each_panel_is_collapsed_once(monkeypatch):
     estimate_panel(panel, "A", "minus-3-7", 7, two_step=True, stats_cache=cache)
     estimate_panel(panel, "B", "minus-1-5", 7, two_step=True, stats_cache=cache)
     estimate_panel(panel, "A", "minus-3-7", 7, wald="ab-dummies", stats_cache=cache)
-    assert calls == [7] and sorted(cache) == [6, 7]
-    # the window built from the cached table is the one a fresh pass gives
-    _assert_same_aggregate(cache[6], real(panel, 6))
+    assert calls == [7] and sorted(cache) == [7]
 
     # without a cache (the CLI's call) family C still collapses once
     calls.clear()
     trend = simulate_panel(SPEC_TREND, dgp).drop_prefix(3)
     estimate_panel(trend, "C", "full", 7, wald="c-trend")
     assert calls == [7]
+
+
+def test_estimation_allocates_under_20_bytes_per_individual():
+    # the window code (8 B) and bincount's float64 copy of the unit counts
+    # (8 B) are the only arrays that grow with N
+    n = 2_000_000
+    panel = simulate_panel(SPEC_DUMMIES, DgpConfig(n_individuals=n, n_periods=8,
+                                                   sigma_eta_sq=0.5, seed=2)).drop_prefix(3)
+    assert panel.n_periods == 5
+    tracemalloc.start()
+    try:
+        estimate_panel(panel, "A", "minus-3-7", 7, two_step=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 20.0, peak / n
