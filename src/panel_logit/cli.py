@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import EstimationError, TransformedEstimate, parse_variant
-from .inference import wald_test
+from .inference import RESTRICTION_SETS, wald_test
 from .mc import EstimatorRun, McConfig, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
@@ -168,12 +168,30 @@ def _load_manifest(path: str) -> dict:
     return manifest
 
 
-def _spec_config(spec: ModelSpec) -> dict:
+def _load_config(args, command: str) -> dict:
+    """The flat config of ``args.config``, or the config of a manifest."""
+    if args.from_manifest:
+        manifest = _load_manifest(args.from_manifest)
+        return {k: (v if isinstance(v, list) else str(v))
+                for k, v in manifest["config"].items()}
+    if not args.config:
+        raise ConfigError(f"{command} needs --config or --from-manifest")
+    return parse_config_file(args.config)
+
+
+def _model_and_dgp(cfg: dict, seed_override: int | None) -> tuple[ModelSpec, DgpConfig, dict]:
+    """Model spec and DGP of a config, with their resolved manifest entries."""
+    spec = _model_from_config(cfg)
+    dgp = _dgp_from_config(cfg, seed_override)
     if isinstance(spec, TimeDummiesSpec):
-        return {"model": "dummies", "gamma": spec.gamma,
-                "td": " ".join(repr(v) for v in spec.td)}
-    return {"model": "trend", "gamma": spec.gamma,
-            "phi_coef": spec.phi_coef, "tau": spec.tau}
+        resolved = {"model": "dummies", "gamma": spec.gamma,
+                    "td": " ".join(repr(v) for v in spec.td)}
+    else:
+        resolved = {"model": "trend", "gamma": spec.gamma,
+                    "phi_coef": spec.phi_coef, "tau": spec.tau}
+    resolved.update({"n_individuals": dgp.n_individuals, "n_periods": dgp.n_periods,
+                     "sigma_eta_sq": dgp.sigma_eta_sq, "seed": dgp.seed})
+    return spec, dgp, resolved
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +199,8 @@ def _spec_config(spec: ModelSpec) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest)
-        cfg = {k: str(v) for k, v in manifest["config"].items()}
-    else:
-        if not args.config:
-            raise ConfigError("simulate needs --config or --from-manifest")
-        cfg = parse_config_file(args.config)
-    spec = _model_from_config(cfg)
-    dgp = _dgp_from_config(cfg, args.seed)
-
-    resolved = _spec_config(spec)
-    resolved.update({"n_individuals": dgp.n_individuals, "n_periods": dgp.n_periods,
-                     "sigma_eta_sq": dgp.sigma_eta_sq, "seed": dgp.seed,
-                     "stream": dgp.stream})
+    spec, dgp, resolved = _model_and_dgp(_load_config(args, "simulate"), args.seed)
+    resolved["stream"] = dgp.stream
     start = time.perf_counter()
     panel = simulate_panel(spec, dgp)
     write_panel_csv(panel, args.out)
@@ -274,26 +280,15 @@ def _mc_raw_csv(summary, path: str) -> None:
 
 
 def _cmd_mc(args) -> int:
-    if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest)
-        cfg = {k: (v if isinstance(v, list) else str(v))
-               for k, v in manifest["config"].items()}
-    else:
-        if not args.config:
-            raise ConfigError("mc needs --config or --from-manifest")
-        cfg = parse_config_file(args.config)
-    spec = _model_from_config(cfg)
-    dgp = _dgp_from_config(cfg, args.seed)
+    cfg = _load_config(args, "mc")
+    spec, dgp, resolved = _model_and_dgp(cfg, args.seed)
     runs = _estimators_from_config(cfg)
     config = McConfig(spec=spec, dgp=dgp,
                       replications=_get(cfg, "replications", int, required=True),
                       estimators=runs,
                       discard_prefix=_get(cfg, "discard_prefix", int, default=0))
 
-    resolved = _spec_config(spec)
-    resolved.update({"n_individuals": dgp.n_individuals, "n_periods": dgp.n_periods,
-                     "sigma_eta_sq": dgp.sigma_eta_sq, "seed": dgp.seed,
-                     "replications": config.replications,
+    resolved.update({"replications": config.replications,
                      "discard_prefix": config.discard_prefix,
                      "estimator": [f"{r.family} {r.variant} {r.window_t}"
                                    + (" two-step" if r.two_step else "")
@@ -372,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--window", type=int, help="estimation window index t")
     p_est.add_argument("--two-step", action="store_true",
                        help="also estimate the effect step at t-1")
-    p_est.add_argument("--wald", choices=("ab-dummies", "c-trend", "ab-trend"),
+    p_est.add_argument("--wald", choices=sorted(RESTRICTION_SETS),
                        help="run a Wald restriction test")
     p_est.add_argument("--from-manifest", help="re-run from a manifest sidecar")
     p_est.add_argument("--out", help="write result JSON here (default stdout)")
@@ -395,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wald = sub.add_parser("wald", help="Wald test on a stored estimate result")
     p_wald.add_argument("result", help="estimate result JSON")
-    p_wald.add_argument("--set", required=True,
-                        choices=("ab-dummies", "c-trend", "ab-trend"))
+    p_wald.add_argument("--set", required=True, choices=sorted(RESTRICTION_SETS))
     p_wald.set_defaults(func=_cmd_wald)
     return parser
 

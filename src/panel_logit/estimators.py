@@ -19,23 +19,27 @@ Removing rows makes the system square: any single row for a 7-parameter
 family, or the paired removals (rows 3 and 7, or rows 1 and 5), after which
 the one column supported only by the removed rows is dropped as well.
 
-Point estimates come from a pivoted LU solve with a reciprocal-condition
-guard; the weight matrix enters only the variance, never the point
-estimate.  The variance of the solution is
+Every row is a function of the five-period window ``(y_{t-3}, .., y_{t+1})``
+alone, so a system carries its rows at each of the 32 window cells
+(``y_cells``, ``x_cells``) with the cell counts ``c``; ``y_vec`` and
+``x_mat`` are their count-weighted means.  Point estimates come from a
+pivoted LU solve with a reciprocal-condition guard; the weight matrix
+enters only the variance, never the point estimate.  The variance is the
+one sandwich
 
-    (1/N) * inv(X' W X),   W = inv(mean_i V_i V_i'),
+    (1/N) * inv(X' W X),   W = inv(S),   S = V' diag(c) V / N,
 
-with residuals ``V_i = Y_i - X_i alpha_hat`` that depend on individual
-``i`` only through its five-period window.  The mean runs over the 32
-window cells, ``S = V' diag(c) V / N`` with the residual ``V`` of each
-cell (a 32 x m table) and its exact integer count ``c``, so it costs the
-same whatever N is.
+with ``V = y_cells - x_cells @ alpha_hat`` the 32 x m residual table, so it
+costs the same whatever N is.  The two-step effect step of
+``inference.two_step_dtd_tm1`` borders ``X`` and ``V`` with one more row
+and goes through the same sandwich.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
@@ -102,7 +106,10 @@ class LinearSystem:
     ``row_ids`` are the kept stacked rows (1..8); ``col_labels`` the kept
     transformed-parameter components.  ``guards`` carries the closed-form
     determinant diagnostics available for this family/variant, evaluated on
-    the input aggregates.
+    the input aggregates.  ``y_cells`` (32 x m) and ``x_cells`` (32 x m x m)
+    are the rows at each window cell and ``cells`` their weights, so that
+    ``y_vec``/``x_mat`` are the weighted means of the cell rows and
+    ``y_cells - x_cells @ alpha`` is the residual table.
     """
 
     family: str
@@ -114,6 +121,9 @@ class LinearSystem:
     row_ids: tuple[int, ...]
     col_labels: tuple[str, ...]
     guards: dict[str, float]
+    cells: np.ndarray
+    y_cells: np.ndarray
+    x_cells: np.ndarray
 
 
 def _row_placements(family: str):
@@ -152,8 +162,7 @@ def _stacked_row(family: str, row_id: int):
     return 0, sel + "+", kind, unit, cols  # interact with the outcome at t-3
 
 
-def _assemble(family: str, variant: Variant, stats: AggregateStats,
-              stats_prev: AggregateStats | None) -> LinearSystem:
+def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSystem:
     labels = alpha_labels(family)
     dropped = _dropped_columns(family, variant.removed_rows)
     kept_cols = tuple(c for c in labels if c not in dropped)
@@ -164,20 +173,27 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats,
     col_pos = {c: k for k, c in enumerate(kept_cols)}
 
     m = len(kept_rows)
-    y = np.zeros(m)
-    x = np.zeros((m, m))
+    y_cells = np.zeros((32, m))
+    x_cells = np.zeros((32, m, m))
     for k, row_id in enumerate(kept_rows):
         back, sel, kind, unit, cols = _stacked_row(family, row_id)
-        src = stats_prev if back else stats
-        y[k] = -src.bar(kind, unit, sel)
+        kern, weight = _cell_kernels(kind, sel, back)
+        y_cells[:, k] = -kern[:, unit - 1] * weight
         for label, j in cols:
             if label in col_pos:
-                x[k, col_pos[label]] = src.bar(kind, j, sel)
+                x_cells[:, k, col_pos[label]] = kern[:, j - 1] * weight
+    # for counts every cell sum is an exact integer, so these means equal
+    # the kernel means of ``stats.bar`` bitwise
+    cells = stats.summands.counts
+    total = cells.sum()
+    y = cells @ y_cells / total
+    x = np.tensordot(cells, x_cells, axes=1) / total
 
-    guards = _guard_values(family, variant, stats, stats_prev)
+    guards = _guard_values(family, variant, stats)
     return LinearSystem(family=family, variant=variant, window_t=stats.window_t,
                         n=stats.n, y_vec=y, x_mat=x, row_ids=kept_rows,
-                        col_labels=kept_cols, guards=guards)
+                        col_labels=kept_cols, guards=guards, cells=cells,
+                        y_cells=y_cells, x_cells=x_cells)
 
 
 def build_system(family: str, stats: AggregateStats, variant: Variant) -> LinearSystem:
@@ -189,7 +205,7 @@ def build_system(family: str, stats: AggregateStats, variant: Variant) -> Linear
     if not stats.has_interacted:
         raise ValueError("families A and B need the interacted selectors; "
                          "aggregate with the pre-window period available")
-    return _assemble(family, variant, stats, None)
+    return _assemble(family, variant, stats)
 
 
 def build_system_c(stats: AggregateStats,
@@ -201,7 +217,7 @@ def build_system_c(stats: AggregateStats,
     """
     if variant.name != "full":
         raise ValueError("family C uses the full eight-row system")
-    return _assemble("C", variant, stats, window_before(stats))
+    return _assemble("C", variant, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +237,7 @@ def _schur_product(stats: AggregateStats, triples) -> float:
     return float(total)
 
 
-def _guard_values(family: str, variant: Variant, stats: AggregateStats,
-                  stats_prev: AggregateStats | None) -> dict[str, float]:
+def _guard_values(family: str, variant: Variant, stats: AggregateStats) -> dict[str, float]:
     guards: dict[str, float] = {}
     removed = variant.removed_rows
     if family == "A" and removed in ((3,), (3, 7)):
@@ -254,7 +269,7 @@ def _guard_values(family: str, variant: Variant, stats: AggregateStats,
         if removed == (1,):
             guards["pivot_bar"] = stats.bar("theta", 1, "-+")
     elif family == "C":
-        prev = stats_prev
+        prev = window_before(stats)
         guards["corner_product"] = (prev.bar("theta", 3, "+") * prev.bar("theta", 4, "-")
                                     * prev.bar("xi", 3, "-") * prev.bar("xi", 4, "+"))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,70 +355,47 @@ def _singular_message(system: LinearSystem, rcond: float) -> str:
     return msg
 
 
-def _sample_cells(system: LinearSystem, stats: AggregateStats) -> np.ndarray:
-    """Cell counts of ``stats``, the sample aggregate ``system`` was built from."""
-    if stats.n == 0:
-        raise ValueError("variance needs the cell counts of a sample aggregate")
-    if (stats.window_t, stats.n) != (system.window_t, system.n):
-        raise ValueError(f"aggregate at window {stats.window_t} of N = {stats.n} is not "
-                         f"the one of the system at window {system.window_t} of "
-                         f"N = {system.n}")
-    return stats.summands.counts
+def _checked_solve(mat: np.ndarray, rhs: np.ndarray, error, what: str) -> np.ndarray:
+    """``inv(mat) @ rhs`` by pivoted LU.
 
-
-def _residual_rows(system: LinearSystem, alpha: np.ndarray) -> np.ndarray:
-    """Residuals ``Y - X alpha`` of each of the 32 window cells, for the kept rows."""
-    m = len(system.row_ids)
-    v = np.empty((32, m))
-    col_pos = {c: k for k, c in enumerate(system.col_labels)}
-    for k, row_id in enumerate(system.row_ids):
-        back, sel, kind, unit, cols = _stacked_row(system.family, row_id)
-        kern, weight = _cell_kernels(kind, sel, back)
-        acc = -kern[:, unit - 1] * weight
-        for label, j in cols:
-            if label in col_pos:
-                acc = acc - alpha[col_pos[label]] * (kern[:, j - 1] * weight)
-        v[:, k] = acc
-    return v
-
-
-def _moment_matrix(v: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    """``V' diag(c) V / N``: the mean outer product over individuals."""
-    return (v.T * counts) @ v / n
-
-
-def variance(system: LinearSystem, alpha_hat: np.ndarray,
-             stats: AggregateStats) -> np.ndarray:
-    """Asymptotic variance of the solved parameters.
-
-    Forms the residual second-moment matrix over the window cells of the
-    sample aggregate ``system`` was built from, inverts it to form the
-    weight matrix, and returns ``inv(X' W X) / N`` symmetrized.  Raises
-    ``SingularWeight`` when the residual second-moment matrix is
-    numerically singular.
+    Raises ``error(message)`` when ``mat`` cannot be factored or its
+    reciprocal condition estimate falls below ``RCOND_TOL``; the message
+    names ``what`` and reports the estimate.
     """
-    counts = _sample_cells(system, stats)
+    try:
+        lu = lu_factor_quiet(mat)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise error(f"{what} not invertible: {exc}") from exc
+    rcond = _reciprocal_condition(mat, lu[0])
+    if rcond < RCOND_TOL:
+        raise error(f"{what} is numerically singular (rcond={rcond:.3e})")
+    return lu_solve(lu, rhs)
+
+
+def _sandwich(system: LinearSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``inv(X' W X) / N`` symmetrized, ``W = inv(V' diag(c) V / N)``.
+
+    ``v`` holds the residuals of each of the 32 window cells (one column
+    per row of ``x``) and ``c`` the cell counts of ``system``'s sample.
+    """
     n = system.n
-    m = len(system.row_ids)
-    s_mat = _moment_matrix(_residual_rows(system, alpha_hat), counts, n)
-
-    try:
-        lu, piv = lu_factor_quiet(s_mat)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SingularWeight(f"residual moment matrix not invertible: {exc}") from exc
-    if _reciprocal_condition(s_mat, lu) < RCOND_TOL:
-        raise SingularWeight("residual moment matrix is numerically singular")
-    w = lu_solve((lu, piv), np.eye(m))
-
-    middle = system.x_mat.T @ w @ system.x_mat
-    try:
-        lu2, piv2 = lu_factor_quiet(middle)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SingularSystem(f"weighted design not invertible: {exc}", system.guards) from exc
-    if _reciprocal_condition(middle, lu2) < RCOND_TOL:
-        raise SingularSystem("weighted design is numerically singular", system.guards)
-    vcov = lu_solve((lu2, piv2), np.eye(m)) / n
+    if n == 0:
+        raise ValueError("variance needs the cell counts of a sample aggregate")
+    m = x.shape[0]
+    s_mat = (v.T * system.cells) @ v / n
+    w = _checked_solve(s_mat, np.eye(m), SingularWeight, "residual moment matrix")
+    design_error = partial(SingularSystem, guards=system.guards)
+    vcov = _checked_solve(x.T @ w @ x, np.eye(m), design_error, "weighted design") / n
     return (vcov + vcov.T) / 2.0
+
+
+def variance(system: LinearSystem, alpha_hat: np.ndarray) -> np.ndarray:
+    """Asymptotic variance of the solved parameters of a sample system.
+
+    Raises ``SingularWeight`` when the residual second-moment matrix is
+    numerically singular and ``SingularSystem`` when the weighted design is.
+    """
+    return _sandwich(system, system.y_cells - system.x_cells @ alpha_hat, system.x_mat)
 
 
 @dataclass(frozen=True)

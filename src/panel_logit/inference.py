@@ -27,21 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 from scipy.special import gammaincc
 
-from .aggregation import AggregateStats, _cell_kernels, window_before
-from .estimators import (
-    RCOND_TOL,
-    EstimationError,
-    LinearSystem,
-    TransformedEstimate,
-    _moment_matrix,
-    _reciprocal_condition,
-    _residual_rows,
-    _sample_cells,
-    lu_factor_quiet,
-)
+from .aggregation import AggregateStats, _cell_kernels
+from .estimators import (EstimationError, LinearSystem, TransformedEstimate,
+                         _checked_solve, _sandwich)
 
 
 class NonpositiveAlpha(EstimationError):
@@ -173,19 +163,19 @@ def corrected_ratio_variance(var_ratio: float, cov_with_stage1: np.ndarray,
     return float(var_ratio + 2.0 * jac @ cov_with_stage1 + jac @ cov_stage1 @ jac)
 
 
-def _dagger_parts(family: str, stats_tm1: AggregateStats, a_hat: float, d_hat: float):
-    """Ratio numerator/denominator and bars for the dagger block of a family."""
-    if family == "A":
-        kind, sel = "theta", "-"
-    else:
-        kind, sel = "xi", "+"
-    b1 = stats_tm1.bar(kind, 1, sel)
-    b2 = stats_tm1.bar(kind, 2, sel)
-    b3 = stats_tm1.bar(kind, 3, sel)
-    b4 = stats_tm1.bar(kind, 4, sel)
+def _dagger_selector(family: str) -> tuple[str, str]:
+    """Kernel family and selector of the dagger averages of a family."""
+    return ("theta", "-") if family == "A" else ("xi", "+")
+
+
+def _dagger_ratio(bars, a_hat: float, d_hat: float) -> tuple[float, float]:
+    """Second-step ratio and its denominator from the four dagger averages."""
+    b1, b2, b3, b4 = bars
     num = a_hat * b1 + b2
     den = a_hat * a_hat * b3 + d_hat * b4
-    return kind, sel, (b1, b2, b3, b4), num, den
+    if den == 0.0:
+        raise ZeroDenominator("dagger denominator at the preceding window is zero")
+    return -num / den, den
 
 
 def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
@@ -193,23 +183,21 @@ def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
     """Point value of the second-step ratio (effect step, or its inverse for B).
 
     Usable on population aggregates as well as samples; the full
-    ``two_step_dtd_tm1`` additionally needs the cell counts of a sample
-    aggregate for the corrected variance.
+    ``two_step_dtd_tm1`` additionally needs a sample system for the
+    corrected variance.
     """
-    _, _, _, num, den = _dagger_parts(family, stats_tm1, a_hat, d_hat)
-    if den == 0.0:
-        raise ZeroDenominator("dagger denominator at the preceding window is zero")
-    return -num / den
+    kind, sel = _dagger_selector(family)
+    bars = [stats_tm1.bar(kind, j, sel) for j in range(1, 5)]
+    return _dagger_ratio(bars, a_hat, d_hat)[0]
 
 
-def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
-                     stats: AggregateStats) -> TwoStepResult:
+def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepResult:
     """Estimate the effect step at ``window_t - 1`` from first-stage results.
 
-    ``stats`` is the sample aggregate the first-stage ``system`` was built
-    from.  The dagger averages at window ``t - 1`` read four of its five
-    periods (``window_before``), so the dagger residual moments run over
-    the same 32 cells, weighted by their counts as the first-stage ones are.
+    ``system`` is the sample system the first stage ``est`` solved.  The
+    dagger averages at window ``t - 1`` read four of the five periods of
+    its window cells, so the dagger row borders the system cell by cell
+    and its variance is the first stage's sandwich with one more row.
     Unavailable for variants that drop the ``d`` component.
     """
     if est.family not in ("A", "B"):
@@ -217,46 +205,25 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem,
     if not est.has("d"):
         raise ValueError(f"variant {est.variant.name!r} drops component 'd'; "
                          "the second step is unavailable")
-    counts = _sample_cells(system, stats)
 
     a_hat, d_hat = est.value("a"), est.value("d")
-    kind, sel, bars, num, den = _dagger_parts(est.family, window_before(stats),
-                                              a_hat, d_hat)
-    if den == 0.0:
-        raise ZeroDenominator("dagger denominator at the preceding window is zero")
-    ratio = -num / den
+    kern, w = _cell_kernels(*_dagger_selector(est.family), 1)
+    # exact for counts: the same means as ``window_before(stats).bar``
+    bars = (system.cells @ (kern * w[:, None]) / system.cells.sum()).tolist()
+    ratio, den = _dagger_ratio(bars, a_hat, d_hat)
     if ratio <= 0.0:
         raise NonpositivePhiHat(f"second-step ratio {ratio:.6g} is nonpositive")
 
-    # stacked dagger system: ratio block bordering the first-stage system
+    # stacked dagger system: ratio row and column bordering the first stage
     m = len(system.row_ids)
-    theta_dag = np.concatenate(([ratio], est.alpha))
     x_dag = np.zeros((m + 1, m + 1))
     x_dag[0, 0] = den
     x_dag[1:, 1:] = system.x_mat
-
-    kern, w = _cell_kernels(kind, sel, 1)
     y_i = -(a_hat * kern[:, 0] + kern[:, 1]) * w
     x_i = (a_hat * a_hat * kern[:, 2] + d_hat * kern[:, 3]) * w
-    v = np.empty((32, m + 1))
-    v[:, 0] = y_i - x_i * ratio
-    v[:, 1:] = _residual_rows(system, est.alpha)
-    n = est.n
-    s_mat = _moment_matrix(v, counts, n)
-
-    try:
-        lu, piv = lu_factor_quiet(s_mat)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise EstimationError(f"dagger residual moments not invertible: {exc}") from exc
-    if _reciprocal_condition(s_mat, lu) < RCOND_TOL:
-        raise EstimationError("dagger residual moment matrix is numerically singular")
-    w_mat = lu_solve((lu, piv), np.eye(m + 1))
-    middle = x_dag.T @ w_mat @ x_dag
-    lu2, piv2 = lu_factor_quiet(middle)
-    if _reciprocal_condition(middle, lu2) < RCOND_TOL:
-        raise EstimationError("dagger weighted design is numerically singular")
-    vcov_dag = lu_solve((lu2, piv2), np.eye(m + 1)) / n
-    vcov_dag = (vcov_dag + vcov_dag.T) / 2.0
+    v = np.column_stack((y_i - x_i * ratio,
+                         system.y_cells - system.x_cells @ est.alpha))
+    vcov_dag = _sandwich(system, v, x_dag)
 
     b1, _, b3, b4 = bars
     jac = np.array([-(b1 + 2.0 * ratio * a_hat * b3) / den,
@@ -349,13 +316,8 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     gap = rows @ ell
     cov_gap = rows @ v_log @ rows.T
 
-    try:
-        lu, piv = lu_factor_quiet(cov_gap)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SingularRestrictionCovariance(str(exc)) from exc
-    if _reciprocal_condition(cov_gap, lu) < RCOND_TOL:
-        raise SingularRestrictionCovariance(
-            "restriction covariance is numerically singular")
-    stat = float(max(gap @ lu_solve((lu, piv), gap), 0.0))
+    solved = _checked_solve(cov_gap, gap, SingularRestrictionCovariance,
+                            "restriction covariance")
+    stat = float(max(gap @ solved, 0.0))
     df = rows.shape[0]
     return WaldResult(statistic=stat, df=df, p_value=chi2_sf(stat, df))

@@ -182,25 +182,27 @@ HISTORY_NODES = 64        # Gauss-Hermite nodes mixing the fixed effect
 MAX_HISTORY_PERIODS = 16  # the law holds nodes x 2**T floats
 
 
-def chain_law(spec: ModelSpec, eta: np.ndarray, n_periods: int) -> np.ndarray:
+def chain_law(spec: ModelSpec, eta: np.ndarray, n_periods: int,
+              first: int = 1) -> np.ndarray:
     """Probabilities of the ``2**n_periods`` outcome histories at each fixed effect.
 
-    Row ``k`` is the law of the histories over periods ``1..n_periods``
-    given the fixed effect ``eta[k]``; column ``h`` is the history whose
-    outcomes, period 1 first, are the binary digits of ``h``.
+    Row ``k`` is the law of the histories over periods ``first ..
+    first + n_periods - 1`` given the fixed effect ``eta[k]``; column ``h``
+    is the history whose outcomes, period ``first`` first, are the binary
+    digits of ``h``.  The periods before ``first`` are summed out as the
+    chain passes them, so they cost two columns each.
     """
-    if not 1 <= n_periods <= MAX_HISTORY_PERIODS:
-        raise ValueError(f"history law enumerates 2**T histories; "
-                         f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")
-    # probs[k, h]: P(first t outcomes spell h | eta_k), extended one period
-    # at a time; logistic(-x) keeps the complement accurate near 1
+    # probs[k, h]: P(outcomes spell h | eta_k), extended one period at a
+    # time; logistic(-x) keeps the complement accurate near 1
     index = eta + spec.effect(1)
     probs = np.stack((expit(-index), expit(index)), axis=1)
-    for t in range(2, n_periods + 1):
+    for t in range(2, first + n_periods):
         last = np.arange(probs.shape[1]) & 1
         index = eta[:, None] + spec.gamma * last + spec.effect(t)
-        probs = np.stack((probs * expit(-index), probs * expit(index)),
-                         axis=2).reshape(len(eta), -1)
+        probs = np.stack((probs * expit(-index), probs * expit(index)), axis=2)
+        if t <= first:  # period t - 1 precedes the enumerated ones
+            probs = probs.sum(axis=1)
+        probs = probs.reshape(len(eta), -1)
     return probs
 
 
@@ -214,6 +216,9 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
     Gauss-Hermite quadrature; the integrand is smooth, so 64 nodes leave an
     error below 1e-12.
     """
+    if not 1 <= n_periods <= MAX_HISTORY_PERIODS:
+        raise ValueError(f"history law enumerates 2**T histories; "
+                         f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
     return weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)

@@ -1,13 +1,13 @@
 """Exact, estimator-independent verification layer.
 
 All checks here are finite enumerations: conditional expectations over the
-eight three-period continuation paths, population moments over all outcome
-histories mixed across an explicit grid of fixed-effect values, and
-numerical ranks of moment-function value matrices over complete window
-enumerations.  Nothing is simulated, so pass/fail assertions carry no Monte
-Carlo error.  The population is a 32-cell window table like a sample's,
-weighted by exact probabilities instead of counts, and goes through the
-same aggregation builder.
+eight three-period continuation paths, population moments over the outcome
+histories of the estimation window mixed across an explicit grid of
+fixed-effect values, and numerical ranks of moment-function value matrices
+over complete window enumerations.  Nothing is simulated, so pass/fail
+assertions carry no Monte Carlo error.  The population is a 32-cell window
+table like a sample's, weighted by exact probabilities instead of counts,
+and goes through the same aggregation builder.
 
 The fixed-effect heterogeneity enters through finite grids because the
 conditional moment identities hold pointwise in the fixed effect; any grid
@@ -101,18 +101,22 @@ def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
                           eta_weights: Sequence[float]) -> AggregateStats:
     """Exact expected kernel averages at window ``t``.
 
-    The law of the ``2**(t+1)`` outcome histories over periods ``1..t+1``,
-    mixed over the fixed-effect grid, is folded into the law of their last
-    five periods, the window cells: they go through the builder a sample's
-    counts go through, with ``n = 0`` (no sample).
+    The chain runs from period 1 but is enumerated over the window periods
+    ``t-3 .. t+1`` only (``t-2 .. t+1`` at ``t = 3``), so the law of the
+    window cells, mixed over the fixed-effect grid, holds 32 cells per grid
+    node at any ``t``.  The cells go through the builder a sample's counts
+    go through, with ``n = 0`` (no sample).
     """
     if t < 3:
         raise ValueError(f"window {t} needs period {t - 2}, the chain starts at period 1")
     weights = np.asarray(eta_weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("eta grid weights must sum to 1")
-    law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64), t + 1)
-    cells = np.bincount(np.arange(law.size) & 31, weights=law, minlength=32)
+    first = max(t - 3, 1)
+    law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64),
+                              t + 2 - first, first)
+    cells = np.zeros(32)
+    cells[:law.size] = law
     return from_cells(t, cells, n=0, has_interacted=t >= 4)
 
 

@@ -62,7 +62,7 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
         system = build_system(family, stats, variant)
 
     alpha = solve(system)
-    vcov = variance(system, alpha, stats)
+    vcov = variance(system, alpha)
     est = TransformedEstimate(family=family, variant=variant,
                               window_t=window_t, n=system.n,
                               col_labels=system.col_labels, alpha=alpha,
@@ -73,7 +73,7 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
     if two_step:
         if family == "C":
             raise ValueError("the two-step effect step applies to families A and B")
-        two = two_step_dtd_tm1(est, system, stats)
+        two = two_step_dtd_tm1(est, system)
         original = OriginalEstimate(
             family=original.family, gamma=original.gamma,
             gamma_from=original.gamma_from, dtd_t=original.dtd_t,

@@ -4,7 +4,8 @@ The reference below forms the residual second moments the textbook way,
 ``S = mean_i v_i v_i'`` over every individual of the panel.  Each
 individual's stacked moment row ``(y_i, X_i)`` is the system built from
 aggregates of that individual alone, one per window, so the reference
-shares only the stacked layout with the code under test, not its cell table.
+shares only the stacked layout (``_stacked_row``) with the code under test,
+not its cell tables.
 """
 
 import numpy as np
@@ -14,29 +15,39 @@ from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
                          aggregate, build_system, build_system_c, estimate_panel,
                          parse_variant, simulate_histogram, simulate_panel, solve,
                          two_step_dtd_tm1, variance)
-from panel_logit.estimators import TransformedEstimate, _assemble
+from panel_logit.estimators import TransformedEstimate, _stacked_row
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
 
 
-def _build(family, variant, st_t, st_tm1):
-    if family == "C":
-        # the window t-1 rows from their own aggregate, not from window t's cells
-        return _assemble("C", variant, st_t, st_tm1)
-    return build_system(family, st_t, variant)
+def _bar_rows(system, st_t, st_tm1):
+    """Stacked rows (y, X) of ``system``'s layout from the kernel means of
+    ``st_t``, and of ``st_tm1`` for family C's rows at window t-1."""
+    col_pos = {c: k for k, c in enumerate(system.col_labels)}
+    m = len(system.row_ids)
+    y, x = np.zeros(m), np.zeros((m, m))
+    for k, row_id in enumerate(system.row_ids):
+        back, sel, kind, unit, cols = _stacked_row(system.family, row_id)
+        src = st_tm1 if back else st_t
+        y[k] = -src.bar(kind, unit, sel)
+        for label, j in cols:
+            if label in col_pos:
+                x[k, col_pos[label]] = src.bar(kind, j, sel)
+    return y, x
 
 
-def _per_individual(panel, family, variant, t, alpha, dagger=None):
+def _per_individual(panel, system, alpha, dagger=None):
     """Residual rows v_i of every individual (and its dagger residual)."""
+    t = system.window_t
     rows, memo = [], {}
     for y in panel.y:
         key = y.tobytes()
         if key not in memo:
             one = PanelData(y=y[None, :], ids=np.zeros(1), t0=panel.t0)
             st_t, st_tm1 = aggregate(one, t), aggregate(one, t - 1)
-            system = _build(family, variant, st_t, st_tm1)
-            v = system.y_vec - system.x_mat @ alpha
+            y_vec, x_mat = _bar_rows(system, st_t, st_tm1)
+            v = y_vec - x_mat @ alpha
             if dagger is not None:
                 kind, sel, a, d, ratio = dagger
                 b1, b2, b3, b4 = (st_tm1.bar(kind, j, sel) for j in range(1, 5))
@@ -68,8 +79,8 @@ def _check_against_reference(panel, family, variant, t, two_step):
     else:
         system = build_system(family, st_t, variant)
     alpha = solve(system)
-    vcov = variance(system, alpha, st_t)
-    v = _per_individual(panel, family, variant, t, alpha)
+    vcov = variance(system, alpha)
+    v = _per_individual(panel, system, alpha)
     assert len(v) == panel.n_rows
     _assert_cov_close(vcov, _reference_vcov(v, system.x_mat, panel.n))
     if not two_step:
@@ -77,7 +88,7 @@ def _check_against_reference(panel, family, variant, t, two_step):
 
     est = TransformedEstimate(family=family, variant=variant, window_t=t, n=system.n,
                               col_labels=system.col_labels, alpha=alpha, vcov=vcov)
-    two = two_step_dtd_tm1(est, system, st_t)
+    two = two_step_dtd_tm1(est, system)
     kind, sel = ("theta", "-") if family == "A" else ("xi", "+")
     a, d = est.value("a"), est.value("d")
     b1, b2, b3, b4 = (st_tm1.bar(kind, j, sel) for j in range(1, 5))
@@ -87,7 +98,7 @@ def _check_against_reference(panel, family, variant, t, two_step):
     x_dag = np.zeros((m + 1, m + 1))
     x_dag[0, 0] = den
     x_dag[1:, 1:] = system.x_mat
-    v_dag = _per_individual(panel, family, variant, t, alpha, (kind, sel, a, d, ratio))
+    v_dag = _per_individual(panel, system, alpha, (kind, sel, a, d, ratio))
     vcov_dag = _reference_vcov(v_dag, x_dag, panel.n)
     jac = np.array([-(b1 + 2.0 * ratio * a * b3) / den, -ratio * b4 / den])
     idx = [1 + est.index("a"), 1 + est.index("d")]

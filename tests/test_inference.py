@@ -13,7 +13,9 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
 from panel_logit import AggregateStats, DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
-                                    VARIANT_MINUS_37, variant_minus_r)
+                                    VARIANT_MINUS_37, SingularSystem,
+                                    SingularWeight, _sandwich, build_system,
+                                    solve, variant_minus_r)
 from panel_logit.inference import RESTRICTION_SETS
 from panel_logit.oracle import (population_aggregates, population_estimate,
                                 population_system, spec_with_steps)
@@ -166,7 +168,7 @@ def test_two_step_refuses_population_aggregates():
     est = population_estimate("A", spec, t, VARIANT_MINUS_37)
     system = population_system("A", spec, t, *ETA, VARIANT_MINUS_37)
     with pytest.raises(ValueError, match="sample aggregate"):
-        two_step_dtd_tm1(est, system, population_aggregates(spec, t, *ETA))
+        two_step_dtd_tm1(est, system)
 
 
 def test_corrected_variance_reduces_without_covariances():
@@ -190,34 +192,58 @@ def test_two_step_nonpositive_ratio():
     # their window-4 means under '-' are theta_1 = 1/2, theta_2 = theta_3 = -1/2
     cells = np.zeros(32)
     cells[[0b00010, 0b01000]] = 1.0
-    stats = from_cells(5, cells, n=2, has_interacted=True)
     est = _estimate("A", LABELS6, [0.5, 1, 1, 1, 1, 1], n=2)
     with pytest.raises(NonpositivePhiHat):
         # ratio = -(a/2 - 1/2) / (-a^2/2) = -2 at a = 1/2; the variance
         # machinery is never reached
-        two_step_dtd_tm1(est, _dummy_system(est), stats)
+        two_step_dtd_tm1(est, _dummy_system(est, cells))
 
 
-def _dummy_system(est):
+def _dummy_system(est, cells):
     from panel_logit.estimators import LinearSystem
 
     m = len(est.col_labels)
     return LinearSystem(family=est.family, variant=est.variant, window_t=5,
                         n=est.n, y_vec=np.zeros(m), x_mat=np.eye(m),
                         row_ids=tuple(range(1, m + 1)), col_labels=est.col_labels,
-                        guards={})
+                        guards={}, cells=cells, y_cells=np.zeros((32, m)),
+                        x_cells=np.zeros((32, m, m)))
 
 
-def _dummy_stats(window_t):
-    return AggregateStats(window_t=window_t, n=0, theta_bar=np.zeros((4, 4)),
-                          xi_bar=np.zeros((4, 4)))
+def test_two_step_singular_dagger_moments_raise_singular_weight():
+    # seven window-5 cells, one individual each: the first stage solves,
+    # but residuals of seven cells with zero mean span at most six
+    # dimensions, so the seven-row dagger moment matrix is singular
+    cells = np.zeros(32)
+    cells[[0b00000, 0b00010, 0b00100, 0b01001, 0b10011, 0b10101, 0b11100]] = 1.0
+    system = build_system("A", from_cells(5, cells, n=7, has_interacted=True),
+                          VARIANT_MINUS_37)
+    alpha = solve(system)
+    est = _estimate("A", system.col_labels, alpha, n=7)
+    with pytest.raises(SingularWeight, match=r"numerically singular \(rcond="):
+        two_step_dtd_tm1(est, system)
+
+
+def test_sandwich_reports_rcond_of_singular_weight_and_design():
+    panel = simulate_panel(TimeDummiesSpec(gamma=0.5, td=(0.0, 0.1, 0.2, 0.1, 0.0)),
+                           DgpConfig(n_individuals=5_000, n_periods=5, seed=3))
+    system = build_system("A", aggregate(panel, 4), VARIANT_MINUS_37)
+    v = system.y_cells - system.x_cells @ solve(system)
+    with pytest.raises(SingularSystem, match=r"weighted design is numerically "
+                                             r"singular \(rcond="):
+        _sandwich(system, v, np.zeros_like(system.x_mat))
+    # a row whose residual vanishes in every cell has no weight
+    v[:, 2] = 0.0
+    with pytest.raises(SingularWeight, match=r"residual moment matrix is numerically "
+                                             r"singular \(rcond="):
+        _sandwich(system, v, system.x_mat)
 
 
 def test_two_step_rejects_variant_without_d():
     est = _estimate("A", ("a", "b", "c", "e", "f", "g"), np.ones(6),
                     variant=VARIANT_MINUS_15)
     with pytest.raises(ValueError, match="drops component 'd'"):
-        two_step_dtd_tm1(est, _dummy_system(est), _dummy_stats(5))
+        two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
 
 
 def test_two_step_end_to_end_matches_manual_ratio():
@@ -296,7 +322,7 @@ def test_wald_row_order_invariance():
 
 def test_wald_errors():
     est = _estimate("A", LABELS6, np.ones(6))
-    with pytest.raises(SingularRestrictionCovariance):
+    with pytest.raises(SingularRestrictionCovariance, match=r"\(rcond=0\.000e\+00\)"):
         wald_test(est, "ab-dummies")  # zero covariance
     with pytest.raises(ValueError, match="unknown restriction set"):
         wald_test(est, "nope")

@@ -8,12 +8,16 @@ from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          population_aggregates, population_system, run_checks,
                          solve, theta_kernels, xi_kernels)
 from panel_logit.aggregation import window_before
-from panel_logit.estimators import VARIANT_MINUS_37, variant_minus_r
+from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
+                                    VARIANT_MINUS_37, variant_minus_r)
+from panel_logit.inference import recover_original
+from panel_logit.kernels import alpha_from_spec, alpha_labels
 from panel_logit.oracle import (ConditioningState, check_identities,
                                 check_three_period_rank,
                                 check_vanishing_rows, format_report,
                                 hbar_function, moment_row_function,
-                                spec_with_steps, variant_rows)
+                                population_estimate, spec_with_steps,
+                                variant_rows)
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 
@@ -167,10 +171,29 @@ def test_population_law_matches_plain_enumeration(spec, t):
     stats_t = population_aggregates(spec, t, *grid)
     cases = [(t, stats_t, 4),
              (t - 1, population_aggregates(spec, t - 1, *grid), 4),
-             # the way build_system_c forms family C's second window
+             # window t-1 from the cells of window t, as family C's guards read it
              (t - 1, window_before(stats_t), 2)]
     for window, stats, cols in cases:
         theta_ref, xi_ref = _enumerated_bars(spec, t + 1, window, *grid)
         assert stats.n == 0 and stats.window_t == window
         assert np.max(np.abs(stats.theta_bar[:, :cols] - theta_ref[:, :cols])) <= 1e-14
         assert np.max(np.abs(stats.xi_bar[:, :cols] - xi_ref[:, :cols])) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [20, 40])
+def test_population_recovery_at_late_windows(t):
+    # the chain is enumerated over the window only, so any t is 32 cells
+    cases = [("A", VARIANT_MINUS_37, spec_with_steps(0.8, 0.2, -0.1, t=t)),
+             ("B", VARIANT_MINUS_15, spec_with_steps(0.8, 0.2, -0.1, t=t)),
+             ("C", VARIANT_FULL, TimeTrendSpec(gamma=-0.7, phi_coef=0.2))]
+    for family, variant, spec in cases:
+        est = population_estimate(family, spec, t, variant)
+        truth = dict(zip(alpha_labels(family), alpha_from_spec(family, spec, t)))
+        assert max(abs(est.value(c) - truth[c]) for c in est.col_labels) <= 1e-8
+        orig = recover_original(est)
+        assert abs(orig.gamma.value - spec.gamma) <= 1e-8
+        if family == "C":
+            assert abs(orig.phi_coef.value - spec.phi_coef) <= 1e-8
+        else:
+            assert abs(orig.dtd_t.value - 0.2) <= 1e-8
+            assert abs(orig.dtd_tp1.value + 0.1) <= 1e-8
