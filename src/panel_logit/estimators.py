@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
-from .aggregation import AggregateStats, _cell_kernels, window_before
+from .aggregation import AggregateStats, cell_kernel
 from .kernels import ROW_TABLE, alpha_labels
 
 RCOND_TOL = 1e-10
@@ -177,11 +177,11 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSys
     x_cells = np.zeros((32, m, m))
     for k, row_id in enumerate(kept_rows):
         back, sel, kind, unit, cols = _stacked_row(family, row_id)
-        kern, weight = _cell_kernels(kind, sel, back)
-        y_cells[:, k] = -kern[:, unit - 1] * weight
+        # subtracting from zeros keeps zero kernels at +0.0; negating gives -0.0
+        y_cells[:, k] -= cell_kernel(kind, unit, sel, back)
         for label, j in cols:
             if label in col_pos:
-                x_cells[:, k, col_pos[label]] = kern[:, j - 1] * weight
+                x_cells[:, k, col_pos[label]] = cell_kernel(kind, j, sel, back)
     # for counts every cell sum is an exact integer, so these means equal
     # the kernel means of ``stats.bar`` bitwise
     cells = stats.summands.counts
@@ -202,9 +202,6 @@ def build_system(family: str, stats: AggregateStats, variant: Variant) -> Linear
         raise ValueError(f"build_system handles families A and B, got {family!r}")
     if variant.name == "full":
         raise ValueError("families A and B need a row removal to be square")
-    if not stats.has_interacted:
-        raise ValueError("families A and B need the interacted selectors; "
-                         "aggregate with the pre-window period available")
     return _assemble(family, variant, stats)
 
 
@@ -212,8 +209,8 @@ def build_system_c(stats: AggregateStats,
                    variant: Variant = VARIANT_FULL) -> LinearSystem:
     """Stack the trend-model rows at windows t and t-1.
 
-    Both come from the aggregate at window ``t``, which must include the
-    period ``t - 3``.
+    Both come from the aggregate at window ``t``: the rows at ``t - 1`` read
+    its cells one period back.
     """
     if variant.name != "full":
         raise ValueError("family C uses the full eight-row system")
@@ -269,14 +266,16 @@ def _guard_values(family: str, variant: Variant, stats: AggregateStats) -> dict[
         if removed == (1,):
             guards["pivot_bar"] = stats.bar("theta", 1, "-+")
     elif family == "C":
-        prev = window_before(stats)
-        guards["corner_product"] = (prev.bar("theta", 3, "+") * prev.bar("theta", 4, "-")
-                                    * prev.bar("xi", 3, "-") * prev.bar("xi", 4, "+"))
+        def prev(kind, j, sel):  # the mean at window t - 1
+            return stats.bar(kind, j, sel, back=1)
+
+        guards["corner_product"] = (prev("theta", 3, "+") * prev("theta", 4, "-")
+                                    * prev("xi", 3, "-") * prev("xi", 4, "+"))
         with np.errstate(divide="ignore", invalid="ignore"):
             def diff(kind, j, sel, pivot_j, pivot_sel):
                 r = (np.float64(stats.bar(kind, pivot_j, pivot_sel))
-                     / np.float64(prev.bar(kind, pivot_j, pivot_sel)))
-                return stats.bar(kind, j, sel) - prev.bar(kind, j, sel) * r
+                     / np.float64(prev(kind, pivot_j, pivot_sel)))
+                return stats.bar(kind, j, sel) - prev(kind, j, sel) * r
 
             guards["block_determinant"] = float(
                 diff("theta", 1, "+", 3, "+") * diff("theta", 3, "-", 4, "-")

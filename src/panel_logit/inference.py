@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .aggregation import AggregateStats, _cell_kernels
+from .aggregation import AggregateStats, cell_kernel
 from .estimators import (EstimationError, LinearSystem, TransformedEstimate,
                          _checked_solve, _sandwich)
 
@@ -165,7 +165,12 @@ def corrected_ratio_variance(var_ratio: float, cov_with_stage1: np.ndarray,
 
 def _dagger_selector(family: str) -> tuple[str, str]:
     """Kernel family and selector of the dagger averages of a family."""
-    return ("theta", "-") if family == "A" else ("xi", "+")
+    if family == "A":
+        return "theta", "-"
+    if family == "B":
+        return "xi", "+"
+    raise ValueError("the two-step effect step applies to families A and B, "
+                     f"got {family!r}")
 
 
 def _dagger_ratio(bars, a_hat: float, d_hat: float) -> tuple[float, float]:
@@ -178,16 +183,17 @@ def _dagger_ratio(bars, a_hat: float, d_hat: float) -> tuple[float, float]:
     return -num / den, den
 
 
-def two_step_ratio(family: str, stats_tm1: AggregateStats, a_hat: float,
+def two_step_ratio(family: str, stats: AggregateStats, a_hat: float,
                    d_hat: float) -> float:
     """Point value of the second-step ratio (effect step, or its inverse for B).
 
-    Usable on population aggregates as well as samples; the full
-    ``two_step_dtd_tm1`` additionally needs a sample system for the
-    corrected variance.
+    ``stats`` is the aggregate at the first-stage window ``t``; the dagger
+    averages are its means one window back.  Usable on population
+    aggregates as well as samples; the full ``two_step_dtd_tm1``
+    additionally needs a sample system for the corrected variance.
     """
     kind, sel = _dagger_selector(family)
-    bars = [stats_tm1.bar(kind, j, sel) for j in range(1, 5)]
+    bars = [stats.bar(kind, j, sel, back=1) for j in range(1, 5)]
     return _dagger_ratio(bars, a_hat, d_hat)[0]
 
 
@@ -200,16 +206,15 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     and its variance is the first stage's sandwich with one more row.
     Unavailable for variants that drop the ``d`` component.
     """
-    if est.family not in ("A", "B"):
-        raise ValueError("two-step effect-step recovery applies to families A and B")
+    kind, sel = _dagger_selector(est.family)
     if not est.has("d"):
         raise ValueError(f"variant {est.variant.name!r} drops component 'd'; "
                          "the second step is unavailable")
 
     a_hat, d_hat = est.value("a"), est.value("d")
-    kern, w = _cell_kernels(*_dagger_selector(est.family), 1)
-    # exact for counts: the same means as ``window_before(stats).bar``
-    bars = (system.cells @ (kern * w[:, None]) / system.cells.sum()).tolist()
+    kern = np.stack([cell_kernel(kind, j, sel, back=1) for j in range(1, 5)], axis=1)
+    # exact for counts: the same means as ``stats.bar(kind, j, sel, back=1)``
+    bars = (system.cells @ kern / system.cells.sum()).tolist()
     ratio, den = _dagger_ratio(bars, a_hat, d_hat)
     if ratio <= 0.0:
         raise NonpositivePhiHat(f"second-step ratio {ratio:.6g} is nonpositive")
@@ -219,8 +224,8 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     x_dag = np.zeros((m + 1, m + 1))
     x_dag[0, 0] = den
     x_dag[1:, 1:] = system.x_mat
-    y_i = -(a_hat * kern[:, 0] + kern[:, 1]) * w
-    x_i = (a_hat * a_hat * kern[:, 2] + d_hat * kern[:, 3]) * w
+    y_i = -(a_hat * kern[:, 0] + kern[:, 1])
+    x_i = a_hat * a_hat * kern[:, 2] + d_hat * kern[:, 3]
     v = np.column_stack((y_i - x_i * ratio,
                          system.y_cells - system.x_cells @ est.alpha))
     vcov_dag = _sandwich(system, v, x_dag)

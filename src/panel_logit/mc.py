@@ -27,7 +27,8 @@ import scipy
 
 from .estimators import EstimationError, SingularSystem, SingularWeight
 from .inference import NonpositiveAlpha, NonpositivePhiHat, ZeroDenominator
-from .model import DgpConfig, ModelSpec, simulate_histogram, simulate_panel
+from .model import (DgpConfig, ModelSpec, TimeTrendSpec, simulate_histogram,
+                    simulate_panel)
 from .workflow import estimate_panel
 
 WALD_LEVEL = 0.05
@@ -85,6 +86,11 @@ class McConfig:
         usable = self.dgp.n_periods - self.discard_prefix
         if usable < 5:
             raise ValueError(f"{usable} usable periods after discard; need >= 5")
+        if not isinstance(self.spec, TimeTrendSpec):
+            for run in self.estimators:
+                if run.family == "C":
+                    raise ValueError(f"estimator {run.label} estimates the trend "
+                                     "coefficient phi_coef; it needs a time-trend model")
 
 
 def true_values(spec: ModelSpec, run: EstimatorRun) -> dict[str, float]:

@@ -102,22 +102,18 @@ def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
     """Exact expected kernel averages at window ``t``.
 
     The chain runs from period 1 but is enumerated over the window periods
-    ``t-3 .. t+1`` only (``t-2 .. t+1`` at ``t = 3``), so the law of the
-    window cells, mixed over the fixed-effect grid, holds 32 cells per grid
-    node at any ``t``.  The cells go through the builder a sample's counts
-    go through, with ``n = 0`` (no sample).
+    ``t-3 .. t+1`` only, so the law of the window cells, mixed over the
+    fixed-effect grid, holds 32 cells per grid node at any ``t``.  The
+    cells go through the builder a sample's counts go through, with ``n =
+    0`` (no sample).
     """
-    if t < 3:
-        raise ValueError(f"window {t} needs period {t - 2}, the chain starts at period 1")
+    if t < 4:
+        raise ValueError(f"window {t} needs period {t - 3}, the chain starts at period 1")
     weights = np.asarray(eta_weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("eta grid weights must sum to 1")
-    first = max(t - 3, 1)
-    law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64),
-                              t + 2 - first, first)
-    cells = np.zeros(32)
-    cells[:law.size] = law
-    return from_cells(t, cells, n=0, has_interacted=t >= 4)
+    law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64), 5, t - 3)
+    return from_cells(t, law, n=0)
 
 
 def population_system(family: str, spec: ModelSpec, t: int,
@@ -134,34 +130,28 @@ def population_system(family: str, spec: ModelSpec, t: int,
 # rank analysis of the moment-function sets
 
 
-def _ab_value_matrix(family: str, spec: ModelSpec, t: int,
-                     rows: Sequence[int]) -> np.ndarray:
+def _value_matrix(family: str, spec: ModelSpec, t: int,
+                  rows: Sequence[int]) -> np.ndarray:
+    """Moment rows at the true parameters, one column per window-``t``
+    pattern ``(y_{t-3}, .., y_{t+1})``.
+
+    Rows 5..8 are rows 1..4 interacted with ``y_{t-3}`` (A, B) or at window
+    ``t - 1`` (C), which read ``y_{t-3} .. y_t`` and not ``y_{t-4}``.
+    """
     alphas = alpha_from_spec(family, spec, t)
+    alphas_tm1 = alpha_from_spec(family, spec, t - 1) if family == "C" else alphas
     wins = all_windows()
     mat = np.empty((len(rows), len(wins)))
     for k, row_id in enumerate(rows):
         base = (row_id - 1) % 4 + 1
         for c, w in enumerate(wins):
-            v = kernels.transformed_moment_row(family, base, w, alphas)
-            if row_id > 4:
-                v *= w[0]
-            mat[k, c] = v
-    return mat
-
-
-def _c_value_matrix(spec: ModelSpec, t: int, rows: Sequence[int]) -> np.ndarray:
-    # six-period histories cover the windows at t and t-1 jointly
-    alphas_t = alpha_from_spec("C", spec, t)
-    alphas_tm1 = alpha_from_spec("C", spec, t - 1)
-    wins6 = list(product((0, 1), repeat=6))
-    mat = np.empty((len(rows), len(wins6)))
-    for k, row_id in enumerate(rows):
-        base = (row_id - 1) % 4 + 1
-        for c, w6 in enumerate(wins6):
             if row_id <= 4:
-                mat[k, c] = kernels.transformed_moment_row("C", base, w6[1:], alphas_t)
+                mat[k, c] = kernels.transformed_moment_row(family, base, w, alphas)
+            elif family == "C":
+                mat[k, c] = kernels.transformed_moment_row(family, base, (0,) + w[:4],
+                                                           alphas_tm1)
             else:
-                mat[k, c] = kernels.transformed_moment_row("C", base, w6[:5], alphas_tm1)
+                mat[k, c] = kernels.transformed_moment_row(family, base, w, alphas) * w[0]
     return mat
 
 
@@ -171,11 +161,7 @@ def moment_rank(family: str, spec: ModelSpec, t: int,
     """Numerical rank of the moment functions as vectors over all windows."""
     if rows is None:
         rows = tuple(range(1, 9))
-    if family == "C":
-        mat = _c_value_matrix(spec, t, rows)
-    else:
-        mat = _ab_value_matrix(family, spec, t, rows)
-    svals = np.linalg.svd(mat, compute_uv=False)
+    svals = np.linalg.svd(_value_matrix(family, spec, t, rows), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals > rel_tol * svals[0]))

@@ -71,8 +71,6 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
 
     two = None
     if two_step:
-        if family == "C":
-            raise ValueError("the two-step effect step applies to families A and B")
         two = two_step_dtd_tm1(est, system)
         original = OriginalEstimate(
             family=original.family, gamma=original.gamma,

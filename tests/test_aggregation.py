@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panel_logit import PanelData, aggregate, theta_kernels, xi_kernels
-from panel_logit.aggregation import SELECTORS, window_before
+from panel_logit.aggregation import SELECTORS
+
+
+def _all_bars(stats):
+    return np.array([[[stats.bar(kind, j, sel) for sel in SELECTORS] for j in range(1, 5)]
+                     for kind in ("theta", "xi")])
 
 
 def _panel_from_rows(rows, t0=1):
@@ -15,8 +20,7 @@ def _panel_from_rows(rows, t0=1):
 def test_all_zero_panel_gives_zero_bars():
     panel = _panel_from_rows([[0] * 5] * 4)
     stats = aggregate(panel, 4)
-    assert np.all(stats.theta_bar == 0.0)
-    assert np.all(stats.xi_bar == 0.0)
+    assert np.all(_all_bars(stats) == 0.0)
 
 
 def test_single_row_matches_direct_kernels():
@@ -51,8 +55,8 @@ def test_counts_weight_rows_like_repeated_rows():
     weighted = aggregate(PanelData(y=y, ids=np.arange(40), counts=counts), 4)
     repeated = aggregate(_panel_from_rows(np.repeat(y, counts, axis=0)), 4)
     assert weighted.n == repeated.n == counts.sum()
-    assert np.array_equal(weighted.theta_bar, repeated.theta_bar)
-    assert np.array_equal(weighted.xi_bar, repeated.xi_bar)
+    assert np.array_equal(weighted.summands.counts, repeated.summands.counts)
+    assert np.array_equal(_all_bars(weighted), _all_bars(repeated))
 
 
 def test_selector_nesting_brute_force():
@@ -79,8 +83,7 @@ def test_bars_bounded_by_one():
     rng = np.random.default_rng(3)
     panel = _panel_from_rows(rng.integers(0, 2, size=(40, 5)))
     stats = aggregate(panel, 4)
-    assert np.all(np.abs(stats.theta_bar) <= 1.0)
-    assert np.all(np.abs(stats.xi_bar) <= 1.0)
+    assert np.all(np.abs(_all_bars(stats)) <= 1.0)
 
 
 def test_window_out_of_range_rejected():
@@ -98,35 +101,40 @@ def test_empty_panel_rejected():
 
 
 def test_partial_window_without_pre_period():
-    # five stored periods: the window starting at the first stored period has
-    # no t-3 column, so interacted selectors are unavailable
+    # five stored periods: the window starting at the first stored period
+    # lacks its first period t-3
     rng = np.random.default_rng(5)
     panel = _panel_from_rows(rng.integers(0, 2, size=(50, 5)), t0=4)
-    stats = aggregate(panel, 6)
-    assert not stats.has_interacted
-    assert np.isnan(stats.theta_bar[:, 2:]).all()
-    assert np.isfinite(stats.theta_bar[:, :2]).all()
-    stats.bar("theta", 1, "-")
-    with pytest.raises(ValueError):
-        stats.bar("theta", 1, "-+")
+    with pytest.raises(ValueError, match="window 6 needs period 3, panel stores 4..8"):
+        aggregate(panel, 6)
+    aggregate(panel, 7)
+
+
+def test_bar_back_one_refuses_interacted_selectors():
+    stats = aggregate(_panel_from_rows([[0, 1, 0, 1, 0]]), 4)
+    for sel in ("-+", "++"):
+        with pytest.raises(ValueError, match="window 3 needs period 0, outside window 4"):
+            stats.bar("theta", 1, sel, back=1)
+    stats.bar("theta", 1, "+", back=1)
+    with pytest.raises(ValueError, match="back must be 0 or 1"):
+        stats.bar("theta", 1, "+", back=-1)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 120))
-def test_window_before_matches_fresh_aggregate(seed, n):
-    # six stored periods: window 6 reads periods 3..7, window 5 reads 2..6;
-    # the fresh window-5 aggregate has period 2 (t-4 for window 6) or not
+def test_bar_back_one_matches_fresh_aggregate(seed, n):
+    # six stored periods: window 6 reads periods 3..7, window 5 reads 2..6
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 10**6, size=n)
     counts[0] += 1
     panel = PanelData(y=rng.integers(0, 2, size=(n, 6)), ids=np.arange(n), t0=2,
                       counts=counts)
-    for stored in (panel, panel.drop_prefix(1)):
-        got, want = window_before(aggregate(stored, 6)), aggregate(stored, 5)
-        assert want.has_interacted == (stored.t0 == 2)
-        assert (got.window_t, got.n, got.has_interacted) == (5, want.n, False)
-        assert np.array_equal(got.theta_bar[:, :2], want.theta_bar[:, :2])
-        assert np.array_equal(got.xi_bar[:, :2], want.xi_bar[:, :2])
+    got, want = aggregate(panel, 6), aggregate(panel, 5)
+    assert got.n == want.n
+    for kind in ("theta", "xi"):
+        for j in range(1, 5):
+            for sel in ("-", "+"):
+                assert got.bar(kind, j, sel, back=1) == want.bar(kind, j, sel)
 
 
 def test_selector_order_stable():

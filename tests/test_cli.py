@@ -67,8 +67,7 @@ def test_roundtrip_aggregates_identical(tmp_path):
     panel = read_panel_csv(out)
     direct = aggregate(panel, 7)
     reread = aggregate(read_panel_csv(out), 7)
-    assert np.array_equal(direct.theta_bar, reread.theta_bar)
-    assert np.array_equal(direct.xi_bar, reread.xi_bar)
+    assert np.array_equal(direct.summands.counts, reread.summands.counts)
 
 
 def test_estimate_happy_path(tmp_path, capsys):
@@ -121,6 +120,28 @@ def test_estimate_bad_csv_exit_2(tmp_path):
 def test_estimate_missing_args_exit_2(tmp_path):
     code = main(["estimate", "--family", "A"])
     assert code == 2
+
+
+def test_estimate_window_without_pre_period_exit_2(tmp_path, capsys):
+    # periods 1..8 stored: window 3 would read periods 0..4
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=50, seed=1))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    capsys.readouterr()
+    code = main(["estimate", str(panel_path), "--family", "A",
+                 "--variant", "minus-3-7", "--window", "3"])
+    assert code == 2
+    assert "window 3 needs period 0" in capsys.readouterr().err
+
+
+def test_mc_trend_estimator_on_dummies_model_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.cfg", SIM_CONFIG.format(n=50, seed=1)
+                 + "replications = 2\nestimator = C full 7\n")
+    out = tmp_path / "s.csv"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "C[full]@t7" in err and "time-trend model" in err
+    assert not out.exists()
 
 
 def test_mc_summary_and_manifest_rerun(tmp_path, capsys):

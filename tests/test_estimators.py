@@ -126,10 +126,11 @@ def test_invalid_variant_family_combinations():
 
 
 def test_c_refuses_window_without_pre_window_period():
-    # window 4 of periods 2..6: its rows at window 3 need period 1
+    # window 4 of periods 2..6 lacks period 1; window 5 holds its rows at
+    # window 4 as well
     panel = PanelData(y=_random_panel(n=100, t_periods=5).y, ids=np.arange(100), t0=2)
-    with pytest.raises(ValueError, match="needs period 1"):
-        build_system_c(aggregate(panel, 4))
+    with pytest.raises(ValueError, match="window 4 needs period 1"):
+        aggregate(panel, 4)
     build_system_c(aggregate(panel, 5))
 
 

@@ -115,8 +115,8 @@ def _check_against_reference(panel, family, variant, t, two_step):
     (SPEC_TREND, "C", "full", False),
 ])
 def test_variances_match_per_individual_reference(spec, family, variant, two_step):
-    # seven stored periods: two more than the window reads, and the window
-    # before t is interacted as well
+    # seven stored periods: two more than the window reads, so the
+    # reference's own aggregate at window t-1 has all five of its periods
     panel = simulate_panel(spec, DgpConfig(n_individuals=200_000, n_periods=8,
                                            sigma_eta_sq=0.5, seed=2)).drop_prefix(1)
     assert panel.n_periods == 7

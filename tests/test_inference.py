@@ -10,7 +10,7 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          corrected_ratio_variance, estimate_panel,
                          recover_original, simulate_panel, two_step_dtd_tm1,
                          two_step_ratio, wald_test)
-from panel_logit import AggregateStats, DgpConfig, TimeDummiesSpec
+from panel_logit import DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, SingularSystem,
@@ -150,15 +150,26 @@ def test_delta_variances_nonnegative_for_psd_input():
 def test_two_step_population_value():
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
     t = 7
-    stats_tm1 = population_aggregates(spec, t - 1, *ETA)
+    stats = population_aggregates(spec, t, *ETA)
     a = alpha_from_spec("A", spec, t)
     labels = alpha_labels("A")
-    ratio = two_step_ratio("A", stats_tm1, a[labels.index("a")], a[labels.index("d")])
+    ratio = two_step_ratio("A", stats, a[labels.index("a")], a[labels.index("d")])
     assert ratio == pytest.approx(math.exp(0.4), abs=1e-8)
 
     b = alpha_from_spec("B", spec, t)
-    ratio_b = two_step_ratio("B", stats_tm1, b[labels.index("a")], b[labels.index("d")])
+    ratio_b = two_step_ratio("B", stats, b[labels.index("a")], b[labels.index("d")])
     assert ratio_b == pytest.approx(math.exp(-0.4), abs=1e-8)
+
+
+def test_two_step_ratio_refuses_other_families():
+    spec = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
+    stats = population_aggregates(spec, 6, *ETA)
+    for family in ("C", "Z"):
+        with pytest.raises(ValueError, match="families A and B"):
+            two_step_ratio(family, stats, 1.3, 0.7)
+    est = _estimate("C", alpha_labels("C"), np.ones(8), variant=VARIANT_FULL)
+    with pytest.raises(ValueError, match="families A and B, got 'C'"):
+        two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
 
 
 def test_two_step_refuses_population_aggregates():
@@ -181,8 +192,8 @@ def test_corrected_variance_reduces_without_covariances():
 
 
 def test_two_step_zero_denominator():
-    stats = AggregateStats(window_t=4, n=0, theta_bar=np.zeros((4, 4)),
-                           xi_bar=np.zeros((4, 4)))
+    # everyone in the all-zero window: every dagger average is zero
+    stats = from_cells(5, np.eye(32)[0], n=0)
     with pytest.raises(ZeroDenominator):
         two_step_ratio("A", stats, 1.0, 1.0)
 
@@ -216,8 +227,7 @@ def test_two_step_singular_dagger_moments_raise_singular_weight():
     # dimensions, so the seven-row dagger moment matrix is singular
     cells = np.zeros(32)
     cells[[0b00000, 0b00010, 0b00100, 0b01001, 0b10011, 0b10101, 0b11100]] = 1.0
-    system = build_system("A", from_cells(5, cells, n=7, has_interacted=True),
-                          VARIANT_MINUS_37)
+    system = build_system("A", from_cells(5, cells, n=7), VARIANT_MINUS_37)
     alpha = solve(system)
     est = _estimate("A", system.col_labels, alpha, n=7)
     with pytest.raises(SingularWeight, match=r"numerically singular \(rcond="):
@@ -252,8 +262,7 @@ def test_two_step_end_to_end_matches_manual_ratio():
     panel = simulate_panel(spec, DgpConfig(n_individuals=120_000, n_periods=8,
                                            sigma_eta_sq=1.5, seed=2))
     res = estimate_panel(panel, "A", "minus-3-7", 6, two_step=True)
-    stats_tm1 = aggregate(panel, 5)
-    ratio = two_step_ratio("A", stats_tm1, res.transformed.value("a"),
+    ratio = two_step_ratio("A", aggregate(panel, 6), res.transformed.value("a"),
                            res.transformed.value("d"))
     assert res.two_step.ratio == pytest.approx(ratio, rel=1e-12)
     assert res.original.dtd_tm1.value == pytest.approx(math.log(ratio), rel=1e-12)

@@ -30,6 +30,15 @@ def test_true_values():
     assert truths_c == {"gamma": 1.0, "phi_coef": 0.3}
 
 
+def test_config_refuses_trend_estimator_on_dummies_model():
+    # the trend coefficient has no true value under period dummies
+    with pytest.raises(ValueError, match=r"C\[full\]@t7 .* time-trend model"):
+        _config(estimators=(EstimatorRun("A", "minus-3-7", 7),
+                            EstimatorRun("C", "full", 7)))
+    _config(estimators=(EstimatorRun("C", "full", 7),),
+            spec=TimeTrendSpec(gamma=1.0, phi_coef=0.3))
+
+
 def test_summarize_constant_stub():
     # a stubbed estimator returning constants: mean = c, sd = 0, rmse = |bias|
     config = _config(reps=3)

@@ -7,7 +7,7 @@ from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          conditional_moment, logit_prob, moment_rank, path_law,
                          population_aggregates, population_system, run_checks,
                          solve, theta_kernels, xi_kernels)
-from panel_logit.aggregation import window_before
+from panel_logit.aggregation import SELECTORS
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, variant_minus_r)
 from panel_logit.inference import recover_original
@@ -169,15 +169,23 @@ def _enumerated_bars(spec, n_periods, window, eta_nodes, eta_weights):
 def test_population_law_matches_plain_enumeration(spec, t):
     grid = ((-1.2, 0.1, 0.9), (0.2, 0.5, 0.3))
     stats_t = population_aggregates(spec, t, *grid)
-    cases = [(t, stats_t, 4),
-             (t - 1, population_aggregates(spec, t - 1, *grid), 4),
-             # window t-1 from the cells of window t, as family C's guards read it
-             (t - 1, window_before(stats_t), 2)]
-    for window, stats, cols in cases:
+    # window t-1 from a window of its own, and from the cells of window t
+    # one period back, as family C's rows and the two-step read it
+    cases = [(t, stats_t, 0, SELECTORS),
+             (t - 1, population_aggregates(spec, t - 1, *grid), 0, SELECTORS),
+             (t - 1, stats_t, 1, SELECTORS[:2])]
+    for window, stats, back, sels in cases:
         theta_ref, xi_ref = _enumerated_bars(spec, t + 1, window, *grid)
-        assert stats.n == 0 and stats.window_t == window
-        assert np.max(np.abs(stats.theta_bar[:, :cols] - theta_ref[:, :cols])) <= 1e-14
-        assert np.max(np.abs(stats.xi_bar[:, :cols] - xi_ref[:, :cols])) <= 1e-14
+        assert stats.n == 0 and stats.window_t - back == window
+        for kind, ref in (("theta", theta_ref), ("xi", xi_ref)):
+            got = np.array([[stats.bar(kind, j, sel, back=back) for sel in sels]
+                            for j in range(1, 5)])
+            assert np.max(np.abs(got - ref[:, :len(sels)])) <= 1e-14
+
+
+def test_population_window_needs_period_t_minus_3():
+    with pytest.raises(ValueError, match="window 3 needs period 0"):
+        population_aggregates(SPEC_31, 3, (0.0,), (1.0,))
 
 
 @pytest.mark.parametrize("t", [20, 40])
