@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from panel_logit import aggregate, read_panel_csv
+from panel_logit import aggregate, cli, read_panel_csv, simulate_panel
 from panel_logit.cli import main, parse_config_file
 
 SIM_CONFIG = """
@@ -64,10 +64,14 @@ def test_roundtrip_aggregates_identical(tmp_path):
     cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=500, seed=3))
     out = tmp_path / "panel.csv"
     main(["simulate", "--config", cfg, "--out", str(out)])
+    spec, dgp, _ = cli._model_and_dgp(parse_config_file(cfg), None)
+    simulated = simulate_panel(spec, dgp)
     panel = read_panel_csv(out)
-    direct = aggregate(panel, 7)
-    reread = aggregate(read_panel_csv(out), 7)
-    assert np.array_equal(direct.summands.counts, reread.summands.counts)
+    assert np.array_equal(panel.y, simulated.y) and panel.t0 == simulated.t0
+    assert panel.ids.dtype == simulated.ids.dtype
+    assert np.array_equal(panel.ids, simulated.ids)
+    assert np.array_equal(aggregate(panel, 7).summands.counts,
+                          aggregate(simulated, 7).summands.counts)
 
 
 def test_estimate_happy_path(tmp_path, capsys):

@@ -1,7 +1,14 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from panel_logit import PanelData, read_panel_csv, write_panel_csv
+from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, read_panel_csv,
+                         simulate_panel, write_panel_csv)
+from panel_logit import panel as panel_module
 
 
 def _small_panel():
@@ -79,3 +86,148 @@ def test_read_rejects_duplicates(tmp_path):
     path.write_text("id,t,y\n1,1,0\n1,1,1\n")
     with pytest.raises(ValueError, match="duplicate"):
         read_panel_csv(path)
+
+
+def _read_error(path, content: bytes) -> str:
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        read_panel_csv(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2", "expected 3 fields"),
+    ("1,x,0", "non-integer period 'x'"),
+    ("1,2,5", "outcome must be 0 or 1, got '5'"),
+    ("1,1,1", "duplicate (id=1, t=1)"),
+])
+def test_read_error_names_its_line(tmp_path, row, message):
+    # the blank line 3 counts: the faulty record is line 4
+    path = tmp_path / "bad.csv"
+    content = f"id,t,y\n1,1,0\n\n{row}\n1,2,0\n2,1,0\n2,2,1\n".encode()
+    assert _read_error(path, content) == f"{path}:4: {message}"
+
+
+def test_read_reports_first_fault_of_a_line(tmp_path):
+    # line 3 repeats the cell of line 2 and has a bad outcome: fields, period,
+    # outcome and duplicate are checked in that order
+    path = tmp_path / "bad.csv"
+    assert _read_error(path, b"id,t,y\n1,1,0\n1,1,2\n") == f"{path}:3: outcome must be 0 or 1, got '2'"
+    assert _read_error(path, b"id,t,y\n1,1,0\n1,x,2\n") == f"{path}:3: non-integer period 'x'"
+    assert _read_error(path, b"id,t,y\n1,1,0\n1,1\n1,1,0\n") == f"{path}:3: expected 3 fields"
+
+
+def test_read_whole_file_errors(tmp_path):
+    path = tmp_path / "bad.csv"
+    assert _read_error(path, b"id,t,y\r\n\r\n") == f"{path}: no data rows"
+    assert _read_error(path, b"id,t,y\n7,1,0\n7,3,1\n") == f"{path}: periods must be contiguous, got [1, 3]"
+    assert _read_error(path, b"id,t,y\n7,1,0\n7,2,1\n8,2,0\n8,3,0\n") == (
+        f"{path}: id 8 observed at [2, 3], expected [1, 2] (panel must be rectangular)")
+
+
+def test_read_undecodable_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"id,t,y\n\xff,1,0\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_panel_csv(path)
+
+
+def test_read_overlong_field_after_valid_lines(tmp_path):
+    # csv.reader refuses a field over its limit when it reaches that line, so
+    # a fault on an earlier line is reported first
+    path = tmp_path / "long.csv"
+    default = csv.field_size_limit(4)
+    try:
+        path.write_bytes(b"id,t,y\n1,1,0\n12345,1,0\n")
+        with pytest.raises(csv.Error, match=r"field larger than field limit \(4\)"):
+            read_panel_csv(path)
+        assert _read_error(path, b"id,t,y\n1,1,2\n12345,1,0\n") == (
+            f"{path}:2: outcome must be 0 or 1, got '2'")
+    finally:
+        csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_line_endings_extra_fields_and_row_order(tmp_path, end):
+    path = tmp_path / "panel.csv"
+    rows = ["id,t,y", "5,2,1,extra", "3,1,0", "", "5,1,0", "3,2,1,,"]
+    path.write_bytes((end.join(rows) + end).encode())
+    panel = read_panel_csv(path)
+    # ids keep their first appearance, not their sorted order
+    assert panel.ids.tolist() == [5, 3] and panel.ids.dtype == np.int64
+    assert panel.t0 == 1 and panel.y.tolist() == [[0, 1], [0, 1]]
+
+
+def test_string_and_quoted_ids_roundtrip(tmp_path):
+    y = np.array([[0, 1], [1, 1], [0, 0], [1, 0]], dtype=np.int8)
+    ids = np.array(["b", "a,b", 'say "hi"', "two\nlines"])
+    path = tmp_path / "panel.csv"
+    write_panel_csv(PanelData(y=y, ids=ids, t0=3), path)
+    assert b'"a,b"' in path.read_bytes()
+    back = read_panel_csv(path)
+    assert back.ids.dtype == ids.dtype and back.ids.tolist() == ids.tolist()
+    assert back.t0 == 3 and np.array_equal(back.y, y)
+
+
+def test_distinct_id_spellings_stay_distinct(tmp_path):
+    # 07 and 7 name different individuals; a cast to int64 would merge them
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"id,t,y\n1,1,0\n07,1,1\n7,1,0\n")
+    panel = read_panel_csv(path)
+    assert panel.ids.tolist() == ["1", "07", "7"]
+    assert panel.y.tolist() == [[0], [1], [0]]
+    path.write_bytes(b"id,t,y\n-4,1,0\n0,1,1\n12,1,0\n")
+    assert read_panel_csv(path).ids.tolist() == [-4, 0, 12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01a7-é ,\r\n", max_size=80))
+def test_byte_tokenizer_matches_csv_reader(text):
+    fast = panel_module._split_bytes(text.encode(), "utf-8")
+    assume(fast is not None)
+    slow = panel_module._split_text(text, "utf-8")
+    assert fast[0] == slow[0]
+    fast_rec, slow_rec = fast[1], slow[1]
+    if slow_rec is None:    # an empty file
+        assert fast_rec is None
+        return
+    assert fast_rec.error is None and slow_rec.error is None
+    assert fast_rec.lineno.tolist() == slow_rec.lineno.tolist()
+    assert fast_rec.short.tolist() == slow_rec.short.tolist()
+    for column in ("ids", "ts", "ys"):
+        got = [s.decode() for s in getattr(fast_rec, column).tolist()]
+        assert got == getattr(slow_rec, column).tolist(), column
+
+
+def _canonical(spelling: str) -> bool:
+    try:
+        return str(int(spelling)) == spelling
+    except ValueError:
+        return False
+
+
+@given(st.lists(st.text(alphabet="-0123456789a ", max_size=18), min_size=1, max_size=6))
+def test_vectorized_id_cast_matches_str_int(spellings):
+    labels = np.array([s.encode() for s in spellings])
+    got = panel_module._canonical_ints(labels)
+    if all(_canonical(s) for s in spellings):
+        assert got is not None and got.tolist() == [int(s) for s in spellings]
+    else:
+        assert got is None
+
+
+def test_read_allocates_under_76_bytes_per_line(tmp_path):
+    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
+    panel = simulate_panel(spec, DgpConfig(n_individuals=20_000, n_periods=5,
+                                           sigma_eta_sq=0.5, seed=2))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    lines = panel.n * panel.n_periods
+    tracemalloc.start()
+    try:
+        back = read_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.y, panel.y)
+    assert peak / lines < 76.0, peak / lines
