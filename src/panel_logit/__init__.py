@@ -26,7 +26,7 @@ from .inference import (NonpositiveAlpha, NonpositivePhiHat, OriginalEstimate,
                         ParamEstimate, SingularRestrictionCovariance,
                         TwoStepResult, WaldResult, ZeroDenominator, chi2_sf,
                         corrected_ratio_variance, recover_original,
-                        two_step_dtd_tm1, two_step_ratio, wald_test)
+                        two_step_dtd_tm1, wald_test)
 from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
                       alpha_values, all_windows, gh_coefficients, hbar_u,
                       hbar_upsilon, theta_kernels, transformed_moment_row,

@@ -226,7 +226,7 @@ def _cmd_estimate(args) -> int:
 
     try:
         panel = read_panel_csv(panel_path)
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
     resolved = {"panel": panel_path, "family": family, "variant": variant,
@@ -333,6 +333,8 @@ def _cmd_wald(args) -> int:
         window_t, n = block["window_t"], block["n"]
     except KeyError as exc:
         raise ConfigError(f"result file lacks field {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"result file is not an estimate result: {exc}") from exc
 
     est = TransformedEstimate(family=family, variant=parse_variant(variant_name),
                               window_t=window_t, n=n, col_labels=labels,

@@ -21,16 +21,19 @@ the one column supported only by the removed rows is dropped as well.
 
 Every row is a function of the five-period window ``(y_{t-3}, .., y_{t+1})``
 alone, so a system carries its rows at each of the 32 window cells
-(``y_cells``, ``x_cells``) with the cell counts ``c``; ``y_vec`` and
-``x_mat`` are their count-weighted means.  Point estimates come from a
+(``y_cells``, ``x_cells``) with the cell weights ``c``; ``y_vec`` and
+``x_mat`` are their weighted means.  Point estimates come from a
 pivoted LU solve with a reciprocal-condition guard; the weight matrix
 enters only the variance, never the point estimate.  The variance is the
 one sandwich
 
     (1/N) * inv(X' W X),   W = inv(S),   S = V' diag(c) V / N,
 
-with ``V = y_cells - x_cells @ alpha_hat`` the 32 x m residual table, so it
-costs the same whatever N is.  The two-step effect step of
+with ``V = y_cells - x_cells @ alpha_hat`` the 32 x m residual table and
+``N`` the total cell weight, so it costs the same whatever N is.  For a
+sample's counts N is the number of individuals; for the population's
+exact cell probabilities N is 1, and the sandwich is the asymptotic
+variance per individual.  The two-step effect step of
 ``inference.two_step_dtd_tm1`` borders ``X`` and ``V`` with one more row
 and goes through the same sandwich.
 """
@@ -313,6 +316,36 @@ def _reciprocal_condition(mat: np.ndarray, lu) -> float:
     return float(rcond)
 
 
+def _checked_lu(mat: np.ndarray, error, what: str):
+    """Pivoted LU factors of ``mat`` and its reciprocal condition estimate.
+
+    Raises ``error(message)`` when ``mat`` cannot be factored or the
+    estimate falls below ``RCOND_TOL``; the message names ``what`` and
+    reports the estimate.
+    """
+    try:
+        lu = lu_factor_quiet(mat)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise error(f"{what} not invertible: {exc}") from exc
+    rcond = _reciprocal_condition(mat, lu[0])
+    if rcond < RCOND_TOL:
+        raise error(f"{what} is numerically singular (rcond={rcond:.3e})")
+    return lu, rcond
+
+
+def _guarded_error(guards: dict[str, float]):
+    """``SingularSystem`` factory that ends its message with the guards."""
+    def error(message: str) -> SingularSystem:
+        failed = failed_guards(guards)
+        if failed:
+            message += "; zero determinant guards: " + ", ".join(failed)
+        elif guards:
+            vals = ", ".join(f"{k}={v:.3e}" for k, v in guards.items())
+            message += f"; determinant guards: {vals}"
+        return SingularSystem(message, guards)
+    return error
+
+
 def solve(system: LinearSystem) -> np.ndarray:
     """Solve the stacked system by pivoted LU with a condition guard.
 
@@ -323,17 +356,12 @@ def solve(system: LinearSystem) -> np.ndarray:
     x, y = system.x_mat, system.y_vec
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise SingularSystem("system contains non-finite entries", system.guards)
-    try:
-        lu, piv = lu_factor_quiet(x)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SingularSystem(f"factorization failed: {exc}", system.guards) from exc
-    rcond = _reciprocal_condition(x, lu)
-    if rcond < RCOND_TOL:
-        raise SingularSystem(_singular_message(system, rcond), system.guards)
-    theta = lu_solve((lu, piv), y)
+    what = f"{system.family}[{system.variant.name}] system at window {system.window_t}"
+    lu, rcond = _checked_lu(x, _guarded_error(system.guards), what)
+    theta = lu_solve(lu, y)
     # one refinement step keeps the residual at rounding level even when the
     # condition number approaches the guard threshold
-    theta += lu_solve((lu, piv), y - x @ theta)
+    theta += lu_solve(lu, y - x @ theta)
     resid = np.linalg.norm(x @ theta - y)
     if resid > RESIDUAL_RTOL * np.linalg.norm(y) + 1e-300:
         raise SingularSystem(
@@ -342,54 +370,27 @@ def solve(system: LinearSystem) -> np.ndarray:
     return theta
 
 
-def _singular_message(system: LinearSystem, rcond: float) -> str:
-    msg = (f"{system.family}[{system.variant.name}] system at window "
-           f"{system.window_t} is numerically singular (rcond={rcond:.3e})")
-    failed = failed_guards(system.guards)
-    if failed:
-        msg += "; zero determinant guards: " + ", ".join(failed)
-    elif system.guards:
-        vals = ", ".join(f"{k}={v:.3e}" for k, v in system.guards.items())
-        msg += f"; determinant guards: {vals}"
-    return msg
-
-
-def _checked_solve(mat: np.ndarray, rhs: np.ndarray, error, what: str) -> np.ndarray:
-    """``inv(mat) @ rhs`` by pivoted LU.
-
-    Raises ``error(message)`` when ``mat`` cannot be factored or its
-    reciprocal condition estimate falls below ``RCOND_TOL``; the message
-    names ``what`` and reports the estimate.
-    """
-    try:
-        lu = lu_factor_quiet(mat)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise error(f"{what} not invertible: {exc}") from exc
-    rcond = _reciprocal_condition(mat, lu[0])
-    if rcond < RCOND_TOL:
-        raise error(f"{what} is numerically singular (rcond={rcond:.3e})")
-    return lu_solve(lu, rhs)
-
-
 def _sandwich(system: LinearSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``inv(X' W X) / N`` symmetrized, ``W = inv(V' diag(c) V / N)``.
 
     ``v`` holds the residuals of each of the 32 window cells (one column
-    per row of ``x``) and ``c`` the cell counts of ``system``'s sample.
+    per row of ``x``), ``c`` the cell weights of ``system`` and ``N`` their
+    total.
     """
-    n = system.n
-    if n == 0:
-        raise ValueError("variance needs the cell counts of a sample aggregate")
+    n = system.cells.sum()
     m = x.shape[0]
     s_mat = (v.T * system.cells) @ v / n
-    w = _checked_solve(s_mat, np.eye(m), SingularWeight, "residual moment matrix")
+    lu = _checked_lu(s_mat, SingularWeight, "residual moment matrix")[0]
+    w = lu_solve(lu, np.eye(m))
     design_error = partial(SingularSystem, guards=system.guards)
-    vcov = _checked_solve(x.T @ w @ x, np.eye(m), design_error, "weighted design") / n
+    lu = _checked_lu(x.T @ w @ x, design_error, "weighted design")[0]
+    vcov = lu_solve(lu, np.eye(m)) / n
     return (vcov + vcov.T) / 2.0
 
 
 def variance(system: LinearSystem, alpha_hat: np.ndarray) -> np.ndarray:
-    """Asymptotic variance of the solved parameters of a sample system.
+    """Asymptotic variance of the solved parameters: of the estimate for a
+    sample system, per individual for a population system.
 
     Raises ``SingularWeight`` when the residual second-moment matrix is
     numerically singular and ``SingularSystem`` when the weighted design is.

@@ -19,6 +19,12 @@ therefore carries three extra terms beyond the stacked-system variance --
 the Jacobian of the ratio with respect to the plugged-in first-stage
 components against their covariances -- assembled in
 ``corrected_ratio_variance``.
+
+Every variance here comes from the sandwich of ``estimators``, which
+divides by the total cell weight N: for a sample it is the variance of the
+estimate, and for the population (exact cell probabilities, N = 1) the
+asymptotic variance per individual, the large-N limit of N times a
+sample's variance.
 """
 
 from __future__ import annotations
@@ -27,11 +33,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_solve
 from scipy.special import gammaincc
 
-from .aggregation import AggregateStats, cell_kernel
+from .aggregation import cell_kernel
 from .estimators import (EstimationError, LinearSystem, TransformedEstimate,
-                         _checked_solve, _sandwich)
+                         _checked_lu, _sandwich)
 
 
 class NonpositiveAlpha(EstimationError):
@@ -173,38 +180,15 @@ def _dagger_selector(family: str) -> tuple[str, str]:
                      f"got {family!r}")
 
 
-def _dagger_ratio(bars, a_hat: float, d_hat: float) -> tuple[float, float]:
-    """Second-step ratio and its denominator from the four dagger averages."""
-    b1, b2, b3, b4 = bars
-    num = a_hat * b1 + b2
-    den = a_hat * a_hat * b3 + d_hat * b4
-    if den == 0.0:
-        raise ZeroDenominator("dagger denominator at the preceding window is zero")
-    return -num / den, den
-
-
-def two_step_ratio(family: str, stats: AggregateStats, a_hat: float,
-                   d_hat: float) -> float:
-    """Point value of the second-step ratio (effect step, or its inverse for B).
-
-    ``stats`` is the aggregate at the first-stage window ``t``; the dagger
-    averages are its means one window back.  Usable on population
-    aggregates as well as samples; the full ``two_step_dtd_tm1``
-    additionally needs a sample system for the corrected variance.
-    """
-    kind, sel = _dagger_selector(family)
-    bars = [stats.bar(kind, j, sel, back=1) for j in range(1, 5)]
-    return _dagger_ratio(bars, a_hat, d_hat)[0]
-
-
 def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepResult:
     """Estimate the effect step at ``window_t - 1`` from first-stage results.
 
-    ``system`` is the sample system the first stage ``est`` solved.  The
-    dagger averages at window ``t - 1`` read four of the five periods of
-    its window cells, so the dagger row borders the system cell by cell
-    and its variance is the first stage's sandwich with one more row.
-    Unavailable for variants that drop the ``d`` component.
+    ``system`` is the system the first stage ``est`` solved, of a sample
+    or of the population.  The dagger averages at window ``t - 1`` read
+    four of the five periods of its window cells, so the dagger row
+    borders the system cell by cell and its variance is the first stage's
+    sandwich with one more row.  Unavailable for variants that drop the
+    ``d`` component.
     """
     kind, sel = _dagger_selector(est.family)
     if not est.has("d"):
@@ -214,8 +198,11 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     a_hat, d_hat = est.value("a"), est.value("d")
     kern = np.stack([cell_kernel(kind, j, sel, back=1) for j in range(1, 5)], axis=1)
     # exact for counts: the same means as ``stats.bar(kind, j, sel, back=1)``
-    bars = (system.cells @ kern / system.cells.sum()).tolist()
-    ratio, den = _dagger_ratio(bars, a_hat, d_hat)
+    b1, b2, b3, b4 = (system.cells @ kern / system.cells.sum()).tolist()
+    den = a_hat * a_hat * b3 + d_hat * b4
+    if den == 0.0:
+        raise ZeroDenominator("dagger denominator at the preceding window is zero")
+    ratio = -(a_hat * b1 + b2) / den
     if ratio <= 0.0:
         raise NonpositivePhiHat(f"second-step ratio {ratio:.6g} is nonpositive")
 
@@ -230,7 +217,6 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
                          system.y_cells - system.x_cells @ est.alpha))
     vcov_dag = _sandwich(system, v, x_dag)
 
-    b1, _, b3, b4 = bars
     jac = np.array([-(b1 + 2.0 * ratio * a_hat * b3) / den,
                     -ratio * b4 / den])
     idx_a = 1 + est.index("a")
@@ -321,8 +307,7 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     gap = rows @ ell
     cov_gap = rows @ v_log @ rows.T
 
-    solved = _checked_solve(cov_gap, gap, SingularRestrictionCovariance,
-                            "restriction covariance")
-    stat = float(max(gap @ solved, 0.0))
+    lu = _checked_lu(cov_gap, SingularRestrictionCovariance, "restriction covariance")[0]
+    stat = float(max(gap @ lu_solve(lu, gap), 0.0))
     df = rows.shape[0]
     return WaldResult(statistic=stat, df=df, p_value=chi2_sf(stat, df))

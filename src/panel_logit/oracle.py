@@ -7,7 +7,8 @@ fixed-effect values, and numerical ranks of moment-function value matrices
 over complete window enumerations.  Nothing is simulated, so pass/fail
 assertions carry no Monte Carlo error.  The population is a 32-cell window
 table like a sample's, weighted by exact probabilities instead of counts,
-and goes through the same aggregation builder.
+and goes through the same aggregation builder and the same variance
+sandwich, where its total weight N is 1.
 
 The fixed-effect heterogeneity enters through finite grids because the
 conditional moment identities hold pointwise in the fixed effect; any grid
@@ -328,7 +329,14 @@ _ETA_GRID = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
 def population_estimate(family: str, spec: ModelSpec, t: int,
                         variant: Variant) -> TransformedEstimate:
-    """Solve a population system and wrap it with a zero variance matrix."""
+    """Solve a population system on the check grid, for its point value.
+
+    ``vcov`` is zero: recovery is checked on every variant, and the
+    sandwich refuses some of them (``variance`` squares the condition of
+    ``X``).  Where it is defined, ``variance(system, alpha)`` is the
+    asymptotic variance per individual, since the population's total cell
+    weight N is 1.
+    """
     system = population_system(family, spec, t, _ETA_GRID[0], _ETA_GRID[1], variant)
     alpha = solve(system)
     return TransformedEstimate(family=family, variant=variant, window_t=t,

@@ -46,15 +46,17 @@ class PanelData:
     n: int = field(init=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.int8)
-        object.__setattr__(self, "y", y)
+        y = np.asarray(self.y)
         object.__setattr__(self, "ids", np.asarray(self.ids))
         if y.ndim != 2:
             raise ValueError("y must be a 2-d array")
         if len(self.ids) != y.shape[0]:
             raise ValueError("ids length must match the number of rows")
+        # check before the cast, which would wrap 256 to 0 and truncate 0.7
         if y.size and not np.isin(y, (0, 1)).all():
             raise ValueError("panel outcomes must be 0 or 1")
+        y = y.astype(np.int8, copy=False)
+        object.__setattr__(self, "y", y)
         if self.counts is None:
             counts = np.broadcast_to(np.int64(1), y.shape[:1])
         else:

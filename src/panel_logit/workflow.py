@@ -10,7 +10,7 @@ counted once per panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .aggregation import aggregate
 from .estimators import (TransformedEstimate, Variant, build_system,
@@ -72,11 +72,7 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
     two = None
     if two_step:
         two = two_step_dtd_tm1(est, system)
-        original = OriginalEstimate(
-            family=original.family, gamma=original.gamma,
-            gamma_from=original.gamma_from, dtd_t=original.dtd_t,
-            dtd_tp1=original.dtd_tp1, phi_coef=original.phi_coef,
-            dtd_tm1=two.dtd_tm1)
+        original = replace(original, dtd_tm1=two.dtd_tm1)
 
     wald_result = wald_test(est, wald) if wald else None
     return EstimationResult(transformed=est, original=original,

@@ -121,6 +121,15 @@ def test_estimate_bad_csv_exit_2(tmp_path):
     assert code == 2
 
 
+def test_estimate_overlong_field_exit_2(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    path = _write(tmp_path, "long.csv", f"id,t,y\n{'7' * (limit + 1)},1,0\n")
+    code = main(["estimate", path, "--family", "A",
+                 "--variant", "minus-3-7", "--window", "7"])
+    assert code == 2
+    assert f"field larger than field limit ({limit})" in capsys.readouterr().err
+
+
 def test_estimate_missing_args_exit_2(tmp_path):
     code = main(["estimate", "--family", "A"])
     assert code == 2
@@ -197,6 +206,12 @@ def test_wald_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["df"] == 3
     assert 0.0 <= payload["p_value"] <= 1.0
+
+
+def test_wald_on_json_that_is_not_an_object_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "list.json", "[1, 2]\n")
+    assert main(["wald", path, "--set", "ab-dummies"]) == 2
+    assert "not an estimate result" in capsys.readouterr().err
 
 
 def test_missing_config_exit_2(tmp_path):

@@ -184,14 +184,6 @@ def test_population_locus_raises_with_guard_diagnostics():
     assert "block_determinant" in failed_guards(err.value.guards)
 
 
-def test_variance_refuses_population_aggregates():
-    spec = spec_with_steps(1.0, 0.2, -0.1)
-    stats = population_aggregates(spec, 5, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    system = build_system("A", stats, VARIANT_MINUS_37)
-    with pytest.raises(ValueError, match="sample"):
-        variance(system, solve(system))
-
-
 def test_variance_scales_inversely_with_duplication():
     panel = _random_panel(n=300, t_periods=6, seed=13)
     stats = aggregate(panel, 4)

@@ -9,7 +9,7 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          alpha_from_spec, alpha_labels, chi2_sf,
                          corrected_ratio_variance, estimate_panel,
                          recover_original, simulate_panel, two_step_dtd_tm1,
-                         two_step_ratio, wald_test)
+                         wald_test)
 from panel_logit import DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
@@ -17,8 +17,8 @@ from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     SingularWeight, _sandwich, build_system,
                                     solve, variant_minus_r)
 from panel_logit.inference import RESTRICTION_SETS
-from panel_logit.oracle import (population_aggregates, population_estimate,
-                                population_system, spec_with_steps)
+from panel_logit.oracle import (population_estimate, population_system,
+                                spec_with_steps)
 
 ETA = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
@@ -150,36 +150,20 @@ def test_delta_variances_nonnegative_for_psd_input():
 def test_two_step_population_value():
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
     t = 7
-    stats = population_aggregates(spec, t, *ETA)
-    a = alpha_from_spec("A", spec, t)
-    labels = alpha_labels("A")
-    ratio = two_step_ratio("A", stats, a[labels.index("a")], a[labels.index("d")])
-    assert ratio == pytest.approx(math.exp(0.4), abs=1e-8)
-
-    b = alpha_from_spec("B", spec, t)
-    ratio_b = two_step_ratio("B", stats, b[labels.index("a")], b[labels.index("d")])
-    assert ratio_b == pytest.approx(math.exp(-0.4), abs=1e-8)
+    for family, variant, step in (("A", VARIANT_MINUS_37, 0.4),
+                                  ("B", VARIANT_MINUS_15, -0.4)):
+        est = population_estimate(family, spec, t, variant)
+        system = population_system(family, spec, t, *ETA, variant)
+        # B's ratio is the inverse of the effect step
+        assert two_step_dtd_tm1(est, system).ratio == pytest.approx(math.exp(step),
+                                                                    abs=1e-8)
 
 
 def test_two_step_ratio_refuses_other_families():
-    spec = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
-    stats = population_aggregates(spec, 6, *ETA)
     for family in ("C", "Z"):
-        with pytest.raises(ValueError, match="families A and B"):
-            two_step_ratio(family, stats, 1.3, 0.7)
-    est = _estimate("C", alpha_labels("C"), np.ones(8), variant=VARIANT_FULL)
-    with pytest.raises(ValueError, match="families A and B, got 'C'"):
-        two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
-
-
-def test_two_step_refuses_population_aggregates():
-    # the population ratio is positive, so only the missing sample stops it
-    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
-    t = 7
-    est = population_estimate("A", spec, t, VARIANT_MINUS_37)
-    system = population_system("A", spec, t, *ETA, VARIANT_MINUS_37)
-    with pytest.raises(ValueError, match="sample aggregate"):
-        two_step_dtd_tm1(est, system)
+        est = _estimate(family, alpha_labels("C"), np.ones(8), variant=VARIANT_FULL)
+        with pytest.raises(ValueError, match=f"families A and B, got '{family}'"):
+            two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
 
 
 def test_corrected_variance_reduces_without_covariances():
@@ -193,9 +177,9 @@ def test_corrected_variance_reduces_without_covariances():
 
 def test_two_step_zero_denominator():
     # everyone in the all-zero window: every dagger average is zero
-    stats = from_cells(5, np.eye(32)[0], n=0)
+    est = _estimate("A", LABELS6, np.ones(6), n=0)
     with pytest.raises(ZeroDenominator):
-        two_step_ratio("A", stats, 1.0, 1.0)
+        two_step_dtd_tm1(est, _dummy_system(est, np.eye(32)[0]))
 
 
 def test_two_step_nonpositive_ratio():
@@ -262,8 +246,10 @@ def test_two_step_end_to_end_matches_manual_ratio():
     panel = simulate_panel(spec, DgpConfig(n_individuals=120_000, n_periods=8,
                                            sigma_eta_sq=1.5, seed=2))
     res = estimate_panel(panel, "A", "minus-3-7", 6, two_step=True)
-    ratio = two_step_ratio("A", aggregate(panel, 6), res.transformed.value("a"),
-                           res.transformed.value("d"))
+    a, d = res.transformed.value("a"), res.transformed.value("d")
+    b1, b2, b3, b4 = (aggregate(panel, 6).bar("theta", j, "-", back=1)
+                      for j in range(1, 5))
+    ratio = -(a * b1 + b2) / (a * a * b3 + d * b4)
     assert res.two_step.ratio == pytest.approx(ratio, rel=1e-12)
     assert res.original.dtd_tm1.value == pytest.approx(math.log(ratio), rel=1e-12)
     assert res.two_step.var_ratio_corrected != res.two_step.var_ratio

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
+                         TransformedEstimate, build_system, build_system_c,
                          conditional_moment, logit_prob, moment_rank, path_law,
                          population_aggregates, population_system, run_checks,
-                         solve, theta_kernels, xi_kernels)
-from panel_logit.aggregation import SELECTORS
+                         solve, theta_kernels, two_step_dtd_tm1, variance,
+                         xi_kernels)
+from panel_logit.aggregation import SELECTORS, from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, variant_minus_r)
 from panel_logit.inference import recover_original
@@ -205,3 +207,53 @@ def test_population_recovery_at_late_windows(t):
         else:
             assert abs(orig.dtd_t.value - 0.2) <= 1e-8
             assert abs(orig.dtd_tp1.value + 0.1) <= 1e-8
+
+
+def _outputs_on_cells(family, variant, t, cells, two_step):
+    """Values and variances of every output of the system on ``cells``:
+    the transformed components, the recovered parameters and, with the
+    two-step, dtd_tm1."""
+    stats = from_cells(t, cells, n=0)
+    if family == "C":
+        system = build_system_c(stats, variant)
+    else:
+        system = build_system(family, stats, variant)
+    alpha = solve(system)
+    est = TransformedEstimate(family=family, variant=variant, window_t=t, n=0,
+                              col_labels=system.col_labels, alpha=alpha,
+                              vcov=variance(system, alpha))
+    orig = recover_original(est)
+    params = [p for p in (orig.gamma, orig.dtd_t, orig.dtd_tp1, orig.phi_coef)
+              if p is not None]
+    if two_step:
+        params.append(two_step_dtd_tm1(est, system).dtd_tm1)
+    values = np.concatenate([alpha, [p.value for p in params]])
+    variances = np.concatenate([np.diag(est.vcov), [p.se ** 2 for p in params]])
+    return values, variances
+
+
+def test_population_variance_is_the_multinomial_delta_method():
+    # every output is a smooth g(p) of the 32 window frequencies, so its
+    # variance per individual is J (diag p - p p') J' with J = dg/dp; J comes
+    # from Richardson-extrapolated central differences, not from the sandwich
+    grid = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
+    cases = [("A", VARIANT_MINUS_37, SPEC_31, 7, True),
+             ("B", VARIANT_MINUS_15, SPEC_31, 7, True),
+             ("C", VARIANT_FULL, TimeTrendSpec(gamma=-0.6, phi_coef=0.3), 6, False)]
+    for family, variant, spec, t, two_step in cases:
+        p = population_aggregates(spec, t, *grid).summands.counts
+        p = p / p.sum()
+        _, got = _outputs_on_cells(family, variant, t, p, two_step)
+
+        def central(k, h):
+            up, dn = p.copy(), p.copy()
+            up[k] += h
+            dn[k] -= h
+            return (_outputs_on_cells(family, variant, t, up, two_step)[0]
+                    - _outputs_on_cells(family, variant, t, dn, two_step)[0]) / (2 * h)
+
+        h = 1e-6
+        jac = np.column_stack([(4 * central(k, h / 2) - central(k, h)) / 3
+                               for k in range(32)])
+        expected = np.einsum("ij,jk,ik->i", jac, np.diag(p) - np.outer(p, p), jac)
+        assert np.max(np.abs(got / expected - 1.0)) <= 1e-6, (family, got, expected)

@@ -53,6 +53,15 @@ def test_counts_default_to_one_and_are_validated(tmp_path):
         write_panel_csv(counted, tmp_path / "counted.csv")
 
 
+def test_outcomes_are_checked_before_the_int8_cast():
+    # int8 would wrap 256 and 257 to 0 and 1, and truncate 0.7 to 0
+    for bad in (np.array([[256, 1, 257, 0, 0]]), np.array([[0.7, 1, 0, 0, 1]])):
+        with pytest.raises(ValueError, match="0 or 1"):
+            PanelData(y=bad, ids=[0])
+    panel = PanelData(y=np.array([[1.0, 0.0, 1.0]]), ids=[0])
+    assert panel.y.dtype == np.int8 and panel.y.tolist() == [[1, 0, 1]]
+
+
 def test_read_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("ident,period,outcome\n1,1,0\n")
