@@ -2,7 +2,10 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments;
 repeated keys accumulate into lists (used for ``estimator`` lines in Monte
-Carlo configs).  Flags override file values.
+Carlo configs).  Flags override file values.  A key the command does not
+read is refused, so a misspelt key cannot fall back to its default.
+``simulate`` also reads a Monte Carlo config and writes the panel of its
+replication 0 (before the discarded prefix).
 
 Every data output is paired with a ``<output>.manifest.json`` sidecar
 holding the command, the fully resolved configuration and the tool version,
@@ -156,7 +159,7 @@ def _write_sidecar(out_path: str, core: dict, elapsed: float) -> None:
         fh.write("\n")
 
 
-def _load_manifest(path: str) -> dict:
+def _load_manifest(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -165,13 +168,16 @@ def _load_manifest(path: str) -> dict:
     for key in ("command", "config"):
         if key not in manifest:
             raise ConfigError(f"manifest {path} lacks {key!r}")
+    if manifest["command"] != command:
+        raise ConfigError(f"manifest {path} is from {manifest['command']!r}, "
+                          f"not {command!r}")
     return manifest
 
 
 def _load_config(args, command: str) -> dict:
     """The flat config of ``args.config``, or the config of a manifest."""
     if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest)
+        manifest = _load_manifest(args.from_manifest, command)
         return {k: (v if isinstance(v, list) else str(v))
                 for k, v in manifest["config"].items()}
     if not args.config:
@@ -194,13 +200,25 @@ def _model_and_dgp(cfg: dict, seed_override: int | None) -> tuple[ModelSpec, Dgp
     return spec, dgp, resolved
 
 
+_EXPERIMENT_KEYS = ("replications", "discard_prefix", "estimator")
+
+
+def _refuse_unread(cfg: dict, command: str, read: list[str]) -> None:
+    unread = sorted(set(cfg) - set(read))
+    if unread:
+        raise ConfigError(f"{command} does not read config keys: "
+                          + ", ".join(repr(k) for k in unread))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_simulate(args) -> int:
-    spec, dgp, resolved = _model_and_dgp(_load_config(args, "simulate"), args.seed)
+    cfg = _load_config(args, "simulate")
+    spec, dgp, resolved = _model_and_dgp(cfg, args.seed)
     resolved["stream"] = dgp.stream
+    _refuse_unread(cfg, "simulate", [*resolved, *_EXPERIMENT_KEYS])
     start = time.perf_counter()
     panel = simulate_panel(spec, dgp)
     write_panel_csv(panel, args.out)
@@ -212,10 +230,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest)
-        cfg = manifest["config"]
-        panel_path = cfg["panel"]
-        family, variant, window = cfg["family"], cfg["variant"], int(cfg["window"])
+        cfg = _load_manifest(args.from_manifest, "estimate")["config"]
+        try:
+            panel_path = cfg["panel"]
+            family, variant, window = cfg["family"], cfg["variant"], int(cfg["window"])
+        except KeyError as exc:
+            raise ConfigError(f"manifest {args.from_manifest} lacks config key {exc}") from None
         two_step, wald = bool(cfg.get("two_step")), cfg.get("wald")
     else:
         if not (args.panel and args.family and args.variant and args.window is not None):
@@ -282,6 +302,8 @@ def _mc_raw_csv(summary, path: str) -> None:
 def _cmd_mc(args) -> int:
     cfg = _load_config(args, "mc")
     spec, dgp, resolved = _model_and_dgp(cfg, args.seed)
+    # no ``stream``: each replication draws its own
+    _refuse_unread(cfg, "mc", [*resolved, *_EXPERIMENT_KEYS])
     runs = _estimators_from_config(cfg)
     config = McConfig(spec=spec, dgp=dgp,
                       replications=_get(cfg, "replications", int, required=True),

@@ -1,31 +1,29 @@
 """Stacked just-identified linear systems and their weighted variances.
 
-Each estimator family stacks eight zero-mean rows into a square system
-``y_vec = x_mat @ alpha``:
+Every moment row is a function of the five-period window ``(y_{t-3}, ..,
+y_{t+1})`` alone, so each family's eight stacked rows are one constant
+table over the 32 window cells, ``row_cells(family) -> (y, x)``: the row
+value at cell ``k`` is ``y[k, r] - x[k, r] @ alpha`` over the family's
+full transformed parameter vector.  The tables are built once at import
+from ``kernels.ROW_TABLE`` and ``aggregation.cell_kernel``:
 
-* families A and B: the four moment rows of ``kernels.ROW_TABLE`` plus the
-  same four interacted with the outcome three periods before the window
-  (rows 5..8), all at one window;
-* family C: the four rows at window ``t`` stacked over the four rows at
-  window ``t - 1`` (no interaction).  The latter read ``y_{t-3} .. y_t``,
-  so both halves come from the one aggregate at window ``t``.
+* rows 1..4 are the four moment rows of ``ROW_TABLE`` at window ``t``; in
+  each, the kernel with a unit coefficient moves to ``y`` with a sign flip
+  and the other three fill the columns of their coefficient labels;
+* rows 5..8 are rows 1..4 interacted with the outcome three periods before
+  the window (families A and B), or at window ``t - 1`` (family C), which
+  reads ``y_{t-3} .. y_t`` and so the cells of window ``t``.
 
-Within each row, the kernel carrying a unit coefficient moves to the
-left-hand side with a sign flip and the remaining three kernels populate
-the columns of their coefficient labels.  ``_row_placements`` derives this
-placement from ``ROW_TABLE`` so the layout exists in exactly one place.
+A variant removes rows, and a column stays exactly when some kept row
+reads it.  Any single row removal makes a 7-parameter family square, as
+do the paired removals (rows 3 and 7, or rows 1 and 5, each dropping the
+one column only they read); family C keeps all eight rows.  A system
+carries its kept rows at each cell (``y_cells``, ``x_cells``) with the
+cell weights ``c``; ``y_vec`` and ``x_mat`` are their weighted means.
 
-Removing rows makes the system square: any single row for a 7-parameter
-family, or the paired removals (rows 3 and 7, or rows 1 and 5), after which
-the one column supported only by the removed rows is dropped as well.
-
-Every row is a function of the five-period window ``(y_{t-3}, .., y_{t+1})``
-alone, so a system carries its rows at each of the 32 window cells
-(``y_cells``, ``x_cells``) with the cell weights ``c``; ``y_vec`` and
-``x_mat`` are their weighted means.  Point estimates come from a
-pivoted LU solve with a reciprocal-condition guard; the weight matrix
-enters only the variance, never the point estimate.  The variance is the
-one sandwich
+Point estimates come from a pivoted LU solve with a reciprocal-condition
+guard; the weight matrix enters only the variance, never the point
+estimate.  The variance is the one sandwich
 
     (1/N) * inv(X' W X),   W = inv(S),   S = V' diag(c) V / N,
 
@@ -48,7 +46,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from .aggregation import AggregateStats, cell_kernel
-from .kernels import ROW_TABLE, alpha_labels
+from .kernels import FAMILIES, ROW_TABLE, alpha_labels
 
 RCOND_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
@@ -129,62 +127,54 @@ class LinearSystem:
     x_cells: np.ndarray
 
 
-def _row_placements(family: str):
-    """(kind, selector, y_kernel, [(label, kernel)]) for base rows 1..4."""
-    placements = []
-    for kind, sel, coeffs in ROW_TABLE[family]:
-        unit = coeffs.index("1") + 1
-        cols = [(label, j + 1) for j, label in enumerate(coeffs) if label != "1"]
-        placements.append((kind, sel, unit, cols))
-    return placements
+def _stacked_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
+    labels = alpha_labels(family)
+    y = np.zeros((32, 8))
+    x = np.zeros((32, 8, len(labels)))
+    for base, (kind, sel, coeffs) in enumerate(ROW_TABLE[family]):
+        # rows 5..8: at window t - 1 (C), or times y_{t-3} (A, B)
+        stacked = (sel, 1) if family == "C" else (sel + "+", 0)
+        for row, (selector, back) in ((base, (sel, 0)), (base + 4, stacked)):
+            for j, coef in enumerate(coeffs, start=1):
+                kern = cell_kernel(kind, j, selector, back)
+                if coef == "1":
+                    # subtracting from zeros keeps zero kernels at +0.0
+                    y[:, row] -= kern
+                else:
+                    x[:, row, labels.index(coef)] = kern
+    y.flags.writeable = x.flags.writeable = False
+    return y, x
 
 
-def _dropped_columns(family: str, removed_rows: tuple[int, ...]) -> tuple[str, ...]:
-    # a column goes when every stacked row it appears in was removed
-    placements = _row_placements(family)
-    support: dict[str, set[int]] = {label: set() for label in alpha_labels(family)}
-    for base in range(1, 5):
-        for label, _ in placements[base - 1][3]:
-            support[label].update((base, base + 4))
-    removed = set(removed_rows)
-    return tuple(label for label, rows in support.items() if rows <= removed)
+_ROW_CELLS = {family: _stacked_cells(family) for family in FAMILIES}
 
 
-def _stacked_row(family: str, row_id: int):
-    """Bar lookup plan for one stacked row: (back, selector, kind, unit, cols).
+def row_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eight stacked rows of a family at the 32 window cells.
 
-    ``back`` is 1 for the rows at window ``t - 1`` (family C rows 5..8), 0
-    for rows at window ``t``.
+    ``y`` is 32 x 8 and ``x`` 32 x 8 x L over the family's L transformed
+    components, both read-only; cells are in window-code order, rows
+    1..8 in order.
     """
-    base = (row_id - 1) % 4 + 1
-    kind, sel, unit, cols = _row_placements(family)[base - 1]
-    if row_id <= 4:
-        return 0, sel, kind, unit, cols
-    if family == "C":
-        return 1, sel, kind, unit, cols
-    return 0, sel + "+", kind, unit, cols  # interact with the outcome at t-3
+    try:
+        return _ROW_CELLS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
 
 
 def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSystem:
-    labels = alpha_labels(family)
-    dropped = _dropped_columns(family, variant.removed_rows)
-    kept_cols = tuple(c for c in labels if c not in dropped)
+    y_rows, x_rows = row_cells(family)
     kept_rows = tuple(r for r in range(1, 9) if r not in variant.removed_rows)
-    if len(kept_rows) != len(kept_cols):
+    rows = np.array(kept_rows) - 1
+    x_kept = x_rows.take(rows, axis=1)
+    cols = np.flatnonzero(x_kept.any(axis=(0, 1)))
+    if len(rows) != len(cols):
         raise ValueError(f"variant {variant.name!r} leaves a non-square system "
-                         f"({len(kept_rows)}x{len(kept_cols)}) for family {family}")
-    col_pos = {c: k for k, c in enumerate(kept_cols)}
-
-    m = len(kept_rows)
-    y_cells = np.zeros((32, m))
-    x_cells = np.zeros((32, m, m))
-    for k, row_id in enumerate(kept_rows):
-        back, sel, kind, unit, cols = _stacked_row(family, row_id)
-        # subtracting from zeros keeps zero kernels at +0.0; negating gives -0.0
-        y_cells[:, k] -= cell_kernel(kind, unit, sel, back)
-        for label, j in cols:
-            if label in col_pos:
-                x_cells[:, k, col_pos[label]] = cell_kernel(kind, j, sel, back)
+                         f"({len(rows)}x{len(cols)}) for family {family}")
+    # ``take`` keeps the cell tables C-ordered: for the population's
+    # probabilities, the order in which the means below add cells shows
+    y_cells = y_rows.take(rows, axis=1)
+    x_cells = x_kept.take(cols, axis=2)
     # for counts every cell sum is an exact integer, so these means equal
     # the kernel means of ``stats.bar`` bitwise
     cells = stats.summands.counts
@@ -192,19 +182,18 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSys
     y = cells @ y_cells / total
     x = np.tensordot(cells, x_cells, axes=1) / total
 
-    guards = _guard_values(family, variant, stats)
+    labels = alpha_labels(family)
     return LinearSystem(family=family, variant=variant, window_t=stats.window_t,
                         n=stats.n, y_vec=y, x_mat=x, row_ids=kept_rows,
-                        col_labels=kept_cols, guards=guards, cells=cells,
-                        y_cells=y_cells, x_cells=x_cells)
+                        col_labels=tuple(labels[c] for c in cols),
+                        guards=_guard_values(family, variant, stats),
+                        cells=cells, y_cells=y_cells, x_cells=x_cells)
 
 
 def build_system(family: str, stats: AggregateStats, variant: Variant) -> LinearSystem:
     """Stack the eight moment rows of family A or B at one window."""
     if family not in ("A", "B"):
         raise ValueError(f"build_system handles families A and B, got {family!r}")
-    if variant.name == "full":
-        raise ValueError("families A and B need a row removal to be square")
     return _assemble(family, variant, stats)
 
 
@@ -215,8 +204,6 @@ def build_system_c(stats: AggregateStats,
     Both come from the aggregate at window ``t``: the rows at ``t - 1`` read
     its cells one period back.
     """
-    if variant.name != "full":
-        raise ValueError("family C uses the full eight-row system")
     return _assemble("C", variant, stats)
 
 
@@ -298,14 +285,6 @@ def failed_guards(guards: dict[str, float], tol: float = 1e-10) -> list[str]:
 # solve and variance
 
 
-def lu_factor_quiet(mat: np.ndarray):
-    """LU factorization without the exactly-singular warning; the condition
-    guard downstream turns that case into a typed error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(mat)
-
-
 def _reciprocal_condition(mat: np.ndarray, lu) -> float:
     anorm = np.linalg.norm(mat, 1)
     if anorm == 0.0:
@@ -324,7 +303,11 @@ def _checked_lu(mat: np.ndarray, error, what: str):
     reports the estimate.
     """
     try:
-        lu = lu_factor_quiet(mat)
+        # an exactly singular matrix warns; the condition guard below
+        # turns it into ``error``
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu = lu_factor(mat)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise error(f"{what} not invertible: {exc}") from exc
     rcond = _reciprocal_condition(mat, lu[0])

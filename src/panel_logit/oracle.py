@@ -27,8 +27,8 @@ import numpy as np
 from . import kernels
 from .aggregation import AggregateStats, from_cells
 from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
-                         VARIANT_MINUS_37, build_system, build_system_c, solve,
-                         variant_minus_r, TransformedEstimate)
+                         VARIANT_MINUS_37, build_system, build_system_c, row_cells,
+                         solve, variant_minus_r, TransformedEstimate)
 from .inference import recover_original
 from .kernels import Window5, all_windows, alpha_from_spec, alpha_labels
 from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law, logit_prob
@@ -134,26 +134,13 @@ def population_system(family: str, spec: ModelSpec, t: int,
 def _value_matrix(family: str, spec: ModelSpec, t: int,
                   rows: Sequence[int]) -> np.ndarray:
     """Moment rows at the true parameters, one column per window-``t``
-    pattern ``(y_{t-3}, .., y_{t+1})``.
-
-    Rows 5..8 are rows 1..4 interacted with ``y_{t-3}`` (A, B) or at window
-    ``t - 1`` (C), which read ``y_{t-3} .. y_t`` and not ``y_{t-4}``.
-    """
-    alphas = alpha_from_spec(family, spec, t)
-    alphas_tm1 = alpha_from_spec(family, spec, t - 1) if family == "C" else alphas
-    wins = all_windows()
-    mat = np.empty((len(rows), len(wins)))
-    for k, row_id in enumerate(rows):
-        base = (row_id - 1) % 4 + 1
-        for c, w in enumerate(wins):
-            if row_id <= 4:
-                mat[k, c] = kernels.transformed_moment_row(family, base, w, alphas)
-            elif family == "C":
-                mat[k, c] = kernels.transformed_moment_row(family, base, (0,) + w[:4],
-                                                           alphas_tm1)
-            else:
-                mat[k, c] = kernels.transformed_moment_row(family, base, w, alphas) * w[0]
-    return mat
+    cell: minus the residual of ``row_cells`` at the true ``alpha``."""
+    alpha = alpha_from_spec(family, spec, t)
+    if family == "C":
+        # rows 5..8 are at window t - 1: refuse a step that changes there
+        alpha_from_spec(family, spec, t - 1)
+    y, x = row_cells(family)
+    return (x @ alpha - y)[:, np.array(rows) - 1].T
 
 
 def moment_rank(family: str, spec: ModelSpec, t: int,

@@ -178,6 +178,57 @@ def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     assert all(row["message"] == "" for row in raw if row["status"] == "ok")
 
 
+TREND_CONFIG = """
+model = trend
+gamma = 0.8
+phi_coef = 0.2
+n_individuals = 50
+n_periods = 8
+"""
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", SIM_CONFIG.format(n=50, seed=1) + "sigma_eta_sg = 0.5\n", "sigma_eta_sg"),
+    ("simulate", TREND_CONFIG + "td = 0.0 0.1\n", "td"),
+    ("simulate", SIM_CONFIG.format(n=50, seed=1) + "phi_coef = 0.2\n", "phi_coef"),
+    ("mc", MC_CONFIG.format(n=50, seed=1, reps=2) + "stream = 3\n", "stream"),
+], ids=["misspelt", "td-under-trend", "phi_coef-under-dummies", "stream-in-mc"])
+def test_unread_config_key_exit_2(tmp_path, capsys, command, text, key):
+    cfg = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{command} does not read config keys: {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_reads_an_mc_config(tmp_path):
+    # the panel of replication 0, which draws stream 0
+    mc_cfg = _write(tmp_path, "mc.cfg", MC_CONFIG.format(n=50, seed=1, reps=2))
+    sim_cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=50, seed=1))
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", "--config", mc_cfg, "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", sim_cfg, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_from_manifest_of_another_command_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=50, seed=1))
+    panel_path = tmp_path / "panel.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(panel_path)]) == 0
+    manifest = str(panel_path) + ".manifest.json"
+    capsys.readouterr()
+    assert main(["estimate", "--from-manifest", manifest]) == 2
+    assert "is from 'simulate', not 'estimate'" in capsys.readouterr().err
+    assert main(["mc", "--from-manifest", manifest, "--out", str(tmp_path / "s.csv")]) == 2
+    assert "is from 'simulate', not 'mc'" in capsys.readouterr().err
+
+
+def test_estimate_manifest_lacking_a_key_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "m.json", '{"command": "estimate", "config": {"family": "A"}}')
+    assert main(["estimate", "--from-manifest", path]) == 2
+    assert "lacks config key 'panel'" in capsys.readouterr().err
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--level", "identities", "--level", "ranks"]) == 0
     out = capsys.readouterr().out

@@ -2,55 +2,70 @@
 
 The reference below forms the residual second moments the textbook way,
 ``S = mean_i v_i v_i'`` over every individual of the panel.  Each
-individual's stacked moment row ``(y_i, X_i)`` is the system built from
-aggregates of that individual alone, one per window, so the reference
-shares only the stacked layout (``_stacked_row``) with the code under test,
-not its cell tables.
+individual's residual row is minus its scalar moment rows
+``kernels.transformed_moment_row`` at the solved ``alpha``: rows 1..4 at
+window ``t``, rows 5..8 the same times ``y_{t-3}`` (families A, B) or at
+window ``t - 1`` (family C).  The two-step's extra row and its kernel
+means come from the scalar kernels at window ``t - 1``.  The reference so
+shares neither the stacked layout nor the cell tables with the code under
+test.
 """
 
 import numpy as np
 import pytest
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
-                         aggregate, build_system, build_system_c, estimate_panel,
-                         parse_variant, simulate_histogram, simulate_panel, solve,
-                         two_step_dtd_tm1, variance)
-from panel_logit.estimators import TransformedEstimate, _stacked_row
+                         aggregate, alpha_labels, build_system, build_system_c,
+                         estimate_panel, parse_variant, simulate_histogram,
+                         simulate_panel, solve, theta_kernels,
+                         transformed_moment_row, two_step_dtd_tm1, variance,
+                         xi_kernels)
+from panel_logit.estimators import TransformedEstimate
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
 
 
-def _bar_rows(system, st_t, st_tm1):
-    """Stacked rows (y, X) of ``system``'s layout from the kernel means of
-    ``st_t``, and of ``st_tm1`` for family C's rows at window t-1."""
-    col_pos = {c: k for k, c in enumerate(system.col_labels)}
-    m = len(system.row_ids)
-    y, x = np.zeros(m), np.zeros((m, m))
-    for k, row_id in enumerate(system.row_ids):
-        back, sel, kind, unit, cols = _stacked_row(system.family, row_id)
-        src = st_tm1 if back else st_t
-        y[k] = -src.bar(kind, unit, sel)
-        for label, j in cols:
-            if label in col_pos:
-                x[k, col_pos[label]] = src.bar(kind, j, sel)
-    return y, x
+def _windows(y, t0, t):
+    """One individual's windows at t and t - 1: periods t-3..t+1 and t-4..t."""
+    return tuple(y[t - 3 - t0:t + 2 - t0]), tuple(y[t - 4 - t0:t + 1 - t0])
+
+
+def _scalar_rows(family, row_ids, w_t, w_tm1, alphas):
+    """Stacked moment rows of one individual from the scalar expansion."""
+    out = []
+    for row_id in row_ids:
+        base = (row_id - 1) % 4 + 1
+        if row_id <= 4:
+            out.append(transformed_moment_row(family, base, w_t, alphas))
+        elif family == "C":
+            out.append(transformed_moment_row(family, base, w_tm1, alphas))
+        else:
+            out.append(transformed_moment_row(family, base, w_t, alphas) * w_t[0])
+    return np.array(out)
+
+
+def _dagger_kernels(w_tm1, kind, sel):
+    """Selected kernels 1..4 of one individual at window t - 1."""
+    kern = theta_kernels(w_tm1) if kind == "theta" else xi_kernels(w_tm1)
+    return (w_tm1[1] if sel == "+" else 1 - w_tm1[1]) * kern
 
 
 def _per_individual(panel, system, alpha, dagger=None):
     """Residual rows v_i of every individual (and its dagger residual)."""
     t = system.window_t
+    # the full alpha vector; a dropped component sits only in removed rows
+    named = dict(zip(system.col_labels, alpha))
+    alphas = [named.get(c, 0.0) for c in alpha_labels(system.family)]
     rows, memo = [], {}
     for y in panel.y:
         key = y.tobytes()
         if key not in memo:
-            one = PanelData(y=y[None, :], ids=np.zeros(1), t0=panel.t0)
-            st_t, st_tm1 = aggregate(one, t), aggregate(one, t - 1)
-            y_vec, x_mat = _bar_rows(system, st_t, st_tm1)
-            v = y_vec - x_mat @ alpha
+            w_t, w_tm1 = _windows(y, panel.t0, t)
+            v = -_scalar_rows(system.family, system.row_ids, w_t, w_tm1, alphas)
             if dagger is not None:
                 kind, sel, a, d, ratio = dagger
-                b1, b2, b3, b4 = (st_tm1.bar(kind, j, sel) for j in range(1, 5))
+                b1, b2, b3, b4 = _dagger_kernels(w_tm1, kind, sel)
                 v = np.concatenate(([-(a * b1 + b2) - (a * a * b3 + d * b4) * ratio], v))
             memo[key] = v
         rows.append(memo[key])
@@ -73,7 +88,7 @@ def _assert_cov_close(got, want):
 
 def _check_against_reference(panel, family, variant, t, two_step):
     variant = parse_variant(variant)
-    st_t, st_tm1 = aggregate(panel, t), aggregate(panel, t - 1)
+    st_t = aggregate(panel, t)
     if family == "C":
         system = build_system_c(st_t, variant)
     else:
@@ -91,7 +106,9 @@ def _check_against_reference(panel, family, variant, t, two_step):
     two = two_step_dtd_tm1(est, system)
     kind, sel = ("theta", "-") if family == "A" else ("xi", "+")
     a, d = est.value("a"), est.value("d")
-    b1, b2, b3, b4 = (st_tm1.bar(kind, j, sel) for j in range(1, 5))
+    hist, counts = np.unique(panel.y, axis=0, return_counts=True)
+    b1, b2, b3, b4 = counts @ np.array([_dagger_kernels(_windows(y, panel.t0, t)[1], kind, sel)
+                                        for y in hist]) / panel.n
     den = a * a * b3 + d * b4
     ratio = -(a * b1 + b2) / den
     m = len(alpha)

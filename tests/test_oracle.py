@@ -13,8 +13,9 @@ from panel_logit.aggregation import SELECTORS, from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, variant_minus_r)
 from panel_logit.inference import recover_original
-from panel_logit.kernels import alpha_from_spec, alpha_labels
-from panel_logit.oracle import (ConditioningState, check_identities,
+from panel_logit.kernels import (all_windows, alpha_from_spec, alpha_labels,
+                                 transformed_moment_row)
+from panel_logit.oracle import (ConditioningState, _value_matrix, check_identities,
                                 check_three_period_rank,
                                 check_vanishing_rows, format_report,
                                 hbar_function, moment_row_function,
@@ -110,6 +111,32 @@ def test_moment_rank_values():
     trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
     assert moment_rank("C", trend, 5) == 8
     assert moment_rank("C", TimeTrendSpec(gamma=0.0, phi_coef=0.0), 5) < 8
+
+
+@pytest.mark.parametrize("family, spec", [
+    ("A", spec_with_steps(1.0, 0.2, -0.1)),
+    ("A", spec_with_steps(0.0, 0.2, 0.0)),
+    ("B", spec_with_steps(-0.5, 0.4, 0.3)),
+    ("C", TimeTrendSpec(gamma=1.0, phi_coef=0.3)),
+    ("C", TimeTrendSpec(gamma=0.0, phi_coef=0.0)),
+])
+def test_rank_matrix_is_the_scalar_expansion(family, spec):
+    # rows 5..8 are rows 1..4 times y_{t-3} (A, B) or at window t-1 (C),
+    # whose first period y_{t-4} no row reads
+    alphas = alpha_from_spec(family, spec, 5)
+    want = np.empty((8, 32))
+    for c, w in enumerate(all_windows()):
+        for row in range(8):
+            base = row % 4 + 1
+            if row < 4:
+                want[row, c] = transformed_moment_row(family, base, w, alphas)
+            elif family == "C":
+                want[row, c] = transformed_moment_row(family, base, (0,) + w[:4], alphas)
+            else:
+                want[row, c] = transformed_moment_row(family, base, w, alphas) * w[0]
+    assert np.array_equal(_value_matrix(family, spec, 5, range(1, 9)), want)
+    rows = (1, 2, 4, 5, 6, 8)
+    assert np.array_equal(_value_matrix(family, spec, 5, rows), want[np.array(rows) - 1])
 
 
 def test_mutated_kernel_breaks_identities():
