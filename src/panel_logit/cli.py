@@ -92,8 +92,8 @@ def _model_from_config(cfg: dict) -> ModelSpec:
     model = _get(cfg, "model", str, required=True)
     gamma = _get(cfg, "gamma", float, required=True)
     if model == "dummies":
-        raw = _get(cfg, "td", str, required=True)
-        td = tuple(float(v) for v in raw.replace(",", " ").split())
+        td = _get(cfg, "td", lambda v: tuple(map(float, v.replace(",", " ").split())),
+                  required=True)
         return TimeDummiesSpec(gamma=gamma, td=td)
     if model == "trend":
         return TimeTrendSpec(gamma=gamma,

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from .aggregation import AggregateStats, cell_kernel
-from .kernels import FAMILIES, ROW_TABLE, alpha_labels
+from .kernels import ROW_TABLE, alpha_labels
 
 RCOND_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
@@ -146,7 +146,7 @@ def _stacked_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-_ROW_CELLS = {family: _stacked_cells(family) for family in FAMILIES}
+_ROW_CELLS = {family: _stacked_cells(family) for family in ROW_TABLE}
 
 
 def row_cells(family: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,12 @@
 """Original-parameter recovery, the two-step lagged effect step, and Wald tests.
 
-The transformed parameters are products of ``exp`` terms, so the original
-parameters are linear combinations of their logarithms:
-
-* family A: ``gamma = log(d) - log(a)`` (or ``log(a) - log(e)`` when the
-  ``d`` component was dropped by the variant), ``dtd_t = log(a)``,
-  ``dtd_tp1 = -log(b)``;
-* family B: the same ``gamma`` maps with ``dtd_t = -log(a)`` and
-  ``dtd_tp1 = log(b)``;
-* family C: ``gamma = log(e) - log(a)``, ``phi_coef = log(a)``.
-
-Standard errors propagate through these maps by the delta method.
+The transformed parameters are ``alpha = exp(M @ beta)`` for the integer
+exponent table M of ``kernels.EXPONENTS``, so the original parameters beta
+are linear in ``log(alpha)``.  Recovery solves ``beta = inv(M_S) @
+log(alpha_S)`` on the paper's basis components S, with the delta-method
+covariance ``J V_S J'``, ``J = inv(M_S) @ diag(1 / alpha_S)``.  The Wald
+restrictions are M's left null space: a row ``log(alpha_k) - M_k @ inv(M_S)
+@ log(alpha_S)`` for each tested component k outside S.
 
 The effect step one period before the window is recovered in a second step:
 a ratio of dagger-combined window ``t-1`` averages whose weights depend on
@@ -31,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import lu_solve
@@ -39,6 +36,7 @@ from scipy.special import gammaincc
 from .aggregation import cell_kernel
 from .estimators import (EstimationError, LinearSystem, TransformedEstimate,
                          _checked_lu, _sandwich)
+from .kernels import alpha_labels, exponents
 
 
 class NonpositiveAlpha(EstimationError):
@@ -91,51 +89,42 @@ def _require_positive(est: TransformedEstimate, labels: tuple[str, ...]) -> None
         raise NonpositiveAlpha(f"cannot take logs of nonpositive components: {vals}")
 
 
-def _delta_var(est: TransformedEstimate, labels: tuple[str, ...],
-               grad: np.ndarray) -> float:
-    cov = est.cov_block(labels)
-    return float(max(grad @ cov @ grad, 0.0))
+@cache
+def _basis(family: str, model: str, has_d: bool) -> tuple[tuple[str, ...], np.ndarray]:
+    """Basis components S of a model and the exact integer inverse of M_S.
 
-
-def _log_ratio(est: TransformedEstimate, num: str, den: str) -> ParamEstimate:
-    _require_positive(est, (num, den))
-    value = math.log(est.value(num)) - math.log(est.value(den))
-    grad = np.array([1.0 / est.value(num), -1.0 / est.value(den)])
-    return ParamEstimate(value, math.sqrt(_delta_var(est, (num, den), grad)))
-
-
-def _signed_log(est: TransformedEstimate, label: str, sign: float) -> ParamEstimate:
-    _require_positive(est, (label,))
-    value = sign * math.log(est.value(label))
-    var = (1.0 / est.value(label)) ** 2 * max(est.vcov[est.index(label), est.index(label)], 0.0)
-    return ParamEstimate(value, math.sqrt(var))
+    S is ``(a, d, b)``, or ``(a, e, b)`` without ``d``; a trend model keeps
+    two, and family C's are ``(a, e)``.  Each M_S is unimodular.
+    """
+    m = exponents(family, model)
+    basis = ("a", "d" if has_d and family != "C" else "e", "b")[:m.shape[1]]
+    m_s = m[[alpha_labels(family).index(c) for c in basis]]
+    inv = np.rint(np.linalg.inv(m_s)).astype(np.int64)
+    if not (m_s @ inv == np.eye(len(basis), dtype=np.int64)).all():
+        raise ValueError(f"{family} {model} basis {basis} is not unimodular")
+    inv.flags.writeable = False
+    return basis, inv
 
 
 def recover_original(est: TransformedEstimate) -> OriginalEstimate:
     """Map a transformed estimate to the original parameters.
 
-    Raises ``NonpositiveAlpha`` when a needed component is nonpositive;
+    Raises ``NonpositiveAlpha`` when a basis component is nonpositive;
     estimates are never clamped.
     """
-    if est.family in ("A", "B"):
-        if est.has("d"):
-            gamma, src = _log_ratio(est, "d", "a"), "d"
-        else:
-            gamma, src = _log_ratio(est, "a", "e"), "e"
-        sign = 1.0 if est.family == "A" else -1.0
-        return OriginalEstimate(
-            family=est.family,
-            gamma=gamma, gamma_from=src,
-            dtd_t=_signed_log(est, "a", sign),
-            dtd_tp1=_signed_log(est, "b", -sign),
-        )
-    if est.family == "C":
-        return OriginalEstimate(
-            family="C",
-            gamma=_log_ratio(est, "e", "a"), gamma_from="e",
-            phi_coef=_signed_log(est, "a", 1.0),
-        )
-    raise ValueError(f"unknown family {est.family!r}")
+    model = "trend" if est.family == "C" else "dummies"
+    basis, inv = _basis(est.family, model, est.has("d"))
+    _require_positive(est, basis)
+    alpha_s = np.array([est.value(c) for c in basis])
+    beta = inv @ np.array([math.log(v) for v in alpha_s])
+    jac = inv / alpha_s
+    var = np.diag(jac @ est.cov_block(basis) @ jac.T)
+    params = [ParamEstimate(float(b), math.sqrt(max(v, 0.0))) for b, v in zip(beta, var)]
+    if model == "trend":
+        return OriginalEstimate(family=est.family, gamma=params[0], gamma_from="e",
+                                phi_coef=params[1])
+    return OriginalEstimate(family=est.family, gamma=params[0], gamma_from=basis[1],
+                            dtd_t=params[1], dtd_tp1=params[2])
 
 
 # ---------------------------------------------------------------------------
@@ -248,31 +237,24 @@ class WaldResult:
         return {"statistic": self.statistic, "df": self.df, "p_value": self.p_value}
 
 
-_LABELS_6 = ("a", "b", "c", "d", "f", "g")
-_LABELS_8 = ("a", "b", "c", "d", "e", "f", "g", "h")
-
-# rows annihilate the log-parameter vector at any true parameter point
-RESTRICTION_SETS: dict[str, tuple[tuple[str, ...], np.ndarray]] = {
-    "ab-dummies": (_LABELS_6, np.array([
-        [1, -1, -1, 0, 0, 0],
-        [1, 1, 0, -1, -1, 0],
-        [2, -1, 0, -1, 0, -1],
-    ], dtype=np.float64)),
-    "c-trend": (_LABELS_8, np.array([
-        [-1, -1, 0, 0, 0, 0, 0, 0],
-        [2, 0, -1, 0, 0, 0, 0, 0],
-        [-2, 0, 0, -1, 0, 0, 0, 0],
-        [2, 0, 0, 0, -1, -1, 0, 0],
-        [-2, 0, 0, 0, 1, 0, -1, 0],
-        [0, 0, 0, 0, -1, 0, 0, -1],
-    ], dtype=np.float64)),
-    "ab-trend": (_LABELS_6, np.array([
-        [-1, -1, 0, 0, 0, 0],
-        [2, 0, -1, 0, 0, 0],
-        [0, 0, 0, -1, -1, 0],
-        [3, 0, 0, -1, 0, -1],
-    ], dtype=np.float64)),
+# each set: the components it tests and the model they follow
+RESTRICTION_SETS: dict[str, tuple[tuple[str, ...], str]] = {
+    "ab-dummies": (("a", "b", "c", "d", "f", "g"), "dummies"),
+    "c-trend": (("a", "b", "c", "d", "e", "f", "g", "h"), "trend"),
+    "ab-trend": (("a", "b", "c", "d", "f", "g"), "trend"),
 }
+
+
+def restriction_rows(family: str, restriction_set: str) -> np.ndarray:
+    """Rows R with ``R @ log(alpha) == 0`` under the set's model: one per
+    tested component outside the basis, spanning the left null space of M."""
+    labels, model = RESTRICTION_SETS[restriction_set]
+    basis, inv = _basis(family, model, "d" in labels)
+    m = exponents(family, model)[[alpha_labels(family).index(c) for c in labels]]
+    rest = [k for k, c in enumerate(labels) if c not in basis]
+    rows = np.eye(len(labels))[rest]
+    rows[:, [labels.index(c) for c in basis]] = -(m[rest] @ inv)
+    return rows
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -291,7 +273,7 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     asymptotically chi-square with one degree of freedom per restriction.
     """
     try:
-        labels, rows = RESTRICTION_SETS[restriction_set]
+        labels, _ = RESTRICTION_SETS[restriction_set]
     except KeyError:
         raise ValueError(f"unknown restriction set {restriction_set!r}; "
                          f"choose from {sorted(RESTRICTION_SETS)}") from None
@@ -300,6 +282,7 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
             f"restriction set {restriction_set!r} expects components {labels}, "
             f"estimate has {est.col_labels}")
     _require_positive(est, labels)
+    rows = restriction_rows(est.family, restriction_set)
 
     alpha = est.alpha
     ell = np.log(alpha)

@@ -5,6 +5,12 @@ Everything here is a pure function of a five-period outcome window
 window, expressed through ``delta = exp(gamma) - 1`` and the multiplicative
 effect steps ``phi_t, phi_tp1``.
 
+Every transformed parameter is a product of powers of ``(1 + delta)``,
+``phi_t`` and ``phi_tp1``: ``alpha = exp(M @ beta)`` with ``beta = (log(1 +
+delta), log phi_t, log phi_tp1)`` and ``M = EXPONENTS[family]`` a small
+integer table.  The true values (``alpha_values``), the recovery of the
+original parameters and the Wald restrictions of ``inference`` all read it.
+
 Two computation paths exist for each of the twelve transformed moment
 functions (three families A, B, C with four rows each):
 
@@ -35,25 +41,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelSpec, TimeDummiesSpec
+from .model import ModelSpec
 
 Window5 = tuple[int, int, int, int, int]
 
-FAMILIES = ("A", "B", "C")
-
-_ALPHA_LABELS = {
-    "A": ("a", "b", "c", "d", "e", "f", "g"),
-    "B": ("a", "b", "c", "d", "e", "f", "g"),
-    "C": ("a", "b", "c", "d", "e", "f", "g", "h"),
-}
-
 
 def alpha_labels(family: str) -> tuple[str, ...]:
-    """Component labels of the transformed parameter vector for a family."""
-    try:
-        return _ALPHA_LABELS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
+    """Component labels of a family, one per row of its exponent table."""
+    return tuple("abcdefgh"[:len(exponents(family))])
 
 
 def all_windows() -> list[Window5]:
@@ -128,11 +123,13 @@ def gh_coefficients(delta: float, phi_t: float, phi_tp1: float) -> GhCoefficient
     )
 
 
-def _check_params(delta: float, phi_t: float, phi_tp1: float) -> None:
+def _check_params(delta: float, phi_t: float, phi_tp1: float, family: str = "") -> None:
     if phi_t <= 0.0 or phi_tp1 <= 0.0:
         raise ValueError("effect steps phi_t, phi_tp1 must be positive")
     if delta <= -1.0:
         raise ValueError("delta must exceed -1")
+    if family == "C" and phi_t != phi_tp1:
+        raise ValueError("family C requires equal effect steps (a time-trend model)")
 
 
 def hbar_u(w: Window5, delta: float, phi_t: float, phi_tp1: float) -> float:
@@ -222,9 +219,7 @@ def _row_entry(family: str, which: int):
 def scaled_hbar_row(family: str, which: int, w: Window5, delta: float,
                     phi_t: float, phi_tp1: float) -> float:
     """Moment row evaluated by rescaling the matching conditional form."""
-    _check_params(delta, phi_t, phi_tp1)
-    if family == "C" and phi_t != phi_tp1:
-        raise ValueError("family C requires equal effect steps")
+    _check_params(delta, phi_t, phi_tp1, family)
     kind, sel, _ = _row_entry(family, which)
     y2 = w[1]
     selector = (1 - y2) if sel == "-" else y2
@@ -256,36 +251,42 @@ def scaled_hbar_row(family: str, which: int, w: Window5, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# transformed parameters
+# transformed parameters: exponent tables, rows in ``alpha_labels`` order,
+# columns (log(1 + delta), log phi_t, log phi_tp1); B is A with both phi
+# columns negated, and C keeps its one effect step in the phi_t column
+
+_EXPONENTS_A = np.array([[0, 1, 0], [0, 0, -1], [0, 1, 1], [1, 1, 0],
+                         [-1, 1, 0], [-1, 0, -1], [-1, 1, 1]])
+EXPONENTS: dict[str, np.ndarray] = {
+    "A": _EXPONENTS_A,
+    "B": _EXPONENTS_A * np.array([1, -1, -1]),
+    "C": np.array([[0, 1, 0], [0, -1, 0], [0, 2, 0], [0, -2, 0],
+                   [1, 1, 0], [-1, 1, 0], [1, -1, 0], [-1, -1, 0]]),
+}
+for _table in EXPONENTS.values():
+    _table.flags.writeable = False
+
+
+def exponents(family: str, model: str = "dummies") -> np.ndarray:
+    """Exponent table M of a family under period dummies (L x 3) or a time
+    trend, whose one effect step adds the two phi columns (L x 2)."""
+    try:
+        table = EXPONENTS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+    if model == "dummies":
+        return table
+    if model == "trend":
+        return np.column_stack((table[:, 0], table[:, 1] + table[:, 2]))
+    raise ValueError(f"unknown model {model!r}")
 
 
 def alpha_values(family: str, delta: float, phi_t: float, phi_tp1: float) -> np.ndarray:
-    """Transformed parameter vector from (delta, effect steps)."""
-    _check_params(delta, phi_t, phi_tp1)
-    d1 = delta + 1.0
-    if family == "A":
-        vals = (phi_t, 1.0 / phi_tp1, phi_t * phi_tp1, phi_t * d1,
-                phi_t / d1, 1.0 / (phi_tp1 * d1), phi_t * phi_tp1 / d1)
-    elif family == "B":
-        vals = (1.0 / phi_t, phi_tp1, 1.0 / (phi_t * phi_tp1), d1 / phi_t,
-                1.0 / (phi_t * d1), phi_tp1 / d1, 1.0 / (phi_t * phi_tp1 * d1))
-    elif family == "C":
-        if phi_t != phi_tp1:
-            raise ValueError("family C requires equal effect steps")
-        p = phi_t
-        vals = (p, 1.0 / p, p * p, 1.0 / (p * p), p * d1, p / d1,
-                d1 / p, 1.0 / (p * d1))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return np.array(vals, dtype=np.float64)
+    """Transformed parameter vector ``exp(M @ beta)`` from (delta, effect steps)."""
+    _check_params(delta, phi_t, phi_tp1, family)
+    return np.exp(exponents(family) @ np.log([delta + 1.0, phi_t, phi_tp1]))
 
 
 def alpha_from_spec(family: str, spec: ModelSpec, t: int) -> np.ndarray:
     """True transformed parameter vector of a model at window ``t``."""
-    if family == "C" and isinstance(spec, TimeDummiesSpec):
-        s_t, s_tp1 = spec.effect_step(t), spec.effect_step(t + 1)
-        if s_t != s_tp1:
-            raise ValueError("family C needs a constant effect step; "
-                             "use a time-trend model")
-    phi_t, phi_tp1 = spec.phi_pair(t)
-    return alpha_values(family, spec.delta, phi_t, phi_tp1)
+    return alpha_values(family, spec.delta, *spec.phi_pair(t))

@@ -25,8 +25,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .estimators import EstimationError, SingularSystem, SingularWeight
-from .inference import NonpositiveAlpha, NonpositivePhiHat, ZeroDenominator
+from .estimators import (EstimationError, SingularSystem, SingularWeight,
+                         parse_variant)
+from .inference import (RESTRICTION_SETS, NonpositiveAlpha, NonpositivePhiHat,
+                        ZeroDenominator)
+from .kernels import alpha_labels
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, simulate_histogram,
                     simulate_panel)
 from .workflow import estimate_panel
@@ -83,14 +86,24 @@ class McConfig:
             raise ValueError("need at least one replication")
         if not self.estimators:
             raise ValueError("need at least one estimator")
-        usable = self.dgp.n_periods - self.discard_prefix
-        if usable < 5:
-            raise ValueError(f"{usable} usable periods after discard; need >= 5")
-        if not isinstance(self.spec, TimeTrendSpec):
-            for run in self.estimators:
-                if run.family == "C":
-                    raise ValueError(f"estimator {run.label} estimates the trend "
-                                     "coefficient phi_coef; it needs a time-trend model")
+        # the simulated periods are 1..n_periods; the discard drops the first
+        first, last = 1 + self.discard_prefix, self.dgp.n_periods
+        for run in self.estimators:
+            t = run.window_t
+            try:
+                alpha_labels(run.family)
+                parse_variant(run.variant)
+                if run.wald is not None and run.wald not in RESTRICTION_SETS:
+                    raise ValueError(f"unknown restriction set {run.wald!r}; "
+                                     f"choose from {sorted(RESTRICTION_SETS)}")
+                if t - 3 < first or t + 1 > last:
+                    raise ValueError(f"window {t} needs periods {t - 3}..{t + 1}, the "
+                                     f"panel keeps {first}..{last} after the discard")
+            except ValueError as exc:
+                raise ValueError(f"estimator {run.label}: {exc}") from None
+            if run.family == "C" and not isinstance(self.spec, TimeTrendSpec):
+                raise ValueError(f"estimator {run.label} estimates the trend "
+                                 "coefficient phi_coef; it needs a time-trend model")
 
 
 def true_values(spec: ModelSpec, run: EstimatorRun) -> dict[str, float]:
@@ -252,14 +265,15 @@ def run_mc(config: McConfig, threads: int | None = None,
     reduction order.  Pool workers run BLAS on one thread each; the calling
     process keeps its own setting.
     """
-    n_threads = resolve_threads(threads)
+    # a pool starts all its workers at once: no more than there is work for
+    n_workers = min(resolve_threads(threads), config.replications)
     reps = range(config.replications)
-    if n_threads == 1 or config.replications == 1:
+    if n_workers == 1:
         per_rep = [_run_replication(config, r) for r in reps]
     else:
-        with ProcessPoolExecutor(max_workers=n_threads,
+        with ProcessPoolExecutor(max_workers=n_workers,
                                  initializer=_one_blas_thread) as pool:
-            chunk = max(1, config.replications // (8 * n_threads))
+            chunk = max(1, config.replications // (8 * n_workers))
             per_rep = list(pool.map(_run_replication, [config] * config.replications,
                                     reps, chunksize=chunk))
 

@@ -157,6 +157,25 @@ def test_mc_trend_estimator_on_dummies_model_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mc_bad_estimator_window_exit_2(tmp_path, capsys):
+    # refused by the config, before any replication is simulated
+    cfg = _write(tmp_path, "mc.cfg", SIM_CONFIG.format(n=50, seed=1)
+                 + "replications = 2\ndiscard_prefix = 3\nestimator = A minus-3-7 9\n")
+    out = tmp_path / "s.csv"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert "window 9 needs periods 6..10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_td_value_names_its_key(tmp_path, capsys):
+    text = SIM_CONFIG.format(n=50, seed=1).replace(
+        "td = 0.0 0.1 -0.05 0.2 0.05 0.15 0.3 0.1", "td = 0.1 x 0.3")
+    cfg = _write(tmp_path, "sim.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+    assert "config key 'td': could not convert string to float: 'x'" \
+        in capsys.readouterr().err
+
+
 def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.cfg", MC_CONFIG.format(n=4000, seed=3, reps=3))
     out1 = tmp_path / "s1.csv"

@@ -8,15 +8,17 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          TransformedEstimate, ZeroDenominator, aggregate,
                          alpha_from_spec, alpha_labels, chi2_sf,
                          corrected_ratio_variance, estimate_panel,
-                         recover_original, simulate_panel, two_step_dtd_tm1,
-                         wald_test)
+                         recover_original, simulate_histogram, simulate_panel,
+                         two_step_dtd_tm1, wald_test)
 from panel_logit import DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, SingularSystem,
                                     SingularWeight, _sandwich, build_system,
                                     solve, variant_minus_r)
-from panel_logit.inference import RESTRICTION_SETS
+from panel_logit.inference import (RESTRICTION_SETS, _basis,
+                                   restriction_rows)
+from panel_logit.kernels import exponents
 from panel_logit.oracle import (population_estimate, population_system,
                                 spec_with_steps)
 
@@ -260,29 +262,102 @@ def test_two_step_end_to_end_matches_manual_ratio():
 # Wald
 
 
+# the restriction matrices as they were written out by hand before they were
+# derived from the exponent tables; each derived set must span the same rows
+LITERAL_ROWS = {
+    "ab-dummies": np.array([
+        [1, -1, -1, 0, 0, 0],
+        [1, 1, 0, -1, -1, 0],
+        [2, -1, 0, -1, 0, -1],
+    ], dtype=np.float64),
+    "c-trend": np.array([
+        [-1, -1, 0, 0, 0, 0, 0, 0],
+        [2, 0, -1, 0, 0, 0, 0, 0],
+        [-2, 0, 0, -1, 0, 0, 0, 0],
+        [2, 0, 0, 0, -1, -1, 0, 0],
+        [-2, 0, 0, 0, 1, 0, -1, 0],
+        [0, 0, 0, 0, -1, 0, 0, -1],
+    ], dtype=np.float64),
+    "ab-trend": np.array([
+        [-1, -1, 0, 0, 0, 0],
+        [2, 0, -1, 0, 0, 0],
+        [0, 0, 0, -1, -1, 0],
+        [3, 0, 0, -1, 0, -1],
+    ], dtype=np.float64),
+}
+SET_FAMILIES = (("ab-dummies", "A"), ("ab-dummies", "B"), ("ab-trend", "A"),
+                ("ab-trend", "B"), ("c-trend", "C"))
+
+
+def _wald_statistic(est, rows):
+    """The Wald statistic of ``est`` under explicit restriction rows."""
+    ell = np.log(est.alpha)
+    v_log = est.vcov / np.outer(est.alpha, est.alpha)
+    gap = rows @ ell
+    return float(gap @ np.linalg.solve(rows @ v_log @ rows.T, gap))
+
+
+@pytest.mark.parametrize("name, family", SET_FAMILIES)
+def test_restriction_rows_are_left_null_space(name, family):
+    labels, model = RESTRICTION_SETS[name]
+    m = exponents(family, model)[[alpha_labels(family).index(c) for c in labels]]
+    rows = restriction_rows(family, name)
+    assert not (rows @ m).any()
+    rank = np.linalg.matrix_rank(rows)
+    assert rank == len(rows) == len(labels) - np.linalg.matrix_rank(m)
+    literal = LITERAL_ROWS[name]
+    assert np.linalg.matrix_rank(literal) == rank
+    assert np.linalg.matrix_rank(np.vstack((rows, literal))) == rank
+
+
+@pytest.mark.parametrize("family, model, has_d", [
+    ("A", "dummies", True), ("A", "dummies", False), ("B", "dummies", True),
+    ("B", "dummies", False), ("A", "trend", True), ("B", "trend", True),
+    ("C", "trend", True)])
+def test_basis_exponents_are_unimodular(family, model, has_d):
+    basis, inv = _basis(family, model, has_d)
+    m_s = exponents(family, model)[[alpha_labels(family).index(c) for c in basis]]
+    assert round(abs(np.linalg.det(m_s))) == 1
+    assert inv.dtype == np.int64
+    assert (m_s @ inv == np.eye(len(basis), dtype=np.int64)).all()
+
+
 def test_restrictions_annihilate_true_logs():
     rng = np.random.default_rng(5)
     for _ in range(20):
         gamma, s_t, s_tp1 = rng.uniform(-1, 1, 3)
-        spec = spec_with_steps(gamma, s_t, s_tp1)
-        labels6, rows = RESTRICTION_SETS["ab-dummies"]
-        for family in ("A", "B"):
-            full = alpha_from_spec(family, spec, 5)
-            lab = alpha_labels(family)
-            ell = np.log([full[lab.index(c)] for c in labels6])
-            assert np.allclose(rows @ ell, 0.0, atol=1e-12)
-
+        dummies = spec_with_steps(gamma, s_t, s_tp1)
         trend = TimeTrendSpec(gamma=gamma, phi_coef=s_t)
-        labels8, rows_c = RESTRICTION_SETS["c-trend"]
-        ell_c = np.log(alpha_from_spec("C", trend, 5))
-        assert np.allclose(rows_c @ ell_c, 0.0, atol=1e-12)
-
-        labels6t, rows_t = RESTRICTION_SETS["ab-trend"]
-        for family in ("A", "B"):
-            full = alpha_from_spec(family, trend, 5)
+        for name, family in SET_FAMILIES:
+            labels, model = RESTRICTION_SETS[name]
+            full = alpha_from_spec(family, trend if model == "trend" else dummies, 5)
             lab = alpha_labels(family)
-            ell = np.log([full[lab.index(c)] for c in labels6t])
-            assert np.allclose(rows_t @ ell, 0.0, atol=1e-12)
+            ell = np.log([full[lab.index(c)] for c in labels])
+            assert np.allclose(restriction_rows(family, name) @ ell, 0.0, atol=1e-12)
+
+
+def test_wald_matches_literal_rows_on_samples():
+    dummies = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
+    trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
+    runs = {"ab-dummies": ((dummies, "A", "minus-3-7"), (dummies, "B", "minus-1-5")),
+            "ab-trend": ((trend, "A", "minus-3-7"), (trend, "B", "minus-1-5")),
+            "c-trend": ((trend, "C", "full"),)}
+    checked = 0
+    for seed in range(4):
+        for name, cases in runs.items():
+            for spec, family, variant in cases:
+                panel = simulate_histogram(spec, DgpConfig(
+                    n_individuals=1_000_000, n_periods=8, sigma_eta_sq=0.5,
+                    seed=seed)).drop_prefix(3)
+                try:
+                    res = estimate_panel(panel, family, variant, 7, wald=name)
+                except NonpositiveAlpha:
+                    continue
+                expected = _wald_statistic(res.transformed, LITERAL_ROWS[name])
+                assert res.wald.statistic == pytest.approx(expected, rel=1e-12)
+                assert res.wald.df == len(LITERAL_ROWS[name])
+                checked += 1
+    assert checked >= 12
 
 
 def test_wald_zero_at_truth():
@@ -305,13 +380,7 @@ def test_wald_row_order_invariance():
     m = rng.normal(size=(6, 6))
     est = _estimate("A", LABELS6, alpha, vcov=m @ m.T / 100)
     base = wald_test(est, "ab-dummies").statistic
-
-    labels, rows = RESTRICTION_SETS["ab-dummies"]
-    try:
-        RESTRICTION_SETS["ab-dummies"] = (labels, rows[::-1].copy())
-        permuted = wald_test(est, "ab-dummies").statistic
-    finally:
-        RESTRICTION_SETS["ab-dummies"] = (labels, rows)
+    permuted = _wald_statistic(est, LITERAL_ROWS["ab-dummies"][::-1])
     assert permuted == pytest.approx(base, rel=1e-10)
 
 

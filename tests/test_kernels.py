@@ -9,7 +9,7 @@ from panel_logit import (TimeTrendSpec, alpha_from_spec, alpha_labels,
                          alpha_values, all_windows, gh_coefficients, hbar_u,
                          hbar_upsilon, theta_kernels, transformed_moment_row,
                          xi_kernels)
-from panel_logit.kernels import ROW_TABLE, scaled_hbar_row
+from panel_logit.kernels import EXPONENTS, ROW_TABLE, exponents, scaled_hbar_row
 from panel_logit.oracle import spec_with_steps
 
 
@@ -110,6 +110,54 @@ def test_alpha_identity_point():
     assert np.allclose(alpha_values("A", 0.0, 1.0, 1.0), 1.0)
     assert np.allclose(alpha_values("B", 0.0, 1.0, 1.0), 1.0)
     assert np.allclose(alpha_values("C", 0.0, 1.0, 1.0), 1.0)
+
+
+def _alpha_products(family, delta, phi_t, phi_tp1):
+    # the closed-form products of the paper, as they were written out
+    # before they were derived from the exponent tables
+    d1 = delta + 1.0
+    if family == "A":
+        vals = (phi_t, 1.0 / phi_tp1, phi_t * phi_tp1, phi_t * d1,
+                phi_t / d1, 1.0 / (phi_tp1 * d1), phi_t * phi_tp1 / d1)
+    elif family == "B":
+        vals = (1.0 / phi_t, phi_tp1, 1.0 / (phi_t * phi_tp1), d1 / phi_t,
+                1.0 / (phi_t * d1), phi_tp1 / d1, 1.0 / (phi_t * phi_tp1 * d1))
+    else:
+        p = phi_t
+        vals = (p, 1.0 / p, p * p, 1.0 / (p * p), p * d1, p / d1,
+                d1 / p, 1.0 / (p * d1))
+    return np.array(vals)
+
+
+def test_alpha_values_match_closed_form_products():
+    # exp(M @ log(...)) rounds differently from the products; 4 ulp of the
+    # value bounds the difference
+    ulp = np.finfo(np.float64).eps
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        delta = math.exp(rng.uniform(-2.0, 2.0)) - 1.0
+        phi_t, phi_tp1 = np.exp(rng.uniform(-1.0, 1.0, size=2))
+        for family, p2, p3 in (("A", phi_t, phi_tp1), ("B", phi_t, phi_tp1),
+                               ("C", phi_t, phi_t)):
+            old = _alpha_products(family, delta, p2, p3)
+            new = alpha_values(family, delta, p2, p3)
+            assert np.all(np.abs(new - old) <= 4 * ulp * np.abs(old))
+
+
+def test_exponent_tables():
+    a, b, c = EXPONENTS["A"], EXPONENTS["B"], EXPONENTS["C"]
+    assert (b == a * [1, -1, -1]).all()
+    assert not c[:, 2].any()
+    for family in EXPONENTS:
+        assert len(EXPONENTS[family]) == len(alpha_labels(family))
+        trend = exponents(family, "trend")
+        assert (trend == np.column_stack((EXPONENTS[family][:, 0],
+                                          EXPONENTS[family][:, 1:].sum(axis=1)))).all()
+    assert (exponents("C", "trend") == c[:, :2]).all()
+    with pytest.raises(ValueError, match="unknown model"):
+        exponents("A", "quadratic")
+    with pytest.raises(ValueError, match="unknown family"):
+        alpha_labels("Z")
 
 
 def test_alpha_ratios():

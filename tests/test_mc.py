@@ -3,6 +3,7 @@ import pytest
 from panel_logit import (AllReplicationsFailed, DgpConfig, EstimatorRun,
                          McConfig, TimeDummiesSpec, TimeTrendSpec, run_mc,
                          true_values)
+from panel_logit import mc
 from panel_logit.mc import _summarize
 
 HET = TimeDummiesSpec(gamma=0.8, td=(0.0, 0.1, -0.05, 0.2, 0.05, 0.15, 0.3, 0.1))
@@ -140,6 +141,48 @@ def test_config_validation():
                  discard_prefix=4)
     with pytest.raises(ValueError, match="sampler"):
         _config(sampler="bootstrap")
+
+
+@pytest.mark.parametrize("run, message", [
+    (EstimatorRun("Z", "minus-3-7", 7), r"Z\[minus-3-7\]@t7: unknown family 'Z'"),
+    (EstimatorRun("A", "minus-3-8", 7), r"A\[minus-3-8\]@t7: unknown variant"),
+    (EstimatorRun("A", "minus-3-7", 7, wald="ab-dumies"), "unknown restriction set 'ab-dumies'"),
+    (EstimatorRun("A", "minus-3-7", 6), r"window 6 needs periods 3\.\.7, the panel keeps 4\.\.8"),
+    (EstimatorRun("A", "minus-3-7", 8), r"window 8 needs periods 5\.\.9, the panel keeps 4\.\.8"),
+], ids=["family", "variant", "wald", "window-early", "window-late"])
+def test_config_refuses_bad_estimator_line(run, message):
+    # refused before any replication simulates its panel
+    with pytest.raises(ValueError, match=message):
+        _config(estimators=(EstimatorRun("A", "minus-3-7", 7), run))
+
+
+def test_pool_never_exceeds_replications(monkeypatch):
+    seen = []
+
+    class StubPool:
+        """Runs the mapped calls in this process and starts no worker."""
+
+        def __init__(self, max_workers, initializer):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            seen.append(chunksize)
+            return map(fn, *iterables)
+
+    config = _config(reps=3, seed=2)
+    serial = run_mc(config, threads=1)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", StubPool)
+    assert run_mc(config, threads=5000) == serial
+    assert seen == [3, 1]
+    seen.clear()
+    run_mc(_config(reps=40, seed=2), threads=2)
+    assert seen == [2, 2]
 
 
 def test_estimator_labels():
