@@ -15,8 +15,10 @@ Every summand is a product of 0/1 indicators with sign, hence an integer in
 ``(y_{t-3}, .., y_{t+1})`` alone.  Every estimator, its variance and the
 two-step correction therefore depend on the panel only through how many
 individuals share each of the 32 window patterns.  ``aggregate`` counts
-them in one O(N) pass (one ``bincount`` of the 5-bit window code, weighted
-by the row frequencies), whatever the number of stored periods, and refuses
+them in one O(N) pass, whatever the number of stored periods: it reads the
+five period columns, each a contiguous run of bytes in ``PanelData``'s
+period-major layout, into a one-byte 5-bit window code per row, and makes
+one ``bincount`` of the codes weighted by the row frequencies.  It refuses
 a panel lacking any of the five periods.  Everything after the count runs
 on 32 cells.  The rows at window ``t - 1`` (family C's second half and the
 two-step's dagger averages) read ``y_{t-3} .. y_t``, four of the same five
@@ -121,10 +123,11 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
         if not panel.has_period(s):
             raise ValueError(f"window {t} needs period {s}, panel stores "
                              f"{panel.t0}..{panel.t_last}")
-    code = np.zeros(panel.n_rows, dtype=np.int64)
+    # outcomes are 0/1 int8, so the bytes of each column are the bits
+    code = np.zeros(panel.n_rows, dtype=np.uint8)
     for s in range(t - 3, t + 2):
         code <<= 1
-        code |= panel.col(s)
+        code |= panel.col(s).view(np.uint8)
     # float64 totals are exact integers: PanelData keeps N below 2**53
     cells = np.bincount(code, weights=panel.counts, minlength=32)
     return from_cells(t, cells, panel.n)

@@ -162,19 +162,32 @@ def row_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"unknown family {family!r}") from None
 
 
+def kept_components(family: str, variant: Variant) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The stacked rows (1..8) a variant keeps and the components they read.
+
+    A component is kept exactly when some kept row reads it; a variant
+    that leaves a non-square system is refused.
+    """
+    _, x_rows = row_cells(family)
+    kept_rows = tuple(r for r in range(1, 9) if r not in variant.removed_rows)
+    read = x_rows.take(np.array(kept_rows) - 1, axis=1).any(axis=(0, 1))
+    labels = alpha_labels(family)
+    col_labels = tuple(c for c, used in zip(labels, read) if used)
+    if len(kept_rows) != len(col_labels):
+        raise ValueError(f"variant {variant.name!r} leaves a non-square system "
+                         f"({len(kept_rows)}x{len(col_labels)}) for family {family}")
+    return kept_rows, col_labels
+
+
 def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSystem:
     y_rows, x_rows = row_cells(family)
-    kept_rows = tuple(r for r in range(1, 9) if r not in variant.removed_rows)
+    kept_rows, col_labels = kept_components(family, variant)
     rows = np.array(kept_rows) - 1
-    x_kept = x_rows.take(rows, axis=1)
-    cols = np.flatnonzero(x_kept.any(axis=(0, 1)))
-    if len(rows) != len(cols):
-        raise ValueError(f"variant {variant.name!r} leaves a non-square system "
-                         f"({len(rows)}x{len(cols)}) for family {family}")
+    cols = [alpha_labels(family).index(c) for c in col_labels]
     # ``take`` keeps the cell tables C-ordered: for the population's
     # probabilities, the order in which the means below add cells shows
     y_cells = y_rows.take(rows, axis=1)
-    x_cells = x_kept.take(cols, axis=2)
+    x_cells = x_rows.take(rows, axis=1).take(cols, axis=2)
     # for counts every cell sum is an exact integer, so these means equal
     # the kernel means of ``stats.bar`` bitwise
     cells = stats.summands.counts
@@ -182,10 +195,9 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSys
     y = cells @ y_cells / total
     x = np.tensordot(cells, x_cells, axes=1) / total
 
-    labels = alpha_labels(family)
     return LinearSystem(family=family, variant=variant, window_t=stats.window_t,
                         n=stats.n, y_vec=y, x_mat=x, row_ids=kept_rows,
-                        col_labels=tuple(labels[c] for c in cols),
+                        col_labels=col_labels,
                         guards=_guard_values(family, variant, stats),
                         cells=cells, y_cells=y_cells, x_cells=x_cells)
 

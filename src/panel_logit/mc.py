@@ -26,10 +26,9 @@ import numpy as np
 import scipy
 
 from .estimators import (EstimationError, SingularSystem, SingularWeight,
-                         parse_variant)
+                         kept_components, parse_variant)
 from .inference import (RESTRICTION_SETS, NonpositiveAlpha, NonpositivePhiHat,
                         ZeroDenominator)
-from .kernels import alpha_labels
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, simulate_histogram,
                     simulate_panel)
 from .workflow import estimate_panel
@@ -86,16 +85,27 @@ class McConfig:
             raise ValueError("need at least one replication")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        if self.discard_prefix < 0:
+            raise ValueError(f"discard_prefix must be nonnegative, got {self.discard_prefix}")
         # the simulated periods are 1..n_periods; the discard drops the first
         first, last = 1 + self.discard_prefix, self.dgp.n_periods
         for run in self.estimators:
             t = run.window_t
             try:
-                alpha_labels(run.family)
-                parse_variant(run.variant)
-                if run.wald is not None and run.wald not in RESTRICTION_SETS:
-                    raise ValueError(f"unknown restriction set {run.wald!r}; "
-                                     f"choose from {sorted(RESTRICTION_SETS)}")
+                _, kept = kept_components(run.family, parse_variant(run.variant))
+                if run.wald is not None:
+                    if run.wald not in RESTRICTION_SETS:
+                        raise ValueError(f"unknown restriction set {run.wald!r}; "
+                                         f"choose from {sorted(RESTRICTION_SETS)}")
+                    labels, _ = RESTRICTION_SETS[run.wald]
+                    if labels != kept:
+                        raise ValueError(f"restriction set {run.wald!r} expects "
+                                         f"components {labels}, the variant keeps {kept}")
+                if run.two_step and run.family == "C":
+                    raise ValueError("the two-step effect step applies to families A and B")
+                if run.two_step and "d" not in kept:
+                    raise ValueError(f"variant {run.variant!r} drops component 'd'; "
+                                     "the second step is unavailable")
                 if t - 3 < first or t + 1 > last:
                     raise ValueError(f"window {t} needs periods {t - 3}..{t + 1}, the "
                                      f"panel keeps {first}..{last} after the discard")

@@ -170,7 +170,7 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     gen_shocks = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_SHOCKS)
     zeta = gen_shocks.random((n, T))
 
-    y = np.empty((n, T), dtype=np.int8)
+    y = np.empty((n, T), dtype=np.int8, order="F")  # PanelData's layout
     y[:, 0] = expit(eta + spec.effect(1)) > zeta[:, 0]
     for t in range(2, T + 1):
         idx = eta + spec.gamma * y[:, t - 2] + spec.effect(t)

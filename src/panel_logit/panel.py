@@ -34,9 +34,12 @@ class PanelData:
     """Rows of binary outcomes with row ids and frequency counts.
 
     ``y[i, k]`` is the outcome at period ``t0 + k`` of the ``counts[i]``
-    individuals that row ``ids[i]`` stands for.  ``counts`` defaults to one
-    individual per row, held as a read-only broadcast view that takes no
-    memory.
+    individuals that row ``ids[i]`` stands for.  ``y`` is int8 and stored
+    period-major (Fortran order): each period's column is one contiguous
+    run of bytes, which is what aggregation reads, and dropping leading
+    periods is a view.  Inputs in another layout are copied once.
+    ``counts`` defaults to one individual per row, held as a read-only
+    broadcast view that takes no memory.
     """
 
     y: np.ndarray
@@ -52,10 +55,11 @@ class PanelData:
             raise ValueError("y must be a 2-d array")
         if len(self.ids) != y.shape[0]:
             raise ValueError("ids length must match the number of rows")
-        # check before the cast, which would wrap 256 to 0 and truncate 0.7
-        if y.size and not np.isin(y, (0, 1)).all():
+        # check before the cast, which would wrap 256 to 0 and truncate 0.7;
+        # NaN and strings compare unequal to both, so they are refused too
+        if y.size and not ((y == 0) | (y == 1)).all():
             raise ValueError("panel outcomes must be 0 or 1")
-        y = y.astype(np.int8, copy=False)
+        y = np.asfortranarray(y, dtype=np.int8)
         object.__setattr__(self, "y", y)
         if self.counts is None:
             counts = np.broadcast_to(np.int64(1), y.shape[:1])
@@ -95,7 +99,10 @@ class PanelData:
         return self.y[:, t - self.t0]
 
     def drop_prefix(self, k: int) -> "PanelData":
-        """Discard the first ``k`` periods, keeping period labels."""
+        """Discard the first ``k`` periods, keeping period labels.
+
+        The new panel's ``y`` is a view of this one's: no outcome is copied.
+        """
         if not 0 <= k < self.n_periods:
             raise ValueError(f"cannot drop {k} of {self.n_periods} periods")
         if k == 0:
@@ -377,7 +384,7 @@ def _validate(path, rec: _Records) -> PanelData:
                              f"expected {expected} (panel must be rectangular)")
 
     # every id now has every period of ``periods`` once, and they are contiguous
-    y = np.empty((len(labels), len(periods)), dtype=np.int8)
+    y = np.empty((len(labels), len(periods)), dtype=np.int8, order="F")
     y[id_code, t_rank] = one
     return PanelData(y=y, ids=_id_array(labels, rec), t0=periods[0])
 

@@ -86,6 +86,37 @@ def test_bars_bounded_by_one():
     assert np.all(np.abs(_all_bars(stats)) <= 1.0)
 
 
+def _int64_cells(y, counts, first):
+    """Window cells from an int64 code over rows of ``y``, columns ``first ..
+    first + 4``: the count ``aggregate`` must reproduce in any layout."""
+    code = np.zeros(len(y), dtype=np.int64)
+    for k in range(first, first + 5):
+        code = (code << 1) | y[:, k].astype(np.int64)
+    return np.bincount(code, weights=counts, minlength=32)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column-slice", "counted"])
+def test_one_byte_code_matches_int64_code(layout):
+    rng = np.random.default_rng(11)
+    y = rng.integers(0, 2, size=(997, 8)).astype(np.int8)
+    counts = np.ones(len(y), dtype=np.int64)
+    t0 = 1
+    if layout == "F":
+        y = np.asfortranarray(y)
+    elif layout == "column-slice":
+        y, t0 = y[:, 2:], 3  # neither C- nor F-contiguous
+    elif layout == "counted":
+        counts = rng.integers(0, 10**9, size=len(y))
+    panel = PanelData(y=y, ids=np.arange(len(y)), t0=t0, counts=counts)
+    for t in range(t0 + 3, t0 + y.shape[1] - 1):
+        want = _int64_cells(y, counts, t - 3 - t0)
+        assert np.array_equal(aggregate(panel, t).summands.counts, want)
+    if layout == "column-slice":
+        # dropping periods reads the same cells through a view
+        tail = PanelData(y=y, ids=np.arange(len(y)), t0=t0).drop_prefix(1)
+        assert np.array_equal(aggregate(tail, 7).summands.counts, _int64_cells(y, counts, 1))
+
+
 def test_window_out_of_range_rejected():
     panel = _panel_from_rows([[0, 1, 0, 1, 0]])
     with pytest.raises(ValueError):

@@ -143,13 +143,28 @@ def test_config_validation():
         _config(sampler="bootstrap")
 
 
+def test_config_refuses_negative_discard():
+    # refused at construction, not in every replication's drop_prefix
+    with pytest.raises(ValueError, match="discard_prefix must be nonnegative, got -1"):
+        McConfig(spec=HET, dgp=DgpConfig(n_individuals=10, n_periods=8),
+                 replications=1, estimators=(EstimatorRun("A", "minus-3-7", 7),),
+                 discard_prefix=-1)
+
+
 @pytest.mark.parametrize("run, message", [
     (EstimatorRun("Z", "minus-3-7", 7), r"Z\[minus-3-7\]@t7: unknown family 'Z'"),
     (EstimatorRun("A", "minus-3-8", 7), r"A\[minus-3-8\]@t7: unknown variant"),
     (EstimatorRun("A", "minus-3-7", 7, wald="ab-dumies"), "unknown restriction set 'ab-dumies'"),
     (EstimatorRun("A", "minus-3-7", 6), r"window 6 needs periods 3\.\.7, the panel keeps 4\.\.8"),
     (EstimatorRun("A", "minus-3-7", 8), r"window 8 needs periods 5\.\.9, the panel keeps 4\.\.8"),
-], ids=["family", "variant", "wald", "window-early", "window-late"])
+    (EstimatorRun("B", "minus-3-7", 7, wald="ab-dummies"),
+     r"B\[minus-3-7\]@t7: restriction set 'ab-dummies' expects components"),
+    (EstimatorRun("A", "minus-1-5", 7, two_step=True),
+     r"A\[minus-1-5\]@t7\+two-step: variant 'minus-1-5' drops component 'd'"),
+    (EstimatorRun("C", "full", 7, two_step=True), r"C\[full\]@t7\+two-step: .* applies to families A and B"),
+    (EstimatorRun("A", "full", 7), r"A\[full\]@t7: variant 'full' leaves a non-square system"),
+], ids=["family", "variant", "wald", "window-early", "window-late", "wald-labels",
+        "two-step-without-d", "two-step-family-c", "non-square"])
 def test_config_refuses_bad_estimator_line(run, message):
     # refused before any replication simulates its panel
     with pytest.raises(ValueError, match=message):

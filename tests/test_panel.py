@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, read_panel_csv,
                          simulate_panel, write_panel_csv)
+from panel_logit import model as model_module
 from panel_logit import panel as panel_module
 
 
@@ -55,11 +56,43 @@ def test_counts_default_to_one_and_are_validated(tmp_path):
 
 def test_outcomes_are_checked_before_the_int8_cast():
     # int8 would wrap 256 and 257 to 0 and 1, and truncate 0.7 to 0
-    for bad in (np.array([[256, 1, 257, 0, 0]]), np.array([[0.7, 1, 0, 0, 1]])):
+    for bad in (np.array([[256, 1, 257, 0, 0]]), np.array([[0.7, 1, 0, 0, 1]]),
+                np.array([[0, -1, 1]], dtype=np.int8), np.array([[0.0, np.nan, 1.0]]),
+                np.array([["0", "1", "1"]]), np.array([[0, "1", 1]], dtype=object)):
         with pytest.raises(ValueError, match="0 or 1"):
             PanelData(y=bad, ids=[0])
-    panel = PanelData(y=np.array([[1.0, 0.0, 1.0]]), ids=[0])
-    assert panel.y.dtype == np.int8 and panel.y.tolist() == [[1, 0, 1]]
+    for good in (np.array([[1.0, 0.0, 1.0]]), np.array([[True, False, True]]),
+                 np.array([[1, 0, 1]], dtype=object)):
+        panel = PanelData(y=good, ids=[0])
+        assert panel.y.dtype == np.int8 and panel.y.tolist() == [[1, 0, 1]]
+
+
+def test_outcomes_are_stored_period_major(monkeypatch):
+    made = []
+    monkeypatch.setattr(model_module, "PanelData",
+                        lambda **kw: made.append(kw["y"]) or PanelData(**kw))
+    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
+    panel = simulate_panel(spec, DgpConfig(n_individuals=50, n_periods=5, seed=2))
+    # the simulator allocates the layout, so PanelData keeps its array
+    assert panel.y.flags.f_contiguous and panel.y.shape == (50, 5)
+    assert panel.y is made[0]
+    tail = panel.drop_prefix(2)
+    assert tail.y.flags.f_contiguous and np.shares_memory(tail.y, panel.y)
+    assert np.array_equal(tail.y, panel.y[:, 2:])
+    c_ordered = np.ascontiguousarray(panel.y)
+    assert np.array_equal(PanelData(y=c_ordered, ids=panel.ids).y, panel.y)
+    assert PanelData(y=c_ordered, ids=panel.ids).y.flags.f_contiguous
+
+
+def test_read_allocates_the_period_major_layout(tmp_path, monkeypatch):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(_small_panel(), path)
+    made = []
+    monkeypatch.setattr(panel_module, "PanelData",
+                        lambda **kw: made.append(kw["y"]) or PanelData(**kw))
+    back = read_panel_csv(path)
+    # the array the reader builds is the one the panel keeps
+    assert made[0].flags.f_contiguous and back.y is made[0]
 
 
 def test_read_rejects_bad_header(tmp_path):
