@@ -105,9 +105,9 @@ class LinearSystem:
     """A square stacked system ready to solve.
 
     ``row_ids`` are the kept stacked rows (1..8); ``col_labels`` the kept
-    transformed-parameter components.  ``guards`` carries the closed-form
-    determinant diagnostics available for this family/variant, evaluated on
-    the input aggregates.  ``y_cells`` (32 x m) and ``x_cells`` (32 x m x m)
+    transformed-parameter components.  ``guards`` carries the determinant
+    diagnostics of ``x_mat`` available for this family/variant (see
+    ``_GUARD_PIVOTS``).  ``y_cells`` (32 x m) and ``x_cells`` (32 x m x m)
     are the rows at each window cell and ``cells`` their weights, so that
     ``y_vec``/``x_mat`` are the weighted means of the cell rows and
     ``y_cells - x_cells @ alpha`` is the residual table.
@@ -198,7 +198,7 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSys
     return LinearSystem(family=family, variant=variant, window_t=stats.window_t,
                         n=stats.n, y_vec=y, x_mat=x, row_ids=kept_rows,
                         col_labels=col_labels,
-                        guards=_guard_values(family, variant, stats),
+                        guards=_guard_values(family, variant, kept_rows, col_labels, x),
                         cells=cells, y_cells=y_cells, x_cells=x_cells)
 
 
@@ -220,71 +220,45 @@ def build_system_c(stats: AggregateStats,
 
 
 # ---------------------------------------------------------------------------
-# closed-form uniqueness diagnostics
+# uniqueness diagnostics
 
-def _schur_product(stats: AggregateStats, triples) -> float:
-    # each factor is bar(kind, a, sel_a) - bar(kind, b, sel_b) * ratio(kind, c/d);
-    # numpy scalars keep zero denominators as inf/nan instead of raising
-    total = np.float64(0.0)
+# The pivot cells (stacked row, component) of each guarded family/variant:
+# the corner pivots, the lone pivot of a one-row removal, and a sign.
+# det(X) = +-corner_product * block_determinant * pivot_bar, where the corner
+# product multiplies the corner pivots, the block determinant is the sign
+# times the determinant of the Schur complement of every pivot in X, and
+# pivot_bar is the lone pivot.  The sign keeps the block determinant of A and
+# B as its closed form in the aggregate means was written.
+_GUARD_PIVOTS = {
+    ("A", (3, 7)): (((5, "d"), (6, "g"), (8, "f")), None, -1),
+    ("A", (3,)): (((5, "d"), (6, "g"), (8, "f")), (7, "e"), -1),
+    ("B", (1, 5)): (((6, "f"), (8, "g"), (7, "d")), None, -1),
+    ("B", (1,)): (((6, "f"), (8, "g"), (7, "d")), (5, "e"), -1),
+    ("C", ()): (((5, "e"), (6, "f"), (7, "g"), (8, "h")), None, 1),
+}
+
+
+def _guard_values(family: str, variant: Variant, row_ids: tuple[int, ...],
+                  col_labels: tuple[str, ...], x: np.ndarray) -> dict[str, float]:
+    if (family, variant.removed_rows) not in _GUARD_PIVOTS:
+        return {}
+    corner, lone, sign = _GUARD_PIVOTS[family, variant.removed_rows]
+    pivots = corner + ((lone,) if lone else ())
+    rows = [row_ids.index(r) for r, _ in pivots]
+    cols = [col_labels.index(c) for _, c in pivots]
+    values = x[rows, cols]
+    # eliminating one pivot at a time turns a zero pivot into inf or nan,
+    # which ``failed_guards`` reports, where a solve would raise; LAPACK's
+    # determinant of a block with nan in it may come out finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        for term in triples:
-            prod = np.float64(1.0)
-            for (kind, a, sa, b, sb, c, sc, d, sd) in term:
-                ratio = np.float64(stats.bar(kind, c, sc)) / np.float64(stats.bar(kind, d, sd))
-                prod = prod * (stats.bar(kind, a, sa) - stats.bar(kind, b, sb) * ratio)
-            total = total + prod
-    return float(total)
-
-
-def _guard_values(family: str, variant: Variant, stats: AggregateStats) -> dict[str, float]:
-    guards: dict[str, float] = {}
-    removed = variant.removed_rows
-    if family == "A" and removed in ((3,), (3, 7)):
-        guards["corner_product"] = (stats.bar("theta", 3, "++")
-                                    * stats.bar("theta", 4, "-+")
-                                    * stats.bar("xi", 3, "-+"))
-        guards["block_determinant"] = _schur_product(stats, [
-            [("theta", 2, "-", 2, "-+", 4, "-", 4, "-+"),
-             ("theta", 4, "+", 4, "++", 3, "+", 3, "++"),
-             ("xi", 2, "-", 2, "-+", 3, "-", 3, "-+")],
-            [("theta", 2, "+", 2, "++", 3, "+", 3, "++"),
-             ("theta", 3, "-", 3, "-+", 4, "-", 4, "-+"),
-             ("xi", 1, "-", 1, "-+", 3, "-", 3, "-+")],
-        ])
-        if removed == (3,):
-            guards["pivot_bar"] = stats.bar("xi", 1, "++")
-    elif family == "B" and removed in ((1,), (1, 5)):
-        guards["corner_product"] = (stats.bar("theta", 3, "++")
-                                    * stats.bar("xi", 3, "-+")
-                                    * stats.bar("xi", 4, "++"))
-        guards["block_determinant"] = _schur_product(stats, [
-            [("theta", 1, "+", 1, "++", 3, "+", 3, "++"),
-             ("xi", 2, "-", 2, "-+", 3, "-", 3, "-+"),
-             ("xi", 3, "+", 3, "++", 4, "+", 4, "++")],
-            [("theta", 2, "+", 2, "++", 3, "+", 3, "++"),
-             ("xi", 4, "-", 4, "-+", 3, "-", 3, "-+"),
-             ("xi", 2, "+", 2, "++", 4, "+", 4, "++")],
-        ])
-        if removed == (1,):
-            guards["pivot_bar"] = stats.bar("theta", 1, "-+")
-    elif family == "C":
-        def prev(kind, j, sel):  # the mean at window t - 1
-            return stats.bar(kind, j, sel, back=1)
-
-        guards["corner_product"] = (prev("theta", 3, "+") * prev("theta", 4, "-")
-                                    * prev("xi", 3, "-") * prev("xi", 4, "+"))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            def diff(kind, j, sel, pivot_j, pivot_sel):
-                r = (np.float64(stats.bar(kind, pivot_j, pivot_sel))
-                     / np.float64(prev(kind, pivot_j, pivot_sel)))
-                return stats.bar(kind, j, sel) - prev(kind, j, sel) * r
-
-            guards["block_determinant"] = float(
-                diff("theta", 1, "+", 3, "+") * diff("theta", 3, "-", 4, "-")
-                * diff("xi", 1, "-", 3, "-") * diff("xi", 3, "+", 4, "+")
-                - diff("theta", 2, "+", 3, "+") * diff("theta", 2, "-", 4, "-")
-                * diff("xi", 2, "-", 3, "-") * diff("xi", 2, "+", 4, "+")
-            )
+        for r, c in zip(rows, cols):
+            x = x - np.outer(x[:, c], x[r] / x[r, c])
+    block = np.delete(np.delete(x, rows, axis=0), cols, axis=1)
+    det = np.linalg.det(block) if np.isfinite(block).all() else np.nan
+    guards = {"corner_product": float(np.prod(values[:len(corner)])),
+              "block_determinant": sign * float(det)}
+    if lone:
+        guards["pivot_bar"] = float(values[-1])
     return guards
 
 
@@ -345,8 +319,8 @@ def solve(system: LinearSystem) -> np.ndarray:
     """Solve the stacked system by pivoted LU with a condition guard.
 
     Raises ``SingularSystem`` when the reciprocal condition estimate falls
-    below ``RCOND_TOL``, reporting whichever closed-form determinant
-    diagnostics are available for the variant.
+    below ``RCOND_TOL``, reporting whichever determinant diagnostics are
+    available for the variant.
     """
     x, y = system.x_mat, system.y_vec
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

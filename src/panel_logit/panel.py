@@ -69,12 +69,17 @@ class PanelData:
                 raise ValueError("counts must be one integer per row")
             if counts.size and counts.min() < 0:
                 raise ValueError("counts must be nonnegative")
+        # aggregation sums counts in float64, which is exact only below 2**53;
+        # a float64 total only rounds, where the int64 cast and sum wrap past
+        # 2**63, so it refuses those totals before either runs
+        total = counts.sum(dtype=np.float64)
+        if total < 2**62:
             counts = counts.astype(np.int64, copy=False)
-        object.__setattr__(self, "counts", counts)
-        # aggregation sums counts in float64, which is exact only below 2**53
-        n = int(counts.sum())
+            total = counts.sum()
+        n = int(total)
         if n >= 2**53:
             raise ValueError(f"panel of {n} individuals exceeds the exact range 2**53")
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)
 
     @property
@@ -111,6 +116,9 @@ class PanelData:
                          counts=self.counts)
 
 
+_WRITE_BLOCK = 4096
+
+
 def write_panel_csv(panel: PanelData, path) -> None:
     """Write the panel in long format with header ``id,t,y``.
 
@@ -120,14 +128,17 @@ def write_panel_csv(panel: PanelData, path) -> None:
     if (panel.counts != 1).any():
         raise ValueError("CSV holds one row per individual; "
                          "this panel's rows carry frequency counts")
+    periods = np.arange(panel.t0, panel.t_last + 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "t", "y"])
-        for i in range(panel.n_rows):
-            ident = panel.ids[i]
-            row = panel.y[i]
-            for k in range(panel.n_periods):
-                writer.writerow([ident, panel.t0 + k, int(row[k])])
+        # a block of individuals at a time keeps the Python rows bounded
+        for start in range(0, panel.n_rows, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            ids = panel.ids[block]
+            writer.writerows(zip(np.repeat(ids, panel.n_periods).tolist(),
+                                 np.tile(periods, len(ids)).tolist(),
+                                 panel.y[block].ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,9 @@ class _Records:
     ``csv.reader``.  ``lineno`` numbers the records as the file does (the
     header is 1, blank records count); ``short`` marks records with fewer
     than three fields, whose missing fields spell ``""``.  ``error`` is what
-    ``csv.reader`` raised at the record after the last one.
+    ``csv.reader`` raised at the record after the last one.  Blank and short
+    records and errors come only from ``csv.reader``: the byte tokenizer
+    reads only files that have none.
     """
 
     ids: np.ndarray
@@ -170,19 +183,17 @@ def read_panel_csv(path) -> PanelData:
 def _tokenize(path):
     """The file's header fields and data records.
 
-    Quote-free text takes the byte tokenizer; a file with a ``"`` (quoting)
-    or NUL byte (which fixed-width byte strings cannot hold) takes
-    ``csv.reader``.
+    A rectangular file takes the byte tokenizer; every other file, quoted,
+    ragged or with blank records among them, takes ``csv.reader``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     encoding = locale.getpreferredencoding(False)   # what open() decodes with
     if not data.isascii():
         data.decode(encoding)   # raises the UnicodeDecodeError a text read raises
-    if b'"' not in data and b"\0" not in data:
-        split = _split_bytes(data, encoding)
-        if split is not None:
-            return split
+    split = _split_bytes(data, encoding)
+    if split is not None:
+        return split
     return _split_text(data.decode(encoding), encoding)
 
 
@@ -212,79 +223,57 @@ def _split_text(text: str, encoding: str):
 
 
 def _split_bytes(data: bytes, encoding: str):
-    """The header and data records of quote-free text, split as ``csv.reader``
-    splits them but in whole-array passes over the bytes.
+    """The header and data records of a rectangular file, split in
+    whole-array passes over its bytes; None for any other file.
 
-    Returns None when one field is so long that fixed-width columns would
-    take more than twice the file's bytes; ``_split_text`` then reads it.
+    A file is rectangular when it holds no ``"`` or NUL, every record ends
+    with one terminator (``\\r\\n`` when the file holds a ``\\r``,
+    ``\\n`` otherwise; the last may lack it), no record is blank or longer
+    than ``csv.field_size_limit()`` bytes, and every record has the header's
+    number of fields, at least three.  ``csv.reader`` splits such a file at
+    its terminators and commas alone, and ``_split_text`` reads every other
+    file.  None also when one field is so long that fixed-width columns
+    would take more than twice the file's bytes.
     """
+    n_cr = data.count(b"\r")
+    if b'"' in data or b"\0" in data or (
+            n_cr and not n_cr == data.count(b"\n") == data.count(b"\r\n")):
+        return None
     buf = np.frombuffer(data, np.uint8)
     # positions reach len(buf) + 1
     index = np.int32 if len(buf) < 2**31 - 2 else np.int64
-    starts, ends = _record_bounds(data, buf, index)
-    if len(starts) == 0:
-        return None, None
-    header = next(csv.reader([data[starts[0]:ends[0]].decode(encoding)]), None)
-    starts, ends = starts[1:], ends[1:]
-
-    # csv.reader refuses a field longer than its limit when it reaches it
-    error = None
-    limit = csv.field_size_limit()
-    for r in np.flatnonzero(ends - starts > limit):
-        fields = data[starts[r]:ends[r]].split(b",")
-        if any(len(field.decode(encoding)) > limit for field in fields):
-            error = csv.Error(f"field larger than field limit ({limit})")
-            starts, ends = starts[:r], ends[:r]
-            break
-
-    kept = np.flatnonzero(ends > starts)    # csv.reader yields [] for a blank record
-    lineno = (kept + 2).astype(index)
-    starts, ends = starts[kept], ends[kept]
-    del kept
+    newlines = np.flatnonzero(buf == ord("\n")).astype(index)
+    if not data.endswith(b"\n"):    # the last record has no terminator
+        newlines = np.append(newlines, index(len(buf) + bool(n_cr)))
+    ends = newlines - bool(n_cr)
+    starts = np.concatenate([np.zeros(1, index), newlines[:-1] + 1])
+    del newlines
+    length = ends - starts
+    if length.min() == 0 or length.max() > csv.field_size_limit():
+        return None
+    del length
     commas = np.flatnonzero(buf == ord(",")).astype(index)
-    first = np.searchsorted(commas, starts)
-    # no comma lies between one record's end and the next one's start
-    short = np.diff(first, append=np.searchsorted(commas, ends[-1:])) < 2
-    # len(buf) stands in for the commas past the last one, which short records index
-    after = np.concatenate([commas, np.full(3, len(buf), index)])
-    del commas
-    bounds = [(starts, np.minimum(after[first], ends)),
-              (after[first] + 1, np.minimum(after[first + 1], ends)),
-              (after[first + 1] + 1, np.minimum(after[first + 2], ends))]
-    del after, first, starts, ends
+    width = data.count(b",", 0, int(ends[0])) + 1
+    if width < 3 or len(commas) != len(starts) * (width - 1):
+        return None
+    # row k holds record k's commas exactly when each row starts and ends
+    # inside its record, since both are in file order
+    commas = commas.reshape(len(starts), width - 1)
+    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any():
+        return None
+    header = data[:ends[0]].decode(encoding).split(",")
+    starts, ends, commas = starts[1:], ends[1:], commas[1:]
+    bounds = [(starts, commas[:, 0]), (commas[:, 0] + 1, commas[:, 1]),
+              (commas[:, 1] + 1, commas[:, 2] if width > 3 else ends)]
+    del starts, ends, commas
     widths = [_key_width(int((stop - start).max(initial=0))) for start, stop in bounds]
-    if sum(widths) * len(short) > 2 * len(buf):
+    n = len(bounds[0][0])
+    if sum(widths) * n > 2 * len(buf):
         return None
     # one column at a time, dropping each one's bounds once it is built
     columns = [_fixed_width(buf, *bounds.pop(0), width) for width in widths]
-    return header, _Records(*columns, lineno, short, encoding, error)
-
-
-def _record_bounds(data: bytes, buf: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end of each record's content, the header included.
-
-    A record ends at ``\\r\\n``, ``\\r`` or ``\\n``, where ``csv.reader``
-    (reading a file opened with ``newline=""``) ends it.
-    """
-    n = len(buf)
-    n_cr, n_lf = data.count(b"\r"), data.count(b"\n")
-    ends = np.flatnonzero(buf == (ord("\r") if n_cr else ord("\n"))).astype(index)
-    after = ends + 1
-    if n_cr and n_lf:
-        # a \n right after a \r ends the same record; any other \n ends one
-        paired = buf[np.minimum(after, n - 1)] == ord("\n")
-        if np.count_nonzero(paired) != n_lf:
-            lone = np.flatnonzero(buf == ord("\n"))
-            lone = lone[(lone == 0) | (buf[lone - 1] != ord("\r"))].astype(index)
-            ends = np.sort(np.concatenate([ends, lone]))
-            after = ends + 1
-            paired = (buf[ends] == ord("\r")) & (buf[np.minimum(after, n - 1)] == ord("\n"))
-        after += paired
-    starts = np.concatenate([np.zeros(1, index), after])
-    ends = np.concatenate([ends, np.full(1, n, index)])
-    if starts[-1] == n:    # the file ends with a terminator: no last record
-        starts, ends = starts[:-1], ends[:-1]
-    return starts, ends
+    return header, _Records(*columns, np.arange(2, n + 2, dtype=index),
+                            np.zeros(n, bool), encoding)
 
 
 def _key_width(width: int) -> int:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, read_panel_csv,
@@ -50,6 +50,12 @@ def test_counts_default_to_one_and_are_validated(tmp_path):
     for bad in (np.array([1, 2]), np.array([1.0, 1.0, 1.0]), np.array([1, -1, 1])):
         with pytest.raises(ValueError, match="counts"):
             PanelData(y=y, ids=np.arange(3), counts=bad)
+    # an int64 cast of the uint64 and an int64 sum would both wrap to -2**63
+    for huge in (np.array([2**63, 0, 0], dtype=np.uint64), np.array([2**62, 2**62, 0])):
+        with pytest.raises(ValueError, match="panel of 9223372036854775808 individuals"):
+            PanelData(y=y, ids=np.arange(3), counts=huge)
+    with pytest.raises(ValueError, match="exceeds the exact range"):
+        PanelData(y=y, ids=np.arange(3), counts=np.array([2**52, 2**52, 0]))
     with pytest.raises(ValueError, match="frequency counts"):
         write_panel_csv(counted, tmp_path / "counted.csv")
 
@@ -222,23 +228,60 @@ def test_distinct_id_spellings_stay_distinct(tmp_path):
     assert read_panel_csv(path).ids.tolist() == [-4, 0, 12]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="01a7-é ,\r\n", max_size=80))
-def test_byte_tokenizer_matches_csv_reader(text):
-    fast = panel_module._split_bytes(text.encode(), "utf-8")
-    assume(fast is not None)
+def _assert_same_split(text: str, fast) -> None:
+    """The byte tokenizer's split of ``text`` is the one ``csv.reader`` makes."""
     slow = panel_module._split_text(text, "utf-8")
     assert fast[0] == slow[0]
     fast_rec, slow_rec = fast[1], slow[1]
-    if slow_rec is None:    # an empty file
-        assert fast_rec is None
-        return
-    assert fast_rec.error is None and slow_rec.error is None
+    assert slow_rec.error is None and not slow_rec.short.any()
     assert fast_rec.lineno.tolist() == slow_rec.lineno.tolist()
-    assert fast_rec.short.tolist() == slow_rec.short.tolist()
     for column in ("ids", "ts", "ys"):
         got = [s.decode() for s in getattr(fast_rec, column).tolist()]
         assert got == getattr(slow_rec, column).tolist(), column
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01a7-é ,\r\n", max_size=80))
+def test_byte_tokenizer_matches_csv_reader(text):
+    # the byte tokenizer declines every text that is not rectangular
+    fast = panel_module._split_bytes(text.encode(), "utf-8")
+    if fast is not None:
+        _assert_same_split(text, fast)
+
+
+# fields of at most two bytes keep fixed-width columns within the size guard
+_FIELD = st.text(alphabet="01a7- ", max_size=2) | st.just("é")
+
+
+@st.composite
+def _rectangular_texts(draw):
+    width = draw(st.sampled_from([3, 4]))
+    records = draw(st.lists(st.lists(_FIELD, min_size=width, max_size=width),
+                            min_size=1, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(fields) for fields in records)
+    return text + end if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rectangular_texts())
+def test_byte_tokenizer_reads_every_rectangular_text(text):
+    fast = panel_module._split_bytes(text.encode(), "utf-8")
+    assert fast is not None
+    _assert_same_split(text, fast)
+
+
+@pytest.mark.parametrize("ids", [np.array([10, 11, 12]), np.array(["b", "a 1", "é"])])
+def test_written_panels_take_the_byte_tokenizer(tmp_path, monkeypatch, ids):
+    panel = PanelData(y=_small_panel().y, ids=ids, t0=4)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    lf_path = tmp_path / "lf.csv"
+    lf_path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    monkeypatch.setattr(panel_module, "_split_text", None)    # no fall-back
+    for read in (path, lf_path):
+        back = read_panel_csv(read)
+        assert back.ids.tolist() == ids.tolist() and np.array_equal(back.y, panel.y)
 
 
 def _canonical(spelling: str) -> bool:
