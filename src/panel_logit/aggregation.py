@@ -15,11 +15,13 @@ Every summand is a product of 0/1 indicators with sign, hence an integer in
 ``(y_{t-3}, .., y_{t+1})`` alone.  Every estimator, its variance and the
 two-step correction therefore depend on the panel only through how many
 individuals share each of the 32 window patterns.  ``aggregate`` counts
-them in one O(N) pass, whatever the number of stored periods: it reads the
-five period columns, each a contiguous run of bytes in ``PanelData``'s
-period-major layout, into a one-byte 5-bit window code per row, and makes
-one ``bincount`` of the codes weighted by the row frequencies.  It refuses
-a panel lacking any of the five periods.  Everything after the count runs
+them in one O(N) pass, whatever the number of stored periods.  It reads
+the five period columns, each a contiguous run of bytes in ``PanelData``'s
+period-major layout, ``ROW_BLOCK`` rows at a time: each block's columns
+are packed into a one-byte 5-bit window code per row, in one reused
+buffer, and the block's ``bincount`` of the codes, weighted by the row
+frequencies, is added to the cells.  It refuses a panel lacking any of the
+five periods.  Everything after the count runs
 on 32 cells.  The rows at window ``t - 1`` (family C's second half and the
 two-step's dagger averages) read ``y_{t-3} .. y_t``, four of the same five
 periods, with the ``-``/``+`` selectors only: ``bar(.., back=1)`` reads
@@ -28,8 +30,9 @@ them from the cells of window ``t``.
 The cell weights are the integer counts of a sample, or the exact cell
 probabilities of the population (``oracle.population_aggregates``, ``n =
 0``: no sample).  Means are cell sums divided by the total weight.  For
-counts every sum is an integer below 2**53 and exact in float64, so the
-means do not depend on the order in which cells are added.
+counts every sum is an integer below 2**53 and exact in float64, so
+neither the cells nor the means depend on the block size or on the order
+in which rows and cells are added.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _theta_components, _xi_components, all_windows
-from .panel import PanelData
+from .panel import ROW_BLOCK, PanelData
 
 SELECTORS = ("-", "+", "-+", "++")
 _SEL_INDEX = {s: k for k, s in enumerate(SELECTORS)}
@@ -124,10 +127,16 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
             raise ValueError(f"window {t} needs period {s}, panel stores "
                              f"{panel.t0}..{panel.t_last}")
     # outcomes are 0/1 int8, so the bytes of each column are the bits
-    code = np.zeros(panel.n_rows, dtype=np.uint8)
-    for s in range(t - 3, t + 2):
-        code <<= 1
-        code |= panel.col(s).view(np.uint8)
+    columns = [panel.col(s).view(np.uint8) for s in range(t - 3, t + 2)]
+    code = np.empty(min(panel.n_rows, ROW_BLOCK), dtype=np.uint8)
     # float64 totals are exact integers: PanelData keeps N below 2**53
-    cells = np.bincount(code, weights=panel.counts, minlength=32)
+    cells = np.zeros(32)
+    for start in range(0, panel.n_rows, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        block = code[:min(ROW_BLOCK, panel.n_rows - start)]
+        block[:] = columns[0][rows]
+        for column in columns[1:]:
+            block <<= 1
+            block |= column[rows]
+        cells += np.bincount(block, weights=panel.counts[rows], minlength=32)
     return from_cells(t, cells, panel.n)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import _rng
-from .panel import PanelData
+from .panel import ROW_BLOCK, PanelData
 
 
 def logit_prob(eta: float, gamma: float, y_prev: int, effect: float) -> float:
@@ -158,23 +158,29 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     N(0, sigma_eta_sq) via the inverse-CDF transform.  All draws are pure
     functions of ``(cfg.seed, cfg.stream, individual, period)``, so repeated
     or parallel calls with the same config are bitwise identical.
+
+    Individuals are drawn ``ROW_BLOCK`` at a time, so the float64 shocks and
+    indices stay cache-sized.  Each generator continues its stream across
+    blocks, filling the shocks row by row, so the draws are those of one
+    whole-panel draw, whatever the block.
     """
     if isinstance(spec, TimeDummiesSpec) and spec.n_periods < cfg.n_periods:
         raise ValueError(
             f"spec provides {spec.n_periods} period effects, need {cfg.n_periods}")
     n, T = cfg.n_individuals, cfg.n_periods
-
+    sigma = math.sqrt(cfg.sigma_eta_sq)
     gen_eta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_ETA)
-    eta = _rng.gaussian(gen_eta, n, math.sqrt(cfg.sigma_eta_sq))
-
     gen_shocks = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_SHOCKS)
-    zeta = gen_shocks.random((n, T))
 
     y = np.empty((n, T), dtype=np.int8, order="F")  # PanelData's layout
-    y[:, 0] = expit(eta + spec.effect(1)) > zeta[:, 0]
-    for t in range(2, T + 1):
-        idx = eta + spec.gamma * y[:, t - 2] + spec.effect(t)
-        y[:, t - 1] = expit(idx) > zeta[:, t - 1]
+    for start in range(0, n, ROW_BLOCK):
+        block = y[start:start + ROW_BLOCK]
+        eta = _rng.gaussian(gen_eta, len(block), sigma)
+        zeta = gen_shocks.random((len(block), T))
+        block[:, 0] = expit(eta + spec.effect(1)) > zeta[:, 0]
+        for t in range(2, T + 1):
+            idx = eta + spec.gamma * block[:, t - 2] + spec.effect(t)
+            block[:, t - 1] = expit(idx) > zeta[:, t - 1]
     return PanelData(y=y, ids=np.arange(n, dtype=np.int64), t0=1)
 
 

@@ -28,6 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# rows per block where a whole-panel pass streams its rows: at 8 periods one
+# block's float64 shocks are 512 KiB, which stays in a core's L2 cache
+ROW_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class PanelData:
@@ -56,8 +60,13 @@ class PanelData:
         if len(self.ids) != y.shape[0]:
             raise ValueError("ids length must match the number of rows")
         # check before the cast, which would wrap 256 to 0 and truncate 0.7;
-        # NaN and strings compare unequal to both, so they are refused too
-        if y.size and not ((y == 0) | (y == 1)).all():
+        # NaN and strings compare unequal to both, so they are refused too.
+        # int8 is 0/1 exactly when its bytes, read unsigned, are at most 1
+        if y.dtype == np.int8:
+            binary = y.view(np.uint8).max(initial=0) <= 1
+        else:
+            binary = ((y == 0) | (y == 1)).all()
+        if not binary:
             raise ValueError("panel outcomes must be 0 or 1")
         y = np.asfortranarray(y, dtype=np.int8)
         object.__setattr__(self, "y", y)
@@ -228,12 +237,13 @@ def _split_bytes(data: bytes, encoding: str):
 
     A file is rectangular when it holds no ``"`` or NUL, every record ends
     with one terminator (``\\r\\n`` when the file holds a ``\\r``,
-    ``\\n`` otherwise; the last may lack it), no record is blank or longer
-    than ``csv.field_size_limit()`` bytes, and every record has the header's
-    number of fields, at least three.  ``csv.reader`` splits such a file at
-    its terminators and commas alone, and ``_split_text`` reads every other
-    file.  None also when one field is so long that fixed-width columns
-    would take more than twice the file's bytes.
+    ``\\n`` otherwise; the last may lack it), no record but trailing ones
+    is blank, none is longer than ``csv.field_size_limit()`` bytes, and
+    every record has the header's number of fields, at least three.
+    ``csv.reader`` splits such a file at its terminators and commas alone,
+    skipping the trailing blank records, and ``_split_text`` reads every
+    other file.  None also when one field is so long that fixed-width
+    columns would take more than twice the file's bytes.
     """
     n_cr = data.count(b"\r")
     if b'"' in data or b"\0" in data or (
@@ -249,6 +259,11 @@ def _split_bytes(data: bytes, encoding: str):
     starts = np.concatenate([np.zeros(1, index), newlines[:-1] + 1])
     del newlines
     length = ends - starts
+    if length[-1] == 0:
+        # csv.reader skips blank records, and trailing ones follow every
+        # record an error can name: drop them (all stay when all are blank)
+        kept = len(length) - int(np.argmax(length[::-1] != 0))
+        starts, ends, length = starts[:kept], ends[:kept], length[:kept]
     if length.min() == 0 or length.max() > csv.field_size_limit():
         return None
     del length

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from panel_logit import PanelData, aggregate, theta_kernels, xi_kernels
 from panel_logit.aggregation import SELECTORS
+from panel_logit.panel import ROW_BLOCK
 
 
 def _all_bars(stats):
@@ -115,6 +118,41 @@ def test_one_byte_code_matches_int64_code(layout):
         # dropping periods reads the same cells through a view
         tail = PanelData(y=y, ids=np.arange(len(y)), t0=t0).drop_prefix(1)
         assert np.array_equal(aggregate(tail, 7).summands.counts, _int64_cells(y, counts, 1))
+
+
+def _one_shot_cells(panel, t):
+    """The window cells from one code over all rows and one weighted
+    ``bincount``: what ``aggregate`` must give, block by block."""
+    code = np.zeros(panel.n_rows, dtype=np.uint8)
+    for s in range(t - 3, t + 2):
+        code = (code << 1) | panel.col(s).view(np.uint8)
+    return np.bincount(code, weights=panel.counts, minlength=32)
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def test_row_blocks_count_every_row_once(n):
+    rng = np.random.default_rng(n)
+    y = rng.integers(0, 2, size=(n, 7)).astype(np.int8)
+    unit = PanelData(y=y, ids=np.arange(n))
+    counted = PanelData(y=y, ids=np.arange(n), counts=rng.integers(0, 10**9, size=n))
+    for panel in (unit, counted, unit.drop_prefix(2)):
+        for t in range(panel.t0 + 3, panel.t_last):
+            got = aggregate(panel, t).summands.counts
+            assert got.tobytes() == _one_shot_cells(panel, t).tobytes()
+
+
+def test_aggregate_traces_only_a_block():
+    # neither the code nor the unit counts are ever made for all rows at once
+    rng = np.random.default_rng(4)
+    panel = PanelData(y=rng.integers(0, 2, size=(2_000_000, 5), dtype=np.int8),
+                      ids=np.arange(2_000_000))
+    tracemalloc.start()
+    try:
+        aggregate(panel, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_window_out_of_range_rejected():

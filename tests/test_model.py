@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.stats import chi2
 
 from panel_logit import (DgpConfig, TimeDummiesSpec, TimeTrendSpec, history_law,
                          logit_prob, simulate_histogram, simulate_panel)
+from panel_logit import _rng
+from panel_logit.panel import ROW_BLOCK
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
@@ -93,6 +96,42 @@ def test_simulate_deterministic_replay():
     c = simulate_panel(SPEC_31, DgpConfig(n_individuals=500, n_periods=8,
                                           sigma_eta_sq=0.5, seed=11, stream=4))
     assert not np.array_equal(a.y, c.y)
+
+
+def _whole_panel_outcomes(spec, cfg):
+    """The outcomes of one whole-panel draw: every fixed effect, then every
+    shock as one (n, T) array, then the period loop over all rows."""
+    n, T = cfg.n_individuals, cfg.n_periods
+    gen_eta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_ETA)
+    eta = _rng.gaussian(gen_eta, n, math.sqrt(cfg.sigma_eta_sq))
+    zeta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_SHOCKS).random((n, T))
+    y = np.empty((n, T), dtype=np.int8)
+    y[:, 0] = expit(eta + spec.effect(1)) > zeta[:, 0]
+    for t in range(2, T + 1):
+        y[:, t - 1] = expit(eta + spec.gamma * y[:, t - 2] + spec.effect(t)) > zeta[:, t - 1]
+    return y
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+@pytest.mark.parametrize("spec", [SPEC_31, SPEC_TREND], ids=["dummies", "trend"])
+def test_row_blocks_draw_the_whole_panel(spec, n):
+    for sigma_eta_sq, seed, stream in ((0.0, 0, 0), (0.5, 11, 3)):
+        cfg = DgpConfig(n_individuals=n, n_periods=8, sigma_eta_sq=sigma_eta_sq,
+                        seed=seed, stream=stream)
+        want = _whole_panel_outcomes(spec, cfg)
+        assert simulate_panel(spec, cfg).y.tobytes(order="C") == want.tobytes()
+
+
+def test_simulate_traces_little_beyond_the_panel():
+    # the shocks are drawn a row block at a time, never as an n x T float64
+    cfg = DgpConfig(n_individuals=200_000, n_periods=8, sigma_eta_sq=0.5, seed=3)
+    tracemalloc.start()
+    try:
+        panel = simulate_panel(SPEC_31, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < panel.y.nbytes + panel.ids.nbytes + 4 * 2**20, peak
 
 
 def test_simulate_degenerate_fair_coin():

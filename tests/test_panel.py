@@ -63,7 +63,8 @@ def test_counts_default_to_one_and_are_validated(tmp_path):
 def test_outcomes_are_checked_before_the_int8_cast():
     # int8 would wrap 256 and 257 to 0 and 1, and truncate 0.7 to 0
     for bad in (np.array([[256, 1, 257, 0, 0]]), np.array([[0.7, 1, 0, 0, 1]]),
-                np.array([[0, -1, 1]], dtype=np.int8), np.array([[0.0, np.nan, 1.0]]),
+                np.array([[0, -1, 1]], dtype=np.int8), np.array([[0, 1, 2]], dtype=np.int8),
+                np.array([[0.0, np.nan, 1.0]]),
                 np.array([["0", "1", "1"]]), np.array([[0, "1", 1]], dtype=object)):
         with pytest.raises(ValueError, match="0 or 1"):
             PanelData(y=bad, ids=[0])
@@ -276,12 +277,17 @@ def test_written_panels_take_the_byte_tokenizer(tmp_path, monkeypatch, ids):
     panel = PanelData(y=_small_panel().y, ids=ids, t0=4)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
-    lf_path = tmp_path / "lf.csv"
-    lf_path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    data = path.read_bytes()
+    lf = data.replace(b"\r\n", b"\n")
     monkeypatch.setattr(panel_module, "_split_text", None)    # no fall-back
-    for read in (path, lf_path):
-        back = read_panel_csv(read)
+    # as written, with \n line ends, and with trailing blank records
+    for variant in (data, lf, data + b"\r\n", data + b"\r\n" * 3, lf + b"\n" * 3):
+        path.write_bytes(variant)
+        back = read_panel_csv(path)
         assert back.ids.tolist() == ids.tolist() and np.array_equal(back.y, panel.y)
+    path.write_bytes(b"id,t,y\n\n\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        read_panel_csv(path)
 
 
 def _canonical(spelling: str) -> bool:
