@@ -20,8 +20,10 @@ the five period columns, each a contiguous run of bytes in ``PanelData``'s
 period-major layout, ``ROW_BLOCK`` rows at a time: each block's columns
 are packed into a one-byte 5-bit window code per row, in one reused
 buffer, and the block's ``bincount`` of the codes, weighted by the row
-frequencies, is added to the cells.  It refuses a panel lacking any of the
-five periods.  Everything after the count runs
+frequencies, is added to the cells.  When every row shares one broadcast
+count (a simulated or read panel), the codes are counted unweighted and
+the cells scaled by that count once.  It refuses a panel lacking any of
+the five periods.  Everything after the count runs
 on 32 cells.  The rows at window ``t - 1`` (family C's second half and the
 two-step's dagger averages) read ``y_{t-3} .. y_t``, four of the same five
 periods, with the ``-``/``+`` selectors only: ``bar(.., back=1)`` reads
@@ -129,6 +131,9 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
     # outcomes are 0/1 int8, so the bytes of each column are the bits
     columns = [panel.col(s).view(np.uint8) for s in range(t - 3, t + 2)]
     code = np.empty(min(panel.n_rows, ROW_BLOCK), dtype=np.uint8)
+    # a broadcast count (zero stride) weighs every row alike: count the rows
+    # unweighted and scale the cells by it once
+    shared = panel.counts.strides == (0,)
     # float64 totals are exact integers: PanelData keeps N below 2**53
     cells = np.zeros(32)
     for start in range(0, panel.n_rows, ROW_BLOCK):
@@ -138,5 +143,7 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
         for column in columns[1:]:
             block <<= 1
             block |= column[rows]
-        cells += np.bincount(block, weights=panel.counts[rows], minlength=32)
+        cells += np.bincount(block, None if shared else panel.counts[rows], minlength=32)
+    if shared:
+        cells *= panel.counts[0]
     return from_cells(t, cells, panel.n)

@@ -31,6 +31,7 @@ import numpy as np
 # rows per block where a whole-panel pass streams its rows: at 8 periods one
 # block's float64 shocks are 512 KiB, which stays in a core's L2 cache
 ROW_BLOCK = 8192
+_BYTE_BLOCK = 1 << 16   # bytes per block where a pass reads a whole file
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,7 @@ def _tokenize(path):
     encoding = locale.getpreferredencoding(False)   # what open() decodes with
     if not data.isascii():
         data.decode(encoding)   # raises the UnicodeDecodeError a text read raises
-    split = _split_bytes(data, encoding)
-    if split is not None:
-        return split
-    return _split_text(data.decode(encoding), encoding)
+    return _split_bytes(data, encoding) or _split_text(data.decode(encoding), encoding)
 
 
 def _split_text(text: str, encoding: str):
@@ -244,87 +242,115 @@ def _split_bytes(data: bytes, encoding: str):
     skipping the trailing blank records, and ``_split_text`` reads every
     other file.  None also when one field is so long that fixed-width
     columns would take more than twice the file's bytes.
+
+    The trailing blank records are dropped first, and the last record's
+    line end with them.  One pass then finds the commas and line feeds
+    together, ``_BYTE_BLOCK`` bytes at a time, so no mask is as long as
+    the file, and counts the line feeds and ``\\r``.  A rectangular file
+    has one line feed per record but the last, and its separators fall
+    into one group of ``width`` per record, each group ending at the
+    record's line end: ``width`` is the number of separators over the
+    number of records.  The line ends are checked at those positions
+    alone; the counts show that no other byte is a line feed or ``\\r``.
+    The groups then bound every field.
     """
-    n_cr = data.count(b"\r")
-    if b'"' in data or b"\0" in data or (
-            n_cr and not n_cr == data.count(b"\n") == data.count(b"\r\n")):
+    cr = int(b"\r" in data)
+    line_end = b"\r\n"[1 - cr:]
+    # csv.reader skips the trailing blank records: stop at the last record's end
+    end = len(data)
+    while end and data[end - 1] in b"\r\n":
+        end -= 1
+    if b'"' in data or b"\0" in data or data[end:].replace(line_end, b""):
         return None
     buf = np.frombuffer(data, np.uint8)
-    # positions reach len(buf) + 1
-    index = np.int32 if len(buf) < 2**31 - 2 else np.int64
-    newlines = np.flatnonzero(buf == ord("\n")).astype(index)
-    if not data.endswith(b"\n"):    # the last record has no terminator
-        newlines = np.append(newlines, index(len(buf) + bool(n_cr)))
-    ends = newlines - bool(n_cr)
-    starts = np.concatenate([np.zeros(1, index), newlines[:-1] + 1])
-    del newlines
-    length = ends - starts
-    if length[-1] == 0:
-        # csv.reader skips blank records, and trailing ones follow every
-        # record an error can name: drop them (all stay when all are blank)
-        kept = len(length) - int(np.argmax(length[::-1] != 0))
-        starts, ends, length = starts[:kept], ends[:kept], length[:kept]
-    if length.min() == 0 or length.max() > csv.field_size_limit():
+    index = np.int32 if len(buf) < 2**31 - 2 else np.int64  # positions reach len(buf) + 1
+    found, n_lf, n_cr = [], 0, 0
+    for start in range(0, end, _BYTE_BLOCK):
+        block = buf[start:min(start + _BYTE_BLOCK, end)]
+        lf = block == ord("\n")
+        n_lf += np.count_nonzero(lf)
+        n_cr += np.count_nonzero(block == ord("\r"))
+        lf |= block == ord(",")
+        found.append(np.add(np.flatnonzero(lf), start, dtype=index, casting="unsafe"))
+    # the last record's line feed, or where it would be
+    seps = np.concatenate(found + [np.array([end + cr], index)])
+    del found
+    width, rest = divmod(len(seps), n_lf + 1)
+    if width < 3 or rest or n_cr != cr * n_lf:
         return None
-    del length
-    commas = np.flatnonzero(buf == ord(",")).astype(index)
-    width = data.count(b",", 0, int(ends[0])) + 1
-    if width < 3 or len(commas) != len(starts) * (width - 1):
+    # row j holds each record's j-th separator, the last row its line end
+    seps = seps.reshape(-1, width).T.copy()
+    seps[-1] -= cr
+    longest = max(int(seps[-1, 0]), int(np.diff(seps[-1]).max(initial=0)) - 1 - cr)
+    ends = np.ndarray((len(buf) - cr,), f"u{1 + cr}", buf, strides=(1,))
+    if longest > csv.field_size_limit() or (
+            ends[seps[-1, :-1]] != np.frombuffer(line_end, ends.dtype)).any():
         return None
-    # row k holds record k's commas exactly when each row starts and ends
-    # inside its record, since both are in file order
-    commas = commas.reshape(len(starts), width - 1)
-    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any():
-        return None
-    header = data[:ends[0]].decode(encoding).split(",")
-    starts, ends, commas = starts[1:], ends[1:], commas[1:]
-    bounds = [(starts, commas[:, 0]), (commas[:, 0] + 1, commas[:, 1]),
-              (commas[:, 1] + 1, commas[:, 2] if width > 3 else ends)]
-    del starts, ends, commas
-    widths = [_key_width(int((stop - start).max(initial=0))) for start, stop in bounds]
-    n = len(bounds[0][0])
+    header = data[:seps[-1, 0]].decode(encoding).split(",")
+    starts = [seps[-1, :-1] + (1 + cr), seps[0, 1:] + 1, seps[1, 1:] + 1]
+    lengths = [np.subtract(seps[k, 1:], start, out=seps[k, 1:]) for k, start in enumerate(starts)]
+    # a field's width is a key dtype's size where the spellings fit one
+    widths = [next((w for w in (1, 2, 4, 8) if w >= m), m)
+              for m in (int(length.max(initial=0)) for length in lengths)]
+    n = len(starts[0])
     if sum(widths) * n > 2 * len(buf):
         return None
-    # one column at a time, dropping each one's bounds once it is built
-    columns = [_fixed_width(buf, *bounds.pop(0), width) for width in widths]
+    columns = [_fixed_width(buf, *field) for field in zip(starts, lengths, widths)]
     return header, _Records(*columns, np.arange(2, n + 2, dtype=index),
                             np.zeros(n, bool), encoding)
 
 
-def _key_width(width: int) -> int:
-    """Column width: a key dtype's size when the spellings fit one."""
-    return next((w for w in (1, 2, 4, 8) if w >= width), width)
-
-
-def _fixed_width(buf: np.ndarray, start: np.ndarray, stop: np.ndarray,
+def _fixed_width(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
                  width: int) -> np.ndarray:
-    """``buf[start:stop]`` of every record as a column of ``S{width}`` byte
-    strings (a record with ``stop <= start`` spells ``b""``)."""
-    out = np.zeros((len(start), width), np.uint8)
-    length = stop - start
-    last = len(buf) - 1
-    for j in range(int(length.max(initial=0))):
-        out[:, j] = buf[np.minimum(start, last - j) + j] * (length > j)
-    return out.view(f"S{width}").ravel()
+    """``buf[start:start + length]`` of every record as a column of
+    ``S{width}`` byte strings.
+
+    Each field is one row of the ``width`` bytes from its start, gathered
+    from a view that has such a row at every offset of ``buf``, with the
+    bytes past the field's end zeroed.  Key widths gather as unsigned
+    integers, which is faster, and are cut short with a table of masks.
+    ``start`` is clipped in place to the last row of the view; the few
+    fields that start past it are read one by one.
+    """
+    dtype = np.dtype(f"u{width}" if width in (1, 2, 4, 8) else f"S{width}")
+    last = len(buf) - width
+    late = [(k, start[k]) for k in np.flatnonzero(start > last)]
+    out = np.ndarray((last + 1,), dtype, buf, strides=(1,))[np.minimum(start, last, out=start)]
+    for k, at in late:
+        out.view(f"S{width}")[k] = buf[at:at + length[k]].tobytes()
+    if dtype.kind == "S":
+        out.view(np.uint8).reshape(-1, width)[np.arange(width) >= length[:, None]] = 0
+    elif length.min(initial=width) < width:     # row k of the table keeps k bytes
+        out &= (np.tri(width + 1, width, -1, dtype=np.uint8) * 255).view(dtype).ravel()[length]
+    return out.view(f"S{width}")
 
 
 def _keys(column: np.ndarray) -> np.ndarray:
-    """Values that compare like the spellings: byte strings of a key width as
-    big-endian unsigned integers (so sorted spellings stay sorted), other
-    columns as they are."""
+    """Values equal exactly where the spellings are: byte strings of a key
+    width as unsigned integers of the machine's byte order (which sort
+    fastest, though not in the spellings' order), other columns as they
+    are."""
     if column.dtype.kind == "S" and column.itemsize in (1, 2, 4, 8):
-        return column.view(f">u{column.itemsize}")
+        return column.view(f"u{column.itemsize}")
     return column
 
 
 def _first_appearance(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each record's code, the codes ranked by first appearance, and the
-    distinct spellings in that order."""
-    _, first, inverse = np.unique(_keys(column), return_index=True, return_inverse=True)
+    distinct spellings in that order.
+
+    Only the head of each run of equal consecutive spellings is sorted, and
+    its code repeats over the run: a file grouped by id sorts one spelling
+    per individual.  A spelling first appears at a run head, so the codes
+    are the same for any record order.
+    """
+    keys = _keys(column)
+    heads = np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
+    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank[inverse], column[first[order]]
+    return np.repeat(rank[inverse], np.diff(heads, append=keys.size)), column[heads[first[order]]]
 
 
 def _spelled(column: np.ndarray, text: str) -> np.ndarray:
@@ -342,12 +368,15 @@ def _validate(path, rec: _Records) -> PanelData:
     bad_y = ~(one | _spelled(rec.ys, "0")) & ~rec.short
     id_code, labels = _first_appearance(rec.ids)
     n = len(id_code)
-    cells = id_code * len(periods) + t_rank
+    # each record's (id, period) cell: its index in the period-major outcomes
+    cells = t_rank * len(labels) + id_code
     faulty = rec.short | bad_t | bad_y
-    # the common case: no faulty record, and every (id, period) cell once
-    clean = (rec.error is None and not faulty.any()
-             and len(labels) * len(periods) == n
-             and (n == 0 or np.bincount(cells).max() == 1))
+    # the common case: no faulty record, and the records fill every cell once
+    clean = rec.error is None and not faulty.any() and len(labels) * len(periods) == n
+    if clean:
+        y = np.full((len(labels), len(periods)), -1, np.int8, order="F")
+        y.ravel(order="F")[cells] = one
+        clean = y.min(initial=0) == 0
     if not clean:
         # a duplicate is a record whose cell an earlier record already has
         has_cell = np.flatnonzero(~(rec.short | bad_t))
@@ -376,10 +405,8 @@ def _validate(path, rec: _Records) -> PanelData:
     if expected != list(range(expected[0], expected[-1] + 1)):
         raise ValueError(f"{path}: periods must be contiguous, got {expected}")
     if not clean:
-        inside = np.zeros(len(periods), bool)
-        inside[own] = True
         seen = np.bincount(id_code, minlength=len(labels))
-        matched = np.bincount(id_code, weights=inside[t_rank], minlength=len(labels))
+        matched = np.bincount(id_code, weights=np.isin(t_rank, own), minlength=len(labels))
         wrong = (seen != len(own)) | (matched != seen)
         if wrong.any():
             k = int(np.argmax(wrong))
@@ -387,9 +414,7 @@ def _validate(path, rec: _Records) -> PanelData:
             raise ValueError(f"{path}: id {rec.text(labels[k])} observed at {observed}, "
                              f"expected {expected} (panel must be rectangular)")
 
-    # every id now has every period of ``periods`` once, and they are contiguous
-    y = np.empty((len(labels), len(periods)), dtype=np.int8, order="F")
-    y[id_code, t_rank] = one
+    # only a clean panel, with contiguous periods, gets here
     return PanelData(y=y, ids=_id_array(labels, rec), t0=periods[0])
 
 
@@ -399,16 +424,17 @@ def _period_ranks(rec: _Records) -> tuple[np.ndarray, list[int]]:
 
     ``int()`` runs once per distinct spelling, so its rules hold exactly.
     """
-    _, first, inverse = np.unique(_keys(rec.ts), return_index=True, return_inverse=True)
+    distinct = np.unique(_keys(rec.ts))
     values = []
-    for spelling in rec.ts[first]:
+    for spelling in distinct.view(rec.ts.dtype):
         try:
             values.append(int(rec.text(spelling)))
         except ValueError:
             values.append(None)
     periods = sorted({v for v in values if v is not None})
     rank = {v: k for k, v in enumerate(periods)}
-    return np.array([rank.get(v, -1) for v in values], dtype=np.int64)[inverse], periods
+    ranks = np.array([rank.get(v, -1) for v in values], dtype=np.int64)
+    return ranks[np.searchsorted(distinct, _keys(rec.ts))], periods
 
 
 def _id_array(labels: np.ndarray, rec: _Records) -> np.ndarray:
@@ -432,13 +458,12 @@ def _id_array(labels: np.ndarray, rec: _Records) -> np.ndarray:
 def _canonical_ints(labels: np.ndarray) -> np.ndarray | None:
     """The integers that NUL-free byte strings of at most 18 bytes spell, or
     None unless every one is ``0`` or matches ``-?[1-9][0-9]*``."""
-    chars = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
-    length = np.count_nonzero(chars, axis=1)
-    negative = chars[:, 0] == ord("-")
+    chars = labels.view(np.uint8).reshape(len(labels), labels.itemsize).T.copy()
+    length = np.count_nonzero(chars, axis=0)
+    negative = chars[0] == ord("-")
     ok = length > negative
     value = np.zeros(len(labels), np.int64)
-    for j in range(labels.itemsize):
-        c = chars[:, j]
+    for j, c in enumerate(chars):       # one contiguous row per byte position
         digit = (j >= negative) & (j < length)
         ok &= ~digit | ((c >= ord("0")) & (c <= ord("9")))
         # a leading zero only in "0" itself

@@ -135,7 +135,9 @@ def test_row_blocks_count_every_row_once(n):
     y = rng.integers(0, 2, size=(n, 7)).astype(np.int8)
     unit = PanelData(y=y, ids=np.arange(n))
     counted = PanelData(y=y, ids=np.arange(n), counts=rng.integers(0, 10**9, size=n))
-    for panel in (unit, counted, unit.drop_prefix(2)):
+    # a broadcast count is counted unweighted and scaled once: still exact
+    shared = PanelData(y=y, ids=np.arange(n), counts=np.broadcast_to(np.int64(2**30 + 7), n))
+    for panel in (unit, counted, shared, unit.drop_prefix(2)):
         for t in range(panel.t0 + 3, panel.t_last):
             got = aggregate(panel, t).summands.counts
             assert got.tobytes() == _one_shot_cells(panel, t).tobytes()

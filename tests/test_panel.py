@@ -250,26 +250,55 @@ def test_byte_tokenizer_matches_csv_reader(text):
         _assert_same_split(text, fast)
 
 
-# fields of at most two bytes keep fixed-width columns within the size guard
+# fields of at most two bytes
 _FIELD = st.text(alphabet="01a7- ", max_size=2) | st.just("é")
+
+
+@st.composite
+def _column_fields(draw, records):
+    """One column's fields: short ones, or ASCII ones of ``size - 1`` or
+    ``size`` bytes, 3 <= size <= 12.  A column of width ``w`` then holds
+    fields of at least ``w / 2`` bytes, so fixed-width columns stay within
+    the size guard, and sizes 5-12 reach the 8-byte key width and beyond."""
+    size = draw(st.sampled_from([2, 2, 3, 5, 8, 9, 12]))
+    field = _FIELD if size == 2 else st.text(alphabet="01a7- ", min_size=size - 1,
+                                              max_size=size)
+    return draw(st.lists(field, min_size=records, max_size=records))
 
 
 @st.composite
 def _rectangular_texts(draw):
     width = draw(st.sampled_from([3, 4]))
-    records = draw(st.lists(st.lists(_FIELD, min_size=width, max_size=width),
-                            min_size=1, max_size=8))
+    n = draw(st.integers(1, 8))
+    columns = [draw(_column_fields(n)) for _ in range(width)]
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    text = end.join(",".join(fields) for fields in records)
+    text = end.join(",".join(fields) for fields in zip(*columns))
+    # unterminated, the last field ends the file: a wide one starts within its
+    # width of the end
     return text + end if draw(st.booleans()) else text
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rectangular_texts())
-def test_byte_tokenizer_reads_every_rectangular_text(text):
-    fast = panel_module._split_bytes(text.encode(), "utf-8")
+@given(_rectangular_texts(), st.sampled_from([1, 2, 3, 7, panel_module._BYTE_BLOCK]))
+def test_byte_tokenizer_reads_every_rectangular_text(text, block):
+    # separators found a few bytes at a time, across every block boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(panel_module, "_BYTE_BLOCK", block)
+        fast = panel_module._split_bytes(text.encode(), "utf-8")
     assert fast is not None
     _assert_same_split(text, fast)
+
+
+@pytest.mark.parametrize("text", [
+    "id,t,y\r\n1,1\r,0\r\n\n",   # a lone \r in a record, a bare trailing \n
+    "id,t,y\r\n1,1,0\n",           # a bare \n in a \r\n file
+    "id,t,y\n1,1,0\r\n",           # a \r\n in a \n file
+    "id,t,y\r\n1,1,0\r",           # a lone \r at the end
+    "id,t,y\r\n1,1,0\r\n\r\r\n",   # a lone \r among trailing line ends
+    "\r\nid,t,y\r\n1,1,0\r\n",     # a blank first record
+])
+def test_byte_tokenizer_declines_mixed_line_ends(text):
+    assert panel_module._split_bytes(text.encode(), "utf-8") is None
 
 
 @pytest.mark.parametrize("ids", [np.array([10, 11, 12]), np.array(["b", "a 1", "é"])])
@@ -288,6 +317,99 @@ def test_written_panels_take_the_byte_tokenizer(tmp_path, monkeypatch, ids):
     path.write_bytes(b"id,t,y\n\n\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_panel_csv(path)
+
+
+def _reference_read(path) -> PanelData:
+    """The panel a record-by-record reader gives: ``csv.reader``, dicts and
+    ``int()``, one record at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:3]] != ["id", "t", "y"]:
+            raise ValueError(f"{path}: expected header 'id,t,y'")
+        seen = {}       # id spelling -> {period: outcome}, in first appearance
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(f"{path}:{line}: expected 3 fields")
+            name, t, y = row[:3]
+            try:
+                period = int(t)
+            except ValueError:
+                raise ValueError(f"{path}:{line}: non-integer period {t!r}") from None
+            if y not in ("0", "1"):
+                raise ValueError(f"{path}:{line}: outcome must be 0 or 1, got {y!r}")
+            if period in seen.setdefault(name, {}):
+                raise ValueError(f"{path}:{line}: duplicate (id={name}, t={period})")
+            seen[name][period] = int(y)
+    if not seen:
+        raise ValueError(f"{path}: no data rows")
+    names = list(seen)
+    expected = sorted(seen[names[0]])
+    if expected != list(range(expected[0], expected[-1] + 1)):
+        raise ValueError(f"{path}: periods must be contiguous, got {expected}")
+    for name in names:
+        if sorted(seen[name]) != expected:
+            raise ValueError(f"{path}: id {name} observed at {sorted(seen[name])}, "
+                             f"expected {expected} (panel must be rectangular)")
+    ids = np.array(names)
+    if all(_canonical(name) and -2**63 <= int(name) < 2**63 for name in names):
+        ids = np.array([int(name) for name in names], dtype=np.int64)
+    y = np.array([[seen[name][t] for t in expected] for name in names], dtype=np.int8)
+    return PanelData(y=y, ids=ids, t0=expected[0])
+
+
+def _outcome(read, path):
+    try:
+        panel = read(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return panel.ids.tolist(), panel.ids.dtype, panel.t0, panel.y.tolist()
+
+
+@st.composite
+def _panel_files(draw):
+    """A small panel's records, id-grouped, period-major or shuffled, with
+    records dropped, repeated or spoiled, and the file's bytes."""
+    names = draw(st.lists(st.sampled_from(["7", "07", "-3", "a", "é", "0", "12", "b c"]),
+                          min_size=1, max_size=4, unique=True))
+    t0 = draw(st.integers(-2, 9))
+    periods = range(t0, t0 + draw(st.integers(1, 3)))
+    records = [[name, str(t), draw(st.sampled_from("01"))] for name in names for t in periods]
+    order = draw(st.sampled_from(["id", "period", "shuffled"]))
+    if order == "period":
+        records.sort(key=lambda record: int(record[1]))
+    elif order == "shuffled":
+        records = draw(st.permutations(records))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(records) - 1))
+        fault = draw(st.sampled_from(["drop", "repeat", "period", "outcome", "short", "id"]))
+        if fault == "drop":
+            del records[k]
+        elif fault == "repeat":
+            records.insert(draw(st.integers(0, len(records))), list(records[k]))
+        elif fault == "period":
+            records[k][1:2] = [draw(st.sampled_from(["x", "", "01", " 2", str(t0 + 5)]))]
+        elif fault == "outcome":
+            records[k][2:3] = [draw(st.sampled_from(["2", "", " 1", "01"]))]
+        elif fault == "short":
+            records[k] = records[k][:2]
+        else:
+            records[k][0] = draw(st.sampled_from(["07", "+7", "a"]))
+        if not records:
+            break
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(record) for record in [["id", "t", "y"], *records])
+    return (text + end * draw(st.integers(0, 2))).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_panel_files())
+def test_read_matches_a_record_by_record_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("reference") / "panel.csv"
+    path.write_bytes(data)
+    assert _outcome(read_panel_csv, path) == _outcome(_reference_read, path)
 
 
 def _canonical(spelling: str) -> bool:
