@@ -34,9 +34,8 @@ from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
 from .mc import (AllReplicationsFailed, EstimatorRun, McConfig, McSummary,
                  run_mc, true_values)
 from .model import (DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec,
-                    history_law, logit_prob, simulate_histogram, simulate_panel)
-from .oracle import (ConditioningState, conditional_moment, moment_rank,
-                     path_law, population_aggregates, population_system,
+                    history_law, simulate_histogram, simulate_panel)
+from .oracle import (moment_rank, population_aggregates, population_system,
                      run_checks, spec_with_steps)
 from .panel import PanelData, read_panel_csv, write_panel_csv
 from .workflow import EstimationResult, estimate_panel

@@ -27,20 +27,6 @@ from . import _rng
 from .panel import ROW_BLOCK, PanelData
 
 
-def logit_prob(eta: float, gamma: float, y_prev: int, effect: float) -> float:
-    """Logistic response probability at index ``eta + gamma*y_prev + effect``.
-
-    Evaluated by dividing through by the larger exponential term, so the
-    result stays in (0, 1) without overflow for index magnitudes up to the
-    float64 exp limit (~709).
-    """
-    x = eta + gamma * y_prev + effect
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
 @dataclass(frozen=True)
 class TimeDummiesSpec:
     """Markov logit model with one period effect per time period.

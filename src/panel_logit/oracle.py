@@ -1,14 +1,15 @@
 """Exact, estimator-independent verification layer.
 
-All checks here are finite enumerations: conditional expectations over the
-eight three-period continuation paths, population moments over the outcome
-histories of the estimation window mixed across an explicit grid of
-fixed-effect values, and numerical ranks of moment-function value matrices
-over complete window enumerations.  Nothing is simulated, so pass/fail
-assertions carry no Monte Carlo error.  The population is a 32-cell window
-table like a sample's, weighted by exact probabilities instead of counts,
-and goes through the same aggregation builder and the same variance
-sandwich, where its total weight N is 1.
+All checks here are finite enumerations over one law: the exact
+probabilities of the 32 outcome patterns of a window ``t-3 .. t+1`` at each
+value of a fixed-effect grid (``model.chain_law``, the chain carried from
+period 1).  Conditioned on the pre-window outcomes, the law gives every
+moment row's conditional mean at once; mixed across the grid, it is the
+population's 32-cell window table, weighted by exact probabilities instead
+of counts, which goes through the same aggregation builder and the same
+variance sandwich as a sample's, with total weight N equal to 1.  Ranks
+are numerical ranks of the moment rows' values over the 32 window cells.
+Nothing is simulated, so pass/fail assertions carry no Monte Carlo error.
 
 The fixed-effect heterogeneity enters through finite grids because the
 conditional moment identities hold pointwise in the fixed effect; any grid
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,72 +30,20 @@ from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
                          VARIANT_MINUS_37, build_system, build_system_c, row_cells,
                          solve, variant_minus_r, TransformedEstimate)
 from .inference import recover_original
-from .kernels import Window5, all_windows, alpha_from_spec, alpha_labels
-from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law, logit_prob
-
-
-@dataclass(frozen=True)
-class ConditioningState:
-    """Conditioning information for the three-period continuation law."""
-
-    spec: ModelSpec
-    t: int
-    eta: float
-    y_tm2: int
-    y_tm3: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.eta):
-            raise ValueError("eta must be finite")
-        if self.y_tm2 not in (0, 1) or self.y_tm3 not in (0, 1):
-            raise ValueError("conditioning outcomes must be 0 or 1")
-
-
-def path_law(state: ConditioningState) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-    """Joint law of (y_{t-1}, y_t, y_{t+1}) given the conditioning state.
-
-    Probabilities are products of the three one-step transition
-    probabilities; they sum to one by construction.
-    """
-    spec, t, eta = state.spec, state.t, state.eta
-    paths, probs = [], []
-    for y1, y0, yp in product((0, 1), repeat=3):
-        p1 = logit_prob(eta, spec.gamma, state.y_tm2, spec.effect(t - 1))
-        p2 = logit_prob(eta, spec.gamma, y1, spec.effect(t))
-        p3 = logit_prob(eta, spec.gamma, y0, spec.effect(t + 1))
-        pr = (p1 if y1 else 1.0 - p1) * (p2 if y0 else 1.0 - p2) * (p3 if yp else 1.0 - p3)
-        paths.append((y1, y0, yp))
-        probs.append(pr)
-    return paths, np.array(probs)
-
-
-def conditional_moment(state: ConditioningState,
-                       fn: Callable[[Window5], float]) -> float:
-    """Expectation of a window function under the continuation law."""
-    paths, probs = path_law(state)
-    total = 0.0
-    for (y1, y0, yp), pr in zip(paths, probs):
-        total += pr * fn((state.y_tm3, state.y_tm2, y1, y0, yp))
-    return total
-
-
-def moment_row_function(family: str, which: int, spec: ModelSpec,
-                        t: int) -> Callable[[Window5], float]:
-    """Moment row (kernel expansion) at the true transformed parameters."""
-    alphas = alpha_from_spec(family, spec, t)
-    return lambda w: kernels.transformed_moment_row(family, which, w, alphas)
-
-
-def hbar_function(kind: str, spec: ModelSpec, t: int) -> Callable[[Window5], float]:
-    """One of the two conditional moment forms at the true parameters."""
-    phi_t, phi_tp1 = spec.phi_pair(t)
-    delta = spec.delta
-    form = {"u": kernels.hbar_u, "upsilon": kernels.hbar_upsilon}[kind]
-    return lambda w: form(w, delta, phi_t, phi_tp1)
+from .kernels import all_windows, alpha_from_spec, alpha_labels
+from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law
 
 
 # ---------------------------------------------------------------------------
-# exact population moments
+# the exact window law and the population moments
+
+
+def _window_law(spec: ModelSpec, eta: Sequence[float], t: int) -> np.ndarray:
+    """Law of the 32 window-``t`` cells at each fixed effect, one row per
+    ``eta``, cells in window-code order."""
+    if t < 4:
+        raise ValueError(f"window {t} needs period {t - 3}, the chain starts at period 1")
+    return chain_law(spec, np.asarray(eta, dtype=np.float64), 5, t - 3)
 
 
 def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
@@ -108,13 +56,11 @@ def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
     cells go through the builder a sample's counts go through, with ``n =
     0`` (no sample).
     """
-    if t < 4:
-        raise ValueError(f"window {t} needs period {t - 3}, the chain starts at period 1")
+    law = _window_law(spec, eta_nodes, t)
     weights = np.asarray(eta_weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("eta grid weights must sum to 1")
-    law = weights @ chain_law(spec, np.asarray(eta_nodes, dtype=np.float64), 5, t - 3)
-    return from_cells(t, law, n=0)
+    return from_cells(t, weights @ law, n=0)
 
 
 def population_system(family: str, spec: ModelSpec, t: int,
@@ -221,6 +167,43 @@ def check_identities(n_draws: int = 50, seed: int = 20240801,
                        f"{n_draws} parameter draws x 32 windows x 12 rows")
 
 
+def _moment_tables(spec: ModelSpec, t: int,
+                   families: Sequence[str]) -> list[tuple[np.ndarray, int]]:
+    """Both conditional forms and the families' eight moment rows at the
+    true parameters of ``spec``, as 32-cell tables (one column each).
+
+    Each table comes with the number of pre-window states it has zero mean
+    given: 4 for ``(y_{t-3}, y_{t-2})``, or 2 for ``y_{t-3}`` alone, which
+    is all that family C's rows at window ``t - 1`` condition on.
+    """
+    phi_t, phi_tp1 = spec.phi_pair(t)
+    forms = np.array([[form(w, spec.delta, phi_t, phi_tp1)
+                       for form in (kernels.hbar_u, kernels.hbar_upsilon)]
+                      for w in all_windows()])
+    tables = [(forms, 4)]
+    for family in families:
+        rows = _value_matrix(family, spec, t, range(1, 9)).T
+        if family == "C":
+            tables += [(rows[:, :4], 4), (rows[:, 4:], 2)]
+        else:
+            tables.append((rows, 4))
+    return tables
+
+
+def _conditional_means(law: np.ndarray, values: np.ndarray, states: int) -> np.ndarray:
+    """Means of the columns of a 32-cell table given the fixed effect and
+    the first ``log2(states)`` window outcomes; (eta, state, column).
+
+    ``law`` is ``_window_law``'s: a cell code's high bits are the state.
+    """
+    cond = law.reshape(len(law), states, -1)
+    cond = cond / cond.sum(axis=2, keepdims=True)
+    return np.einsum("esc,sck->esk", cond, values.reshape(states, -1, values.shape[1]))
+
+
+_ZERO_MEAN_ETA = (-2.0, -1.0, 0.0, 1.0, 2.0)
+
+
 def check_zero_means(tol: float = 1e-12) -> CheckResult:
     """All moment functions have zero conditional mean at true parameters."""
     dummies = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
@@ -232,50 +215,33 @@ def check_zero_means(tol: float = 1e-12) -> CheckResult:
         (trend, 6, ("A", "B", "C")),
     ]
     for spec, t, families in cases:
-        fns: list[Callable[[Window5], float]] = [
-            hbar_function("u", spec, t), hbar_function("upsilon", spec, t)]
-        for family in families:
-            fns.extend(moment_row_function(family, which, spec, t)
-                       for which in range(1, 5))
-        for eta in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            for y_tm2 in (0, 1):
-                for y_tm3 in (0, 1):
-                    state = ConditioningState(spec=spec, t=t, eta=eta,
-                                              y_tm2=y_tm2, y_tm3=y_tm3)
-                    for fn in fns:
-                        worst = max(worst, abs(conditional_moment(state, fn)))
+        law = _window_law(spec, _ZERO_MEAN_ETA, t)
+        for values, states in _moment_tables(spec, t, families):
+            worst = max(worst, float(np.abs(_conditional_means(law, values, states)).max()))
     return CheckResult("zero conditional means", worst <= tol, worst, tol,
-                       "grid of eta x pre-window outcomes, both models")
+                       f"{len(cases)} cases x {len(_ZERO_MEAN_ETA)} eta x 4 pre-window "
+                       "states (2 for C rows 5-8): rows 1-8 of A, B and C, both "
+                       "conditional forms")
 
 
 def check_vanishing_rows(tol: float = 0.0) -> CheckResult:
     """With the pre-window outcome at 0, rows 2 and 3 of family A vanish."""
     spec = spec_with_steps(0.7, 0.25, -0.4)
-    a2 = moment_row_function("A", 2, spec, 5)
-    a3 = moment_row_function("A", 3, spec, 5)
-    worst = 0.0
-    for w in all_windows():
-        if w[1] == 0:
-            worst = max(worst, abs(a2(w)), abs(a3(w)))
+    values = _value_matrix("A", spec, 5, (2, 3))[:, (np.arange(32) & 8) == 0]  # y_{t-2} = 0
+    worst = float(np.abs(values).max())
     return CheckResult("pre-window-zero rows vanish", worst <= tol, worst, tol)
 
 
 def check_three_period_rank() -> CheckResult:
     """The two surviving rows cannot identify three parameters.
 
-    Restricted to histories with the pre-window outcome at 0, the value
+    Restricted to histories with the pre-window outcomes at 0, the value
     matrix of rows A1 and A4 over the eight continuations has rank at most
     2, one short of the three unknown parameters.
     """
     spec = spec_with_steps(0.7, 0.25, -0.4)
-    alphas = alpha_from_spec("A", spec, 5)
-    rows = []
-    for which in (1, 4):
-        row = []
-        for y1, y0, yp in product((0, 1), repeat=3):
-            row.append(kernels.transformed_moment_row("A", which, (0, 0, y1, y0, yp), alphas))
-        rows.append(row)
-    rank = np.linalg.matrix_rank(np.array(rows), tol=1e-10)
+    values = _value_matrix("A", spec, 5, (1, 4))[:, :8]  # y_{t-3} = y_{t-2} = 0
+    rank = np.linalg.matrix_rank(values, tol=1e-10)
     return CheckResult("three-period underidentification", rank <= 2 < 3,
                        float(rank), 2.0, f"rank {rank} of 2 rows vs 3 parameters")
 

@@ -8,34 +8,50 @@ from scipy.special import expit
 from scipy.stats import chi2
 
 from panel_logit import (DgpConfig, TimeDummiesSpec, TimeTrendSpec, history_law,
-                         logit_prob, simulate_histogram, simulate_panel)
+                         simulate_histogram, simulate_panel)
 from panel_logit import _rng
+from panel_logit.model import chain_law
 from panel_logit.panel import ROW_BLOCK
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
 
 
+def _logistic(x):
+    """Scalar logistic, evaluated on the side whose exponential cannot overflow."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def _logit_prob(eta, gamma, prev, effect):
+    """P(y_2 = 1 | y_1 = prev, eta) read off ``chain_law``.  Period 1's index
+    is eta - eta = 0, so P(y_1 = prev) is exactly 1/2 and doubling is exact."""
+    spec = TimeDummiesSpec(gamma=gamma, td=(-eta, effect))
+    return 2.0 * chain_law(spec, np.array([eta]), 2)[0, 2 * prev + 1]
+
+
 def test_logit_prob_symmetric_zero():
-    assert logit_prob(0.0, 1.0, 0, 0.0) == 0.5
+    assert _logit_prob(0.0, 1.0, 0, 0.0) == 0.5
 
 
 def test_logit_prob_closed_form_unit():
-    assert logit_prob(0.0, 1.0, 1, 0.0) == pytest.approx(math.exp(1) / (1 + math.exp(1)), rel=1e-15)
+    assert _logit_prob(0.0, 1.0, 1, 0.0) == pytest.approx(math.exp(1) / (1 + math.exp(1)), rel=1e-15)
 
 
 def test_logit_prob_high_precision_point():
     # independent high-precision evaluation of the closed form at index 1.5
     import mpmath
 
-    mpmath.mp.dps = 50
-    expected = float(mpmath.exp(1.5) / (1 + mpmath.exp(1.5)))
-    assert logit_prob(0.3, 1.0, 1, 0.2) == pytest.approx(expected, rel=1e-15)
+    with mpmath.workdps(50):
+        expected = float(mpmath.exp(1.5) / (1 + mpmath.exp(1.5)))
+    assert _logit_prob(0.3, 1.0, 1, 0.2) == pytest.approx(expected, rel=1e-15)
 
 
 def test_logit_prob_extreme_arguments_no_overflow():
-    hi = logit_prob(400.0, 100.0, 1, 200.0)   # index 700
-    lo = logit_prob(-400.0, -100.0, 1, -200.0)
+    hi = _logit_prob(400.0, 100.0, 1, 200.0)   # index 700
+    lo = _logit_prob(-400.0, -100.0, 1, -200.0)
     assert math.isfinite(hi) and math.isfinite(lo)
     assert 0.0 < lo < 1e-300          # stays strictly positive
     assert hi == pytest.approx(1.0)   # rounds to 1.0, never overflows
@@ -44,11 +60,11 @@ def test_logit_prob_extreme_arguments_no_overflow():
 def test_logit_prob_monotone():
     grid = np.linspace(-3, 3, 13)
     for lo, hi in zip(grid[:-1], grid[1:]):
-        assert logit_prob(hi, 0.5, 1, 0.0) > logit_prob(lo, 0.5, 1, 0.0)
-        assert logit_prob(0.1, 0.5, 1, hi) > logit_prob(0.1, 0.5, 1, lo)
-        assert logit_prob(0.1, hi, 1, 0.2) > logit_prob(0.1, lo, 1, 0.2)
+        assert _logit_prob(hi, 0.5, 1, 0.0) > _logit_prob(lo, 0.5, 1, 0.0)
+        assert _logit_prob(0.1, 0.5, 1, hi) > _logit_prob(0.1, 0.5, 1, lo)
+        assert _logit_prob(0.1, hi, 1, 0.2) > _logit_prob(0.1, lo, 1, 0.2)
     # gamma only matters through the lag
-    assert logit_prob(0.1, 2.0, 0, 0.2) == logit_prob(0.1, -2.0, 0, 0.2)
+    assert _logit_prob(0.1, 2.0, 0, 0.2) == _logit_prob(0.1, -2.0, 0, 0.2)
 
 
 def test_spec_validation():
@@ -149,7 +165,7 @@ def test_simulate_transition_frequencies_match_logit():
     panel = simulate_panel(spec, DgpConfig(n_individuals=n, n_periods=4, seed=9))
     for t in (2, 3, 4):
         y = panel.col(t)
-        p_true = logit_prob(0.0, 0.0, 0, spec.effect(t))
+        p_true = _logistic(spec.effect(t))
         se = math.sqrt(p_true * (1 - p_true) / n)
         assert abs(y.mean() - p_true) < 4 * se
 
@@ -192,10 +208,9 @@ def test_history_law_matches_logit_chain_without_heterogeneity():
     law = history_law(SPEC_31, 4, 0.0)
     for code in range(16):
         y = [(code >> (3 - k)) & 1 for k in range(4)]
-        pr, prev = 1.0, None
+        pr, prev = 1.0, 0  # the first period has no lag term
         for t, yt in enumerate(y, start=1):
-            p = logit_prob(0.0, 0.0 if prev is None else SPEC_31.gamma,
-                           prev or 0, SPEC_31.effect(t))
+            p = _logistic(SPEC_31.gamma * prev + SPEC_31.effect(t))
             pr *= p if yt else 1.0 - p
             prev = yt
         assert law[code] == pytest.approx(pr, rel=1e-14)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from itertools import product
 
 import numpy as np
@@ -5,69 +7,118 @@ import pytest
 
 from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          TransformedEstimate, build_system, build_system_c,
-                         conditional_moment, logit_prob, moment_rank, path_law,
-                         population_aggregates, population_system, run_checks,
-                         solve, theta_kernels, two_step_dtd_tm1, variance,
-                         xi_kernels)
+                         moment_rank, population_aggregates, population_system,
+                         run_checks, solve, theta_kernels, two_step_dtd_tm1,
+                         variance, xi_kernels)
 from panel_logit.aggregation import SELECTORS, from_cells
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, variant_minus_r)
 from panel_logit.inference import recover_original
 from panel_logit.kernels import (all_windows, alpha_from_spec, alpha_labels,
                                  transformed_moment_row)
-from panel_logit.oracle import (ConditioningState, _value_matrix, check_identities,
-                                check_three_period_rank,
-                                check_vanishing_rows, format_report,
-                                hbar_function, moment_row_function,
-                                population_estimate, spec_with_steps,
-                                variant_rows)
+from panel_logit.model import chain_law
+from panel_logit.oracle import (_ZERO_MEAN_ETA, _conditional_means, _moment_tables,
+                                _value_matrix, _window_law, check_identities,
+                                check_three_period_rank, check_vanishing_rows,
+                                format_report, population_estimate,
+                                spec_with_steps, variant_rows)
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
+SPEC_TREND = TimeTrendSpec(gamma=-0.6, phi_coef=0.3)
 
 
-def test_path_law_fair_coin():
+def _logistic(x):
+    """Scalar logistic, evaluated on the side whose exponential cannot overflow."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def _history_prob(spec, eta, hist):
+    """Probability of outcomes ``hist`` over periods 1.. as a product of
+    scalar logistic transitions; the first period has no lag term."""
+    pr, prev = 1.0, 0
+    for period, y in enumerate(hist, start=1):
+        p = _logistic(eta + spec.gamma * prev + spec.effect(period))
+        pr *= p if y else 1.0 - p
+        prev = y
+    return pr
+
+
+@pytest.mark.parametrize("spec", [SPEC_31, SPEC_TREND], ids=["dummies", "trend"])
+@pytest.mark.parametrize("first, n_periods", [(1, 3), (3, 4), (4, 5)])
+def test_chain_law_is_a_product_of_logistic_transitions(spec, first, n_periods):
+    # periods before ``first`` are summed out: enumerate them and add up
+    eta = np.array([-1.7, 0.0, 0.45, 2.3])
+    law = chain_law(spec, eta, n_periods, first)
+    assert law.shape == (len(eta), 2 ** n_periods)
+    for k, e in enumerate(eta):
+        for h in range(2 ** n_periods):
+            tail = tuple((h >> (n_periods - 1 - j)) & 1 for j in range(n_periods))
+            want = sum(_history_prob(spec, e, head + tail)
+                       for head in product((0, 1), repeat=first - 1))
+            assert law[k, h] == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def test_chain_law_fair_coin():
     spec = TimeDummiesSpec(gamma=0.0, td=(0.0,) * 8)
-    state = ConditioningState(spec=spec, t=5, eta=0.0, y_tm2=0)
-    _, probs = path_law(state)
-    assert np.allclose(probs, 1 / 8)
+    assert np.all(chain_law(spec, np.zeros(1), 5, 4) == 1 / 32)
 
 
-def test_path_law_sums_to_one():
+def test_chain_law_sums_to_one():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        state = ConditioningState(spec=SPEC_31, t=int(rng.integers(4, 8)),
-                                  eta=float(rng.normal()), y_tm2=int(rng.integers(2)))
-        _, probs = path_law(state)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(probs >= 0)
+        law = chain_law(SPEC_31, rng.normal(size=3), 5, int(rng.integers(1, 4)))
+        assert np.all(law >= 0)
+        assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-14
 
 
-def test_path_law_composition():
-    state = ConditioningState(spec=SPEC_31, t=7, eta=0.3, y_tm2=1)
-    paths, probs = path_law(state)
-    idx = paths.index((1, 1, 1))
-    expected = (logit_prob(0.3, 1.0, 1, SPEC_31.effect(6))
-                * logit_prob(0.3, 1.0, 1, SPEC_31.effect(7))
-                * logit_prob(0.3, 1.0, 1, SPEC_31.effect(8)))
-    assert probs[idx] == pytest.approx(expected, rel=1e-15)
+def test_chain_law_high_precision_point():
+    # P(y_1, y_2 = 1) at eta = 0.3, indices -0.1 and then 0.5 or 1.5,
+    # against a 50-digit evaluation of the closed form
+    import mpmath
+
+    spec = TimeDummiesSpec(gamma=1.0, td=(-0.4, 0.2))
+    law = chain_law(spec, np.array([0.3]), 2)
+    with mpmath.workdps(50):
+        def logistic(x):
+            return 1 / (1 + mpmath.exp(-mpmath.mpf(x)))
+
+        for y1, index in ((0, "0.5"), (1, "1.5")):
+            p1 = logistic("-0.1") if y1 else 1 - logistic("-0.1")
+            want = float(p1 * logistic(index))
+            assert law[0, 2 * y1 + 1] == pytest.approx(want, rel=1e-15)
 
 
-def test_conditional_moment_zero_at_truth_nonzero_when_perturbed():
-    for eta in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for y_tm2 in (0, 1):
-            state = ConditioningState(spec=SPEC_31, t=7, eta=eta, y_tm2=y_tm2)
-            assert abs(conditional_moment(state, hbar_function("u", SPEC_31, 7))) < 1e-12
-            assert abs(conditional_moment(state, hbar_function("upsilon", SPEC_31, 7))) < 1e-12
-            assert abs(conditional_moment(state, moment_row_function("A", 1, SPEC_31, 7))) < 1e-12
+def test_chain_law_extreme_indices_stay_positive():
+    # indices of +-700 sit at the float64 exp limit: every history keeps a
+    # positive probability and the law still sums to one
+    spec = TimeDummiesSpec(gamma=100.0, td=(300.0, 200.0, -300.0))
+    law = chain_law(spec, np.array([400.0, -400.0]), 3)
+    assert np.all(np.isfinite(law)) and np.all(law >= 0.0)
+    assert law[0, 0b110] > 0.0 and law[1, 0b001] > 0.0
+    assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-15
 
-    wrong = TimeDummiesSpec(gamma=1.5, td=SPEC_31.td)
-    state = ConditioningState(spec=SPEC_31, t=7, eta=0.5, y_tm2=1)
-    # evaluating the moment at wrong parameters under the true law
-    phi_t, phi_tp1 = wrong.phi_pair(7)
-    from panel_logit.kernels import hbar_u
 
-    fn = lambda w: hbar_u(w, wrong.delta, phi_t, phi_tp1)
-    assert abs(conditional_moment(state, fn)) > 1e-4
+@pytest.mark.parametrize("spec, t, families", [
+    (SPEC_31, 7, ("A", "B")),
+    (TimeTrendSpec(gamma=1.0, phi_coef=0.3), 6, ("A", "B", "C")),
+], ids=["dummies", "trend"])
+def test_window_law_zero_means_at_truth_nonzero_when_perturbed(spec, t, families):
+    # every row of each family, C's window t - 1 rows included, and both
+    # conditional forms: zero given the pre-window outcomes at the truth,
+    # and off zero when evaluated at a wrong gamma under the true law
+    law = _window_law(spec, _ZERO_MEAN_ETA, t)
+    truth = _moment_tables(spec, t, families)
+    wrong = _moment_tables(dataclasses.replace(spec, gamma=1.2), t, families)
+    columns = 0
+    for (good, states), (bad, _) in zip(truth, wrong):
+        assert np.abs(_conditional_means(law, good, states)).max() < 1e-12
+        off = np.abs(_conditional_means(law, bad, states)).max(axis=(0, 1))
+        assert off.min() > 1e-4, off
+        columns += good.shape[1]
+    assert columns == 2 + 8 * len(families)
 
 
 def test_population_consistency_sweep():
@@ -178,11 +229,7 @@ def _enumerated_bars(spec, n_periods, window, eta_nodes, eta_weights):
     xi_bar = [[0.0] * 4 for _ in range(4)]
     for eta, wgt in zip(eta_nodes, eta_weights):
         for hist in product((0, 1), repeat=n_periods):
-            pr, prev = 1.0, 0  # the first period has no lag term
-            for period, y in enumerate(hist, start=1):
-                p = logit_prob(eta, spec.gamma, prev, spec.effect(period))
-                pr *= p if y else 1.0 - p
-                prev = y
+            pr = _history_prob(spec, eta, hist)
             w = hist[window - 4:window + 1]  # periods window-3 .. window+1
             th, xk = theta_kernels(w), xi_kernels(w)
             y3, y2 = w[0], w[1]

@@ -1,10 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
-                         estimate_panel, simulate_panel, workflow)
+from panel_logit import (DgpConfig, EstimationError, PanelData, TimeDummiesSpec,
+                         TimeTrendSpec, estimate_panel, simulate_panel, workflow)
+from panel_logit.aggregation import from_cells
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
@@ -94,3 +98,35 @@ def test_estimation_allocates_under_20_bytes_per_individual():
     finally:
         tracemalloc.stop()
     assert peak / n < 20.0, peak / n
+
+
+# the estimator lines of the benchmark's battery (perfbench/workloads.py)
+_BATTERY = (("A", "minus-3-7", True, None), ("B", "minus-1-5", True, None),
+            ("A", "minus-3-7", False, "ab-dummies"), ("C", "full", False, "c-trend"))
+_CELL = {"dense": st.integers(1, 10**6),
+         "sparse": st.one_of(st.just(0), st.just(0), st.just(0), st.integers(1, 50)),
+         "tiny": st.integers(0, 2),
+         "heavy": st.one_of(st.integers(0, 9), st.integers(10**9, 10**12))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.sampled_from(sorted(_CELL)).flatmap(
+    lambda kind: st.lists(_CELL[kind], min_size=32, max_size=32)))
+def test_any_cell_table_gives_a_finite_result_or_a_typed_failure(cells):
+    cells = np.array(cells, dtype=np.float64)
+    if cells.sum() == 0:
+        cells[0] = 1.0  # a panel holds at least one individual
+    # a filled aggregate cache means the panel itself is never read
+    cache = {7: from_cells(7, cells, n=int(cells.sum()))}
+    for family, variant, two_step, wald in _BATTERY:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = estimate_panel(None, family, variant, 7, two_step=two_step,
+                                        wald=wald, stats_cache=cache)
+            except EstimationError:
+                continue
+        values = np.concatenate([np.ravel(v) for v in _outputs(result).values()])
+        assert np.isfinite(values).all(), (family, variant, _outputs(result))
+        if wald:
+            assert np.isfinite(result.wald.p_value)
