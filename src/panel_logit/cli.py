@@ -36,7 +36,7 @@ from .mc import EstimatorRun, McConfig, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
 from .panel import read_panel_csv, write_panel_csv
-from .workflow import estimate_panel
+from .workflow import check_estimator, estimate_panel
 
 
 class ConfigError(Exception):
@@ -244,6 +244,7 @@ def _cmd_estimate(args) -> int:
                                                args.variant, args.window)
         two_step, wald = args.two_step, args.wald
 
+    check_estimator(family, variant, two_step, wald)
     try:
         panel = read_panel_csv(panel_path)
     except (ValueError, csv.Error) as exc:

@@ -89,14 +89,12 @@ def variant_minus_r(r: int) -> Variant:
 
 def parse_variant(name: str) -> Variant:
     """Parse a CLI-style variant name."""
-    if name == "full":
-        return VARIANT_FULL
-    if name == "minus-3-7":
-        return VARIANT_MINUS_37
-    if name == "minus-1-5":
-        return VARIANT_MINUS_15
-    if name.startswith("minus-r:"):
-        return variant_minus_r(int(name.split(":", 1)[1]))
+    for variant in (VARIANT_FULL, VARIANT_MINUS_37, VARIANT_MINUS_15):
+        if name == variant.name:
+            return variant
+    row = name.removeprefix("minus-r:")
+    if row != name and row.isdecimal():
+        return variant_minus_r(int(row))
     raise ValueError(f"unknown variant {name!r}")
 
 

@@ -73,12 +73,14 @@ class OriginalEstimate:
     phi_coef: ParamEstimate | None = None
     dtd_tm1: ParamEstimate | None = None
 
+    def params(self) -> dict[str, ParamEstimate]:
+        """The recovered parameters, by name, in reporting order."""
+        names = ("gamma", "dtd_t", "dtd_tp1", "phi_coef", "dtd_tm1")
+        return {n: getattr(self, n) for n in names if getattr(self, n) is not None}
+
     def to_dict(self) -> dict:
         out: dict = {"family": self.family, "gamma_from": self.gamma_from}
-        for name in ("gamma", "dtd_t", "dtd_tp1", "phi_coef", "dtd_tm1"):
-            p = getattr(self, name)
-            if p is not None:
-                out[name] = {"estimate": p.value, "se": p.se}
+        out.update({n: {"estimate": p.value, "se": p.se} for n, p in self.params().items()})
         return out
 
 

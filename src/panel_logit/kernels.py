@@ -19,9 +19,9 @@ functions (three families A, B, C with four rows each):
   either 1 or entries of the transformed parameter vector alpha.  This is
   the canonical path used by the estimators, since it is linear in alpha.
 * ``scaled_hbar_row`` -- the same value obtained by rescaling one of the two
-  conditional moment forms ``hbar_u`` / ``hbar_upsilon``.  It exists only so
-  the oracle can cross-check the expansion; the two paths must agree to
-  float precision on every window.
+  conditional moment forms ``hbar_u`` / ``hbar_upsilon``: the reference
+  the oracle holds the estimators' row tables to, on all 32 windows at once
+  (a window may hold outcome columns).  The two paths agree to float precision.
 
 The eight window kernels come in two families of four:
 
@@ -214,8 +214,7 @@ def _row_entry(family: str, which: int):
     return ROW_TABLE[family][which - 1]
 
 
-# scale factors turning the hbar forms into the twelve expansions; used only
-# for oracle cross-checks
+# scale factors turning the hbar forms into the twelve expansions
 def scaled_hbar_row(family: str, which: int, w: Window5, delta: float,
                     phi_t: float, phi_tp1: float) -> float:
     """Moment row evaluated by rescaling the matching conditional form."""

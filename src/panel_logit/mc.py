@@ -25,13 +25,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .estimators import (EstimationError, SingularSystem, SingularWeight,
-                         kept_components, parse_variant)
-from .inference import (RESTRICTION_SETS, NonpositiveAlpha, NonpositivePhiHat,
-                        ZeroDenominator)
+from .estimators import EstimationError, SingularSystem, SingularWeight
+from .inference import NonpositiveAlpha, NonpositivePhiHat, ZeroDenominator
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, simulate_histogram,
                     simulate_panel)
-from .workflow import estimate_panel
+from .workflow import check_estimator, estimate_panel
 
 WALD_LEVEL = 0.05
 
@@ -92,20 +90,7 @@ class McConfig:
         for run in self.estimators:
             t = run.window_t
             try:
-                _, kept = kept_components(run.family, parse_variant(run.variant))
-                if run.wald is not None:
-                    if run.wald not in RESTRICTION_SETS:
-                        raise ValueError(f"unknown restriction set {run.wald!r}; "
-                                         f"choose from {sorted(RESTRICTION_SETS)}")
-                    labels, _ = RESTRICTION_SETS[run.wald]
-                    if labels != kept:
-                        raise ValueError(f"restriction set {run.wald!r} expects "
-                                         f"components {labels}, the variant keeps {kept}")
-                if run.two_step and run.family == "C":
-                    raise ValueError("the two-step effect step applies to families A and B")
-                if run.two_step and "d" not in kept:
-                    raise ValueError(f"variant {run.variant!r} drops component 'd'; "
-                                     "the second step is unavailable")
+                check_estimator(run.family, run.variant, run.two_step, run.wald)
                 if t - 3 < first or t + 1 > last:
                     raise ValueError(f"window {t} needs periods {t - 3}..{t + 1}, the "
                                      f"panel keeps {first}..{last} after the discard")
@@ -162,13 +147,7 @@ def _run_replication(config: McConfig, r: int) -> list[dict]:
             rec["message"] = str(exc)
         else:
             rec["status"] = "ok"
-            params = {}
-            orig = result.original
-            for name in ("gamma", "dtd_t", "dtd_tp1", "phi_coef", "dtd_tm1"):
-                p = getattr(orig, name)
-                if p is not None:
-                    params[name] = (p.value, p.se)
-            rec["params"] = params
+            rec["params"] = {n: (p.value, p.se) for n, p in result.original.params().items()}
             if result.wald is not None:
                 rec["wald"] = (result.wald.statistic, result.wald.df,
                                result.wald.p_value)

@@ -27,8 +27,9 @@ import numpy as np
 from . import kernels
 from .aggregation import AggregateStats, from_cells
 from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
-                         VARIANT_MINUS_37, build_system, build_system_c, row_cells,
-                         solve, variant_minus_r, TransformedEstimate)
+                         VARIANT_MINUS_37, build_system, build_system_c,
+                         kept_components, row_cells, solve, variant_minus_r,
+                         TransformedEstimate)
 from .inference import recover_original
 from .kernels import all_windows, alpha_from_spec, alpha_labels
 from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law
@@ -77,32 +78,33 @@ def population_system(family: str, spec: ModelSpec, t: int,
 # rank analysis of the moment-function sets
 
 
+_WINDOW_COLUMNS = np.array(all_windows()).T   # (y_{t-3}, .., y_{t+1}), 5 x 32
+
+
+def _row_values(family: str, alpha: np.ndarray) -> np.ndarray:
+    """``row_cells``' eight rows at ``alpha``, 32 cells x 8."""
+    y, x = row_cells(family)
+    return x @ alpha - y
+
+
 def _value_matrix(family: str, spec: ModelSpec, t: int,
                   rows: Sequence[int]) -> np.ndarray:
     """Moment rows at the true parameters, one column per window-``t``
-    cell: minus the residual of ``row_cells`` at the true ``alpha``."""
+    cell."""
     alpha = alpha_from_spec(family, spec, t)
     if family == "C":
         # rows 5..8 are at window t - 1: refuse a step that changes there
         alpha_from_spec(family, spec, t - 1)
-    y, x = row_cells(family)
-    return (x @ alpha - y)[:, np.array(rows) - 1].T
+    return _row_values(family, alpha)[:, np.array(rows) - 1].T
 
 
 def moment_rank(family: str, spec: ModelSpec, t: int,
-                rows: Sequence[int] | None = None,
-                rel_tol: float = 1e-10) -> int:
+                rows: Sequence[int] = range(1, 9), rel_tol: float = 1e-10) -> int:
     """Numerical rank of the moment functions as vectors over all windows."""
-    if rows is None:
-        rows = tuple(range(1, 9))
     svals = np.linalg.svd(_value_matrix(family, spec, t, rows), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals > rel_tol * svals[0]))
-
-
-def variant_rows(variant: Variant) -> tuple[int, ...]:
-    return tuple(r for r in range(1, 9) if r not in variant.removed_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +134,14 @@ def spec_with_steps(gamma: float, dtd_t: float, dtd_tp1: float,
 
 
 def check_identities(n_draws: int = 50, seed: int = 20240801,
-                     theta_fn=None, xi_fn=None, tol: float = 1e-12) -> CheckResult:
-    """Kernel expansions equal their rescaled conditional-form values.
+                     tol: float = 1e-12) -> CheckResult:
+    """Rows 1-8 of ``row_cells``, the tables the estimators solve, equal
+    their rescaled conditional forms at every window cell.
 
-    ``theta_fn``/``xi_fn`` allow substituting mutated kernels, which must
-    break this check; the default uses the real ones.
+    Rows 1-4 are ``kernels.scaled_hbar_row`` on the window columns; rows
+    5-8 are them times ``y_{t-3}`` (A, B), or at the window ``t - 1`` cell
+    ``code >> 1`` (C).
     """
-    theta_fn = theta_fn or kernels.theta_kernels
-    xi_fn = xi_fn or kernels.xi_kernels
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_draws):
@@ -149,22 +151,17 @@ def check_identities(n_draws: int = 50, seed: int = 20240801,
         phi_t, phi_tp1 = math.exp(s_t), math.exp(s_tp1)
         cases = [("A", phi_t, phi_tp1), ("B", phi_t, phi_tp1), ("C", phi_t, phi_t)]
         for family, p2, p3 in cases:
-            alphas = kernels.alpha_values(family, delta, p2, p3)
-            labels = alpha_labels(family)
-            named = dict(zip(labels, alphas))
-            for which in range(1, 5):
-                kind, sel, coeffs = kernels.ROW_TABLE[family][which - 1]
-                for w in all_windows():
-                    kern = theta_fn(w) if kind == "theta" else xi_fn(w)
-                    selector = (1 - w[1]) if sel == "-" else w[1]
-                    expansion = selector * sum(
-                        (1.0 if c == "1" else named[c]) * k
-                        for c, k in zip(coeffs, kern))
-                    scaled = kernels.scaled_hbar_row(family, which, w, delta, p2, p3)
-                    rel = abs(expansion - scaled) / max(abs(expansion), abs(scaled), 1.0)
-                    worst = max(worst, rel)
+            scaled = np.column_stack([
+                kernels.scaled_hbar_row(family, which, _WINDOW_COLUMNS, delta, p2, p3)
+                for which in range(1, 5)])
+            back = (scaled[np.arange(32) >> 1] if family == "C"
+                    else scaled * _WINDOW_COLUMNS[0][:, None])
+            scaled = np.hstack((scaled, back))
+            expansion = _row_values(family, kernels.alpha_values(family, delta, p2, p3))
+            rel = abs(expansion - scaled) / np.maximum(abs(expansion), abs(scaled)).clip(1.0)
+            worst = max(worst, float(rel.max()))
     return CheckResult("kernel-expansion identities", worst <= tol, worst, tol,
-                       f"{n_draws} parameter draws x 32 windows x 12 rows")
+                       f"{n_draws} draws x 3 families x rows 1-8 x 32 cells")
 
 
 def _moment_tables(spec: ModelSpec, t: int,
@@ -177,9 +174,8 @@ def _moment_tables(spec: ModelSpec, t: int,
     is all that family C's rows at window ``t - 1`` condition on.
     """
     phi_t, phi_tp1 = spec.phi_pair(t)
-    forms = np.array([[form(w, spec.delta, phi_t, phi_tp1)
-                       for form in (kernels.hbar_u, kernels.hbar_upsilon)]
-                      for w in all_windows()])
+    forms = np.column_stack([form(_WINDOW_COLUMNS, spec.delta, phi_t, phi_tp1)
+                             for form in (kernels.hbar_u, kernels.hbar_upsilon)])
     tables = [(forms, 4)]
     for family in families:
         rows = _value_matrix(family, spec, t, range(1, 9)).T
@@ -256,7 +252,7 @@ def check_ranks() -> list[CheckResult]:
     r = moment_rank("A", generic, t)
     out.append(CheckResult("family A full set rank (generic)", r == 8, float(r), 8.0))
     for family, variant in (("A", VARIANT_MINUS_37), ("B", VARIANT_MINUS_15)):
-        rows = variant_rows(variant)
+        rows, _ = kept_components(family, variant)
         r_gen = moment_rank(family, generic, t, rows)
         out.append(CheckResult(f"family {family} {variant.name} rank (generic)",
                                r_gen == 6, float(r_gen), 6.0))
@@ -264,11 +260,9 @@ def check_ranks() -> list[CheckResult]:
         out.append(CheckResult(f"family {family} {variant.name} rank (degenerate locus)",
                                r_loc < 6, float(r_loc), 6.0,
                                "rank must drop below 6"))
-    trend_gen = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
-    trend_loc = TimeTrendSpec(gamma=0.0, phi_coef=0.0)
-    r_gen = moment_rank("C", trend_gen, t)
+    r_gen = moment_rank("C", TimeTrendSpec(gamma=1.0, phi_coef=0.3), t)
     out.append(CheckResult("family C rank (generic)", r_gen == 8, float(r_gen), 8.0))
-    r_loc = moment_rank("C", trend_loc, t)
+    r_loc = moment_rank("C", TimeTrendSpec(gamma=0.0, phi_coef=0.0), t)
     out.append(CheckResult("family C rank (degenerate locus)", r_loc < 8,
                            float(r_loc), 8.0, "rank must drop below 8"))
     out.append(check_three_period_rank())

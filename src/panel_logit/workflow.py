@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 from .aggregation import aggregate
 from .estimators import (TransformedEstimate, Variant, build_system,
-                         build_system_c, parse_variant, solve, variance)
-from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
-                        recover_original, two_step_dtd_tm1, wald_test)
+                         build_system_c, kept_components, parse_variant, solve,
+                         variance)
+from .inference import (RESTRICTION_SETS, OriginalEstimate, TwoStepResult,
+                        WaldResult, recover_original, two_step_dtd_tm1, wald_test)
 from .panel import PanelData
 
 
@@ -37,6 +38,30 @@ class EstimationResult:
         return out
 
 
+def check_estimator(family: str, variant: Variant | str, two_step: bool = False,
+                    wald: str | None = None) -> Variant:
+    """Refuse an estimator line no panel could satisfy (a non-square system,
+    a Wald set off the kept components, a two-step on C or without ``d``);
+    return its variant."""
+    if isinstance(variant, str):
+        variant = parse_variant(variant)
+    _, kept = kept_components(family, variant)
+    if wald is not None:
+        if wald not in RESTRICTION_SETS:
+            raise ValueError(f"unknown restriction set {wald!r}; "
+                             f"choose from {sorted(RESTRICTION_SETS)}")
+        labels, _ = RESTRICTION_SETS[wald]
+        if labels != kept:
+            raise ValueError(f"restriction set {wald!r} expects "
+                             f"components {labels}, the variant keeps {kept}")
+    if two_step and family == "C":
+        raise ValueError("the two-step effect step applies to families A and B")
+    if two_step and "d" not in kept:
+        raise ValueError(f"variant {variant.name!r} drops component 'd'; "
+                         "the second step is unavailable")
+    return variant
+
+
 def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
                    window_t: int, two_step: bool = False,
                    wald: str | None = None,
@@ -46,10 +71,10 @@ def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
     ``two_step`` additionally estimates the effect step one period before
     the window (families A and B); ``wald`` names a restriction set to test.
     ``stats_cache``, one dict per panel, keeps the aggregates built by
-    ``aggregate`` across calls, keyed by window.
+    ``aggregate`` across calls, keyed by window.  The line is checked
+    (``check_estimator``) before the panel is aggregated.
     """
-    if isinstance(variant, str):
-        variant = parse_variant(variant)
+    variant = check_estimator(family, variant, two_step, wald)
     if stats_cache is None:
         stats_cache = {}
     stats = stats_cache.get(window_t)

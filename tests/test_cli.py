@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from panel_logit import aggregate, cli, read_panel_csv, simulate_panel
+from panel_logit import (DgpConfig, TimeTrendSpec, aggregate, cli, read_panel_csv,
+                         simulate_panel, write_panel_csv)
 from panel_logit.cli import main, parse_config_file
 
 SIM_CONFIG = """
@@ -145,6 +146,36 @@ def test_estimate_window_without_pre_period_exit_2(tmp_path, capsys):
                  "--variant", "minus-3-7", "--window", "3"])
     assert code == 2
     assert "window 3 needs period 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["minus-r:x", "minus-r:"])
+def test_estimate_unknown_variant_exit_2(tmp_path, capsys, variant):
+    code = main(["estimate", str(tmp_path / "missing.csv"), "--family", "A",
+                 "--variant", variant, "--window", "7"])
+    assert code == 2
+    assert f"unknown variant {variant!r}" in capsys.readouterr().err
+
+
+def test_estimate_line_is_refused_before_the_panel_is_read(tmp_path, capsys):
+    code = main(["estimate", str(tmp_path / "missing.csv"), "--family", "C",
+                 "--variant", "minus-3-7", "--window", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "variant 'minus-3-7' leaves a non-square system" in err
+    assert "No such file" not in err
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_estimate_two_step_on_c_exit_2_whatever_the_data(tmp_path, capsys, seed):
+    # at seed 0 the first stage fails (a nonpositive component), at seed 1
+    # it succeeds: either way the line itself is refused
+    dgp = DgpConfig(n_individuals=500, n_periods=8, sigma_eta_sq=0.5, seed=seed)
+    panel_path = str(tmp_path / "trend.csv")
+    write_panel_csv(simulate_panel(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp), panel_path)
+    code = main(["estimate", panel_path, "--family", "C", "--variant", "full",
+                 "--window", "7", "--two-step"])
+    assert code == 2
+    assert "applies to families A and B" in capsys.readouterr().err
 
 
 def test_mc_trend_estimator_on_dummies_model_exit_2(tmp_path, capsys):

@@ -123,6 +123,9 @@ def test_invalid_variant_family_combinations():
         build_system_c(aggregate(panel, 5), VARIANT_MINUS_37)
     with pytest.raises(ValueError):
         parse_variant("minus-2-6")
+    for name in ("minus-r:x", "minus-r:", "minus-r:-1"):
+        with pytest.raises(ValueError, match=f"unknown variant '{name}'"):
+            parse_variant(name)
 
 
 def test_c_refuses_window_without_pre_window_period():

@@ -11,8 +11,10 @@ from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          run_checks, solve, theta_kernels, two_step_dtd_tm1,
                          variance, xi_kernels)
 from panel_logit.aggregation import SELECTORS, from_cells
+from panel_logit import oracle
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
-                                    VARIANT_MINUS_37, variant_minus_r)
+                                    VARIANT_MINUS_37, kept_components,
+                                    row_cells, variant_minus_r)
 from panel_logit.inference import recover_original
 from panel_logit.kernels import (all_windows, alpha_from_spec, alpha_labels,
                                  transformed_moment_row)
@@ -21,7 +23,7 @@ from panel_logit.oracle import (_ZERO_MEAN_ETA, _conditional_means, _moment_tabl
                                 _value_matrix, _window_law, check_identities,
                                 check_three_period_rank, check_vanishing_rows,
                                 format_report, population_estimate,
-                                spec_with_steps, variant_rows)
+                                spec_with_steps)
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=-0.6, phi_coef=0.3)
@@ -156,9 +158,10 @@ def test_degenerate_eta_grid_detected():
 def test_moment_rank_values():
     generic = spec_with_steps(1.0, 0.2, -0.1)
     assert moment_rank("A", generic, 5) == 8
-    assert moment_rank("A", generic, 5, variant_rows(VARIANT_MINUS_37)) == 6
+    rows, _ = kept_components("A", VARIANT_MINUS_37)
+    assert moment_rank("A", generic, 5, rows) == 6
     locus = spec_with_steps(0.0, 0.2, 0.0)
-    assert moment_rank("A", locus, 5, variant_rows(VARIANT_MINUS_37)) < 6
+    assert moment_rank("A", locus, 5, rows) < 6
     trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
     assert moment_rank("C", trend, 5) == 8
     assert moment_rank("C", TimeTrendSpec(gamma=0.0, phi_coef=0.0), 5) < 8
@@ -190,18 +193,60 @@ def test_rank_matrix_is_the_scalar_expansion(family, spec):
     assert np.array_equal(_value_matrix(family, spec, 5, rows), want[np.array(rows) - 1])
 
 
-def test_mutated_kernel_breaks_identities():
-    from panel_logit.kernels import theta_kernels
+def _perturbed_row_cells(monkeypatch, family, change):
+    """Make the oracle read a copy of ``row_cells`` with ``change(y, x)``
+    applied to ``family``'s tables."""
+    def patched(fam):
+        y, x = row_cells(fam)
+        if fam != family:
+            return y, x
+        y, x = y.copy(), x.copy()
+        change(y, x)
+        return y, x
 
-    def mutated(w):
-        out = theta_kernels(w).copy()
-        out[1] = -out[1]  # wrong sign on the second component
-        return out
+    monkeypatch.setattr(oracle, "row_cells", patched)
 
-    good = check_identities(n_draws=5)
-    bad = check_identities(n_draws=5, theta_fn=mutated)
-    assert good.passed
-    assert not bad.passed
+
+def test_mutated_kernel_breaks_identities(monkeypatch):
+    assert check_identities(n_draws=5).passed
+    b = alpha_labels("A").index("b")
+
+    def wrong_sign(y, x):
+        x[:, 0, b] = -x[:, 0, b]  # wrong sign on row 1's second kernel
+
+    _perturbed_row_cells(monkeypatch, "A", wrong_sign)
+    assert not check_identities(n_draws=5).passed
+
+
+@pytest.mark.parametrize("family, cell, row", [
+    ("A", 0b10110, 5),   # y_{t-3} = 1 keeps the interacted row
+    ("C", 0b01101, 7),   # window t - 1 is the cell's first four periods
+])
+def test_perturbed_stacked_row_breaks_identities(monkeypatch, family, cell, row):
+    # rows 5..8 are read from the table, not derived from rows 1..4
+    def perturb(y, x):
+        y[cell, row - 1] += 0.5
+
+    _perturbed_row_cells(monkeypatch, family, perturb)
+    assert not check_identities(n_draws=2).passed
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_every_row_cell_entry_is_checked(monkeypatch, family):
+    _, x_true = row_cells(family)
+    entries = [(k, r, None) for k in range(32) for r in range(8)]
+    entries += [(k, r, c) for k, r, c in zip(*np.nonzero(x_true))]
+    for k, r, c in entries:
+        def perturb(y, x):
+            if c is None:
+                y[k, r] += 1.0
+            else:
+                x[k, r, c] = 0.0
+
+        _perturbed_row_cells(monkeypatch, family, perturb)
+        assert not check_identities(n_draws=1).passed, (k, r, c)
+    monkeypatch.undo()
+    assert check_identities(n_draws=1).passed
 
 
 def test_check_suite_all_pass():

@@ -84,6 +84,25 @@ def test_each_panel_is_collapsed_once(monkeypatch):
     assert calls == [7]
 
 
+@pytest.mark.parametrize("family, variant, two_step, wald, message", [
+    ("C", "full", True, None, "applies to families A and B"),
+    ("A", "minus-1-5", True, None, "drops component 'd'"),
+    ("B", "minus-3-7", False, "ab-dummies", "expects components"),
+    ("A", "minus-3-7", False, "ab-dumies", "unknown restriction set"),
+    ("C", "minus-3-7", False, None, "non-square system"),
+    ("A", "minus-r:x", False, None, "unknown variant"),
+])
+def test_estimator_line_is_refused_before_aggregation(monkeypatch, family, variant,
+                                                      two_step, wald, message):
+    def unreachable(panel, t):
+        raise AssertionError("aggregated a panel for a refused line")
+
+    monkeypatch.setattr(workflow, "aggregate", unreachable)
+    panel = simulate_panel(SPEC_TREND, DgpConfig(n_individuals=50, n_periods=8, seed=1))
+    with pytest.raises(ValueError, match=message):
+        estimate_panel(panel, family, variant, 7, two_step=two_step, wald=wald)
+
+
 def test_estimation_allocates_under_20_bytes_per_individual():
     # the window code (8 B) and bincount's float64 copy of the unit counts
     # (8 B) are the only arrays that grow with N
