@@ -50,9 +50,10 @@ SELECTORS = ("-", "+", "-+", "++")
 _SEL_INDEX = {s: k for k, s in enumerate(SELECTORS)}
 _KIND_INDEX = {"theta": 0, "xi": 1}
 
-# kernel values and selector weights of the 32 windows, in window-code order
-# (code = 16 y_{t-3} + 8 y_{t-2} + 4 y_{t-1} + 2 y_t + y_{t+1})
-_Y3, _Y2, _Y1, _Y0, _YP = np.array(all_windows(), dtype=np.int64).T
+# outcomes (y_{t-3}, .., y_{t+1}), kernel values and selector weights of the 32
+# windows, in window-code order (code = 16 y_{t-3} + 8 y_{t-2} + 4 y_{t-1} + 2 y_t + y_{t+1})
+WINDOW_COLUMNS = np.array(all_windows(), dtype=np.int64).T
+_Y3, _Y2, _Y1, _Y0, _YP = WINDOW_COLUMNS
 _KERNELS = np.array((_theta_components(_Y1, _Y0, _YP), _xi_components(_Y1, _Y0, _YP)))
 _SELECTOR_WEIGHTS = np.array((1 - _Y2, _Y2, (1 - _Y2) * _Y3, _Y2 * _Y3))
 # _CELL_TABLE[back, kind, j - 1, selector, code]: kernel j times the selector

@@ -2,8 +2,10 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments;
 repeated keys accumulate into lists (used for ``estimator`` lines in Monte
-Carlo configs).  Flags override file values.  A key the command does not
-read is refused, so a misspelt key cannot fall back to its default.
+Carlo configs).  Flags override file values, but ``estimate
+--from-manifest`` refuses the flags naming the panel and the estimator.  A
+key the command does not read is refused, so a misspelt key cannot fall
+back to its default.
 ``simulate`` also reads a Monte Carlo config and writes the panel of its
 replication 0 (before the discarded prefix).
 
@@ -228,8 +230,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_ESTIMATOR_FLAGS = (("panel", "PANEL"), ("family", "--family"), ("variant", "--variant"),
+                    ("window", "--window"), ("wald", "--wald"))
+
+
 def _cmd_estimate(args) -> int:
     if args.from_manifest:
+        given = [flag for attr, flag in _ESTIMATOR_FLAGS if getattr(args, attr) is not None]
+        if args.two_step:
+            given.append("--two-step")
+        if given:
+            raise ConfigError("--from-manifest takes the panel and estimator from the "
+                              "manifest; drop " + ", ".join(given))
         cfg = _load_manifest(args.from_manifest, "estimate")["config"]
         try:
             panel_path = cfg["panel"]

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
@@ -50,14 +49,18 @@ from .kernels import ROW_TABLE, alpha_labels
 
 RCOND_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
+GUARD_TOL = 1e-10   # a determinant guard below this in magnitude counts as zero
 
 
 class EstimationError(Exception):
-    """Base class for statistical-degeneracy failures."""
+    """Base class for statistical-degeneracy failures; ``status`` names the
+    failure in Monte Carlo records."""
+    status = "estimation_error"
 
 
 class SingularSystem(EstimationError):
     """The stacked system is numerically singular."""
+    status = "singular_system"
 
     def __init__(self, message: str, guards: dict[str, float] | None = None):
         super().__init__(message)
@@ -66,6 +69,7 @@ class SingularSystem(EstimationError):
 
 class SingularWeight(EstimationError):
     """The residual second-moment matrix is numerically singular."""
+    status = "singular_weight"
 
 
 @dataclass(frozen=True)
@@ -260,9 +264,9 @@ def _guard_values(family: str, variant: Variant, row_ids: tuple[int, ...],
     return guards
 
 
-def failed_guards(guards: dict[str, float], tol: float = 1e-10) -> list[str]:
+def failed_guards(guards: dict[str, float]) -> list[str]:
     """Names of guard diagnostics that are (numerically) zero."""
-    return [k for k, v in guards.items() if not np.isfinite(v) or abs(v) < tol]
+    return [k for k, v in guards.items() if not np.isfinite(v) or abs(v) < GUARD_TOL]
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +353,7 @@ def _sandwich(system: LinearSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     s_mat = (v.T * system.cells) @ v / n
     lu = _checked_lu(s_mat, SingularWeight, "residual moment matrix")[0]
     w = lu_solve(lu, np.eye(m))
-    design_error = partial(SingularSystem, guards=system.guards)
-    lu = _checked_lu(x.T @ w @ x, design_error, "weighted design")[0]
+    lu = _checked_lu(x.T @ w @ x, _guarded_error(system.guards), "weighted design")[0]
     vcov = lu_solve(lu, np.eye(m)) / n
     return (vcov + vcov.T) / 2.0
 

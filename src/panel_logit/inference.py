@@ -41,18 +41,22 @@ from .kernels import alpha_labels, exponents
 
 class NonpositiveAlpha(EstimationError):
     """A transformed-parameter estimate crossed zero; its log is undefined."""
+    status = "nonpositive_alpha"
 
 
 class ZeroDenominator(EstimationError):
     """The dagger ratio denominator vanished."""
+    status = "two_step_zero_denominator"
 
 
 class NonpositivePhiHat(EstimationError):
     """The second-step ratio is nonpositive; its log is undefined."""
+    status = "two_step_nonpositive"
 
 
 class SingularRestrictionCovariance(EstimationError):
     """The restriction covariance of a Wald test is numerically singular."""
+    status = "singular_restriction_covariance"
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ functions (three families A, B, C with four rows each):
 
 * ``transformed_moment_row`` -- the kernel-linear expansion
   ``selector(y_tm2) * sum_j coef_j * K_j(w)``, where the coefficients are
-  either 1 or entries of the transformed parameter vector alpha.  This is
-  the canonical path used by the estimators, since it is linear in alpha.
+  either 1 or entries of the transformed parameter vector alpha: the scalar
+  reference the tests hold the estimators' 32-cell ``row_cells`` tables to.
 * ``scaled_hbar_row`` -- the same value obtained by rescaling one of the two
   conditional moment forms ``hbar_u`` / ``hbar_upsilon``: the reference
   the oracle holds the estimators' row tables to, on all 32 windows at once

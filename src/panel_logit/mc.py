@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .estimators import EstimationError, SingularSystem, SingularWeight
-from .inference import NonpositiveAlpha, NonpositivePhiHat, ZeroDenominator
+from .estimators import EstimationError
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, simulate_histogram,
                     simulate_panel)
 from .workflow import check_estimator, estimate_panel
@@ -99,6 +98,13 @@ class McConfig:
             if run.family == "C" and not isinstance(self.spec, TimeTrendSpec):
                 raise ValueError(f"estimator {run.label} estimates the trend "
                                  "coefficient phi_coef; it needs a time-trend model")
+        # summaries and raw records name each line by its label, which does
+        # not show the Wald set: two lines with one label could not be told apart
+        labels = [run.label for run in self.estimators]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError("estimator lines share a label (the label does not show "
+                             "the Wald set): " + ", ".join(repeated))
 
 
 def true_values(spec: ModelSpec, run: EstimatorRun) -> dict[str, float]:
@@ -114,22 +120,6 @@ def true_values(spec: ModelSpec, run: EstimatorRun) -> dict[str, float]:
     return out
 
 
-_FAILURE_NAMES = {
-    SingularSystem: "singular_system",
-    SingularWeight: "singular_weight",
-    NonpositiveAlpha: "nonpositive_alpha",
-    ZeroDenominator: "two_step_zero_denominator",
-    NonpositivePhiHat: "two_step_nonpositive",
-}
-
-
-def _failure_name(exc: EstimationError) -> str:
-    for cls, name in _FAILURE_NAMES.items():
-        if isinstance(exc, cls):
-            return name
-    return "estimation_error"
-
-
 def _run_replication(config: McConfig, r: int) -> list[dict]:
     dgp = replace(config.dgp, stream=r)
     simulate = simulate_histogram if config.sampler == "histogram" else simulate_panel
@@ -143,7 +133,7 @@ def _run_replication(config: McConfig, r: int) -> list[dict]:
                                     two_step=run.two_step, wald=run.wald,
                                     stats_cache=stats_cache)
         except EstimationError as exc:
-            rec["status"] = _failure_name(exc)
+            rec["status"] = exc.status
             rec["message"] = str(exc)
         else:
             rec["status"] = "ok"

@@ -25,14 +25,23 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .aggregation import AggregateStats, from_cells
+from .aggregation import WINDOW_COLUMNS, AggregateStats, from_cells
 from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
                          VARIANT_MINUS_37, build_system, build_system_c,
                          kept_components, row_cells, solve, variant_minus_r,
                          TransformedEstimate)
 from .inference import recover_original
-from .kernels import all_windows, alpha_from_spec, alpha_labels
+from .kernels import alpha_from_spec, alpha_labels
+from .mc import EstimatorRun, true_values
 from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law
+
+# a check passes when its worst violation is at most its tolerance
+_IDENTITY_TOL = 1e-12
+_ZERO_MEAN_TOL = 1e-12
+_VANISH_TOL = 0.0
+_POPULATION_TOL = 1e-8
+_RANK_RTOL = 1e-10   # rank counts singular values above this share of the largest
+_IDENTITY_SEED = 20240801
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +87,6 @@ def population_system(family: str, spec: ModelSpec, t: int,
 # rank analysis of the moment-function sets
 
 
-_WINDOW_COLUMNS = np.array(all_windows()).T   # (y_{t-3}, .., y_{t+1}), 5 x 32
-
-
 def _row_values(family: str, alpha: np.ndarray) -> np.ndarray:
     """``row_cells``' eight rows at ``alpha``, 32 cells x 8."""
     y, x = row_cells(family)
@@ -99,12 +105,12 @@ def _value_matrix(family: str, spec: ModelSpec, t: int,
 
 
 def moment_rank(family: str, spec: ModelSpec, t: int,
-                rows: Sequence[int] = range(1, 9), rel_tol: float = 1e-10) -> int:
+                rows: Sequence[int] = range(1, 9)) -> int:
     """Numerical rank of the moment functions as vectors over all windows."""
     svals = np.linalg.svd(_value_matrix(family, spec, t, rows), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return int(np.sum(svals > _RANK_RTOL * svals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +139,7 @@ def spec_with_steps(gamma: float, dtd_t: float, dtd_tp1: float,
     return TimeDummiesSpec(gamma=gamma, td=tuple(td))
 
 
-def check_identities(n_draws: int = 50, seed: int = 20240801,
-                     tol: float = 1e-12) -> CheckResult:
+def check_identities(n_draws: int = 50) -> CheckResult:
     """Rows 1-8 of ``row_cells``, the tables the estimators solve, equal
     their rescaled conditional forms at every window cell.
 
@@ -142,7 +147,7 @@ def check_identities(n_draws: int = 50, seed: int = 20240801,
     5-8 are them times ``y_{t-3}`` (A, B), or at the window ``t - 1`` cell
     ``code >> 1`` (C).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_IDENTITY_SEED)
     worst = 0.0
     for _ in range(n_draws):
         gamma = rng.uniform(-2.0, 2.0)
@@ -152,15 +157,16 @@ def check_identities(n_draws: int = 50, seed: int = 20240801,
         cases = [("A", phi_t, phi_tp1), ("B", phi_t, phi_tp1), ("C", phi_t, phi_t)]
         for family, p2, p3 in cases:
             scaled = np.column_stack([
-                kernels.scaled_hbar_row(family, which, _WINDOW_COLUMNS, delta, p2, p3)
+                kernels.scaled_hbar_row(family, which, WINDOW_COLUMNS, delta, p2, p3)
                 for which in range(1, 5)])
             back = (scaled[np.arange(32) >> 1] if family == "C"
-                    else scaled * _WINDOW_COLUMNS[0][:, None])
+                    else scaled * WINDOW_COLUMNS[0][:, None])
             scaled = np.hstack((scaled, back))
             expansion = _row_values(family, kernels.alpha_values(family, delta, p2, p3))
             rel = abs(expansion - scaled) / np.maximum(abs(expansion), abs(scaled)).clip(1.0)
             worst = max(worst, float(rel.max()))
-    return CheckResult("kernel-expansion identities", worst <= tol, worst, tol,
+    return CheckResult("kernel-expansion identities", worst <= _IDENTITY_TOL, worst,
+                       _IDENTITY_TOL,
                        f"{n_draws} draws x 3 families x rows 1-8 x 32 cells")
 
 
@@ -174,7 +180,7 @@ def _moment_tables(spec: ModelSpec, t: int,
     is all that family C's rows at window ``t - 1`` condition on.
     """
     phi_t, phi_tp1 = spec.phi_pair(t)
-    forms = np.column_stack([form(_WINDOW_COLUMNS, spec.delta, phi_t, phi_tp1)
+    forms = np.column_stack([form(WINDOW_COLUMNS, spec.delta, phi_t, phi_tp1)
                              for form in (kernels.hbar_u, kernels.hbar_upsilon)])
     tables = [(forms, 4)]
     for family in families:
@@ -200,7 +206,7 @@ def _conditional_means(law: np.ndarray, values: np.ndarray, states: int) -> np.n
 _ZERO_MEAN_ETA = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
-def check_zero_means(tol: float = 1e-12) -> CheckResult:
+def check_zero_means() -> CheckResult:
     """All moment functions have zero conditional mean at true parameters."""
     dummies = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
     trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=1.0)
@@ -214,18 +220,19 @@ def check_zero_means(tol: float = 1e-12) -> CheckResult:
         law = _window_law(spec, _ZERO_MEAN_ETA, t)
         for values, states in _moment_tables(spec, t, families):
             worst = max(worst, float(np.abs(_conditional_means(law, values, states)).max()))
-    return CheckResult("zero conditional means", worst <= tol, worst, tol,
+    return CheckResult("zero conditional means", worst <= _ZERO_MEAN_TOL, worst,
+                       _ZERO_MEAN_TOL,
                        f"{len(cases)} cases x {len(_ZERO_MEAN_ETA)} eta x 4 pre-window "
                        "states (2 for C rows 5-8): rows 1-8 of A, B and C, both "
                        "conditional forms")
 
 
-def check_vanishing_rows(tol: float = 0.0) -> CheckResult:
+def check_vanishing_rows() -> CheckResult:
     """With the pre-window outcome at 0, rows 2 and 3 of family A vanish."""
     spec = spec_with_steps(0.7, 0.25, -0.4)
-    values = _value_matrix("A", spec, 5, (2, 3))[:, (np.arange(32) & 8) == 0]  # y_{t-2} = 0
+    values = _value_matrix("A", spec, 5, (2, 3))[:, WINDOW_COLUMNS[1] == 0]  # y_{t-2} = 0
     worst = float(np.abs(values).max())
-    return CheckResult("pre-window-zero rows vanish", worst <= tol, worst, tol)
+    return CheckResult("pre-window-zero rows vanish", worst <= _VANISH_TOL, worst, _VANISH_TOL)
 
 
 def check_three_period_rank() -> CheckResult:
@@ -236,7 +243,8 @@ def check_three_period_rank() -> CheckResult:
     2, one short of the three unknown parameters.
     """
     spec = spec_with_steps(0.7, 0.25, -0.4)
-    values = _value_matrix("A", spec, 5, (1, 4))[:, :8]  # y_{t-3} = y_{t-2} = 0
+    y3, y2 = WINDOW_COLUMNS[:2]
+    values = _value_matrix("A", spec, 5, (1, 4))[:, (y3 == 0) & (y2 == 0)]
     rank = np.linalg.matrix_rank(values, tol=1e-10)
     return CheckResult("three-period underidentification", rank <= 2 < 3,
                        float(rank), 2.0, f"rank {rank} of 2 rows vs 3 parameters")
@@ -244,29 +252,29 @@ def check_three_period_rank() -> CheckResult:
 
 def check_ranks() -> list[CheckResult]:
     """Full rank at generic parameters; rank collapse at the stated loci."""
-    out = []
     generic = spec_with_steps(1.0, 0.2, -0.1)
     locus = spec_with_steps(0.0, 0.2, 0.0)  # state dependence and next step both zero
-    t = 5
-
-    r = moment_rank("A", generic, t)
-    out.append(CheckResult("family A full set rank (generic)", r == 8, float(r), 8.0))
-    for family, variant in (("A", VARIANT_MINUS_37), ("B", VARIANT_MINUS_15)):
-        rows, _ = kept_components(family, variant)
-        r_gen = moment_rank(family, generic, t, rows)
-        out.append(CheckResult(f"family {family} {variant.name} rank (generic)",
-                               r_gen == 6, float(r_gen), 6.0))
-        r_loc = moment_rank(family, locus, t, rows)
-        out.append(CheckResult(f"family {family} {variant.name} rank (degenerate locus)",
-                               r_loc < 6, float(r_loc), 6.0,
-                               "rank must drop below 6"))
-    r_gen = moment_rank("C", TimeTrendSpec(gamma=1.0, phi_coef=0.3), t)
-    out.append(CheckResult("family C rank (generic)", r_gen == 8, float(r_gen), 8.0))
-    r_loc = moment_rank("C", TimeTrendSpec(gamma=0.0, phi_coef=0.0), t)
-    out.append(CheckResult("family C rank (degenerate locus)", r_loc < 8,
-                           float(r_loc), 8.0, "rank must drop below 8"))
-    out.append(check_three_period_rank())
-    return out
+    rows_37 = kept_components("A", VARIANT_MINUS_37)[0]
+    rows_15 = kept_components("B", VARIANT_MINUS_15)[0]
+    # (name, family, rows, spec, full rank, whether the rank must drop below it)
+    cases = (
+        ("family A full set", "A", range(1, 9), generic, 8, False),
+        ("family A minus-3-7", "A", rows_37, generic, 6, False),
+        ("family A minus-3-7", "A", rows_37, locus, 6, True),
+        ("family B minus-1-5", "B", rows_15, generic, 6, False),
+        ("family B minus-1-5", "B", rows_15, locus, 6, True),
+        ("family C", "C", range(1, 9), TimeTrendSpec(gamma=1.0, phi_coef=0.3), 8, False),
+        ("family C", "C", range(1, 9), TimeTrendSpec(gamma=0.0, phi_coef=0.0), 8, True),
+    )
+    out = []
+    for name, family, rows, spec, full, drop in cases:
+        r = moment_rank(family, spec, 5, rows)
+        if drop:
+            out.append(CheckResult(f"{name} rank (degenerate locus)", r < full, float(r),
+                                   float(full), f"rank must drop below {full}"))
+        else:
+            out.append(CheckResult(f"{name} rank (generic)", r == full, float(r), float(full)))
+    return out + [check_three_period_rank()]
 
 
 _AB_GRID = ((1.0, 0.2, -0.1), (-0.5, 0.4, 0.3), (0.3, -0.6, 0.5))
@@ -291,51 +299,43 @@ def population_estimate(family: str, spec: ModelSpec, t: int,
                                vcov=np.zeros((len(alpha), len(alpha))))
 
 
-def check_population(tol: float = 1e-8) -> list[CheckResult]:
+def _population_gap(family: str, spec: ModelSpec, variant: Variant) -> float:
+    """Largest error of a population estimate at window 5: of the kept
+    components of alpha, and of the original parameters recovered from
+    them against ``true_values``."""
+    est = population_estimate(family, spec, 5, variant)
+    truth = dict(zip(alpha_labels(family), alpha_from_spec(family, spec, 5)))
+    recovered = recover_original(est).params()
+    gaps = [v - truth[c] for c, v in zip(est.col_labels, est.alpha)]
+    gaps += [recovered[name].value - value for name, value
+             in true_values(spec, EstimatorRun(family, variant.name, 5)).items()]
+    return float(np.max(np.abs(gaps)))
+
+
+def check_population() -> list[CheckResult]:
     """Population systems return the true parameters for every variant."""
-    out = []
-    t = 5
     variants = [variant_minus_r(r) for r in range(1, 9)]
     variants += [VARIANT_MINUS_37, VARIANT_MINUS_15]
-
-    worst_alpha = 0.0
-    worst_orig = 0.0
-    for gamma, dtd_t, dtd_tp1 in _AB_GRID:
-        spec = spec_with_steps(gamma, dtd_t, dtd_tp1, t=t)
-        for family in ("A", "B"):
-            true_full = alpha_from_spec(family, spec, t)
-            labels = alpha_labels(family)
-            for variant in variants:
-                est = population_estimate(family, spec, t, variant)
-                for c, v in zip(est.col_labels, est.alpha):
-                    worst_alpha = max(worst_alpha, abs(v - true_full[labels.index(c)]))
-                orig = recover_original(est)
-                worst_orig = max(worst_orig,
-                                 abs(orig.gamma.value - gamma),
-                                 abs(orig.dtd_t.value - dtd_t),
-                                 abs(orig.dtd_tp1.value - dtd_tp1))
-    out.append(CheckResult("population recovery, families A and B",
-                           worst_alpha <= tol and worst_orig <= tol,
-                           max(worst_alpha, worst_orig), tol,
-                           f"{len(_AB_GRID)} parameter points x {len(variants)} variants"))
-
-    worst_alpha = worst_orig = 0.0
-    for gamma, phi_coef in _C_GRID:
-        spec = TimeTrendSpec(gamma=gamma, phi_coef=phi_coef, tau=1.0)
-        true_full = alpha_from_spec("C", spec, t)
-        est = population_estimate("C", spec, t, VARIANT_FULL)
-        worst_alpha = max(worst_alpha, float(np.max(np.abs(est.alpha - true_full))))
-        orig = recover_original(est)
-        worst_orig = max(worst_orig, abs(orig.gamma.value - gamma),
-                         abs(orig.phi_coef.value - phi_coef))
-    out.append(CheckResult("population recovery, family C",
-                           worst_alpha <= tol and worst_orig <= tol,
-                           max(worst_alpha, worst_orig), tol,
-                           f"{len(_C_GRID)} parameter points"))
-    return out
+    worst_ab = max(_population_gap(family, spec_with_steps(*point), variant)
+                   for point in _AB_GRID for family in ("A", "B") for variant in variants)
+    worst_c = max(_population_gap("C", TimeTrendSpec(gamma=gamma, phi_coef=phi_coef),
+                                  VARIANT_FULL)
+                  for gamma, phi_coef in _C_GRID)
+    tol = _POPULATION_TOL
+    return [CheckResult("population recovery, families A and B", worst_ab <= tol,
+                        worst_ab, tol,
+                        f"{len(_AB_GRID)} parameter points x {len(variants)} variants"),
+            CheckResult("population recovery, family C", worst_c <= tol, worst_c, tol,
+                        f"{len(_C_GRID)} parameter points")]
 
 
-CHECK_LEVELS = ("identities", "moments", "ranks", "population")
+_LEVELS = {
+    "identities": lambda: [check_identities(), check_vanishing_rows()],
+    "moments": lambda: [check_zero_means()],
+    "ranks": check_ranks,
+    "population": check_population,
+}
+CHECK_LEVELS = tuple(_LEVELS)
 
 
 def run_checks(levels: Sequence[str] | None = None) -> list[CheckResult]:
@@ -344,18 +344,7 @@ def run_checks(levels: Sequence[str] | None = None) -> list[CheckResult]:
     unknown = [lv for lv in levels if lv not in CHECK_LEVELS]
     if unknown:
         raise ValueError(f"unknown verify levels {unknown}; choose from {CHECK_LEVELS}")
-    results: list[CheckResult] = []
-    for lv in levels:
-        if lv == "identities":
-            results.append(check_identities())
-            results.append(check_vanishing_rows())
-        elif lv == "moments":
-            results.append(check_zero_means())
-        elif lv == "ranks":
-            results.extend(check_ranks())
-        elif lv == "population":
-            results.extend(check_population())
-    return results
+    return [result for lv in levels for result in _LEVELS[lv]()]
 
 
 def format_report(results: Sequence[CheckResult]) -> str:

@@ -150,7 +150,7 @@ def test_criterion_02_zero_mean_suite():
 
 def test_criterion_03_population_recovery():
     start = time.perf_counter()
-    results = check_population(tol=1e-8)
+    results = check_population()
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in results) and elapsed < 5.0
     worst = max(r.max_violation for r in results)

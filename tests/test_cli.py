@@ -104,6 +104,35 @@ def test_estimate_from_manifest_bitwise(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_estimate_from_manifest_refuses_estimator_flags(tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    r1 = tmp_path / "r1.json"
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(r1)]) == 0
+    capsys.readouterr()
+    r2 = tmp_path / "r2.json"
+    assert main(["estimate", "--from-manifest", str(r1) + ".manifest.json",
+                 "--family", "B", "--variant", "minus-1-5", "--two-step",
+                 "--out", str(r2)]) == 2
+    assert capsys.readouterr().err.endswith("drop --family, --variant, --two-step\n")
+    assert not r2.exists()
+    assert main(["estimate", str(panel_path), "--from-manifest",
+                 str(r1) + ".manifest.json", "--window", "0"]) == 2
+    assert "drop PANEL, --window" in capsys.readouterr().err
+
+
+def test_mc_estimator_lines_sharing_a_label_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.cfg", SIM_CONFIG.format(n=50, seed=1)
+                 + "replications = 2\ndiscard_prefix = 3\nestimator = A minus-3-7 7\n"
+                 + "estimator = A minus-3-7 7 wald=ab-dummies\n")
+    out = tmp_path / "s.csv"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert "share a label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_singular_panel_exit_1(tmp_path):
     rows = ["id,t,y"]
     for i in range(30):

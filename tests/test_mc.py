@@ -4,6 +4,7 @@ from panel_logit import (AllReplicationsFailed, DgpConfig, EstimatorRun,
                          McConfig, TimeDummiesSpec, TimeTrendSpec, run_mc,
                          true_values)
 from panel_logit import mc
+from panel_logit.inference import SingularRestrictionCovariance
 from panel_logit.mc import _summarize
 
 HET = TimeDummiesSpec(gamma=0.8, td=(0.0, 0.1, -0.05, 0.2, 0.05, 0.15, 0.3, 0.1))
@@ -120,6 +121,17 @@ def test_failure_accounting():
     assert "ok" in statuses
 
 
+def test_failure_status_names_the_error_class(monkeypatch):
+    # a singular Wald restriction covariance is recorded by its own name
+    def singular_wald(*args, **kwargs):
+        raise SingularRestrictionCovariance("restriction covariance is singular")
+
+    monkeypatch.setattr(mc, "estimate_panel", singular_wald)
+    records = mc._run_replication(_config(n=50, reps=1), 0)
+    assert [rec["status"] for rec in records] == ["singular_restriction_covariance"]
+    assert records[0]["message"] == "restriction covariance is singular"
+
+
 def test_all_replications_failed():
     # two individuals cannot span the window patterns: always singular
     config = _config(n=2, reps=3, seed=5)
@@ -163,8 +175,11 @@ def test_config_refuses_negative_discard():
      r"A\[minus-1-5\]@t7\+two-step: variant 'minus-1-5' drops component 'd'"),
     (EstimatorRun("C", "full", 7, two_step=True), r"C\[full\]@t7\+two-step: .* applies to families A and B"),
     (EstimatorRun("A", "full", 7), r"A\[full\]@t7: variant 'full' leaves a non-square system"),
+    # the label leaves out the Wald set, so the two lines would print alike
+    (EstimatorRun("A", "minus-3-7", 7, wald="ab-dummies"),
+     r"share a label \(the label does not show the Wald set\): A\[minus-3-7\]@t7$"),
 ], ids=["family", "variant", "wald", "window-early", "window-late", "wald-labels",
-        "two-step-without-d", "two-step-family-c", "non-square"])
+        "two-step-without-d", "two-step-family-c", "non-square", "shared-label"])
 def test_config_refuses_bad_estimator_line(run, message):
     # refused before any replication simulates its panel
     with pytest.raises(ValueError, match=message):
