@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .estimators import EstimationError, TransformedEstimate, parse_variant
 from .inference import RESTRICTION_SETS, wald_test
-from .mc import EstimatorRun, McConfig, run_mc
+from .mc import EstimatorRun, McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
 from .panel import read_panel_csv, write_panel_csv
@@ -313,6 +313,7 @@ def _mc_raw_csv(summary, path: str) -> None:
 
 
 def _cmd_mc(args) -> int:
+    threads = resolve_threads(args.threads, "--threads")
     cfg = _load_config(args, "mc")
     spec, dgp, resolved = _model_and_dgp(cfg, args.seed)
     # no ``stream``: each replication draws its own
@@ -331,7 +332,7 @@ def _cmd_mc(args) -> int:
                                    for r in runs]})
     core = _manifest_core("mc", resolved)
     start = time.perf_counter()
-    summary = run_mc(config, threads=args.threads, keep_raw=bool(args.raw))
+    summary = run_mc(config, threads=threads, keep_raw=bool(args.raw))
     elapsed = time.perf_counter() - start
     _mc_summary_csv(summary, args.out)
     _write_sidecar(args.out, core, elapsed)
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--config", help="flat key=value experiment config")
     p_mc.add_argument("--seed", type=int, help="override the config seed")
     p_mc.add_argument("--threads", type=int,
-                      help="worker processes (default: PANEL_LOGIT_THREADS or all cores)")
+                      help="worker processes (default: PANEL_LOGIT_THREADS or the usable CPUs)")
     p_mc.add_argument("--from-manifest", help="re-run from a manifest sidecar")
     p_mc.add_argument("--out", required=True, help="summary CSV path")
     p_mc.add_argument("--raw", help="also write per-replication estimates CSV")

@@ -42,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, blas, lapack, lu_factor, lu_solve
 
 from .aggregation import AggregateStats, cell_kernel
 from .kernels import ROW_TABLE, alpha_labels
@@ -341,20 +341,35 @@ def solve(system: LinearSystem) -> np.ndarray:
     return theta
 
 
+def _inverse(lu_piv) -> np.ndarray:
+    """``lu_solve(lu_piv, np.eye(m))``, bitwise, in getrs's own steps: the
+    row interchanges, then unit lower and upper ``dtrsm`` solves.
+
+    The bundled OpenBLAS runs getrs with many right-hand sides, and dlaswp,
+    on its threaded path, which starts a BLAS thread pool in every forked
+    Monte Carlo worker; these steps stay on the calling thread.
+    """
+    lu, piv = lu_piv
+    rows = np.arange(len(piv))
+    for i, p in enumerate(piv):
+        rows[[i, p]] = rows[[p, i]]
+    lower = blas.dtrsm(1.0, lu, np.eye(len(piv))[rows], lower=1, diag=1)
+    return blas.dtrsm(1.0, lu, lower, overwrite_b=1)
+
+
 def _sandwich(system: LinearSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``inv(X' W X) / N`` symmetrized, ``W = inv(V' diag(c) V / N)``.
 
     ``v`` holds the residuals of each of the 32 window cells (one column
     per row of ``x``), ``c`` the cell weights of ``system`` and ``N`` their
-    total.
+    total.  Both inverses go through ``_inverse``'s triangular solves,
+    which start no BLAS thread in a forked Monte Carlo worker.
     """
     n = system.cells.sum()
-    m = x.shape[0]
     s_mat = (v.T * system.cells) @ v / n
-    lu = _checked_lu(s_mat, SingularWeight, "residual moment matrix")[0]
-    w = lu_solve(lu, np.eye(m))
+    w = _inverse(_checked_lu(s_mat, SingularWeight, "residual moment matrix")[0])
     lu = _checked_lu(x.T @ w @ x, _guarded_error(system.guards), "weighted design")[0]
-    vcov = lu_solve(lu, np.eye(m)) / n
+    vcov = _inverse(lu) / n
     return (vcov + vcov.T) / 2.0
 
 

@@ -15,19 +15,16 @@ the summary instead of poisoning it.
 
 from __future__ import annotations
 
-import ctypes
-import itertools
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .estimators import EstimationError
-from .model import (DgpConfig, ModelSpec, TimeTrendSpec, simulate_histogram,
-                    simulate_panel)
+from .model import (DgpConfig, ModelSpec, TimeTrendSpec, history_law,
+                    simulate_histogram, simulate_panel)
 from .workflow import check_estimator, estimate_panel
 
 WALD_LEVEL = 0.05
@@ -201,42 +198,25 @@ class McSummary:
         return "\n".join(lines)
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("PANEL_LOGIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def resolve_threads(threads: int | None, source: str = "threads") -> int:
+    """Worker count: ``threads``, else the ``PANEL_LOGIT_THREADS``
+    environment variable, else the CPUs this process may run on (its
+    affinity mask, which ``taskset`` or a cpuset narrows).
 
-
-def _one_blas_thread() -> None:
-    """Pool initializer: run the OpenBLAS builds bundled with numpy and scipy
-    on one thread each.
-
-    A forked worker keeps the parent's BLAS thread count, so ``n`` workers
-    would otherwise start ``n`` times that many BLAS threads on the same
-    cores.  A BLAS that is not a bundled OpenBLAS is left as it is.
-
-    The pin pays: without it, the mc-desk benchmark's median operation
-    (``run_mc`` at N = 2e5, R = 8, two workers on 2 cores) went from
-    0.46-0.49 s to 0.73-0.84 s in five alternating 10 s pairs.
+    Raises ``ValueError`` naming where a count came from (``source`` for
+    ``threads``) when it is not a whole number of at least 1.
     """
-    for pkg in (np, scipy):
-        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
-        for path in libs.glob("*openblas*"):
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
-                                                    ("64_", "")):
-                set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if set_threads is not None:
-                    set_threads.argtypes = [ctypes.c_int]
-                    set_threads.restype = None
-                    set_threads(1)
-                    break
+    if threads is None:
+        env = os.environ.get("PANEL_LOGIT_THREADS")
+        if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
+        source = "PANEL_LOGIT_THREADS"
+        threads = int(env) if env.strip().isdecimal() else env
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"{source} must be a whole number of at least 1, got {threads!r}")
+    return int(threads)
 
 
 def run_mc(config: McConfig, threads: int | None = None,
@@ -245,8 +225,7 @@ def run_mc(config: McConfig, threads: int | None = None,
 
     The summary is a pure function of ``config``: the worker count only
     changes how replications are scheduled, never their streams or the
-    reduction order.  Pool workers run BLAS on one thread each; the calling
-    process keeps its own setting.
+    reduction order.
     """
     # a pool starts all its workers at once: no more than there is work for
     n_workers = min(resolve_threads(threads), config.replications)
@@ -254,19 +233,17 @@ def run_mc(config: McConfig, threads: int | None = None,
     if n_workers == 1:
         per_rep = [_run_replication(config, r) for r in reps]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 initializer=_one_blas_thread) as pool:
+        if config.sampler == "histogram":  # forked workers inherit the cached law
+            history_law(config.spec, config.dgp.n_periods, config.dgp.sigma_eta_sq)
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunk = max(1, config.replications // (8 * n_workers))
             per_rep = list(pool.map(_run_replication, [config] * config.replications,
                                     reps, chunksize=chunk))
 
-    summaries = []
-    for idx, run in enumerate(config.estimators):
-        records = [recs[idx] for recs in per_rep]
-        summaries.append(_summarize(config, run, records))
+    summaries = tuple(_summarize(config, run, [recs[idx] for recs in per_rep])
+                      for idx, run in enumerate(config.estimators))
     raw = tuple(rec for recs in per_rep for rec in recs) if keep_raw else None
-    return McSummary(replications=config.replications,
-                     estimators=tuple(summaries), raw=raw)
+    return McSummary(replications=config.replications, estimators=summaries, raw=raw)
 
 
 def _summarize(config: McConfig, run: EstimatorRun,

@@ -17,6 +17,7 @@ each of the ``2**T`` outcome histories, from their exact law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,6 +199,7 @@ def chain_law(spec: ModelSpec, eta: np.ndarray, n_periods: int,
     return probs
 
 
+@functools.lru_cache(maxsize=16)
 def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
                 n_nodes: int = HISTORY_NODES) -> np.ndarray:
     """Exact probabilities of the ``2**n_periods`` outcome histories.
@@ -206,14 +208,18 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
     first, are the binary digits of ``k``.  The N(0, sigma_eta_sq) fixed
     effect is integrated out of ``chain_law`` by ``n_nodes``-point
     Gauss-Hermite quadrature; the integrand is smooth, so 64 nodes leave an
-    error below 1e-12.
+    error below 1e-12.  Laws are cached and read-only: ``hermgauss``'s
+    eigensolve wakes OpenBLAS's thread pool, so ``run_mc`` draws the law
+    before it forks its workers, which then inherit it.
     """
     if not 1 <= n_periods <= MAX_HISTORY_PERIODS:
         raise ValueError(f"history law enumerates 2**T histories; "
                          f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
-    return weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)
+    law = weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)
+    law.flags.writeable = False
+    return law
 
 
 def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:

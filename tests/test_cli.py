@@ -133,6 +133,25 @@ def test_mc_estimator_lines_sharing_a_label_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, env, text", [
+    ("-3", None, "--threads must be a whole number of at least 1, got -3"),
+    ("0", None, "--threads must be a whole number of at least 1, got 0"),
+    (None, "abc", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 'abc'"),
+    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got '-3'"),
+], ids=["flag-negative", "flag-zero", "env-text", "env-negative"])
+def test_mc_worker_count_below_one_exit_2(tmp_path, capsys, monkeypatch, flag, env, text):
+    # refused before the config is read, naming where the count came from
+    if env is None:
+        monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PANEL_LOGIT_THREADS", env)
+    out = tmp_path / "s.csv"
+    argv = ["mc", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]
+    assert main(argv + (["--threads", flag] if flag else [])) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not out.exists()
+
+
 def test_estimate_singular_panel_exit_1(tmp_path):
     rows = ["id,t,y"]
     for i in range(30):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from panel_logit import (PanelData, SingularSystem, SingularWeight, aggregate,
                          build_system, build_system_c, parse_variant, solve,
                          variance, variant_minus_r)
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, LinearSystem, Variant,
-                                    failed_guards)
+                                    _inverse, failed_guards)
 from panel_logit.oracle import population_aggregates, spec_with_steps
 
 
@@ -231,3 +232,20 @@ def test_vcov_symmetric_psd():
     assert np.array_equal(v, v.T)
     eigvals = np.linalg.eigvalsh(v)
     assert eigvals.min() >= -1e-10 * np.trace(v)
+
+
+@pytest.mark.parametrize("kind", ["random", "spd", "near-singular"])
+def test_inverse_is_bitwise_lu_solve_of_the_identity(kind):
+    # the sandwich's triangular-solve inverse must not move a single bit
+    # against LAPACK getrs on the identity
+    rng = np.random.default_rng(19)
+    for m in range(1, 9):
+        for _ in range(40):
+            a = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3, 3)
+            if kind == "spd":
+                a = a @ a.T + 1e-6 * np.eye(m)
+            elif kind == "near-singular":
+                a[:, -1] = a[:, 0] + 1e-9 * rng.standard_normal(m)
+            lu_piv = lu_factor(a)
+            expected = lu_solve(lu_piv, np.eye(m))
+            assert _inverse(lu_piv).tobytes() == expected.tobytes()

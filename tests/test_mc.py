@@ -1,7 +1,14 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from panel_logit import (AllReplicationsFailed, DgpConfig, EstimatorRun,
-                         McConfig, TimeDummiesSpec, TimeTrendSpec, run_mc,
+                         McConfig, TimeDummiesSpec, TimeTrendSpec, estimate_panel,
+                         history_law, run_mc, simulate_histogram, simulate_panel,
                          true_values)
 from panel_logit import mc
 from panel_logit.inference import SingularRestrictionCovariance
@@ -192,7 +199,7 @@ def test_pool_never_exceeds_replications(monkeypatch):
     class StubPool:
         """Runs the mapped calls in this process and starts no worker."""
 
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             seen.append(max_workers)
 
         def __enter__(self):
@@ -213,6 +220,100 @@ def test_pool_never_exceeds_replications(monkeypatch):
     seen.clear()
     run_mc(_config(reps=40, seed=2), threads=2)
     assert seen == [2, 2]
+
+
+def _battery_threads(dummies, trend) -> int:
+    """Run the benchmark battery's four estimator lines on the dummies and
+    trend panels; return this process's OS thread count afterwards."""
+    for panel, family, variant, two_step, wald in (
+            (dummies, "A", "minus-3-7", True, None),
+            (dummies, "B", "minus-1-5", True, None),
+            (dummies, "A", "minus-3-7", False, "ab-dummies"),
+            (trend, "C", "full", False, "c-trend")):
+        estimate_panel(panel, family, variant, 7, two_step=two_step, wald=wald)
+    return len(os.listdir("/proc/self/task"))
+
+
+_replication = mc._run_replication
+
+
+def _replication_with_thread_count(config, r):
+    """``mc._run_replication``, each record also holding the worker's OS
+    thread count after the replication."""
+    records = _replication(config, r)
+    return [dict(rec, threads=len(os.listdir("/proc/self/task"))) for rec in records]
+
+
+FORKED_THREADS = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or multiprocessing.get_start_method() != "fork",
+    reason="counts a forked worker's threads in /proc/self/task")
+TD16 = (0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2) * 2  # period effects, T <= 16
+
+
+@FORKED_THREADS
+@pytest.mark.parametrize("simulate, n", [(simulate_panel, 20_000),
+                                         (simulate_histogram, 100_000_000)],
+                         ids=["panel", "histogram"])
+def test_estimation_starts_no_thread_in_a_forked_worker(simulate, n):
+    # a forked worker starts on one thread; no estimator call may wake a
+    # BLAS thread pool there, or every pool worker would busy-wait on it
+    dgp = DgpConfig(n_individuals=n, n_periods=8, sigma_eta_sq=0.5, seed=2)
+    dummies = simulate(TimeDummiesSpec(gamma=1.0, td=TD16[:8]), dgp).drop_prefix(3)
+    trend = simulate(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp).drop_prefix(3)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(_battery_threads, dummies, trend).result(timeout=120) == 1
+
+
+@FORKED_THREADS
+@pytest.mark.parametrize("sampler, n, n_periods", [
+    ("panel", 20_000, 8), ("histogram", 100_000_000, 8), ("histogram", 100_000_000, 16),
+], ids=["panel", "histogram", "histogram-T16"])
+def test_pool_workers_start_no_thread(monkeypatch, sampler, n, n_periods):
+    # end to end: the samplers too, with the histogram law not yet cached
+    history_law.cache_clear()
+    monkeypatch.setattr(mc, "_run_replication", _replication_with_thread_count)
+    config = McConfig(
+        spec=TimeDummiesSpec(gamma=1.0, td=TD16[:n_periods]),
+        dgp=DgpConfig(n_individuals=n, n_periods=n_periods, sigma_eta_sq=0.5, seed=2),
+        replications=2, discard_prefix=3, sampler=sampler,
+        estimators=(EstimatorRun("A", "minus-3-7", 7, two_step=True),
+                    EstimatorRun("B", "minus-1-5", 7, two_step=True),
+                    EstimatorRun("A", "minus-3-7", 7, wald="ab-dummies")))
+    summary = run_mc(config, threads=2, keep_raw=True)
+    assert [rec["threads"] for rec in summary.raw] == [1] * 6
+
+
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert mc.resolve_threads(None) == 2
+    monkeypatch.setenv("PANEL_LOGIT_THREADS", "3")
+    assert mc.resolve_threads(None) == 3
+    assert mc.resolve_threads(5) == 5
+    assert mc.resolve_threads(np.int64(2)) == 2
+
+
+@pytest.mark.parametrize("threads, env, message", [
+    (0, None, "threads must be a whole number of at least 1, got 0"),
+    (-3, None, "threads must be a whole number of at least 1, got -3"),
+    (2.5, None, "threads must be a whole number of at least 1, got 2.5"),
+    (True, None, "threads must be a whole number of at least 1, got True"),
+    (None, "abc", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 'abc'"),
+    (None, "0", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 0"),
+    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got '-3'"),
+    (None, "2.5", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got '2.5'"),
+], ids=["zero", "negative", "fraction", "bool", "env-text", "env-zero", "env-negative",
+        "env-fraction"])
+def test_worker_count_refuses_a_count_below_one(monkeypatch, threads, env, message):
+    if env is None:
+        monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PANEL_LOGIT_THREADS", env)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mc.resolve_threads(threads)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_mc(_config(reps=2), threads=threads)
 
 
 def test_estimator_labels():
