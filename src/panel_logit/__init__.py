@@ -31,13 +31,12 @@ from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
                       alpha_values, all_windows, gh_coefficients, hbar_u,
                       hbar_upsilon, theta_kernels, transformed_moment_row,
                       xi_kernels)
-from .mc import (AllReplicationsFailed, EstimatorRun, McConfig, McSummary,
-                 run_mc, true_values)
+from .mc import AllReplicationsFailed, McConfig, McSummary, run_mc, true_values
 from .model import (DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec,
                     history_law, simulate_histogram, simulate_panel)
 from .oracle import (moment_rank, population_aggregates, population_system,
                      run_checks, spec_with_steps)
 from .panel import PanelData, read_panel_csv, write_panel_csv
-from .workflow import EstimationResult, estimate_panel
+from .workflow import EstimationResult, EstimatorRun, estimate_panel
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,11 +34,11 @@ import numpy as np
 from . import __version__
 from .estimators import EstimationError, TransformedEstimate, parse_variant
 from .inference import RESTRICTION_SETS, wald_test
-from .mc import EstimatorRun, McConfig, resolve_threads, run_mc
+from .mc import McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
 from .panel import read_panel_csv, write_panel_csv
-from .workflow import check_estimator, estimate_panel
+from .workflow import EstimatorRun, estimate_panel
 
 
 class ConfigError(Exception):
@@ -120,29 +120,8 @@ def _estimators_from_config(cfg: dict) -> tuple[EstimatorRun, ...]:
     if raw is None:
         raise ConfigError("missing 'estimator' lines "
                           "(format: estimator = FAMILY VARIANT WINDOW [two-step] [wald=SET])")
-    lines = raw if isinstance(raw, list) else [raw]
-    runs = []
-    for line in lines:
-        parts = str(line).split()
-        if len(parts) < 3:
-            raise ConfigError(f"estimator line needs FAMILY VARIANT WINDOW: {line!r}")
-        family, variant = parts[0], parts[1]
-        try:
-            window = int(parts[2])
-        except ValueError:
-            raise ConfigError(f"estimator window must be an integer: {line!r}") from None
-        two_step = False
-        wald = None
-        for extra in parts[3:]:
-            if extra == "two-step":
-                two_step = True
-            elif extra.startswith("wald="):
-                wald = extra.split("=", 1)[1]
-            else:
-                raise ConfigError(f"unknown estimator option {extra!r}")
-        runs.append(EstimatorRun(family=family, variant=variant, window_t=window,
-                                 two_step=two_step, wald=wald))
-    return tuple(runs)
+    return tuple(EstimatorRun.parse(str(line))
+                 for line in (raw if isinstance(raw, list) else [raw]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +224,27 @@ def _cmd_estimate(args) -> int:
         cfg = _load_manifest(args.from_manifest, "estimate")["config"]
         try:
             panel_path = cfg["panel"]
-            family, variant, window = cfg["family"], cfg["variant"], int(cfg["window"])
+            run = EstimatorRun(cfg["family"], cfg["variant"], int(cfg["window"]),
+                               two_step=bool(cfg.get("two_step")), wald=cfg.get("wald"))
         except KeyError as exc:
             raise ConfigError(f"manifest {args.from_manifest} lacks config key {exc}") from None
-        two_step, wald = bool(cfg.get("two_step")), cfg.get("wald")
     else:
         if not (args.panel and args.family and args.variant and args.window is not None):
             raise ConfigError("estimate needs PANEL --family --variant --window")
-        panel_path, family, variant, window = (args.panel, args.family,
-                                               args.variant, args.window)
-        two_step, wald = args.two_step, args.wald
-
-    check_estimator(family, variant, two_step, wald)
+        panel_path = args.panel
+        run = EstimatorRun(args.family, args.variant, args.window,
+                           two_step=args.two_step, wald=args.wald)
     try:
         panel = read_panel_csv(panel_path)
     except (ValueError, csv.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
-    resolved = {"panel": panel_path, "family": family, "variant": variant,
-                "window": window, "two_step": two_step, "wald": wald}
+    resolved = {"panel": panel_path, "family": run.family, "variant": run.variant,
+                "window": run.window_t, "two_step": run.two_step, "wald": run.wald}
     core = _manifest_core("estimate", resolved)
     start = time.perf_counter()
-    result = estimate_panel(panel, family, variant, window,
-                            two_step=two_step, wald=wald)
+    result = estimate_panel(panel, run.family, run.variant, run.window_t,
+                            two_step=run.two_step, wald=run.wald)
     payload = {"manifest": core}
     payload.update(result.to_dict())
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -326,10 +303,7 @@ def _cmd_mc(args) -> int:
 
     resolved.update({"replications": config.replications,
                      "discard_prefix": config.discard_prefix,
-                     "estimator": [f"{r.family} {r.variant} {r.window_t}"
-                                   + (" two-step" if r.two_step else "")
-                                   + (f" wald={r.wald}" if r.wald else "")
-                                   for r in runs]})
+                     "estimator": [str(run) for run in runs]})
     core = _manifest_core("mc", resolved)
     start = time.perf_counter()
     summary = run_mc(config, threads=threads, keep_raw=bool(args.raw))

@@ -92,12 +92,12 @@ def variant_minus_r(r: int) -> Variant:
 
 
 def parse_variant(name: str) -> Variant:
-    """Parse a CLI-style variant name."""
+    """Parse a CLI-style variant name (``minus-r:<k>`` in ASCII digits)."""
     for variant in (VARIANT_FULL, VARIANT_MINUS_37, VARIANT_MINUS_15):
         if name == variant.name:
             return variant
     row = name.removeprefix("minus-r:")
-    if row != name and row.isdecimal():
+    if row != name and row.isascii() and row.isdecimal():
         return variant_minus_r(int(row))
     raise ValueError(f"unknown variant {name!r}")
 
@@ -168,7 +168,7 @@ def kept_components(family: str, variant: Variant) -> tuple[tuple[int, ...], tup
     """The stacked rows (1..8) a variant keeps and the components they read.
 
     A component is kept exactly when some kept row reads it; a variant
-    that leaves a non-square system is refused.
+    that keeps more rows than components, or fewer, is refused.
     """
     _, x_rows = row_cells(family)
     kept_rows = tuple(r for r in range(1, 9) if r not in variant.removed_rows)

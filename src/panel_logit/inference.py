@@ -165,14 +165,16 @@ def corrected_ratio_variance(var_ratio: float, cov_with_stage1: np.ndarray,
     return float(var_ratio + 2.0 * jac @ cov_with_stage1 + jac @ cov_stage1 @ jac)
 
 
-def _dagger_selector(family: str) -> tuple[str, str]:
-    """Kernel family and selector of the dagger averages of a family."""
-    if family == "A":
-        return "theta", "-"
-    if family == "B":
-        return "xi", "+"
-    raise ValueError("the two-step effect step applies to families A and B, "
-                     f"got {family!r}")
+def _dagger_selector(family: str, variant: str, kept: tuple[str, ...]) -> tuple[str, str]:
+    """Kernel family and selector of the dagger averages of a family,
+    refusing family C and a variant (by name) whose ``kept`` lack ``d``."""
+    if family not in ("A", "B"):
+        raise ValueError("the two-step effect step applies to families A and B, "
+                         f"got {family!r}")
+    if "d" not in kept:
+        raise ValueError(f"variant {variant!r} drops component 'd'; "
+                         "the second step is unavailable")
+    return ("theta", "-") if family == "A" else ("xi", "+")
 
 
 def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepResult:
@@ -182,13 +184,10 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     or of the population.  The dagger averages at window ``t - 1`` read
     four of the five periods of its window cells, so the dagger row
     borders the system cell by cell and its variance is the first stage's
-    sandwich with one more row.  Unavailable for variants that drop the
-    ``d`` component.
+    sandwich with one more row.  Refused, as an ``EstimatorRun`` refuses
+    the line, on family C and on variants that drop the ``d`` component.
     """
-    kind, sel = _dagger_selector(est.family)
-    if not est.has("d"):
-        raise ValueError(f"variant {est.variant.name!r} drops component 'd'; "
-                         "the second step is unavailable")
+    kind, sel = _dagger_selector(est.family, est.variant.name, est.col_labels)
 
     a_hat, d_hat = est.value("a"), est.value("d")
     kern = np.stack([cell_kernel(kind, j, sel, back=1) for j in range(1, 5)], axis=1)
@@ -251,6 +250,19 @@ RESTRICTION_SETS: dict[str, tuple[tuple[str, ...], str]] = {
 }
 
 
+def _restriction_labels(restriction_set: str, kept: tuple[str, ...]) -> tuple[str, ...]:
+    """The components a restriction set tests, refusing an unknown set or
+    one whose components are not the ``kept`` ones."""
+    if restriction_set not in RESTRICTION_SETS:
+        raise ValueError(f"unknown restriction set {restriction_set!r}; "
+                         f"choose from {sorted(RESTRICTION_SETS)}")
+    labels = RESTRICTION_SETS[restriction_set][0]
+    if labels != kept:
+        raise ValueError(f"restriction set {restriction_set!r} expects components "
+                         f"{labels}, the variant keeps {kept}")
+    return labels
+
+
 def restriction_rows(family: str, restriction_set: str) -> np.ndarray:
     """Rows R with ``R @ log(alpha) == 0`` under the set's model: one per
     tested component outside the basis, spanning the left null space of M."""
@@ -278,15 +290,7 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     elementwise and ``V_l`` the delta-method covariance of the logs;
     asymptotically chi-square with one degree of freedom per restriction.
     """
-    try:
-        labels, _ = RESTRICTION_SETS[restriction_set]
-    except KeyError:
-        raise ValueError(f"unknown restriction set {restriction_set!r}; "
-                         f"choose from {sorted(RESTRICTION_SETS)}") from None
-    if est.col_labels != labels:
-        raise ValueError(
-            f"restriction set {restriction_set!r} expects components {labels}, "
-            f"estimate has {est.col_labels}")
+    labels = _restriction_labels(restriction_set, est.col_labels)
     _require_positive(est, labels)
     rows = restriction_rows(est.family, restriction_set)
 

@@ -25,31 +25,13 @@ import numpy as np
 from .estimators import EstimationError
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, history_law,
                     simulate_histogram, simulate_panel)
-from .workflow import check_estimator, estimate_panel
+from .workflow import EstimatorRun, estimate_panel
 
 WALD_LEVEL = 0.05
 
 
 class AllReplicationsFailed(EstimationError):
     pass
-
-
-@dataclass(frozen=True)
-class EstimatorRun:
-    """One estimator configuration evaluated in every replication."""
-
-    family: str
-    variant: str
-    window_t: int
-    two_step: bool = False
-    wald: str | None = None
-
-    @property
-    def label(self) -> str:
-        tag = f"{self.family}[{self.variant}]@t{self.window_t}"
-        if self.two_step:
-            tag += "+two-step"
-        return tag
 
 
 SAMPLERS = ("panel", "histogram")
@@ -59,6 +41,8 @@ SAMPLERS = ("panel", "histogram")
 class McConfig:
     """One experiment: model, data-generating process, estimators.
 
+    Each ``EstimatorRun`` refuses its own bad line; the config refuses a
+    window outside the kept periods, C on a dummies model and shared labels.
     ``sampler`` picks how each replication draws its panel: ``"panel"``
     simulates every individual (``simulate_panel``), ``"histogram"`` draws
     counts over the outcome histories (``simulate_histogram``), whose cost
@@ -85,13 +69,9 @@ class McConfig:
         first, last = 1 + self.discard_prefix, self.dgp.n_periods
         for run in self.estimators:
             t = run.window_t
-            try:
-                check_estimator(run.family, run.variant, run.two_step, run.wald)
-                if t - 3 < first or t + 1 > last:
-                    raise ValueError(f"window {t} needs periods {t - 3}..{t + 1}, the "
-                                     f"panel keeps {first}..{last} after the discard")
-            except ValueError as exc:
-                raise ValueError(f"estimator {run.label}: {exc}") from None
+            if t - 3 < first or t + 1 > last:
+                raise ValueError(f"estimator {run.label}: window {t} needs periods {t - 3}.."
+                                 f"{t + 1}, the panel keeps {first}..{last} after the discard")
             if run.family == "C" and not isinstance(self.spec, TimeTrendSpec):
                 raise ValueError(f"estimator {run.label} estimates the trend "
                                  "coefficient phi_coef; it needs a time-trend model")

@@ -1,6 +1,7 @@
 """End-to-end estimation on a panel: aggregate, solve, weight, recover.
 
-This is the layer the CLI and the Monte Carlo harness share.  Every
+This is the layer the CLI and the Monte Carlo harness share.  An estimator
+line is an ``EstimatorRun``, which parses, prints and refuses itself.  Every
 estimator at window ``t``, family C and the two-step correction included,
 reads the panel only through the 32 cell counts of that window, so one call
 aggregates the panel once.  A ``stats_cache`` dict threaded through repeated
@@ -10,14 +11,15 @@ counted once per panel.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from .aggregation import aggregate
-from .estimators import (TransformedEstimate, Variant, build_system,
-                         build_system_c, kept_components, parse_variant, solve,
-                         variance)
-from .inference import (RESTRICTION_SETS, OriginalEstimate, TwoStepResult,
-                        WaldResult, recover_original, two_step_dtd_tm1, wald_test)
+from .estimators import (TransformedEstimate, build_system, build_system_c,
+                         kept_components, parse_variant, solve, variance)
+from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
+                        _dagger_selector, _restriction_labels, recover_original,
+                        two_step_dtd_tm1, wald_test)
 from .panel import PanelData
 
 
@@ -38,43 +40,82 @@ class EstimationResult:
         return out
 
 
-def check_estimator(family: str, variant: Variant | str, two_step: bool = False,
-                    wald: str | None = None) -> Variant:
-    """Refuse an estimator line no panel could satisfy (a non-square system,
-    a Wald set off the kept components, a two-step on C or without ``d``);
-    return its variant."""
-    if isinstance(variant, str):
-        variant = parse_variant(variant)
-    _, kept = kept_components(family, variant)
-    if wald is not None:
-        if wald not in RESTRICTION_SETS:
-            raise ValueError(f"unknown restriction set {wald!r}; "
-                             f"choose from {sorted(RESTRICTION_SETS)}")
-        labels, _ = RESTRICTION_SETS[wald]
-        if labels != kept:
-            raise ValueError(f"restriction set {wald!r} expects "
-                             f"components {labels}, the variant keeps {kept}")
-    if two_step and family == "C":
-        raise ValueError("the two-step effect step applies to families A and B")
-    if two_step and "d" not in kept:
-        raise ValueError(f"variant {variant.name!r} drops component 'd'; "
-                         "the second step is unavailable")
-    return variant
+@dataclass(frozen=True)
+class EstimatorRun:
+    """One estimator line, ``FAMILY VARIANT WINDOW [two-step] [wald=SET]``.
+
+    ``variant`` is kept by its canonical name.  A line no panel could
+    satisfy (an unknown family, variant or Wald set, a non-square variant,
+    a Wald set off the kept components, a two-step on C or without ``d``)
+    raises ``ValueError`` naming the label when the run is built.
+    """
+
+    family: str
+    variant: str
+    window_t: int
+    two_step: bool = False
+    wald: str | None = None
+
+    def __post_init__(self):
+        try:
+            variant = parse_variant(self.variant)
+            object.__setattr__(self, "variant", variant.name)
+            _, kept = kept_components(self.family, variant)
+            if self.wald is not None:
+                _restriction_labels(self.wald, kept)
+            if self.two_step:
+                _dagger_selector(self.family, variant.name, kept)
+        except ValueError as exc:
+            raise ValueError(f"estimator {self.label}: {exc}") from None
+
+    @property
+    def label(self) -> str:
+        tag = f"{self.family}[{self.variant}]@t{self.window_t}"
+        if self.two_step:
+            tag += "+two-step"
+        return tag
+
+    def __str__(self) -> str:
+        wald = "" if self.wald is None else f" wald={self.wald}"
+        return f"{self.family} {self.variant} {self.window_t}{' two-step' * self.two_step}{wald}"
+
+    @classmethod
+    def parse(cls, line: str) -> EstimatorRun:
+        """Read ``FAMILY VARIANT WINDOW [two-step] [wald=SET]``, the form
+        ``str`` writes: an ASCII integer window, each option at most once."""
+        parts = line.split()
+        if len(parts) < 3:
+            raise ValueError(f"estimator line needs FAMILY VARIANT WINDOW: {line!r}")
+        family, variant, window = parts[:3]
+        if not re.fullmatch(r"[+-]?[0-9]+", window):
+            raise ValueError(f"estimator window must be an integer: {line!r}")
+        options: dict[str, str] = {}
+        for extra in parts[3:]:
+            if extra != "two-step" and not extra.startswith("wald="):
+                raise ValueError(f"unknown estimator option {extra!r}")
+            name, _, value = extra.partition("=")
+            if name in options:
+                raise ValueError(f"estimator option {name!r} given more than once: {line!r}")
+            options[name] = value
+        return cls(family, variant, int(window), two_step="two-step" in options,
+                   wald=options.get("wald"))
 
 
-def estimate_panel(panel: PanelData, family: str, variant: Variant | str,
+def estimate_panel(panel: PanelData, family: str, variant: str,
                    window_t: int, two_step: bool = False,
                    wald: str | None = None,
                    stats_cache: dict | None = None) -> EstimationResult:
     """Run one estimator on a panel and recover the original parameters.
 
-    ``two_step`` additionally estimates the effect step one period before
-    the window (families A and B); ``wald`` names a restriction set to test.
-    ``stats_cache``, one dict per panel, keeps the aggregates built by
-    ``aggregate`` across calls, keyed by window.  The line is checked
-    (``check_estimator``) before the panel is aggregated.
+    ``variant`` is a variant name; ``two_step`` additionally estimates the
+    effect step one period before the window (families A and B); ``wald``
+    names a restriction set to test.  ``stats_cache``, one dict per panel,
+    keeps the aggregates built by ``aggregate`` across calls, keyed by
+    window.  The line is an ``EstimatorRun``, so a line no panel could
+    satisfy is refused before the panel is aggregated.
     """
-    variant = check_estimator(family, variant, two_step, wald)
+    run = EstimatorRun(family, variant, window_t, two_step, wald)
+    variant = parse_variant(run.variant)
     if stats_cache is None:
         stats_cache = {}
     stats = stats_cache.get(window_t)

@@ -246,6 +246,22 @@ def test_mc_bad_estimator_window_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, text", [
+    ("A minus-3-7 \u0667", "estimator window must be an integer"),
+    ("A minus-3-7 1_0", "estimator window must be an integer"),
+    ("A minus-3-7 7 wald=ab-dumies wald=ab-dummies",
+     "estimator option 'wald' given more than once"),
+    ("A minus-3-7 7 two-step two-step", "estimator option 'two-step' given more than once"),
+], ids=["arabic-indic-window", "underscore-window", "repeated-wald", "repeated-two-step"])
+def test_mc_malformed_estimator_line_exit_2(tmp_path, capsys, line, text):
+    cfg = _write(tmp_path, "mc.cfg", SIM_CONFIG.format(n=50, seed=1)
+                 + f"replications = 2\ndiscard_prefix = 3\nestimator = {line}\n")
+    out = tmp_path / "s.csv"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_td_value_names_its_key(tmp_path, capsys):
     text = SIM_CONFIG.format(n=50, seed=1).replace(
         "td = 0.0 0.1 -0.05 0.2 0.05 0.15 0.3 0.1", "td = 0.1 x 0.3")

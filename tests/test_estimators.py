@@ -124,7 +124,8 @@ def test_invalid_variant_family_combinations():
         build_system_c(aggregate(panel, 5), VARIANT_MINUS_37)
     with pytest.raises(ValueError):
         parse_variant("minus-2-6")
-    for name in ("minus-r:x", "minus-r:", "minus-r:-1"):
+    # the row is ASCII digits: an Arabic-Indic three is no row number
+    for name in ("minus-r:x", "minus-r:", "minus-r:-1", "minus-r:\u0663"):
         with pytest.raises(ValueError, match=f"unknown variant '{name}'"):
             parse_variant(name)
 

@@ -170,27 +170,35 @@ def test_config_refuses_negative_discard():
                  discard_prefix=-1)
 
 
-@pytest.mark.parametrize("run, message", [
-    (EstimatorRun("Z", "minus-3-7", 7), r"Z\[minus-3-7\]@t7: unknown family 'Z'"),
-    (EstimatorRun("A", "minus-3-8", 7), r"A\[minus-3-8\]@t7: unknown variant"),
-    (EstimatorRun("A", "minus-3-7", 7, wald="ab-dumies"), "unknown restriction set 'ab-dumies'"),
-    (EstimatorRun("A", "minus-3-7", 6), r"window 6 needs periods 3\.\.7, the panel keeps 4\.\.8"),
-    (EstimatorRun("A", "minus-3-7", 8), r"window 8 needs periods 5\.\.9, the panel keeps 4\.\.8"),
-    (EstimatorRun("B", "minus-3-7", 7, wald="ab-dummies"),
+@pytest.mark.parametrize("line, message", [
+    (("Z", "minus-3-7", 7), r"Z\[minus-3-7\]@t7: unknown family 'Z'"),
+    (("A", "minus-3-8", 7), r"A\[minus-3-8\]@t7: unknown variant"),
+    (("A", "minus-3-7", 7, False, "ab-dumies"), "unknown restriction set 'ab-dumies'"),
+    (("A", "minus-3-7", 6), r"window 6 needs periods 3\.\.7, the panel keeps 4\.\.8"),
+    (("A", "minus-3-7", 8), r"window 8 needs periods 5\.\.9, the panel keeps 4\.\.8"),
+    (("B", "minus-3-7", 7, False, "ab-dummies"),
      r"B\[minus-3-7\]@t7: restriction set 'ab-dummies' expects components"),
-    (EstimatorRun("A", "minus-1-5", 7, two_step=True),
+    (("A", "minus-1-5", 7, True),
      r"A\[minus-1-5\]@t7\+two-step: variant 'minus-1-5' drops component 'd'"),
-    (EstimatorRun("C", "full", 7, two_step=True), r"C\[full\]@t7\+two-step: .* applies to families A and B"),
-    (EstimatorRun("A", "full", 7), r"A\[full\]@t7: variant 'full' leaves a non-square system"),
+    (("C", "full", 7, True), r"C\[full\]@t7\+two-step: .* applies to families A and B"),
+    (("A", "full", 7), r"A\[full\]@t7: variant 'full' leaves a non-square system"),
     # the label leaves out the Wald set, so the two lines would print alike
-    (EstimatorRun("A", "minus-3-7", 7, wald="ab-dummies"),
+    (("A", "minus-3-7", 7, False, "ab-dummies"),
      r"share a label \(the label does not show the Wald set\): A\[minus-3-7\]@t7$"),
 ], ids=["family", "variant", "wald", "window-early", "window-late", "wald-labels",
         "two-step-without-d", "two-step-family-c", "non-square", "shared-label"])
-def test_config_refuses_bad_estimator_line(run, message):
-    # refused before any replication simulates its panel
+def test_config_refuses_bad_estimator_line(line, message):
+    # refused before any replication simulates its panel: the line rules
+    # when the run is built, the rest by the config
     with pytest.raises(ValueError, match=message):
-        _config(estimators=(EstimatorRun("A", "minus-3-7", 7), run))
+        _config(estimators=(EstimatorRun("A", "minus-3-7", 7), EstimatorRun(*line)))
+
+
+def test_one_variant_in_two_spellings_is_one_estimator():
+    run = EstimatorRun("A", "minus-r:03", 7)
+    assert run == EstimatorRun("A", "minus-r:3", 7) and run.variant == "minus-r:3"
+    with pytest.raises(ValueError, match=r"share a label .*: A\[minus-r:3\]@t7$"):
+        _config(estimators=(EstimatorRun("A", "minus-r:3", 7), run))
 
 
 def test_pool_never_exceeds_replications(monkeypatch):

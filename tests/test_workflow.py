@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_logit import (DgpConfig, EstimationError, PanelData, TimeDummiesSpec,
-                         TimeTrendSpec, estimate_panel, simulate_panel, workflow)
+from panel_logit import (DgpConfig, EstimationError, EstimatorRun, PanelData,
+                         TimeDummiesSpec, TimeTrendSpec, TransformedEstimate,
+                         estimate_panel, parse_variant, population_system,
+                         simulate_panel, solve, two_step_dtd_tm1, variance,
+                         wald_test, workflow)
 from panel_logit.aggregation import from_cells
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
@@ -84,11 +87,18 @@ def test_each_panel_is_collapsed_once(monkeypatch):
     assert calls == [7]
 
 
-@pytest.mark.parametrize("family, variant, two_step, wald, message", [
+# the Wald-set and two-step rules, stated both for a line and for a solved
+# estimate
+_SHARED_RULES = [
     ("C", "full", True, None, "applies to families A and B"),
     ("A", "minus-1-5", True, None, "drops component 'd'"),
     ("B", "minus-3-7", False, "ab-dummies", "expects components"),
+    ("C", "full", False, "ab-dummies", "expects components"),
     ("A", "minus-3-7", False, "ab-dumies", "unknown restriction set"),
+]
+
+
+@pytest.mark.parametrize("family, variant, two_step, wald, message", _SHARED_RULES + [
     ("C", "minus-3-7", False, None, "non-square system"),
     ("A", "minus-r:x", False, None, "unknown variant"),
 ])
@@ -101,6 +111,28 @@ def test_estimator_line_is_refused_before_aggregation(monkeypatch, family, varia
     panel = simulate_panel(SPEC_TREND, DgpConfig(n_individuals=50, n_periods=8, seed=1))
     with pytest.raises(ValueError, match=message):
         estimate_panel(panel, family, variant, 7, two_step=two_step, wald=wald)
+
+
+@pytest.mark.parametrize("family, variant, two_step, wald, message", _SHARED_RULES)
+def test_line_and_estimate_refuse_with_one_text(family, variant, two_step, wald,
+                                                 message):
+    with pytest.raises(ValueError) as by_line:
+        EstimatorRun(family, variant, 7, two_step=two_step, wald=wald)
+    # the same rule, met on a solved estimate of the line's family and variant
+    spec = SPEC_TREND if family == "C" else SPEC_DUMMIES
+    system = population_system(family, spec, 7, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3),
+                               parse_variant(variant))
+    alpha = solve(system)
+    est = TransformedEstimate(family, parse_variant(variant), 7, system.n,
+                              system.col_labels, alpha, variance(system, alpha))
+    with pytest.raises(ValueError) as by_estimate:
+        if two_step:
+            two_step_dtd_tm1(est, system)
+        else:
+            wald_test(est, wald)
+    assert message in str(by_estimate.value)
+    label = f"{family}[{variant}]@t7" + ("+two-step" if two_step else "")
+    assert str(by_line.value) == f"estimator {label}: {by_estimate.value}"
 
 
 def test_estimation_allocates_under_20_bytes_per_individual():
@@ -120,8 +152,10 @@ def test_estimation_allocates_under_20_bytes_per_individual():
 
 
 # the estimator lines of the benchmark's battery (perfbench/workloads.py)
-_BATTERY = (("A", "minus-3-7", True, None), ("B", "minus-1-5", True, None),
-            ("A", "minus-3-7", False, "ab-dummies"), ("C", "full", False, "c-trend"))
+_BATTERY = (EstimatorRun("A", "minus-3-7", 7, two_step=True),
+            EstimatorRun("B", "minus-1-5", 7, two_step=True),
+            EstimatorRun("A", "minus-3-7", 7, wald="ab-dummies"),
+            EstimatorRun("C", "full", 7, wald="c-trend"))
 _CELL = {"dense": st.integers(1, 10**6),
          "sparse": st.one_of(st.just(0), st.just(0), st.just(0), st.integers(1, 50)),
          "tiny": st.integers(0, 2),
@@ -137,15 +171,24 @@ def test_any_cell_table_gives_a_finite_result_or_a_typed_failure(cells):
         cells[0] = 1.0  # a panel holds at least one individual
     # a filled aggregate cache means the panel itself is never read
     cache = {7: from_cells(7, cells, n=int(cells.sum()))}
-    for family, variant, two_step, wald in _BATTERY:
+    for run in _BATTERY:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                result = estimate_panel(None, family, variant, 7, two_step=two_step,
-                                        wald=wald, stats_cache=cache)
+                result = estimate_panel(None, run.family, run.variant, run.window_t,
+                                        two_step=run.two_step, wald=run.wald,
+                                        stats_cache=cache)
             except EstimationError:
                 continue
         values = np.concatenate([np.ravel(v) for v in _outputs(result).values()])
-        assert np.isfinite(values).all(), (family, variant, _outputs(result))
-        if wald:
+        assert np.isfinite(values).all(), (run.label, _outputs(result))
+        if run.wald:
             assert np.isfinite(result.wald.p_value)
+
+
+@pytest.mark.parametrize("line", ["A minus-3-7 7 two-step", "B minus-1-5 7 two-step",
+                                  "A minus-3-7 7 wald=ab-dummies", "C full 7 wald=c-trend"])
+def test_battery_line_round_trips(line):
+    run = EstimatorRun.parse(line)
+    assert run in _BATTERY
+    assert str(run) == line and EstimatorRun.parse(str(run)) == run
