@@ -29,8 +29,7 @@ from .inference import (NonpositiveAlpha, NonpositivePhiHat, OriginalEstimate,
                         two_step_dtd_tm1, wald_test)
 from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
                       alpha_values, all_windows, gh_coefficients, hbar_u,
-                      hbar_upsilon, theta_kernels, transformed_moment_row,
-                      xi_kernels)
+                      hbar_upsilon)
 from .mc import AllReplicationsFailed, McConfig, McSummary, run_mc, true_values
 from .model import (DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec,
                     history_law, simulate_histogram, simulate_panel)

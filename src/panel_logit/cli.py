@@ -38,7 +38,7 @@ from .mc import McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
 from .panel import read_panel_csv, write_panel_csv
-from .workflow import EstimatorRun, estimate_panel
+from .workflow import EstimatorRun, _ascii_int, estimate_panel
 
 
 class ConfigError(Exception):
@@ -105,13 +105,13 @@ def _model_from_config(cfg: dict) -> ModelSpec:
 
 
 def _dgp_from_config(cfg: dict, seed_override: int | None) -> DgpConfig:
-    seed = seed_override if seed_override is not None else _get(cfg, "seed", int, default=0)
+    seed = seed_override if seed_override is not None else _get(cfg, "seed", _ascii_int, default=0)
     return DgpConfig(
-        n_individuals=_get(cfg, "n_individuals", int, required=True),
-        n_periods=_get(cfg, "n_periods", int, required=True),
+        n_individuals=_get(cfg, "n_individuals", _ascii_int, required=True),
+        n_periods=_get(cfg, "n_periods", _ascii_int, required=True),
         sigma_eta_sq=_get(cfg, "sigma_eta_sq", float, default=0.0),
         seed=seed,
-        stream=_get(cfg, "stream", int, default=0),
+        stream=_get(cfg, "stream", _ascii_int, default=0),
     )
 
 
@@ -224,7 +224,8 @@ def _cmd_estimate(args) -> int:
         cfg = _load_manifest(args.from_manifest, "estimate")["config"]
         try:
             panel_path = cfg["panel"]
-            run = EstimatorRun(cfg["family"], cfg["variant"], int(cfg["window"]),
+            window = _ascii_int(cfg["window"], "manifest config key 'window'")
+            run = EstimatorRun(cfg["family"], cfg["variant"], window,
                                two_step=bool(cfg.get("two_step")), wald=cfg.get("wald"))
         except KeyError as exc:
             raise ConfigError(f"manifest {args.from_manifest} lacks config key {exc}") from None
@@ -297,9 +298,9 @@ def _cmd_mc(args) -> int:
     _refuse_unread(cfg, "mc", [*resolved, *_EXPERIMENT_KEYS])
     runs = _estimators_from_config(cfg)
     config = McConfig(spec=spec, dgp=dgp,
-                      replications=_get(cfg, "replications", int, required=True),
+                      replications=_get(cfg, "replications", _ascii_int, required=True),
                       estimators=runs,
-                      discard_prefix=_get(cfg, "discard_prefix", int, default=0))
+                      discard_prefix=_get(cfg, "discard_prefix", _ascii_int, default=0))
 
     resolved.update({"replications": config.replications,
                      "discard_prefix": config.discard_prefix,
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw a panel and write it as CSV")
     p_sim.add_argument("--config", help="flat key=value model/size config")
-    p_sim.add_argument("--seed", type=int, help="override the config seed")
+    p_sim.add_argument("--seed", type=_ascii_int, help="override the config seed")
     p_sim.add_argument("--from-manifest", help="re-run from a manifest sidecar")
     p_sim.add_argument("--out", required=True, help="output panel CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--family", choices=("A", "B", "C"))
     p_est.add_argument("--variant",
                        help="full | minus-3-7 | minus-1-5 | minus-r:<k>")
-    p_est.add_argument("--window", type=int, help="estimation window index t")
+    p_est.add_argument("--window", type=_ascii_int, help="estimation window index t")
     p_est.add_argument("--two-step", action="store_true",
                        help="also estimate the effect step at t-1")
     p_est.add_argument("--wald", choices=sorted(RESTRICTION_SETS),
@@ -387,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="run a Monte Carlo experiment")
     p_mc.add_argument("--config", help="flat key=value experiment config")
-    p_mc.add_argument("--seed", type=int, help="override the config seed")
-    p_mc.add_argument("--threads", type=int,
+    p_mc.add_argument("--seed", type=_ascii_int, help="override the config seed")
+    p_mc.add_argument("--threads", type=_ascii_int,
                       help="worker processes (default: PANEL_LOGIT_THREADS or the usable CPUs)")
     p_mc.add_argument("--from-manifest", help="re-run from a manifest sidecar")
     p_mc.add_argument("--out", required=True, help="summary CSV path")

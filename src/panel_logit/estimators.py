@@ -2,17 +2,8 @@
 
 Every moment row is a function of the five-period window ``(y_{t-3}, ..,
 y_{t+1})`` alone, so each family's eight stacked rows are one constant
-table over the 32 window cells, ``row_cells(family) -> (y, x)``: the row
-value at cell ``k`` is ``y[k, r] - x[k, r] @ alpha`` over the family's
-full transformed parameter vector.  The tables are built once at import
-from ``kernels.ROW_TABLE`` and ``aggregation.cell_kernel``:
-
-* rows 1..4 are the four moment rows of ``ROW_TABLE`` at window ``t``; in
-  each, the kernel with a unit coefficient moves to ``y`` with a sign flip
-  and the other three fill the columns of their coefficient labels;
-* rows 5..8 are rows 1..4 interacted with the outcome three periods before
-  the window (families A and B), or at window ``t - 1`` (family C), which
-  reads ``y_{t-3} .. y_t`` and so the cells of window ``t``.
+table over the 32 window cells, ``kernels.row_cells(family)``, which
+also states the stacked layout.
 
 A variant removes rows, and a column stays exactly when some kept row
 reads it.  Any single row removal makes a 7-parameter family square, as
@@ -44,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, blas, lapack, lu_factor, lu_solve
 
-from .aggregation import AggregateStats, cell_kernel
-from .kernels import ROW_TABLE, alpha_labels
+from .aggregation import AggregateStats
+from .kernels import alpha_labels, row_cells
 
 RCOND_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
@@ -129,41 +120,6 @@ class LinearSystem:
     x_cells: np.ndarray
 
 
-def _stacked_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
-    labels = alpha_labels(family)
-    y = np.zeros((32, 8))
-    x = np.zeros((32, 8, len(labels)))
-    for base, (kind, sel, coeffs) in enumerate(ROW_TABLE[family]):
-        # rows 5..8: at window t - 1 (C), or times y_{t-3} (A, B)
-        stacked = (sel, 1) if family == "C" else (sel + "+", 0)
-        for row, (selector, back) in ((base, (sel, 0)), (base + 4, stacked)):
-            for j, coef in enumerate(coeffs, start=1):
-                kern = cell_kernel(kind, j, selector, back)
-                if coef == "1":
-                    # subtracting from zeros keeps zero kernels at +0.0
-                    y[:, row] -= kern
-                else:
-                    x[:, row, labels.index(coef)] = kern
-    y.flags.writeable = x.flags.writeable = False
-    return y, x
-
-
-_ROW_CELLS = {family: _stacked_cells(family) for family in ROW_TABLE}
-
-
-def row_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
-    """The eight stacked rows of a family at the 32 window cells.
-
-    ``y`` is 32 x 8 and ``x`` 32 x 8 x L over the family's L transformed
-    components, both read-only; cells are in window-code order, rows
-    1..8 in order.
-    """
-    try:
-        return _ROW_CELLS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-
-
 def kept_components(family: str, variant: Variant) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """The stacked rows (1..8) a variant keeps and the components they read.
 
@@ -190,8 +146,8 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSys
     # probabilities, the order in which the means below add cells shows
     y_cells = y_rows.take(rows, axis=1)
     x_cells = x_rows.take(rows, axis=1).take(cols, axis=2)
-    # for counts every cell sum is an exact integer, so these means equal
-    # the kernel means of ``stats.bar`` bitwise
+    # for counts every cell sum is an exact integer, so these means do not
+    # depend on the order in which cells are added
     cells = stats.summands.counts
     total = cells.sum()
     y = cells @ y_cells / total

@@ -33,10 +33,9 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.special import gammaincc
 
-from .aggregation import cell_kernel
 from .estimators import (EstimationError, LinearSystem, TransformedEstimate,
                          _checked_lu, _sandwich)
-from .kernels import alpha_labels, exponents
+from .kernels import DAGGER_CELLS, alpha_labels, exponents
 
 
 class NonpositiveAlpha(EstimationError):
@@ -165,16 +164,17 @@ def corrected_ratio_variance(var_ratio: float, cov_with_stage1: np.ndarray,
     return float(var_ratio + 2.0 * jac @ cov_with_stage1 + jac @ cov_stage1 @ jac)
 
 
-def _dagger_selector(family: str, variant: str, kept: tuple[str, ...]) -> tuple[str, str]:
-    """Kernel family and selector of the dagger averages of a family,
-    refusing family C and a variant (by name) whose ``kept`` lack ``d``."""
+def _dagger_selector(family: str, variant: str, kept: tuple[str, ...]) -> np.ndarray:
+    """The dagger kernels of a family at the 32 window cells
+    (``kernels.DAGGER_CELLS``), refusing family C and a variant (by name)
+    whose ``kept`` lack ``d``."""
     if family not in ("A", "B"):
         raise ValueError("the two-step effect step applies to families A and B, "
                          f"got {family!r}")
     if "d" not in kept:
         raise ValueError(f"variant {variant!r} drops component 'd'; "
                          "the second step is unavailable")
-    return ("theta", "-") if family == "A" else ("xi", "+")
+    return DAGGER_CELLS[family]
 
 
 def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepResult:
@@ -187,11 +187,10 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     sandwich with one more row.  Refused, as an ``EstimatorRun`` refuses
     the line, on family C and on variants that drop the ``d`` component.
     """
-    kind, sel = _dagger_selector(est.family, est.variant.name, est.col_labels)
+    kern = _dagger_selector(est.family, est.variant.name, est.col_labels)
 
     a_hat, d_hat = est.value("a"), est.value("d")
-    kern = np.stack([cell_kernel(kind, j, sel, back=1) for j in range(1, 5)], axis=1)
-    # exact for counts: the same means as ``stats.bar(kind, j, sel, back=1)``
+    # exact for counts: the means an aggregate at window t - 1 would give
     b1, b2, b3, b4 = (system.cells @ kern / system.cells.sum()).tolist()
     den = a_hat * a_hat * b3 + d_hat * b4
     if den == 0.0:

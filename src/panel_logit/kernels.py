@@ -1,4 +1,4 @@
-"""Window-level moment kernels and the transformed moment functions.
+"""Window-level moment kernels, the moment rows and their 32-cell tables.
 
 Everything here is a pure function of a five-period outcome window
 ``w = (y_tm3, y_tm2, y_tm1, y_t, y_tp1)`` and of the model parameters at the
@@ -11,33 +11,31 @@ delta), log phi_t, log phi_tp1)`` and ``M = EXPONENTS[family]`` a small
 integer table.  The true values (``alpha_values``), the recovery of the
 original parameters and the Wald restrictions of ``inference`` all read it.
 
-Two computation paths exist for each of the twelve transformed moment
-functions (three families A, B, C with four rows each):
+The eight window kernels come in two families of four, each split by the
+lagged state ``y_tm1``: the first (``theta``) built from
+``y_t + (1 - y_t) * y_tp1`` patterns, the second (``xi``) from
+``y_t * y_tp1`` / ``y_t * (1 - y_tp1)`` patterns.  Every kernel takes
+values in {-1, 0, 1} and only reads the last three window entries.  ``ROW_TABLE`` writes each of the twelve
+transformed moment rows (families A, B, C with four rows each) as a
+selector on ``y_tm2`` times a kernel-linear expansion whose coefficients
+are 1 or components of alpha.
 
-* ``transformed_moment_row`` -- the kernel-linear expansion
-  ``selector(y_tm2) * sum_j coef_j * K_j(w)``, where the coefficients are
-  either 1 or entries of the transformed parameter vector alpha: the scalar
-  reference the tests hold the estimators' 32-cell ``row_cells`` tables to.
-* ``scaled_hbar_row`` -- the same value obtained by rescaling one of the two
-  conditional moment forms ``hbar_u`` / ``hbar_upsilon``: the reference
-  the oracle holds the estimators' row tables to, on all 32 windows at once
-  (a window may hold outcome columns).  The two paths agree to float precision.
-
-The eight window kernels come in two families of four:
-
-* ``theta_kernels`` -- built from ``y_t + (1 - y_t) * y_tp1`` patterns,
-* ``xi_kernels``    -- built from ``y_t * y_tp1`` / ``y_t * (1 - y_tp1)``
-  patterns,
-
-each split by the lagged state ``y_tm1``.  Every kernel takes values in
-{-1, 0, 1} and only reads the last three window entries.
+Since a row is a function of the window alone, this module builds every
+table over the 32 window cells once at import, from the kernels and
+``ROW_TABLE``: ``row_cells(family)``, the eight stacked rows the
+estimators solve, and ``DAGGER_CELLS``, the two-step's dagger kernels.
+Rows 5..8 and the dagger kernels read window ``t - 1``, the first four
+periods of window ``t``: at cell ``code`` that is the window of code
+``code >> 1``.  ``scaled_hbar_row`` gives every row a second way, by
+rescaling one of the two conditional moment forms ``hbar_u`` /
+``hbar_upsilon``: the reference the oracle holds ``row_cells`` to, on all
+32 windows at once (a window may hold outcome columns).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +59,6 @@ def all_windows() -> list[Window5]:
 
 
 def _theta_components(y1, y0, yp):
-    # shared by the scalar op and the vectorized aggregation path
     rise = y0 + (1 - y0) * yp
     return (
         (1 - y1) * rise,
@@ -78,18 +75,6 @@ def _xi_components(y1, y0, yp):
         (1 - y1) * y0 * yp,
         (1 - y1) * y0 * (1 - yp),
     )
-
-
-def theta_kernels(w: Window5) -> np.ndarray:
-    """First kernel family at a window; integer vector of length 4."""
-    _, _, y1, y0, yp = w
-    return np.array(_theta_components(y1, y0, yp), dtype=np.int64)
-
-
-def xi_kernels(w: Window5) -> np.ndarray:
-    """Second kernel family at a window; integer vector of length 4."""
-    _, _, y1, y0, yp = w
-    return np.array(_xi_components(y1, y0, yp), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +170,6 @@ ROW_TABLE: dict[str, tuple[tuple[str, str, tuple[str, str, str, str]], ...]] = {
 }
 
 
-def transformed_moment_row(family: str, which: int, w: Window5,
-                           alphas: Sequence[float]) -> float:
-    """Kernel-linear expansion of moment row ``which`` (1..4) of a family.
-
-    ``alphas`` is the full transformed parameter vector in canonical label
-    order for the family (7 entries for A/B, 8 for C).
-    """
-    kind, sel, coeffs = _row_entry(family, which)
-    labels = alpha_labels(family)
-    if len(alphas) != len(labels):
-        raise ValueError(f"family {family} expects {len(labels)} alphas")
-    named = dict(zip(labels, alphas))
-    kern = theta_kernels(w) if kind == "theta" else xi_kernels(w)
-    y2 = w[1]
-    selector = (1 - y2) if sel == "-" else y2
-    total = 0.0
-    for coef, k in zip(coeffs, kern):
-        total += (1.0 if coef == "1" else named[coef]) * k
-    return selector * total
-
-
 def _row_entry(family: str, which: int):
     if family not in ROW_TABLE:
         raise ValueError(f"unknown family {family!r}")
@@ -289,3 +253,77 @@ def alpha_values(family: str, delta: float, phi_t: float, phi_tp1: float) -> np.
 def alpha_from_spec(family: str, spec: ModelSpec, t: int) -> np.ndarray:
     """True transformed parameter vector of a model at window ``t``."""
     return alpha_values(family, spec.delta, *spec.phi_pair(t))
+
+
+# ---------------------------------------------------------------------------
+# the 32-cell tables
+
+# outcomes (y_{t-3}, .., y_{t+1}) of the 32 windows in window-code order
+# (code = 16 y_{t-3} + 8 y_{t-2} + 4 y_{t-1} + 2 y_t + y_{t+1}), and of
+# window t - 1 at each cell: code >> 1, with y_{t-4} read as 0 (no row or
+# dagger kernel reads it)
+WINDOW_COLUMNS = np.array(all_windows(), dtype=np.int64).T
+_PREVIOUS_COLUMNS = WINDOW_COLUMNS[:, np.arange(32) >> 1]
+
+
+def _selected_kernels(kind: str, sel: str, windows: np.ndarray) -> np.ndarray:
+    """Kernels 1..4 of a family times a selector on ``y_tm2``, at each
+    window column: integers, 4 x 32."""
+    _, y2, y1, y0, yp = windows
+    components = _theta_components if kind == "theta" else _xi_components
+    return np.array(components(y1, y0, yp)) * (y2 if sel == "+" else 1 - y2)
+
+
+def _cell_table(table: np.ndarray) -> np.ndarray:
+    # float64, C-ordered and read-only: the order in which a product with
+    # the population's probabilities adds cells shows in its last bits
+    out = np.array(table, dtype=np.float64, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def _stacked_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
+    labels = alpha_labels(family)
+    y = np.zeros((32, 8), dtype=np.int64)
+    x = np.zeros((32, 8, len(labels)), dtype=np.int64)
+    for base, (kind, sel, coeffs) in enumerate(ROW_TABLE[family]):
+        kern = _selected_kernels(kind, sel, WINDOW_COLUMNS)
+        # rows 5..8: at window t - 1 (C), or times y_{t-3} (A, B); integer
+        # products, so no cell becomes -0.0
+        stacked = (_selected_kernels(kind, sel, _PREVIOUS_COLUMNS) if family == "C"
+                   else kern * WINDOW_COLUMNS[0])
+        for row, table in ((base, kern), (base + 4, stacked)):
+            for coef, k in zip(coeffs, table):
+                if coef == "1":
+                    y[:, row] = -k
+                else:
+                    x[:, row, labels.index(coef)] = k
+    return _cell_table(y), _cell_table(x)
+
+
+_ROW_CELLS = {family: _stacked_cells(family) for family in ROW_TABLE}
+
+
+def row_cells(family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eight stacked rows of a family at the 32 window cells.
+
+    The row value at cell ``k`` is ``y[k, r] - x[k, r] @ alpha`` over the
+    family's full transformed parameter vector.  Rows 1..4 are the rows of
+    ``ROW_TABLE`` at window ``t``, the kernel with a unit coefficient moved
+    to ``y`` with a sign flip; rows 5..8 are rows 1..4 times ``y_{t-3}``
+    (families A and B) or at window ``t - 1`` (family C).  ``y`` is 32 x
+    8 and ``x`` 32 x 8 x L over the family's L components, both read-only;
+    cells are in window-code order, rows 1..8 in order.
+    """
+    try:
+        return _ROW_CELLS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+
+
+# the two-step's dagger kernels 1..4 at window t - 1, 32 cells x 4: the
+# first kernel family under '-' for A, the second under '+' for B
+DAGGER_CELLS: dict[str, np.ndarray] = {
+    family: _cell_table(_selected_kernels(kind, sel, _PREVIOUS_COLUMNS).T)
+    for family, kind, sel in (("A", "theta", "-"), ("B", "xi", "+"))
+}

@@ -25,7 +25,7 @@ import numpy as np
 from .estimators import EstimationError
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, history_law,
                     simulate_histogram, simulate_panel)
-from .workflow import EstimatorRun, estimate_panel
+from .workflow import EstimatorRun, _ascii_int, estimate_panel
 
 WALD_LEVEL = 0.05
 
@@ -193,7 +193,7 @@ def resolve_threads(threads: int | None, source: str = "threads") -> int:
                 return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         source = "PANEL_LOGIT_THREADS"
-        threads = int(env) if env.strip().isdecimal() else env
+        threads = _ascii_int(env, source)
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
         raise ValueError(f"{source} must be a whole number of at least 1, got {threads!r}")
     return int(threads)

@@ -25,13 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .aggregation import WINDOW_COLUMNS, AggregateStats, from_cells
+from .aggregation import AggregateStats, from_cells
 from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
                          VARIANT_MINUS_37, build_system, build_system_c,
-                         kept_components, row_cells, solve, variant_minus_r,
+                         kept_components, solve, variant_minus_r,
                          TransformedEstimate)
 from .inference import recover_original
-from .kernels import alpha_from_spec, alpha_labels
+from .kernels import WINDOW_COLUMNS, alpha_from_spec, alpha_labels, row_cells
 from .mc import EstimatorRun, true_values
 from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law
 

@@ -87,8 +87,7 @@ class EstimatorRun:
         if len(parts) < 3:
             raise ValueError(f"estimator line needs FAMILY VARIANT WINDOW: {line!r}")
         family, variant, window = parts[:3]
-        if not re.fullmatch(r"[+-]?[0-9]+", window):
-            raise ValueError(f"estimator window must be an integer: {line!r}")
+        window_t = _ascii_int(window, "estimator window")
         options: dict[str, str] = {}
         for extra in parts[3:]:
             if extra != "two-step" and not extra.startswith("wald="):
@@ -97,8 +96,16 @@ class EstimatorRun:
             if name in options:
                 raise ValueError(f"estimator option {name!r} given more than once: {line!r}")
             options[name] = value
-        return cls(family, variant, int(window), two_step="two-step" in options,
+        return cls(family, variant, window_t, two_step="two-step" in options,
                    wald=options.get("wald"))
+
+
+def _ascii_int(text, name: str = "value") -> int:
+    """``text`` read as ``[+-]?[0-9]+``: unlike ``int``, refuse other
+    digits, underscores, spaces and a fraction, naming ``name``."""
+    if not re.fullmatch(r"[+-]?[0-9]+", str(text)):
+        raise ValueError(f"{name} must be an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def estimate_panel(panel: PanelData, family: str, variant: str,

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_logit import PanelData, aggregate, theta_kernels, xi_kernels
-from panel_logit.aggregation import SELECTORS
+from panel_logit import PanelData, aggregate
+from panel_logit.kernels import DAGGER_CELLS, row_cells
 from panel_logit.panel import ROW_BLOCK
+from scalar_kernels import SELECTORS, bar, theta_kernels, xi_kernels
 
 
 def _all_bars(stats):
-    return np.array([[[stats.bar(kind, j, sel) for sel in SELECTORS] for j in range(1, 5)]
+    return np.array([[[bar(stats, kind, j, sel) for sel in SELECTORS] for j in range(1, 5)]
                      for kind in ("theta", "xi")])
 
 
@@ -35,10 +36,10 @@ def test_single_row_matches_direct_kernels():
     sels = {"-": 1 - y2, "+": y2, "-+": (1 - y2) * y3, "++": y2 * y3}
     for j in range(1, 5):
         for sel, weight in sels.items():
-            assert stats.bar("theta", j, sel) == th[j - 1] * weight
-            assert stats.bar("xi", j, sel) == xk[j - 1] * weight
-    assert stats.bar("theta", 1, "-") == 1.0
-    assert stats.bar("theta", 1, "-+") == 1.0
+            assert bar(stats, "theta", j, sel) == th[j - 1] * weight
+            assert bar(stats, "xi", j, sel) == xk[j - 1] * weight
+    assert bar(stats, "theta", 1, "-") == 1.0
+    assert bar(stats, "theta", 1, "-+") == 1.0
 
 
 def test_partition_identity():
@@ -48,7 +49,7 @@ def test_partition_identity():
     for kind, fn in (("theta", theta_kernels), ("xi", xi_kernels)):
         for j in range(1, 5):
             uncond = np.mean([fn(tuple(row))[j - 1] for row in panel.y])
-            assert stats.bar(kind, j, "-") + stats.bar(kind, j, "+") == pytest.approx(uncond, abs=1e-15)
+            assert bar(stats, kind, j, "-") + bar(stats, kind, j, "+") == pytest.approx(uncond, abs=1e-15)
 
 
 def test_counts_weight_rows_like_repeated_rows():
@@ -69,7 +70,7 @@ def test_selector_nesting_brute_force():
     for j in range(1, 5):
         manual = np.mean([theta_kernels(tuple(r))[j - 1] * (1 - r[1]) * r[0]
                           for r in panel.y])
-        assert stats.bar("theta", j, "-+") == pytest.approx(manual, abs=1e-15)
+        assert bar(stats, "theta", j, "-+") == pytest.approx(manual, abs=1e-15)
 
 
 def test_interacted_bar_nested_within_selector():
@@ -78,8 +79,8 @@ def test_interacted_bar_nested_within_selector():
     panel = _panel_from_rows(rng.integers(0, 2, size=(200, 5)))
     stats = aggregate(panel, 4)
     for j in (1, 2, 4):  # constant-sign members of the first kernel family
-        assert abs(stats.bar("theta", j, "-+")) <= abs(stats.bar("theta", j, "-")) + 1e-15
-        assert abs(stats.bar("theta", j, "++")) <= abs(stats.bar("theta", j, "+")) + 1e-15
+        assert abs(bar(stats, "theta", j, "-+")) <= abs(bar(stats, "theta", j, "-")) + 1e-15
+        assert abs(bar(stats, "theta", j, "++")) <= abs(bar(stats, "theta", j, "+")) + 1e-15
 
 
 def test_bars_bounded_by_one():
@@ -181,19 +182,9 @@ def test_partial_window_without_pre_period():
     aggregate(panel, 7)
 
 
-def test_bar_back_one_refuses_interacted_selectors():
-    stats = aggregate(_panel_from_rows([[0, 1, 0, 1, 0]]), 4)
-    for sel in ("-+", "++"):
-        with pytest.raises(ValueError, match="window 3 needs period 0, outside window 4"):
-            stats.bar("theta", 1, sel, back=1)
-    stats.bar("theta", 1, "+", back=1)
-    with pytest.raises(ValueError, match="back must be 0 or 1"):
-        stats.bar("theta", 1, "+", back=-1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 120))
-def test_bar_back_one_matches_fresh_aggregate(seed, n):
+def test_window_t_minus_1_tables_match_fresh_aggregate(seed, n):
     # six stored periods: window 6 reads periods 3..7, window 5 reads 2..6
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 10**6, size=n)
@@ -202,11 +193,15 @@ def test_bar_back_one_matches_fresh_aggregate(seed, n):
                       counts=counts)
     got, want = aggregate(panel, 6), aggregate(panel, 5)
     assert got.n == want.n
-    for kind in ("theta", "xi"):
-        for j in range(1, 5):
-            for sel in ("-", "+"):
-                assert got.bar(kind, j, sel, back=1) == want.bar(kind, j, sel)
+    cells, cells_tm1 = got.summands.counts, want.summands.counts
 
+    def mean(c, table):
+        return (np.tensordot(c, table, axes=1) / c.sum()).tobytes()
 
-def test_selector_order_stable():
-    assert SELECTORS == ("-", "+", "-+", "++")
+    # family C's rows 5..8 over window t's cells are its rows 1..4 at window t - 1
+    y, x = row_cells("C")
+    assert mean(cells, y[:, 4:]) == mean(cells_tm1, y[:, :4])
+    assert mean(cells, x[:, 4:]) == mean(cells_tm1, x[:, :4])
+    for family, kind, sel in (("A", "theta", "-"), ("B", "xi", "+")):
+        scalar = np.array([bar(want, kind, j, sel) for j in range(1, 5)])
+        assert mean(cells, DAGGER_CELLS[family]) == scalar.tobytes()

@@ -136,9 +136,10 @@ def test_mc_estimator_lines_sharing_a_label_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag, env, text", [
     ("-3", None, "--threads must be a whole number of at least 1, got -3"),
     ("0", None, "--threads must be a whole number of at least 1, got 0"),
-    (None, "abc", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 'abc'"),
-    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got '-3'"),
-], ids=["flag-negative", "flag-zero", "env-text", "env-negative"])
+    (None, "abc", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got 'abc'"),
+    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got -3"),
+    (None, "\u0663", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got '\u0663'"),
+], ids=["flag-negative", "flag-zero", "env-text", "env-negative", "env-arabic-indic"])
 def test_mc_worker_count_below_one_exit_2(tmp_path, capsys, monkeypatch, flag, env, text):
     # refused before the config is read, naming where the count came from
     if env is None:
@@ -150,6 +151,56 @@ def test_mc_worker_count_below_one_exit_2(tmp_path, capsys, monkeypatch, flag, e
     assert main(argv + (["--threads", flag] if flag else [])) == 2
     assert capsys.readouterr().err == f"error: {text}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "seed", "1_000"),
+    ("simulate", "stream", "\u0662"),
+    ("simulate", "n_individuals", "5_000"),
+    ("simulate", "n_periods", "\u0668"),
+    ("mc", "replications", "2.0"),
+    ("mc", "discard_prefix", "+\u0663"),
+])
+def test_config_integer_outside_ascii_digits_exit_2(tmp_path, capsys, command, key, value):
+    # ``int`` would read Unicode digits and underscores
+    text = MC_CONFIG.format(n=50, seed=1, reps=2)
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    cfg = _write(tmp_path, "c.cfg", "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: config key {key!r}: value must be an "
+                                       f"integer in ASCII digits, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "absent.cfg", "--out", "out.csv", "--seed", "1_000"],
+    ["mc", "--config", "absent.cfg", "--out", "out.csv", "--seed", "\u0661"],
+    ["mc", "--config", "absent.cfg", "--out", "out.csv", "--threads", "\u0662"],
+    ["estimate", "absent.csv", "--family", "A", "--variant", "minus-3-7",
+     "--out", "out.csv", "--window", "\u0667"],
+], ids=["simulate-seed", "mc-seed", "mc-threads", "estimate-window"])
+def test_integer_flag_outside_ascii_digits_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("window", [7.5, "\u0667", "1_0", True])
+def test_estimate_manifest_window_outside_ascii_digits_exit_2(tmp_path, capsys, window):
+    # a hand-edited 7.5 is refused, not truncated to window 7
+    dgp = DgpConfig(n_individuals=500, n_periods=8, sigma_eta_sq=0.5, seed=1)
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(simulate_panel(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp), panel_path)
+    config = {"panel": str(panel_path), "family": "A", "variant": "minus-3-7",
+              "window": window}
+    path = _write(tmp_path, "m.json", json.dumps({"command": "estimate", "config": config}))
+    assert main(["estimate", "--from-manifest", path]) == 2
+    assert capsys.readouterr().err == ("error: manifest config key 'window' must be an "
+                                       f"integer in ASCII digits, got {window!r}\n")
 
 
 def test_estimate_singular_panel_exit_1(tmp_path):

@@ -6,10 +6,20 @@ import panel_logit as pl
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _resolves(path):
+    obj = pl
+    for name in path.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
 def test_readme_api_references_resolve():
-    names = set(re.findall(r"\bpl\.([A-Za-z_]\w*)", README.read_text()))
-    assert names, "README names no pl.<name>"
-    assert sorted(n for n in names if not hasattr(pl, n)) == []
+    # the whole dotted path: ``pl.kernels.gone`` fails although ``pl.kernels`` resolves
+    paths = set(re.findall(r"\bpl\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", README.read_text()))
+    assert paths, "README names no pl.<name>"
+    assert sorted(p for p in paths if not _resolves(p)) == []
 
 
 def test_readme_estimator_lines_are_what_the_parser_writes():

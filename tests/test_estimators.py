@@ -9,6 +9,7 @@ from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, LinearSystem, Variant,
                                     _inverse, failed_guards)
 from panel_logit.oracle import population_aggregates, spec_with_steps
+from scalar_kernels import bar
 
 
 def _random_panel(n=400, t_periods=6, seed=2):
@@ -19,8 +20,8 @@ def _random_panel(n=400, t_periods=6, seed=2):
 
 def _expected_system_a(stats):
     """The stacked layout written out literally, independent of the row table."""
-    th = lambda j, s: stats.bar("theta", j, s)
-    xi = lambda j, s: stats.bar("xi", j, s)
+    th = lambda j, s: bar(stats, "theta", j, s)
+    xi = lambda j, s: bar(stats, "xi", j, s)
     y = np.array([-th(1, "-"), -th(1, "+"), -xi(4, "+"), -xi(4, "-"),
                   -th(1, "-+"), -th(1, "++"), -xi(4, "++"), -xi(4, "-+")])
     x = np.array([
@@ -37,8 +38,8 @@ def _expected_system_a(stats):
 
 
 def _expected_system_b(stats):
-    th = lambda j, s: stats.bar("theta", j, s)
-    xi = lambda j, s: stats.bar("xi", j, s)
+    th = lambda j, s: bar(stats, "theta", j, s)
+    xi = lambda j, s: bar(stats, "xi", j, s)
     y = np.array([-th(4, "-"), -th(4, "+"), -xi(1, "+"), -xi(1, "-"),
                   -th(4, "-+"), -th(4, "++"), -xi(1, "++"), -xi(1, "-+")])
     x = np.array([
@@ -57,8 +58,8 @@ def _expected_system_b(stats):
 def _expected_system_c(st_t, st_p):
     rows_y, rows_x = [], []
     for st in (st_t, st_p):
-        th = lambda j, s: st.bar("theta", j, s)
-        xi = lambda j, s: st.bar("xi", j, s)
+        th = lambda j, s: bar(st, "theta", j, s)
+        xi = lambda j, s: bar(st, "xi", j, s)
         rows_y += [-th(1, "-"), -th(4, "+"), -xi(1, "+"), -xi(4, "-")]
         rows_x += [
             [0, th(2, "-"), th(3, "-"), 0, th(4, "-"), 0, 0, 0],

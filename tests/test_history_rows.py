@@ -2,13 +2,13 @@
 
 The reference below forms the residual second moments the textbook way,
 ``S = mean_i v_i v_i'`` over every individual of the panel.  Each
-individual's residual row is minus its scalar moment rows
-``kernels.transformed_moment_row`` at the solved ``alpha``: rows 1..4 at
-window ``t``, rows 5..8 the same times ``y_{t-3}`` (families A, B) or at
-window ``t - 1`` (family C).  The two-step's extra row and its kernel
-means come from the scalar kernels at window ``t - 1``.  The reference so
-shares neither the stacked layout nor the cell tables with the code under
-test.
+individual's residual row is minus its scalar moment rows at the solved
+``alpha`` (``scalar_kernels.transformed_moment_row``): rows 1..4 at window
+``t``, rows 5..8 the same times ``y_{t-3}`` (families A, B) or at window
+``t - 1`` (family C).  The two-step's extra row and its kernel means come
+from the scalar kernels of ``scalar_kernels`` at window ``t - 1``, not from
+``kernels.DAGGER_CELLS``.  The reference so shares neither the stacked
+layout nor the cell tables of ``kernels`` with the code under test.
 """
 
 import numpy as np
@@ -17,10 +17,9 @@ import pytest
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
                          aggregate, alpha_labels, build_system, build_system_c,
                          estimate_panel, parse_variant, simulate_histogram,
-                         simulate_panel, solve, theta_kernels,
-                         transformed_moment_row, two_step_dtd_tm1, variance,
-                         xi_kernels)
+                         simulate_panel, solve, two_step_dtd_tm1, variance)
 from panel_logit.estimators import TransformedEstimate
+from scalar_kernels import SELECTORS, transformed_moment_row, window_kernels
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
@@ -47,8 +46,7 @@ def _scalar_rows(family, row_ids, w_t, w_tm1, alphas):
 
 def _dagger_kernels(w_tm1, kind, sel):
     """Selected kernels 1..4 of one individual at window t - 1."""
-    kern = theta_kernels(w_tm1) if kind == "theta" else xi_kernels(w_tm1)
-    return (w_tm1[1] if sel == "+" else 1 - w_tm1[1]) * kern
+    return SELECTORS[sel](w_tm1) * window_kernels(kind, w_tm1)
 
 
 def _per_individual(panel, system, alpha, dagger=None):

@@ -21,6 +21,7 @@ from panel_logit.inference import (RESTRICTION_SETS, _basis,
 from panel_logit.kernels import exponents
 from panel_logit.oracle import (population_estimate, population_system,
                                 spec_with_steps)
+from scalar_kernels import bar
 
 ETA = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
@@ -251,7 +252,7 @@ def test_two_step_end_to_end_matches_manual_ratio():
                                            sigma_eta_sq=1.5, seed=2))
     res = estimate_panel(panel, "A", "minus-3-7", 6, two_step=True)
     a, d = res.transformed.value("a"), res.transformed.value("d")
-    b1, b2, b3, b4 = (aggregate(panel, 6).bar("theta", j, "-", back=1)
+    b1, b2, b3, b4 = (bar(aggregate(panel, 6), "theta", j, "-", back=1)
                       for j in range(1, 5))
     ratio = -(a * b1 + b2) / (a * a * b3 + d * b4)
     assert res.two_step.ratio == pytest.approx(ratio, rel=1e-12)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from panel_logit import (TimeTrendSpec, alpha_from_spec, alpha_labels,
                          alpha_values, all_windows, gh_coefficients, hbar_u,
-                         hbar_upsilon, theta_kernels, transformed_moment_row,
-                         xi_kernels)
-from panel_logit.kernels import EXPONENTS, ROW_TABLE, exponents, scaled_hbar_row
+                         hbar_upsilon)
+from panel_logit.kernels import (DAGGER_CELLS, EXPONENTS, ROW_TABLE, exponents,
+                                 row_cells, scaled_hbar_row)
 from panel_logit.oracle import spec_with_steps
+from scalar_kernels import (SELECTORS, theta_kernels, transformed_moment_row,
+                            window_kernels, xi_kernels)
 
 
 def test_theta_examples():
@@ -185,3 +187,25 @@ def test_row_table_unit_coefficient_present():
             assert coeffs.count("1") == 1
             assert kind in ("theta", "xi")
             assert sel in ("-", "+")
+
+
+@pytest.mark.parametrize("family, kind, sel", [("A", "theta", "-"), ("B", "xi", "+")])
+def test_dagger_cells_are_the_scalar_kernels_at_window_t_minus_1(family, kind, sel):
+    # window t - 1 of a cell is its first four periods, after a y_{t-4} no
+    # dagger kernel reads
+    for code, w in enumerate(all_windows()):
+        w_tm1 = (0,) + w[:4]
+        want = SELECTORS[sel](w_tm1) * window_kernels(kind, w_tm1)
+        assert DAGGER_CELLS[family][code].tolist() == want.tolist(), code
+
+
+def test_cell_tables_are_c_ordered_read_only_float64_without_negative_zero():
+    # a product with the population's probabilities adds cells in memory
+    # order, and a mean over signed zeros alone would print as -0.0
+    tables = [*row_cells("A"), *row_cells("B"), *row_cells("C"), *DAGGER_CELLS.values()]
+    for table in tables:
+        assert table.dtype == np.float64
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert np.array_equal(np.signbit(table), table < 0)
+    with pytest.raises(ValueError, match="unknown family 'Z'"):
+        row_cells("Z")

@@ -307,12 +307,13 @@ def test_worker_count_defaults_to_usable_cpus(monkeypatch):
     (-3, None, "threads must be a whole number of at least 1, got -3"),
     (2.5, None, "threads must be a whole number of at least 1, got 2.5"),
     (True, None, "threads must be a whole number of at least 1, got True"),
-    (None, "abc", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 'abc'"),
+    (None, "abc", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got 'abc'"),
     (None, "0", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 0"),
-    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got '-3'"),
-    (None, "2.5", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got '2.5'"),
+    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got -3"),
+    (None, "2.5", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got '2.5'"),
+    (None, "1_0", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got '1_0'"),
 ], ids=["zero", "negative", "fraction", "bool", "env-text", "env-zero", "env-negative",
-        "env-fraction"])
+        "env-fraction", "env-underscore"])
 def test_worker_count_refuses_a_count_below_one(monkeypatch, threads, env, message):
     if env is None:
         monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)

@@ -8,22 +8,23 @@ import pytest
 from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          TransformedEstimate, build_system, build_system_c,
                          moment_rank, population_aggregates, population_system,
-                         run_checks, solve, theta_kernels, two_step_dtd_tm1,
-                         variance, xi_kernels)
-from panel_logit.aggregation import SELECTORS, from_cells
+                         run_checks, solve, two_step_dtd_tm1, variance)
+from panel_logit.aggregation import from_cells
 from panel_logit import oracle
 from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
                                     VARIANT_MINUS_37, kept_components,
-                                    row_cells, variant_minus_r)
+                                    variant_minus_r)
 from panel_logit.inference import recover_original
 from panel_logit.kernels import (all_windows, alpha_from_spec, alpha_labels,
-                                 transformed_moment_row)
+                                 row_cells)
 from panel_logit.model import chain_law
 from panel_logit.oracle import (_ZERO_MEAN_ETA, _conditional_means, _moment_tables,
                                 _value_matrix, _window_law, check_identities,
                                 check_three_period_rank, check_vanishing_rows,
                                 format_report, population_estimate,
                                 spec_with_steps)
+from scalar_kernels import (SELECTORS, bar, theta_kernels, transformed_moment_row,
+                            xi_kernels)
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=-0.6, phi_coef=0.3)
@@ -292,14 +293,14 @@ def test_population_law_matches_plain_enumeration(spec, t):
     stats_t = population_aggregates(spec, t, *grid)
     # window t-1 from a window of its own, and from the cells of window t
     # one period back, as family C's rows and the two-step read it
-    cases = [(t, stats_t, 0, SELECTORS),
-             (t - 1, population_aggregates(spec, t - 1, *grid), 0, SELECTORS),
-             (t - 1, stats_t, 1, SELECTORS[:2])]
+    cases = [(t, stats_t, 0, tuple(SELECTORS)),
+             (t - 1, population_aggregates(spec, t - 1, *grid), 0, tuple(SELECTORS)),
+             (t - 1, stats_t, 1, ("-", "+"))]
     for window, stats, back, sels in cases:
         theta_ref, xi_ref = _enumerated_bars(spec, t + 1, window, *grid)
         assert stats.n == 0 and stats.window_t - back == window
         for kind, ref in (("theta", theta_ref), ("xi", xi_ref)):
-            got = np.array([[stats.bar(kind, j, sel, back=back) for sel in sels]
+            got = np.array([[bar(stats, kind, j, sel, back=back) for sel in sels]
                             for j in range(1, 5)])
             assert np.max(np.abs(got - ref[:, :len(sels)])) <= 1e-14
 
