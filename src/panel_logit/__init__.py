@@ -18,10 +18,8 @@ __version__ = "0.1.0"
 
 from .aggregation import AggregateStats, aggregate
 from .estimators import (EstimationError, LinearSystem, SingularSystem,
-                         SingularWeight, TransformedEstimate, Variant,
-                         VARIANT_FULL, VARIANT_MINUS_15, VARIANT_MINUS_37,
-                         build_system, build_system_c, parse_variant, solve,
-                         variance, variant_minus_r)
+                         SingularWeight, TransformedEstimate, build_system,
+                         build_system_c, parse_variant, solve, variance)
 from .inference import (NonpositiveAlpha, NonpositivePhiHat, OriginalEstimate,
                         ParamEstimate, SingularRestrictionCovariance,
                         TwoStepResult, WaldResult, ZeroDenominator, chi2_sf,

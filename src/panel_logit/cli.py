@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .estimators import EstimationError, TransformedEstimate, parse_variant
 from .inference import RESTRICTION_SETS, wald_test
-from .mc import McConfig, resolve_threads, run_mc
+from .mc import SUMMARY_COLUMNS, McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
 from .panel import read_panel_csv, write_panel_csv
@@ -261,13 +261,10 @@ def _cmd_estimate(args) -> int:
 def _mc_summary_csv(summary, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["estimator", "parameter", "true", "mean", "sd", "se",
-                         "se_median", "bias", "rmse"])
+        writer.writerow(SUMMARY_COLUMNS)
         for row in summary.table_rows():
             writer.writerow([row["estimator"], row["parameter"],
-                             repr(row["true"]), repr(row["mean"]), repr(row["sd"]),
-                             repr(row["se"]), repr(row["se_median"]),
-                             repr(row["bias"]), repr(row["rmse"])])
+                             *(repr(row[c]) for c in SUMMARY_COLUMNS[2:])])
 
 
 def _mc_raw_csv(summary, path: str) -> None:
@@ -347,7 +344,7 @@ def _cmd_wald(args) -> int:
     except TypeError as exc:
         raise ConfigError(f"result file is not an estimate result: {exc}") from exc
 
-    est = TransformedEstimate(family=family, variant=parse_variant(variant_name),
+    est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
                               window_t=window_t, n=n, col_labels=labels,
                               alpha=np.array(alpha, dtype=float),
                               vcov=np.array(vcov, dtype=float))

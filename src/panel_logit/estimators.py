@@ -5,12 +5,13 @@ y_{t+1})`` alone, so each family's eight stacked rows are one constant
 table over the 32 window cells, ``kernels.row_cells(family)``, which
 also states the stacked layout.
 
-A variant removes rows, and a column stays exactly when some kept row
-reads it.  Any single row removal makes a 7-parameter family square, as
-do the paired removals (rows 3 and 7, or rows 1 and 5, each dropping the
-one column only they read); family C keeps all eight rows.  A system
-carries its kept rows at each cell (``y_cells``, ``x_cells``) with the
-cell weights ``c``; ``y_vec`` and ``x_mat`` are their weighted means.
+A variant is a name, read by ``parse_variant`` alone and kept canonical.
+It removes rows, and a column stays exactly when some kept row reads it.
+Any single row removal makes a 7-parameter family square, as do the
+paired removals (rows 3 and 7, or rows 1 and 5, each dropping the one
+column only they read); family C keeps all eight rows.  A system carries
+its kept rows at each cell (``y_cells``, ``x_cells``) with the cell
+weights ``c``; ``y_vec`` and ``x_mat`` are their weighted means.
 
 Point estimates come from a pivoted LU solve with a reciprocal-condition
 guard; the weight matrix enters only the variance, never the point
@@ -63,34 +64,18 @@ class SingularWeight(EstimationError):
     status = "singular_weight"
 
 
-@dataclass(frozen=True)
-class Variant:
-    """Row-removal scheme making a stacked system square."""
-
-    name: str
-    removed_rows: tuple[int, ...]
-
-
-VARIANT_FULL = Variant("full", ())
-VARIANT_MINUS_37 = Variant("minus-3-7", (3, 7))
-VARIANT_MINUS_15 = Variant("minus-1-5", (1, 5))
-
-
-def variant_minus_r(r: int) -> Variant:
-    if not 1 <= r <= 8:
-        raise ValueError(f"row to remove must be 1..8, got {r}")
-    return Variant(f"minus-r:{r}", (r,))
-
-
-def parse_variant(name: str) -> Variant:
-    """Parse a CLI-style variant name (``minus-r:<k>`` in ASCII digits)."""
-    for variant in (VARIANT_FULL, VARIANT_MINUS_37, VARIANT_MINUS_15):
-        if name == variant.name:
-            return variant
+def parse_variant(name: str) -> tuple[str, tuple[int, ...]]:
+    """The canonical name and removed rows of ``full``, ``minus-3-7``,
+    ``minus-1-5`` or ``minus-r:<k>``, k in 1..8 in ASCII digits."""
+    paired = {"full": (), "minus-3-7": (3, 7), "minus-1-5": (1, 5)}
+    if name in paired:
+        return name, paired[name]
     row = name.removeprefix("minus-r:")
-    if row != name and row.isascii() and row.isdecimal():
-        return variant_minus_r(int(row))
-    raise ValueError(f"unknown variant {name!r}")
+    if row == name or not (row.isascii() and row.isdecimal()):
+        raise ValueError(f"unknown variant {name!r}")
+    if not 1 <= int(row) <= 8:
+        raise ValueError(f"row to remove must be 1..8, got {int(row)}")
+    return f"minus-r:{int(row)}", (int(row),)
 
 
 @dataclass(frozen=True)
@@ -107,7 +92,7 @@ class LinearSystem:
     """
 
     family: str
-    variant: Variant
+    variant: str
     window_t: int
     n: int
     y_vec: np.ndarray
@@ -120,26 +105,27 @@ class LinearSystem:
     x_cells: np.ndarray
 
 
-def kept_components(family: str, variant: Variant) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """The stacked rows (1..8) a variant keeps and the components they read.
+def kept_components(family: str, variant: str) -> tuple[str, tuple[int, ...], tuple[str, ...]]:
+    """A variant's canonical name, kept stacked rows (1..8) and their components.
 
     A component is kept exactly when some kept row reads it; a variant
     that keeps more rows than components, or fewer, is refused.
     """
+    variant, removed = parse_variant(variant)
     _, x_rows = row_cells(family)
-    kept_rows = tuple(r for r in range(1, 9) if r not in variant.removed_rows)
+    kept_rows = tuple(r for r in range(1, 9) if r not in removed)
     read = x_rows.take(np.array(kept_rows) - 1, axis=1).any(axis=(0, 1))
     labels = alpha_labels(family)
     col_labels = tuple(c for c, used in zip(labels, read) if used)
     if len(kept_rows) != len(col_labels):
-        raise ValueError(f"variant {variant.name!r} leaves a non-square system "
+        raise ValueError(f"variant {variant!r} leaves a non-square system "
                          f"({len(kept_rows)}x{len(col_labels)}) for family {family}")
-    return kept_rows, col_labels
+    return variant, kept_rows, col_labels
 
 
-def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSystem:
+def _assemble(family: str, variant: str, stats: AggregateStats) -> LinearSystem:
     y_rows, x_rows = row_cells(family)
-    kept_rows, col_labels = kept_components(family, variant)
+    variant, kept_rows, col_labels = kept_components(family, variant)
     rows = np.array(kept_rows) - 1
     cols = [alpha_labels(family).index(c) for c in col_labels]
     # ``take`` keeps the cell tables C-ordered: for the population's
@@ -160,15 +146,14 @@ def _assemble(family: str, variant: Variant, stats: AggregateStats) -> LinearSys
                         cells=cells, y_cells=y_cells, x_cells=x_cells)
 
 
-def build_system(family: str, stats: AggregateStats, variant: Variant) -> LinearSystem:
+def build_system(family: str, stats: AggregateStats, variant: str) -> LinearSystem:
     """Stack the eight moment rows of family A or B at one window."""
     if family not in ("A", "B"):
         raise ValueError(f"build_system handles families A and B, got {family!r}")
     return _assemble(family, variant, stats)
 
 
-def build_system_c(stats: AggregateStats,
-                   variant: Variant = VARIANT_FULL) -> LinearSystem:
+def build_system_c(stats: AggregateStats, variant: str = "full") -> LinearSystem:
     """Stack the trend-model rows at windows t and t-1.
 
     Both come from the aggregate at window ``t``: the rows at ``t - 1`` read
@@ -180,27 +165,27 @@ def build_system_c(stats: AggregateStats,
 # ---------------------------------------------------------------------------
 # uniqueness diagnostics
 
-# The pivot cells (stacked row, component) of each guarded family/variant:
-# the corner pivots, the lone pivot of a one-row removal, and a sign.
+# The pivot cells (stacked row, component) of each guarded family and variant
+# name: the corner pivots, the lone pivot of a one-row removal, and a sign.
 # det(X) = +-corner_product * block_determinant * pivot_bar, where the corner
 # product multiplies the corner pivots, the block determinant is the sign
 # times the determinant of the Schur complement of every pivot in X, and
 # pivot_bar is the lone pivot.  The sign keeps the block determinant of A and
 # B as its closed form in the aggregate means was written.
 _GUARD_PIVOTS = {
-    ("A", (3, 7)): (((5, "d"), (6, "g"), (8, "f")), None, -1),
-    ("A", (3,)): (((5, "d"), (6, "g"), (8, "f")), (7, "e"), -1),
-    ("B", (1, 5)): (((6, "f"), (8, "g"), (7, "d")), None, -1),
-    ("B", (1,)): (((6, "f"), (8, "g"), (7, "d")), (5, "e"), -1),
-    ("C", ()): (((5, "e"), (6, "f"), (7, "g"), (8, "h")), None, 1),
+    ("A", "minus-3-7"): (((5, "d"), (6, "g"), (8, "f")), None, -1),
+    ("A", "minus-r:3"): (((5, "d"), (6, "g"), (8, "f")), (7, "e"), -1),
+    ("B", "minus-1-5"): (((6, "f"), (8, "g"), (7, "d")), None, -1),
+    ("B", "minus-r:1"): (((6, "f"), (8, "g"), (7, "d")), (5, "e"), -1),
+    ("C", "full"): (((5, "e"), (6, "f"), (7, "g"), (8, "h")), None, 1),
 }
 
 
-def _guard_values(family: str, variant: Variant, row_ids: tuple[int, ...],
+def _guard_values(family: str, variant: str, row_ids: tuple[int, ...],
                   col_labels: tuple[str, ...], x: np.ndarray) -> dict[str, float]:
-    if (family, variant.removed_rows) not in _GUARD_PIVOTS:
+    if (family, variant) not in _GUARD_PIVOTS:
         return {}
-    corner, lone, sign = _GUARD_PIVOTS[family, variant.removed_rows]
+    corner, lone, sign = _GUARD_PIVOTS[family, variant]
     pivots = corner + ((lone,) if lone else ())
     rows = [row_ids.index(r) for r, _ in pivots]
     cols = [col_labels.index(c) for _, c in pivots]
@@ -283,7 +268,7 @@ def solve(system: LinearSystem) -> np.ndarray:
     x, y = system.x_mat, system.y_vec
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise SingularSystem("system contains non-finite entries", system.guards)
-    what = f"{system.family}[{system.variant.name}] system at window {system.window_t}"
+    what = f"{system.family}[{system.variant}] system at window {system.window_t}"
     lu, rcond = _checked_lu(x, _guarded_error(system.guards), what)
     theta = lu_solve(lu, y)
     # one refinement step keeps the residual at rounding level even when the
@@ -344,7 +329,7 @@ class TransformedEstimate:
     """Solved transformed parameters with their variance matrix."""
 
     family: str
-    variant: Variant
+    variant: str
     window_t: int
     n: int
     col_labels: tuple[str, ...]
@@ -356,7 +341,7 @@ class TransformedEstimate:
             return self.col_labels.index(label)
         except ValueError:
             raise KeyError(f"component {label!r} not estimated by "
-                           f"{self.family}[{self.variant.name}]") from None
+                           f"{self.family}[{self.variant}]") from None
 
     def has(self, label: str) -> bool:
         return label in self.col_labels
@@ -375,7 +360,7 @@ class TransformedEstimate:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "variant": self.variant.name,
+            "variant": self.variant,
             "window_t": self.window_t,
             "n": self.n,
             "alpha": {c: self.value(c) for c in self.col_labels},

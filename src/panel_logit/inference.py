@@ -187,7 +187,7 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     sandwich with one more row.  Refused, as an ``EstimatorRun`` refuses
     the line, on family C and on variants that drop the ``d`` component.
     """
-    kern = _dagger_selector(est.family, est.variant.name, est.col_labels)
+    kern = _dagger_selector(est.family, est.variant, est.col_labels)
 
     a_hat, d_hat = est.value("a"), est.value("d")
     # exact for counts: the means an aggregate at window t - 1 would give

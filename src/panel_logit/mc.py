@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import EstimationError
-from .model import (DgpConfig, ModelSpec, TimeTrendSpec, history_law,
+from .model import (DgpConfig, ModelSpec, TimeTrendSpec, check_periods, history_law,
                     simulate_histogram, simulate_panel)
 from .workflow import EstimatorRun, _ascii_int, estimate_panel
 
@@ -41,8 +41,9 @@ SAMPLERS = ("panel", "histogram")
 class McConfig:
     """One experiment: model, data-generating process, estimators.
 
-    Each ``EstimatorRun`` refuses its own bad line; the config refuses a
-    window outside the kept periods, C on a dummies model and shared labels.
+    Each ``EstimatorRun`` refuses its own bad line; the config refuses too
+    few period effects, a window outside the kept periods, C on a dummies
+    model and shared labels.
     ``sampler`` picks how each replication draws its panel: ``"panel"``
     simulates every individual (``simulate_panel``), ``"histogram"`` draws
     counts over the outcome histories (``simulate_histogram``), whose cost
@@ -65,6 +66,7 @@ class McConfig:
             raise ValueError("need at least one estimator")
         if self.discard_prefix < 0:
             raise ValueError(f"discard_prefix must be nonnegative, got {self.discard_prefix}")
+        check_periods(self.spec, self.dgp.n_periods)
         # the simulated periods are 1..n_periods; the discard drops the first
         first, last = 1 + self.discard_prefix, self.dgp.n_periods
         for run in self.estimators:
@@ -143,6 +145,11 @@ class EstimatorSummary:
     wald_df: int | None = None
 
 
+# the columns of ``McSummary.table_rows``, the table and the summary CSV
+SUMMARY_COLUMNS = ("estimator", "parameter", "true", "mean", "sd", "se", "se_median",
+                   "bias", "rmse")
+
+
 @dataclass(frozen=True)
 class McSummary:
     replications: int
@@ -154,20 +161,17 @@ class McSummary:
         for est in self.estimators:
             for name, p in est.params.items():
                 rows.append({"estimator": est.label, "parameter": name,
-                             "true": p.true, "mean": p.mean, "sd": p.sd,
-                             "se": p.se, "se_median": p.se_median,
-                             "bias": p.bias, "rmse": p.rmse})
+                             **{c: getattr(p, c) for c in SUMMARY_COLUMNS[2:]}})
         return rows
 
     def format_table(self) -> str:
-        header = f"{'estimator':<28} {'parameter':<9} {'true':>9} {'mean':>10} " \
-                 f"{'sd':>10} {'se':>10} {'se_median':>10} {'bias':>10} {'rmse':>10}"
+        wide = SUMMARY_COLUMNS[3:]  # after estimator, parameter and true
+        header = f"{'estimator':<28} {'parameter':<9} {'true':>9} " \
+                 + " ".join(f"{c:>10}" for c in wide)
         lines = [header, "-" * len(header)]
         for row in self.table_rows():
-            lines.append(
-                f"{row['estimator']:<28} {row['parameter']:<9} {row['true']:>9.4f} "
-                f"{row['mean']:>10.5f} {row['sd']:>10.5f} {row['se']:>10.5f} "
-                f"{row['se_median']:>10.5f} {row['bias']:>10.5f} {row['rmse']:>10.5f}")
+            lines.append(f"{row['estimator']:<28} {row['parameter']:<9} {row['true']:>9.4f} "
+                         + " ".join(f"{row[c]:>10.5f}" for c in wide))
         for est in self.estimators:
             fails = ", ".join(f"{k}={v}" for k, v in sorted(est.failures.items())) or "none"
             extra = ""

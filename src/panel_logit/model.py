@@ -137,6 +137,12 @@ class DgpConfig:
             raise ValueError("sigma_eta_sq must be nonnegative")
 
 
+def check_periods(spec: ModelSpec, n_periods: int) -> None:
+    """Refuse a dummies model with fewer period effects than ``n_periods``."""
+    if isinstance(spec, TimeDummiesSpec) and spec.n_periods < n_periods:
+        raise ValueError(f"spec provides {spec.n_periods} period effects, need {n_periods}")
+
+
 def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     """Draw a balanced N x T binary panel from the Markov logit model.
 
@@ -151,9 +157,7 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     blocks, filling the shocks row by row, so the draws are those of one
     whole-panel draw, whatever the block.
     """
-    if isinstance(spec, TimeDummiesSpec) and spec.n_periods < cfg.n_periods:
-        raise ValueError(
-            f"spec provides {spec.n_periods} period effects, need {cfg.n_periods}")
+    check_periods(spec, cfg.n_periods)
     n, T = cfg.n_individuals, cfg.n_periods
     sigma = math.sqrt(cfg.sigma_eta_sq)
     gen_eta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_ETA)
@@ -231,6 +235,7 @@ def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     ``simulate_panel``'s in law (up to the quadrature error of the law), at
     a cost that does not grow with N.
     """
+    check_periods(spec, cfg.n_periods)
     law = history_law(spec, cfg.n_periods, cfg.sigma_eta_sq)
     gen = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_HISTOGRAM)
     counts = gen.multinomial(cfg.n_individuals, law)

@@ -26,10 +26,8 @@ import numpy as np
 
 from . import kernels
 from .aggregation import AggregateStats, from_cells
-from .estimators import (LinearSystem, Variant, VARIANT_FULL, VARIANT_MINUS_15,
-                         VARIANT_MINUS_37, build_system, build_system_c,
-                         kept_components, solve, variant_minus_r,
-                         TransformedEstimate)
+from .estimators import (LinearSystem, TransformedEstimate, build_system,
+                         build_system_c, kept_components, solve)
 from .inference import recover_original
 from .kernels import WINDOW_COLUMNS, alpha_from_spec, alpha_labels, row_cells
 from .mc import EstimatorRun, true_values
@@ -75,8 +73,9 @@ def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
 
 def population_system(family: str, spec: ModelSpec, t: int,
                       eta_nodes: Sequence[float], eta_weights: Sequence[float],
-                      variant: Variant) -> LinearSystem:
-    """Stacked system built from exact population moments."""
+                      variant: str) -> LinearSystem:
+    """The stacked system of ``family`` and the variant named ``variant``,
+    built from exact population moments at window ``t``."""
     stats = population_aggregates(spec, t, eta_nodes, eta_weights)
     if family != "C":
         return build_system(family, stats, variant)
@@ -254,8 +253,8 @@ def check_ranks() -> list[CheckResult]:
     """Full rank at generic parameters; rank collapse at the stated loci."""
     generic = spec_with_steps(1.0, 0.2, -0.1)
     locus = spec_with_steps(0.0, 0.2, 0.0)  # state dependence and next step both zero
-    rows_37 = kept_components("A", VARIANT_MINUS_37)[0]
-    rows_15 = kept_components("B", VARIANT_MINUS_15)[0]
+    rows_37 = kept_components("A", "minus-3-7")[1]
+    rows_15 = kept_components("B", "minus-1-5")[1]
     # (name, family, rows, spec, full rank, whether the rank must drop below it)
     cases = (
         ("family A full set", "A", range(1, 9), generic, 8, False),
@@ -283,7 +282,7 @@ _ETA_GRID = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
 
 def population_estimate(family: str, spec: ModelSpec, t: int,
-                        variant: Variant) -> TransformedEstimate:
+                        variant: str) -> TransformedEstimate:
     """Solve a population system on the check grid, for its point value.
 
     ``vcov`` is zero: recovery is checked on every variant, and the
@@ -294,12 +293,12 @@ def population_estimate(family: str, spec: ModelSpec, t: int,
     """
     system = population_system(family, spec, t, _ETA_GRID[0], _ETA_GRID[1], variant)
     alpha = solve(system)
-    return TransformedEstimate(family=family, variant=variant, window_t=t,
+    return TransformedEstimate(family=family, variant=system.variant, window_t=t,
                                n=0, col_labels=system.col_labels, alpha=alpha,
                                vcov=np.zeros((len(alpha), len(alpha))))
 
 
-def _population_gap(family: str, spec: ModelSpec, variant: Variant) -> float:
+def _population_gap(family: str, spec: ModelSpec, variant: str) -> float:
     """Largest error of a population estimate at window 5: of the kept
     components of alpha, and of the original parameters recovered from
     them against ``true_values``."""
@@ -308,18 +307,16 @@ def _population_gap(family: str, spec: ModelSpec, variant: Variant) -> float:
     recovered = recover_original(est).params()
     gaps = [v - truth[c] for c, v in zip(est.col_labels, est.alpha)]
     gaps += [recovered[name].value - value for name, value
-             in true_values(spec, EstimatorRun(family, variant.name, 5)).items()]
+             in true_values(spec, EstimatorRun(family, variant, 5)).items()]
     return float(np.max(np.abs(gaps)))
 
 
 def check_population() -> list[CheckResult]:
     """Population systems return the true parameters for every variant."""
-    variants = [variant_minus_r(r) for r in range(1, 9)]
-    variants += [VARIANT_MINUS_37, VARIANT_MINUS_15]
+    variants = [f"minus-r:{r}" for r in range(1, 9)] + ["minus-3-7", "minus-1-5"]
     worst_ab = max(_population_gap(family, spec_with_steps(*point), variant)
                    for point in _AB_GRID for family in ("A", "B") for variant in variants)
-    worst_c = max(_population_gap("C", TimeTrendSpec(gamma=gamma, phi_coef=phi_coef),
-                                  VARIANT_FULL)
+    worst_c = max(_population_gap("C", TimeTrendSpec(gamma=gamma, phi_coef=phi_coef), "full")
                   for gamma, phi_coef in _C_GRID)
     tol = _POPULATION_TOL
     return [CheckResult("population recovery, families A and B", worst_ab <= tol,

@@ -11,6 +11,7 @@ counted once per panel.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, replace
 
@@ -45,9 +46,10 @@ class EstimatorRun:
     """One estimator line, ``FAMILY VARIANT WINDOW [two-step] [wald=SET]``.
 
     ``variant`` is kept by its canonical name.  A line no panel could
-    satisfy (an unknown family, variant or Wald set, a non-square variant,
-    a Wald set off the kept components, a two-step on C or without ``d``)
-    raises ``ValueError`` naming the label when the run is built.
+    satisfy (a window not an integer, a two-step not a bool, an unknown
+    family, variant or Wald set, a non-square variant, a Wald set off the
+    kept components, a two-step on C or without ``d``) raises
+    ``ValueError`` naming the label when the run is built.
     """
 
     family: str
@@ -58,13 +60,18 @@ class EstimatorRun:
 
     def __post_init__(self):
         try:
-            variant = parse_variant(self.variant)
-            object.__setattr__(self, "variant", variant.name)
-            _, kept = kept_components(self.family, variant)
+            if type(self.window_t) is bool or not isinstance(self.window_t, numbers.Integral):
+                raise ValueError(f"window must be an integer, got {self.window_t!r}")
+            if not isinstance(self.two_step, bool):
+                raise ValueError(f"two_step must be a bool, got {self.two_step!r}")
+            object.__setattr__(self, "window_t", int(self.window_t))
+            # canonical before the rest is checked: a refusal's label shows it
+            object.__setattr__(self, "variant", parse_variant(self.variant)[0])
+            _, _, kept = kept_components(self.family, self.variant)
             if self.wald is not None:
                 _restriction_labels(self.wald, kept)
             if self.two_step:
-                _dagger_selector(self.family, variant.name, kept)
+                _dagger_selector(self.family, self.variant, kept)
         except ValueError as exc:
             raise ValueError(f"estimator {self.label}: {exc}") from None
 
@@ -122,31 +129,25 @@ def estimate_panel(panel: PanelData, family: str, variant: str,
     satisfy is refused before the panel is aggregated.
     """
     run = EstimatorRun(family, variant, window_t, two_step, wald)
-    variant = parse_variant(run.variant)
     if stats_cache is None:
         stats_cache = {}
-    stats = stats_cache.get(window_t)
+    stats = stats_cache.get(run.window_t)
     if stats is None:
-        stats = stats_cache[window_t] = aggregate(panel, window_t)
+        stats = stats_cache[run.window_t] = aggregate(panel, run.window_t)
 
-    if family == "C":
-        system = build_system_c(stats, variant)
-    else:
-        system = build_system(family, stats, variant)
-
+    system = (build_system_c(stats, run.variant) if run.family == "C"
+              else build_system(run.family, stats, run.variant))
     alpha = solve(system)
     vcov = variance(system, alpha)
-    est = TransformedEstimate(family=family, variant=variant,
-                              window_t=window_t, n=system.n,
-                              col_labels=system.col_labels, alpha=alpha,
-                              vcov=vcov)
+    est = TransformedEstimate(family=run.family, variant=run.variant, window_t=run.window_t,
+                              n=system.n, col_labels=system.col_labels, alpha=alpha, vcov=vcov)
     original = recover_original(est)
 
     two = None
-    if two_step:
+    if run.two_step:
         two = two_step_dtd_tm1(est, system)
         original = replace(original, dtd_tm1=two.dtd_tm1)
 
-    wald_result = wald_test(est, wald) if wald else None
+    wald_result = wald_test(est, run.wald) if run.wald else None
     return EstimationResult(transformed=est, original=original,
                             two_step=two, wald=wald_result)

@@ -297,6 +297,20 @@ def test_mc_bad_estimator_window_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mc_dummies_model_short_of_periods_exit_2(tmp_path, capsys, monkeypatch):
+    # refused by the config: no replication runs, in a worker or not
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_mc called")
+
+    monkeypatch.setattr(cli, "run_mc", unreachable)
+    text = SIM_CONFIG.format(n=50, seed=1).replace("n_periods = 8", "n_periods = 10")
+    cfg = _write(tmp_path, "mc.cfg", text + "replications = 2\nestimator = A minus-3-7 9\n")
+    out = tmp_path / "s.csv"
+    assert main(["mc", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
+    assert capsys.readouterr().err == "error: spec provides 8 period effects, need 10\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, text", [
     ("A minus-3-7 \u0667", "estimator window must be an integer"),
     ("A minus-3-7 1_0", "estimator window must be an integer"),

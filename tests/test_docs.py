@@ -22,6 +22,17 @@ def test_readme_api_references_resolve():
     assert sorted(p for p in paths if not _resolves(p)) == []
 
 
+def test_readme_python_blocks_run():
+    # one namespace, in order, as a reader runs them: a stale call fails here
+    # although every name in it resolves
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks, "README holds no python block"
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+
+
 def test_readme_estimator_lines_are_what_the_parser_writes():
     lines = re.findall(r"^estimator = (.*)$", README.read_text(), flags=re.MULTILINE)
     assert lines, "README holds no estimator line"

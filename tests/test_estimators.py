@@ -4,10 +4,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from panel_logit import (PanelData, SingularSystem, SingularWeight, aggregate,
                          build_system, build_system_c, parse_variant, solve,
-                         variance, variant_minus_r)
-from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
-                                    VARIANT_MINUS_37, LinearSystem, Variant,
-                                    _inverse, failed_guards)
+                         variance)
+from panel_logit.estimators import LinearSystem, _inverse, failed_guards
 from panel_logit.oracle import population_aggregates, spec_with_steps
 from scalar_kernels import bar
 
@@ -76,7 +74,7 @@ def test_placement_matches_literal_layout(family, builder):
     stats = aggregate(_random_panel(), 4)
     y_exp, x_exp = builder(stats)
     for r in range(1, 9):
-        system = build_system(family, stats, variant_minus_r(r))
+        system = build_system(family, stats, f"minus-r:{r}")
         keep = [k for k in range(8) if k != r - 1]
         assert np.array_equal(system.y_vec, y_exp[keep])
         assert np.array_equal(system.x_mat, x_exp[keep])
@@ -96,20 +94,20 @@ def test_placement_c_matches_literal_layout():
 
 def test_paired_removals_drop_expected_column():
     stats = aggregate(_random_panel(), 4)
-    sys_a37 = build_system("A", stats, VARIANT_MINUS_37)
+    sys_a37 = build_system("A", stats, "minus-3-7")
     assert sys_a37.x_mat.shape == (6, 6)
     assert sys_a37.col_labels == ("a", "b", "c", "d", "f", "g")
-    sys_a15 = build_system("A", stats, VARIANT_MINUS_15)
+    sys_a15 = build_system("A", stats, "minus-1-5")
     assert sys_a15.col_labels == ("a", "b", "c", "e", "f", "g")
-    sys_b15 = build_system("B", stats, VARIANT_MINUS_15)
+    sys_b15 = build_system("B", stats, "minus-1-5")
     assert sys_b15.col_labels == ("a", "b", "c", "d", "f", "g")
-    sys_b37 = build_system("B", stats, VARIANT_MINUS_37)
+    sys_b37 = build_system("B", stats, "minus-3-7")
     assert sys_b37.col_labels == ("a", "b", "c", "e", "f", "g")
 
 
 def test_minus_r_is_seven_by_seven():
     stats = aggregate(_random_panel(), 4)
-    system = build_system("A", stats, variant_minus_r(5))
+    system = build_system("A", stats, "minus-r:5")
     assert system.x_mat.shape == (7, 7)
     assert system.row_ids == (1, 2, 3, 4, 6, 7, 8)
 
@@ -117,18 +115,43 @@ def test_minus_r_is_seven_by_seven():
 def test_invalid_variant_family_combinations():
     stats = aggregate(_random_panel(), 4)
     with pytest.raises(ValueError):
-        build_system("A", stats, VARIANT_FULL)
+        build_system("A", stats, "full")
     with pytest.raises(ValueError):
-        build_system("C", stats, VARIANT_FULL)
+        build_system("C", stats, "full")
     panel = _random_panel(n=100, t_periods=7)
     with pytest.raises(ValueError):
-        build_system_c(aggregate(panel, 5), VARIANT_MINUS_37)
+        build_system_c(aggregate(panel, 5), "minus-3-7")
     with pytest.raises(ValueError):
         parse_variant("minus-2-6")
     # the row is ASCII digits: an Arabic-Indic three is no row number
     for name in ("minus-r:x", "minus-r:", "minus-r:-1", "minus-r:\u0663"):
         with pytest.raises(ValueError, match=f"unknown variant '{name}'"):
             parse_variant(name)
+
+
+def test_parse_variant_gives_canonical_name_and_removed_rows():
+    assert parse_variant("full") == ("full", ())
+    assert parse_variant("minus-3-7") == ("minus-3-7", (3, 7))
+    assert parse_variant("minus-1-5") == ("minus-1-5", (1, 5))
+    assert parse_variant("minus-r:03") == ("minus-r:3", (3,))
+    for row in ("0", "9", "09"):
+        with pytest.raises(ValueError, match=f"row to remove must be 1..8, got {int(row)}$"):
+            parse_variant(f"minus-r:{row}")
+
+
+@pytest.mark.parametrize("family, row", [("A", 3), ("B", 1)])
+def test_a_leading_zero_builds_the_canonical_system(family, row):
+    # the two guarded one-row variants: a name passed through uncanonicalized
+    # would miss its guards
+    stats = aggregate(_random_panel(), 4)
+    padded = build_system(family, stats, f"minus-r:0{row}")
+    canonical = build_system(family, stats, f"minus-r:{row}")
+    assert padded.variant == canonical.variant == f"minus-r:{row}"
+    assert set(padded.guards) == {"corner_product", "block_determinant", "pivot_bar"}
+    assert padded.guards == canonical.guards
+    assert (padded.row_ids, padded.col_labels) == (canonical.row_ids, canonical.col_labels)
+    for name in ("cells", "y_cells", "x_cells", "y_vec", "x_mat"):
+        assert np.array_equal(getattr(padded, name), getattr(canonical, name)), name
 
 
 def test_c_refuses_window_without_pre_window_period():
@@ -151,14 +174,14 @@ def test_degenerate_panel_zero_rows_then_singular():
     for r in (1, 2, 5, 6):  # rows 2,3,6,7 are the '+'-selected ones (0-based 1,2,5,6)
         assert y_exp[r] == 0.0
         assert np.all(x_exp[r] == 0.0)
-    system = build_system("A", stats, variant_minus_r(8))
+    system = build_system("A", stats, "minus-r:8")
     with pytest.raises(SingularSystem):
         solve(system)
 
 
 def test_solve_identity_system():
     v = np.array([1.0, 2.0, 3.0])
-    system = LinearSystem(family="A", variant=Variant("minus-r:1", (1,)),
+    system = LinearSystem(family="A", variant="minus-r:1",
                           window_t=4, n=10, y_vec=v, x_mat=np.eye(3),
                           row_ids=(1, 2, 3), col_labels=("a", "b", "c"), guards={},
                           cells=np.zeros(32), y_cells=np.zeros((32, 3)),
@@ -169,7 +192,7 @@ def test_solve_identity_system():
 def test_population_solve_recovers_truth():
     spec = spec_with_steps(1.0, 0.2, -0.1)
     stats = population_aggregates(spec, 5, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    system = build_system("A", stats, VARIANT_MINUS_37)
+    system = build_system("A", stats, "minus-3-7")
     from panel_logit import alpha_from_spec, alpha_labels
 
     alpha = solve(system)
@@ -184,7 +207,7 @@ def test_population_locus_raises_with_guard_diagnostics():
     # system is rank deficient in the population
     spec = spec_with_steps(0.0, 0.2, 0.0)
     stats = population_aggregates(spec, 5, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    system = build_system("A", stats, VARIANT_MINUS_37)
+    system = build_system("A", stats, "minus-3-7")
     with pytest.raises(SingularSystem) as err:
         solve(system)
     assert "block_determinant" in failed_guards(err.value.guards)
@@ -193,14 +216,14 @@ def test_population_locus_raises_with_guard_diagnostics():
 def test_variance_scales_inversely_with_duplication():
     panel = _random_panel(n=300, t_periods=6, seed=13)
     stats = aggregate(panel, 4)
-    system = build_system("A", stats, VARIANT_MINUS_37)
+    system = build_system("A", stats, "minus-3-7")
     alpha = solve(system)
     v1 = variance(system, alpha)
 
     doubled = PanelData(y=np.vstack([panel.y, panel.y]),
                         ids=np.arange(2 * panel.n), t0=1)
     stats2 = aggregate(doubled, 4)
-    system2 = build_system("A", stats2, VARIANT_MINUS_37)
+    system2 = build_system("A", stats2, "minus-3-7")
     alpha2 = solve(system2)
     assert np.allclose(alpha2, alpha, atol=1e-12)
     v2 = variance(system2, alpha2)
@@ -211,7 +234,7 @@ def test_identical_individuals_give_singular_weight():
     row = np.array([1, 0, 1, 1, 0], dtype=np.int8)
     panel = PanelData(y=np.tile(row, (50, 1)), ids=np.arange(50), t0=1)
     stats = aggregate(panel, 4)
-    system = build_system("A", stats, VARIANT_MINUS_37)
+    system = build_system("A", stats, "minus-3-7")
     with pytest.raises(SingularWeight, match=r"singular \(rcond="):
         variance(system, np.ones(6))
 
@@ -219,7 +242,7 @@ def test_identical_individuals_give_singular_weight():
 def test_point_estimate_untouched_by_variance():
     panel = _random_panel(n=350, t_periods=6, seed=15)
     stats = aggregate(panel, 4)
-    system = build_system("A", stats, variant_minus_r(3))
+    system = build_system("A", stats, "minus-r:3")
     before = solve(system)
     variance(system, before)
     assert np.array_equal(solve(system), before)
@@ -228,7 +251,7 @@ def test_point_estimate_untouched_by_variance():
 def test_vcov_symmetric_psd():
     panel = _random_panel(n=600, t_periods=6, seed=16)
     stats = aggregate(panel, 4)
-    system = build_system("B", stats, variant_minus_r(1))
+    system = build_system("B", stats, "minus-r:1")
     alpha = solve(system)
     v = variance(system, alpha)
     assert np.array_equal(v, v.T)

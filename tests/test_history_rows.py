@@ -16,7 +16,7 @@ import pytest
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
                          aggregate, alpha_labels, build_system, build_system_c,
-                         estimate_panel, parse_variant, simulate_histogram,
+                         estimate_panel, simulate_histogram,
                          simulate_panel, solve, two_step_dtd_tm1, variance)
 from panel_logit.estimators import TransformedEstimate
 from scalar_kernels import SELECTORS, transformed_moment_row, window_kernels
@@ -85,7 +85,6 @@ def _assert_cov_close(got, want):
 
 
 def _check_against_reference(panel, family, variant, t, two_step):
-    variant = parse_variant(variant)
     st_t = aggregate(panel, t)
     if family == "C":
         system = build_system_c(st_t, variant)

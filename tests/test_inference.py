@@ -12,10 +12,8 @@ from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          two_step_dtd_tm1, wald_test)
 from panel_logit import DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
-from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
-                                    VARIANT_MINUS_37, SingularSystem,
-                                    SingularWeight, _sandwich, build_system,
-                                    solve, variant_minus_r)
+from panel_logit.estimators import (SingularSystem, SingularWeight, _sandwich,
+                                    build_system, solve)
 from panel_logit.inference import (RESTRICTION_SETS, _basis,
                                    restriction_rows)
 from panel_logit.kernels import exponents
@@ -26,7 +24,7 @@ from scalar_kernels import bar
 ETA = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
 
-def _estimate(family, labels, alpha, vcov=None, variant=VARIANT_MINUS_37, n=100):
+def _estimate(family, labels, alpha, vcov=None, variant="minus-3-7", n=100):
     alpha = np.asarray(alpha, dtype=float)
     if vcov is None:
         vcov = np.zeros((len(alpha), len(alpha)))
@@ -62,7 +60,7 @@ def test_recover_uses_e_when_d_absent():
     alpha = np.ones(6)
     alpha[0] = math.exp(0.4)
     alpha[3] = math.exp(0.4 - 1.0)  # e = a * exp(-gamma)
-    est = _estimate("A", labels, alpha, variant=VARIANT_MINUS_15)
+    est = _estimate("A", labels, alpha, variant="minus-1-5")
     orig = recover_original(est)
     assert orig.gamma.value == pytest.approx(1.0, abs=1e-12)
     assert orig.gamma_from == "e"
@@ -70,7 +68,7 @@ def test_recover_uses_e_when_d_absent():
 
 def test_recover_b_signs():
     spec = spec_with_steps(0.8, 0.3, -0.2)
-    est = population_estimate("B", spec, 5, VARIANT_MINUS_15)
+    est = population_estimate("B", spec, 5, "minus-1-5")
     orig = recover_original(est)
     assert orig.gamma.value == pytest.approx(0.8, abs=1e-9)
     assert orig.dtd_t.value == pytest.approx(0.3, abs=1e-9)
@@ -80,14 +78,14 @@ def test_recover_b_signs():
 def test_recover_roundtrip_all_families_variants():
     spec = spec_with_steps(-0.6, 0.45, 0.2)
     for family in ("A", "B"):
-        for variant in [variant_minus_r(r) for r in (1, 4, 8)] + [VARIANT_MINUS_37, VARIANT_MINUS_15]:
+        for variant in [f"minus-r:{r}" for r in (1, 4, 8)] + ["minus-3-7", "minus-1-5"]:
             est = population_estimate(family, spec, 5, variant)
             orig = recover_original(est)
             assert orig.gamma.value == pytest.approx(-0.6, abs=1e-8)
             assert orig.dtd_t.value == pytest.approx(0.45, abs=1e-8)
             assert orig.dtd_tp1.value == pytest.approx(0.2, abs=1e-8)
     trend = TimeTrendSpec(gamma=-0.6, phi_coef=0.25)
-    est = population_estimate("C", trend, 5, VARIANT_FULL)
+    est = population_estimate("C", trend, 5, "full")
     orig = recover_original(est)
     assert orig.gamma.value == pytest.approx(-0.6, abs=1e-8)
     assert orig.phi_coef.value == pytest.approx(0.25, abs=1e-8)
@@ -95,8 +93,8 @@ def test_recover_roundtrip_all_families_variants():
 
 def test_ab_agree_on_population():
     spec = spec_with_steps(1.0, 0.2, -0.1)
-    est_a = population_estimate("A", spec, 5, VARIANT_MINUS_37)
-    est_b = population_estimate("B", spec, 5, VARIANT_MINUS_15)
+    est_a = population_estimate("A", spec, 5, "minus-3-7")
+    est_b = population_estimate("B", spec, 5, "minus-1-5")
     ga = recover_original(est_a).gamma.value
     gb = recover_original(est_b).gamma.value
     assert abs(ga - gb) <= 1e-8
@@ -153,8 +151,8 @@ def test_delta_variances_nonnegative_for_psd_input():
 def test_two_step_population_value():
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
     t = 7
-    for family, variant, step in (("A", VARIANT_MINUS_37, 0.4),
-                                  ("B", VARIANT_MINUS_15, -0.4)):
+    for family, variant, step in (("A", "minus-3-7", 0.4),
+                                  ("B", "minus-1-5", -0.4)):
         est = population_estimate(family, spec, t, variant)
         system = population_system(family, spec, t, *ETA, variant)
         # B's ratio is the inverse of the effect step
@@ -164,7 +162,7 @@ def test_two_step_population_value():
 
 def test_two_step_ratio_refuses_other_families():
     for family in ("C", "Z"):
-        est = _estimate(family, alpha_labels("C"), np.ones(8), variant=VARIANT_FULL)
+        est = _estimate(family, alpha_labels("C"), np.ones(8), variant="full")
         with pytest.raises(ValueError, match=f"families A and B, got '{family}'"):
             two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
 
@@ -214,7 +212,7 @@ def test_two_step_singular_dagger_moments_raise_singular_weight():
     # dimensions, so the seven-row dagger moment matrix is singular
     cells = np.zeros(32)
     cells[[0b00000, 0b00010, 0b00100, 0b01001, 0b10011, 0b10101, 0b11100]] = 1.0
-    system = build_system("A", from_cells(5, cells, n=7), VARIANT_MINUS_37)
+    system = build_system("A", from_cells(5, cells, n=7), "minus-3-7")
     alpha = solve(system)
     est = _estimate("A", system.col_labels, alpha, n=7)
     with pytest.raises(SingularWeight, match=r"numerically singular \(rcond="):
@@ -224,7 +222,7 @@ def test_two_step_singular_dagger_moments_raise_singular_weight():
 def test_sandwich_reports_rcond_of_singular_weight_and_design():
     panel = simulate_panel(TimeDummiesSpec(gamma=0.5, td=(0.0, 0.1, 0.2, 0.1, 0.0)),
                            DgpConfig(n_individuals=5_000, n_periods=5, seed=3))
-    system = build_system("A", aggregate(panel, 4), VARIANT_MINUS_37)
+    system = build_system("A", aggregate(panel, 4), "minus-3-7")
     v = system.y_cells - system.x_cells @ solve(system)
     # reported with the determinant guards, as ``solve`` reports them
     with pytest.raises(SingularSystem, match=r"weighted design is numerically "
@@ -240,7 +238,7 @@ def test_sandwich_reports_rcond_of_singular_weight_and_design():
 
 def test_two_step_rejects_variant_without_d():
     est = _estimate("A", ("a", "b", "c", "e", "f", "g"), np.ones(6),
-                    variant=VARIANT_MINUS_15)
+                    variant="minus-1-5")
     with pytest.raises(ValueError, match="drops component 'd'"):
         two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
 
@@ -394,7 +392,7 @@ def test_wald_errors():
     with pytest.raises(ValueError, match="unknown restriction set"):
         wald_test(est, "nope")
     est7 = _estimate("A", ("a", "b", "c", "d", "e", "f", "g"), np.ones(7),
-                     variant=variant_minus_r(1))
+                     variant="minus-r:1")
     with pytest.raises(ValueError, match="expects components"):
         wald_test(est7, "ab-dummies")
     bad = _estimate("A", LABELS6, np.array([1, -1, 1, 1, 1, 1.0]),

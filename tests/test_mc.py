@@ -162,6 +162,20 @@ def test_config_validation():
         _config(sampler="bootstrap")
 
 
+@pytest.mark.parametrize("sampler", mc.SAMPLERS)
+def test_config_refuses_a_dummies_model_short_of_periods(sampler):
+    # 8 period effects for 10 periods: the config is refused before any
+    # replication draws a panel, and both samplers refuse with its text
+    dgp = DgpConfig(n_individuals=50, n_periods=10)
+    message = "^spec provides 8 period effects, need 10$"
+    with pytest.raises(ValueError, match=message):
+        McConfig(spec=HET, dgp=dgp, replications=2, sampler=sampler,
+                 estimators=(EstimatorRun("A", "minus-3-7", 9),))
+    simulate = simulate_histogram if sampler == "histogram" else simulate_panel
+    with pytest.raises(ValueError, match=message):
+        simulate(HET, dgp)
+
+
 def test_config_refuses_negative_discard():
     # refused at construction, not in every replication's drop_prefix
     with pytest.raises(ValueError, match="discard_prefix must be nonnegative, got -1"):

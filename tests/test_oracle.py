@@ -11,9 +11,7 @@ from panel_logit import (SingularSystem, TimeDummiesSpec, TimeTrendSpec,
                          run_checks, solve, two_step_dtd_tm1, variance)
 from panel_logit.aggregation import from_cells
 from panel_logit import oracle
-from panel_logit.estimators import (VARIANT_FULL, VARIANT_MINUS_15,
-                                    VARIANT_MINUS_37, kept_components,
-                                    variant_minus_r)
+from panel_logit.estimators import kept_components
 from panel_logit.inference import recover_original
 from panel_logit.kernels import (all_windows, alpha_from_spec, alpha_labels,
                                  row_cells)
@@ -133,7 +131,7 @@ def test_population_consistency_sweep():
         for dtd_t in (-0.3, 0.0, 0.5):
             for dtd_tp1 in (-0.4, 0.1, 0.6):
                 spec = spec_with_steps(gamma, dtd_t, dtd_tp1)
-                for family, variant in (("A", variant_minus_r(6)), ("B", VARIANT_MINUS_37)):
+                for family, variant in (("A", "minus-r:6"), ("B", "minus-3-7")):
                     est = population_estimate(family, spec, 5, variant)
                     truth = alpha_from_spec(family, spec, 5)
                     labels = alpha_labels(family)
@@ -142,16 +140,14 @@ def test_population_consistency_sweep():
     for gamma in (-0.5, 0.4, 1.0):
         for phi_coef in (-0.3, 0.1, 0.5):
             trend = TimeTrendSpec(gamma=gamma, phi_coef=phi_coef)
-            from panel_logit.estimators import VARIANT_FULL
-
-            est = population_estimate("C", trend, 5, VARIANT_FULL)
+            est = population_estimate("C", trend, 5, "full")
             assert np.allclose(est.alpha, alpha_from_spec("C", trend, 5), atol=1e-8)
 
 
 def test_degenerate_eta_grid_detected():
     # single-point grid at the degenerate parameter locus
     spec = spec_with_steps(0.0, 0.0, 0.0)
-    system = population_system("A", spec, 5, (0.0,), (1.0,), VARIANT_MINUS_37)
+    system = population_system("A", spec, 5, (0.0,), (1.0,), "minus-3-7")
     with pytest.raises(SingularSystem):
         solve(system)
 
@@ -159,7 +155,7 @@ def test_degenerate_eta_grid_detected():
 def test_moment_rank_values():
     generic = spec_with_steps(1.0, 0.2, -0.1)
     assert moment_rank("A", generic, 5) == 8
-    rows, _ = kept_components("A", VARIANT_MINUS_37)
+    _, rows, _ = kept_components("A", "minus-3-7")
     assert moment_rank("A", generic, 5, rows) == 6
     locus = spec_with_steps(0.0, 0.2, 0.0)
     assert moment_rank("A", locus, 5, rows) < 6
@@ -313,9 +309,9 @@ def test_population_window_needs_period_t_minus_3():
 @pytest.mark.parametrize("t", [20, 40])
 def test_population_recovery_at_late_windows(t):
     # the chain is enumerated over the window only, so any t is 32 cells
-    cases = [("A", VARIANT_MINUS_37, spec_with_steps(0.8, 0.2, -0.1, t=t)),
-             ("B", VARIANT_MINUS_15, spec_with_steps(0.8, 0.2, -0.1, t=t)),
-             ("C", VARIANT_FULL, TimeTrendSpec(gamma=-0.7, phi_coef=0.2))]
+    cases = [("A", "minus-3-7", spec_with_steps(0.8, 0.2, -0.1, t=t)),
+             ("B", "minus-1-5", spec_with_steps(0.8, 0.2, -0.1, t=t)),
+             ("C", "full", TimeTrendSpec(gamma=-0.7, phi_coef=0.2))]
     for family, variant, spec in cases:
         est = population_estimate(family, spec, t, variant)
         truth = dict(zip(alpha_labels(family), alpha_from_spec(family, spec, t)))
@@ -357,9 +353,9 @@ def test_population_variance_is_the_multinomial_delta_method():
     # variance per individual is J (diag p - p p') J' with J = dg/dp; J comes
     # from Richardson-extrapolated central differences, not from the sandwich
     grid = ((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    cases = [("A", VARIANT_MINUS_37, SPEC_31, 7, True),
-             ("B", VARIANT_MINUS_15, SPEC_31, 7, True),
-             ("C", VARIANT_FULL, TimeTrendSpec(gamma=-0.6, phi_coef=0.3), 6, False)]
+    cases = [("A", "minus-3-7", SPEC_31, 7, True),
+             ("B", "minus-1-5", SPEC_31, 7, True),
+             ("C", "full", TimeTrendSpec(gamma=-0.6, phi_coef=0.3), 6, False)]
     for family, variant, spec, t, two_step in cases:
         p = population_aggregates(spec, t, *grid).summands.counts
         p = p / p.sum()

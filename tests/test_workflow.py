@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from panel_logit import (DgpConfig, EstimationError, EstimatorRun, PanelData,
                          TimeDummiesSpec, TimeTrendSpec, TransformedEstimate,
-                         estimate_panel, parse_variant, population_system,
+                         estimate_panel, population_system,
                          simulate_panel, solve, two_step_dtd_tm1, variance,
                          wald_test, workflow)
 from panel_logit.aggregation import from_cells
+from panel_logit.inference import RESTRICTION_SETS
 
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
@@ -121,9 +123,9 @@ def test_line_and_estimate_refuse_with_one_text(family, variant, two_step, wald,
     # the same rule, met on a solved estimate of the line's family and variant
     spec = SPEC_TREND if family == "C" else SPEC_DUMMIES
     system = population_system(family, spec, 7, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3),
-                               parse_variant(variant))
+                               variant)
     alpha = solve(system)
-    est = TransformedEstimate(family, parse_variant(variant), 7, system.n,
+    est = TransformedEstimate(family, system.variant, 7, system.n,
                               system.col_labels, alpha, variance(system, alpha))
     with pytest.raises(ValueError) as by_estimate:
         if two_step:
@@ -192,3 +194,36 @@ def test_battery_line_round_trips(line):
     run = EstimatorRun.parse(line)
     assert run in _BATTERY
     assert str(run) == line and EstimatorRun.parse(str(run)) == run
+
+
+def test_every_run_that_builds_round_trips():
+    # what ``str`` writes of any run that builds, ``parse`` reads back
+    built = 0
+    for args in product(("A", "B", "C", "Z"),
+                        ("full", "minus-3-7", "minus-1-5", "minus-r:03", "minus-r:8",
+                         "minus-r:9", "bogus"),
+                        (7, np.int64(6), -2, "7", 7.5, np.float64(7.0), True),
+                        (False, True, 1, np.True_),
+                        (None, *sorted(RESTRICTION_SETS), "bogus")):
+        try:
+            run = EstimatorRun(*args[:3], two_step=args[3], wald=args[4])
+        except ValueError:
+            continue
+        built += 1
+        assert type(run.window_t) is int and type(run.two_step) is bool
+        assert EstimatorRun.parse(str(run)) == run, args
+    assert built == 3 * 24  # three integer windows, 24 lines with a bool two-step
+
+
+@pytest.mark.parametrize("window, two_step, text", [
+    ("7", False, "window must be an integer, got '7'"),
+    (7.0, False, "window must be an integer, got 7.0"),
+    (True, False, "window must be an integer, got True"),
+    (7, 2, "two_step must be a bool, got 2"),
+    (7, "no", "two_step must be a bool, got 'no'"),
+], ids=["str-window", "float-window", "bool-window", "int-two-step", "str-two-step"])
+def test_line_refuses_a_window_or_two_step_of_another_type(window, two_step, text):
+    with pytest.raises(ValueError) as err:
+        EstimatorRun("A", "minus-3-7", window, two_step=two_step)
+    label = f"A[minus-3-7]@t{window}" + ("+two-step" if two_step else "")
+    assert str(err.value) == f"estimator {label}: {text}"
