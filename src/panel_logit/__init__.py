@@ -22,9 +22,8 @@ from .estimators import (EstimationError, LinearSystem, SingularSystem,
                          build_system_c, parse_variant, solve, variance)
 from .inference import (NonpositiveAlpha, NonpositivePhiHat, OriginalEstimate,
                         ParamEstimate, SingularRestrictionCovariance,
-                        TwoStepResult, WaldResult, ZeroDenominator, chi2_sf,
-                        corrected_ratio_variance, recover_original,
-                        two_step_dtd_tm1, wald_test)
+                        TwoStepResult, WaldResult, ZeroDenominator,
+                        recover_original, two_step_dtd_tm1, wald_test)
 from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
                       alpha_values, all_windows, gh_coefficients, hbar_u,
                       hbar_upsilon)

@@ -19,11 +19,11 @@ two-step's dagger averages) read ``y_{t-3} .. y_t``, four of the same five
 periods, so they need no aggregate of their own.
 
 The cell weights are the integer counts of a sample, or the exact cell
-probabilities of the population (``oracle.population_aggregates``, ``n =
-0``: no sample).  Means are cell sums divided by the total weight.  For
-counts every sum is an integer below 2**53 and exact in float64, so
-neither the cells nor the means depend on the block size or on the order
-in which rows and cells are added.
+probabilities of the population (``oracle.population_aggregates``).  Their
+total N is the sample size (1 for the population); means are cell sums
+divided by N.  For counts every sum is an integer below 2**53 and exact in
+float64, so neither the cells nor the means depend on the block size or on
+the order in which rows and cells are added.
 """
 
 from __future__ import annotations
@@ -49,23 +49,17 @@ class KernelSummands:
 
 @dataclass(frozen=True)
 class AggregateStats:
-    """The 32 window-cell weights at one window.
-
-    ``n`` is the number of individuals, 0 for the population.
-    """
+    """The 32 window-cell weights at one window; their total is the
+    number of individuals of a sample, 1 for the population."""
 
     window_t: int
-    n: int
     summands: KernelSummands
 
 
-def from_cells(t: int, cells: np.ndarray, n: int) -> AggregateStats:
-    """The aggregate at window ``t`` of the 32 window-cell weights.
-
-    ``cells`` are the counts of a sample of ``n`` individuals, or the
-    probabilities of the population (``n = 0``), indexed by window code.
-    """
-    return AggregateStats(window_t=t, n=n, summands=KernelSummands(counts=cells))
+def from_cells(t: int, cells: np.ndarray) -> AggregateStats:
+    """The aggregate at window ``t`` of the 32 window-cell weights:
+    a sample's counts or the population's probabilities, by window code."""
+    return AggregateStats(window_t=t, summands=KernelSummands(counts=cells))
 
 
 def aggregate(panel: PanelData, t: int) -> AggregateStats:
@@ -98,4 +92,4 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
         cells += np.bincount(block, None if shared else panel.counts[rows], minlength=32)
     if shared:
         cells *= panel.counts[0]
-    return from_cells(t, cells, panel.n)
+    return from_cells(t, cells)

@@ -224,9 +224,11 @@ def _cmd_estimate(args) -> int:
         cfg = _load_manifest(args.from_manifest, "estimate")["config"]
         try:
             panel_path = cfg["panel"]
+            if not isinstance(panel_path, str):
+                raise ConfigError(f"manifest config key 'panel' must be a path, got {panel_path!r}")
             window = _ascii_int(cfg["window"], "manifest config key 'window'")
             run = EstimatorRun(cfg["family"], cfg["variant"], window,
-                               two_step=bool(cfg.get("two_step")), wald=cfg.get("wald"))
+                               two_step=cfg.get("two_step", False), wald=cfg.get("wald"))
         except KeyError as exc:
             raise ConfigError(f"manifest {args.from_manifest} lacks config key {exc}") from None
     else:

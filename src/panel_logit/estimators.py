@@ -30,6 +30,7 @@ and goes through the same sandwich.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -64,6 +65,20 @@ class SingularWeight(EstimationError):
     status = "singular_weight"
 
 
+def _ascii_int(text, name: str = "value") -> int:
+    """``text`` read as ``[+-]?[0-9]+``, leading zeros aside: unlike ``int``,
+    refuse other digits, underscores, spaces and a fraction, naming ``name``."""
+    # one way to match each text: an ambiguous 0*[0-9]+ backtracks quadratically
+    match = re.fullmatch(r"([+-]?)0*([1-9][0-9]*|0)", str(text))
+    if not match:
+        raise ValueError(f"{name} must be an integer in ASCII digits, got {text!r}")
+    try:
+        return int(match[1] + match[2])
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"{name} has {len(match[2])} significant digits, "
+                         "more than int() converts") from None
+
+
 def parse_variant(name: str) -> tuple[str, tuple[int, ...]]:
     """The canonical name and removed rows of ``full``, ``minus-3-7``,
     ``minus-1-5`` or ``minus-r:<k>``, k in 1..8 in ASCII digits."""
@@ -73,9 +88,10 @@ def parse_variant(name: str) -> tuple[str, tuple[int, ...]]:
     row = name.removeprefix("minus-r:")
     if row == name or not (row.isascii() and row.isdecimal()):
         raise ValueError(f"unknown variant {name!r}")
-    if not 1 <= int(row) <= 8:
-        raise ValueError(f"row to remove must be 1..8, got {int(row)}")
-    return f"minus-r:{int(row)}", (int(row),)
+    k = _ascii_int(row, f"variant {name!r}")
+    if not 1 <= k <= 8:
+        raise ValueError(f"row to remove must be 1..8, got {k}")
+    return f"minus-r:{k}", (k,)
 
 
 @dataclass(frozen=True)
@@ -94,7 +110,6 @@ class LinearSystem:
     family: str
     variant: str
     window_t: int
-    n: int
     y_vec: np.ndarray
     x_mat: np.ndarray
     row_ids: tuple[int, ...]
@@ -140,8 +155,7 @@ def _assemble(family: str, variant: str, stats: AggregateStats) -> LinearSystem:
     x = np.tensordot(cells, x_cells, axes=1) / total
 
     return LinearSystem(family=family, variant=variant, window_t=stats.window_t,
-                        n=stats.n, y_vec=y, x_mat=x, row_ids=kept_rows,
-                        col_labels=col_labels,
+                        y_vec=y, x_mat=x, row_ids=kept_rows, col_labels=col_labels,
                         guards=_guard_values(family, variant, kept_rows, col_labels, x),
                         cells=cells, y_cells=y_cells, x_cells=x_cells)
 

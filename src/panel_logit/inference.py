@@ -11,10 +11,9 @@ restrictions are M's left null space: a row ``log(alpha_k) - M_k @ inv(M_S)
 The effect step one period before the window is recovered in a second step:
 a ratio of dagger-combined window ``t-1`` averages whose weights depend on
 the first-stage estimates of the ``a`` and ``d`` components.  Its variance
-therefore carries three extra terms beyond the stacked-system variance --
+therefore carries three extra terms beyond the stacked-system variance:
 the Jacobian of the ratio with respect to the plugged-in first-stage
-components against their covariances -- assembled in
-``corrected_ratio_variance``.
+components against their covariances.
 
 Every variance here comes from the sandwich of ``estimators``, which
 divides by the total cell weight N: for a sample it is the variance of the
@@ -152,18 +151,6 @@ class TwoStepResult:
                 "var_ratio_corrected": self.var_ratio_corrected}
 
 
-def corrected_ratio_variance(var_ratio: float, cov_with_stage1: np.ndarray,
-                             cov_stage1: np.ndarray, jac: np.ndarray) -> float:
-    """Plug-in correction for a ratio built from estimated first-stage weights.
-
-    ``cov_with_stage1`` holds the covariances of the ratio with the two
-    plugged-in components, ``cov_stage1`` their 2x2 covariance, and ``jac``
-    the derivative of the ratio in those components.  With all covariance
-    inputs zero this reduces to ``var_ratio``.
-    """
-    return float(var_ratio + 2.0 * jac @ cov_with_stage1 + jac @ cov_stage1 @ jac)
-
-
 def _dagger_selector(family: str, variant: str, kept: tuple[str, ...]) -> np.ndarray:
     """The dagger kernels of a family at the 32 window cells
     (``kernels.DAGGER_CELLS``), refusing family C and a variant (by name)
@@ -217,7 +204,7 @@ def two_step_dtd_tm1(est: TransformedEstimate, system: LinearSystem) -> TwoStepR
     var_ratio = vcov_dag[0, 0]
     cov_with = np.array([vcov_dag[0, idx_a], vcov_dag[0, idx_d]])
     cov_stage1 = vcov_dag[np.ix_((idx_a, idx_d), (idx_a, idx_d))]
-    var_corr = corrected_ratio_variance(var_ratio, cov_with, cov_stage1, jac)
+    var_corr = float(var_ratio + 2.0 * jac @ cov_with + jac @ cov_stage1 @ jac)
 
     sign = 1.0 if est.family == "A" else -1.0  # B estimates the inverse step
     value = sign * math.log(ratio)
@@ -274,14 +261,6 @@ def restriction_rows(family: str, restriction_set: str) -> np.ndarray:
     return rows
 
 
-def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution via the regularized
-    incomplete gamma function."""
-    if x < 0.0:
-        return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
-
-
 def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     """Test the log-linear restrictions implied by the parameter structure.
 
@@ -302,4 +281,4 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     lu = _checked_lu(cov_gap, SingularRestrictionCovariance, "restriction covariance")[0]
     stat = float(max(gap @ lu_solve(lu, gap), 0.0))
     df = rows.shape[0]
-    return WaldResult(statistic=stat, df=df, p_value=chi2_sf(stat, df))
+    return WaldResult(statistic=stat, df=df, p_value=float(gammaincc(df / 2, stat / 2)))

@@ -42,8 +42,8 @@ class McConfig:
     """One experiment: model, data-generating process, estimators.
 
     Each ``EstimatorRun`` refuses its own bad line; the config refuses too
-    few period effects, a window outside the kept periods, C on a dummies
-    model and shared labels.
+    few period effects, more periods than the histogram sampler enumerates,
+    a window outside the kept periods, C on a dummies model and shared labels.
     ``sampler`` picks how each replication draws its panel: ``"panel"``
     simulates every individual (``simulate_panel``), ``"histogram"`` draws
     counts over the outcome histories (``simulate_histogram``), whose cost
@@ -66,7 +66,7 @@ class McConfig:
             raise ValueError("need at least one estimator")
         if self.discard_prefix < 0:
             raise ValueError(f"discard_prefix must be nonnegative, got {self.discard_prefix}")
-        check_periods(self.spec, self.dgp.n_periods)
+        check_periods(self.spec, self.dgp.n_periods, self.sampler == "histogram")
         # the simulated periods are 1..n_periods; the discard drops the first
         first, last = 1 + self.discard_prefix, self.dgp.n_periods
         for run in self.estimators:

@@ -137,10 +137,14 @@ class DgpConfig:
             raise ValueError("sigma_eta_sq must be nonnegative")
 
 
-def check_periods(spec: ModelSpec, n_periods: int) -> None:
-    """Refuse a dummies model with fewer period effects than ``n_periods``."""
+def check_periods(spec: ModelSpec, n_periods: int, histories: bool = False) -> None:
+    """Refuse a dummies model with fewer period effects than ``n_periods``
+    and, for ``histories``, more periods than ``history_law`` enumerates."""
     if isinstance(spec, TimeDummiesSpec) and spec.n_periods < n_periods:
         raise ValueError(f"spec provides {spec.n_periods} period effects, need {n_periods}")
+    if histories and not 1 <= n_periods <= MAX_HISTORY_PERIODS:
+        raise ValueError(f"history law enumerates 2**T histories; "
+                         f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")
 
 
 def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
@@ -216,9 +220,7 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
     eigensolve wakes OpenBLAS's thread pool, so ``run_mc`` draws the law
     before it forks its workers, which then inherit it.
     """
-    if not 1 <= n_periods <= MAX_HISTORY_PERIODS:
-        raise ValueError(f"history law enumerates 2**T histories; "
-                         f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")
+    check_periods(spec, n_periods, histories=True)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
     law = weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)
@@ -235,7 +237,6 @@ def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     ``simulate_panel``'s in law (up to the quadrature error of the law), at
     a cost that does not grow with N.
     """
-    check_periods(spec, cfg.n_periods)
     law = history_law(spec, cfg.n_periods, cfg.sigma_eta_sq)
     gen = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_HISTOGRAM)
     counts = gen.multinomial(cfg.n_individuals, law)

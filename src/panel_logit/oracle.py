@@ -61,14 +61,14 @@ def population_aggregates(spec: ModelSpec, t: int, eta_nodes: Sequence[float],
     The chain runs from period 1 but is enumerated over the window periods
     ``t-3 .. t+1`` only, so the law of the window cells, mixed over the
     fixed-effect grid, holds 32 cells per grid node at any ``t``.  The
-    cells go through the builder a sample's counts go through, with ``n =
-    0`` (no sample).
+    cells, summing to 1, go through the builder a sample's counts go
+    through.
     """
     law = _window_law(spec, eta_nodes, t)
     weights = np.asarray(eta_weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("eta grid weights must sum to 1")
-    return from_cells(t, weights @ law, n=0)
+    return from_cells(t, weights @ law)
 
 
 def population_system(family: str, spec: ModelSpec, t: int,
@@ -285,11 +285,11 @@ def population_estimate(family: str, spec: ModelSpec, t: int,
                         variant: str) -> TransformedEstimate:
     """Solve a population system on the check grid, for its point value.
 
-    ``vcov`` is zero: recovery is checked on every variant, and the
-    sandwich refuses some of them (``variance`` squares the condition of
-    ``X``).  Where it is defined, ``variance(system, alpha)`` is the
-    asymptotic variance per individual, since the population's total cell
-    weight N is 1.
+    ``n`` is 0: the population has no sample.  ``vcov`` is zero: recovery
+    is checked on every variant, and the sandwich refuses some of them
+    (``variance`` squares the condition of ``X``).  Where it is defined,
+    ``variance(system, alpha)`` is the asymptotic variance per individual,
+    since the population's total cell weight N is 1.
     """
     system = population_system(family, spec, t, _ETA_GRID[0], _ETA_GRID[1], variant)
     alpha = solve(system)

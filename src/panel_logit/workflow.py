@@ -12,11 +12,10 @@ counted once per panel.
 from __future__ import annotations
 
 import numbers
-import re
 from dataclasses import dataclass, replace
 
 from .aggregation import aggregate
-from .estimators import (TransformedEstimate, build_system, build_system_c,
+from .estimators import (TransformedEstimate, _ascii_int, build_system, build_system_c,
                          kept_components, parse_variant, solve, variance)
 from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
                         _dagger_selector, _restriction_labels, recover_original,
@@ -46,10 +45,10 @@ class EstimatorRun:
     """One estimator line, ``FAMILY VARIANT WINDOW [two-step] [wald=SET]``.
 
     ``variant`` is kept by its canonical name.  A line no panel could
-    satisfy (a window not an integer, a two-step not a bool, an unknown
-    family, variant or Wald set, a non-square variant, a Wald set off the
-    kept components, a two-step on C or without ``d``) raises
-    ``ValueError`` naming the label when the run is built.
+    satisfy (a window not an integer, a two-step not a bool, a family,
+    variant or Wald set not a ``str`` or unknown, a non-square variant, a
+    Wald set off the kept components, a two-step on C or without ``d``)
+    raises ``ValueError`` naming the label when the run is built.
     """
 
     family: str
@@ -64,6 +63,10 @@ class EstimatorRun:
                 raise ValueError(f"window must be an integer, got {self.window_t!r}")
             if not isinstance(self.two_step, bool):
                 raise ValueError(f"two_step must be a bool, got {self.two_step!r}")
+            for key in ("family", "variant", "wald"):
+                value = getattr(self, key)
+                if not isinstance(value, str) and not (key == "wald" and value is None):
+                    raise ValueError(f"{key} must be a str, got {value!r}")
             object.__setattr__(self, "window_t", int(self.window_t))
             # canonical before the rest is checked: a refusal's label shows it
             object.__setattr__(self, "variant", parse_variant(self.variant)[0])
@@ -107,14 +110,6 @@ class EstimatorRun:
                    wald=options.get("wald"))
 
 
-def _ascii_int(text, name: str = "value") -> int:
-    """``text`` read as ``[+-]?[0-9]+``: unlike ``int``, refuse other
-    digits, underscores, spaces and a fraction, naming ``name``."""
-    if not re.fullmatch(r"[+-]?[0-9]+", str(text)):
-        raise ValueError(f"{name} must be an integer in ASCII digits, got {text!r}")
-    return int(text)
-
-
 def estimate_panel(panel: PanelData, family: str, variant: str,
                    window_t: int, two_step: bool = False,
                    wald: str | None = None,
@@ -124,9 +119,9 @@ def estimate_panel(panel: PanelData, family: str, variant: str,
     ``variant`` is a variant name; ``two_step`` additionally estimates the
     effect step one period before the window (families A and B); ``wald``
     names a restriction set to test.  ``stats_cache``, one dict per panel,
-    keeps the aggregates built by ``aggregate`` across calls, keyed by
-    window.  The line is an ``EstimatorRun``, so a line no panel could
-    satisfy is refused before the panel is aggregated.
+    keeps its aggregates by window.  The line is an ``EstimatorRun``, so a
+    line no panel could satisfy is refused before the panel is aggregated;
+    the reported ``n`` is the cells' total, the N the variance divides by.
     """
     run = EstimatorRun(family, variant, window_t, two_step, wald)
     if stats_cache is None:
@@ -140,7 +135,8 @@ def estimate_panel(panel: PanelData, family: str, variant: str,
     alpha = solve(system)
     vcov = variance(system, alpha)
     est = TransformedEstimate(family=run.family, variant=run.variant, window_t=run.window_t,
-                              n=system.n, col_labels=system.col_labels, alpha=alpha, vcov=vcov)
+                              n=int(system.cells.sum()), col_labels=system.col_labels,
+                              alpha=alpha, vcov=vcov)
     original = recover_original(est)
 
     two = None

@@ -58,7 +58,7 @@ def test_counts_weight_rows_like_repeated_rows():
     counts = rng.integers(0, 4, size=40)
     weighted = aggregate(PanelData(y=y, ids=np.arange(40), counts=counts), 4)
     repeated = aggregate(_panel_from_rows(np.repeat(y, counts, axis=0)), 4)
-    assert weighted.n == repeated.n == counts.sum()
+    assert weighted.summands.counts.sum() == repeated.summands.counts.sum() == counts.sum()
     assert np.array_equal(weighted.summands.counts, repeated.summands.counts)
     assert np.array_equal(_all_bars(weighted), _all_bars(repeated))
 
@@ -192,7 +192,7 @@ def test_window_t_minus_1_tables_match_fresh_aggregate(seed, n):
     panel = PanelData(y=rng.integers(0, 2, size=(n, 6)), ids=np.arange(n), t0=2,
                       counts=counts)
     got, want = aggregate(panel, 6), aggregate(panel, 5)
-    assert got.n == want.n
+    assert got.summands.counts.sum() == want.summands.counts.sum() == counts.sum()
     cells, cells_tm1 = got.summands.counts, want.summands.counts
 
     def mean(c, table):

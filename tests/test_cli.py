@@ -402,6 +402,36 @@ def test_from_manifest_of_another_command_exit_2(tmp_path, capsys):
     assert "is from 'simulate', not 'mc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("two_step", "false", "estimator A[minus-3-7]@t7+two-step: two_step must be a bool, "
+                          "got 'false'"),
+    ("two_step", "yes", "estimator A[minus-3-7]@t7+two-step: two_step must be a bool, "
+                        "got 'yes'"),
+    ("variant", 3, "estimator A[3]@t7: variant must be a str, got 3"),
+    ("family", ["A"], "estimator ['A'][minus-3-7]@t7: family must be a str, got ['A']"),
+    ("wald", 3, "estimator A[minus-3-7]@t7: wald must be a str, got 3"),
+    ("panel", 0, "manifest config key 'panel' must be a path, got 0"),
+], ids=["str-two-step", "yes-two-step", "int-variant", "list-family", "int-wald",
+        "int-panel"])
+def test_estimate_manifest_value_of_another_type_exit_2(tmp_path, capsys, key, value,
+                                                        message):
+    # an edited manifest: a value of another type is refused, not converted
+    # (a panel of 0 would read standard input)
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(r1)]) == 0
+    manifest = json.loads((tmp_path / "r1.json.manifest.json").read_text())
+    manifest["config"][key] = value
+    path = _write(tmp_path, "m.json", json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["estimate", "--from-manifest", path, "--out", str(r2)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not r2.exists()
+
+
 def test_estimate_manifest_lacking_a_key_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "m.json", '{"command": "estimate", "config": {"family": "A"}}')
     assert main(["estimate", "--from-manifest", path]) == 2

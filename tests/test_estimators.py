@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -139,6 +141,20 @@ def test_parse_variant_gives_canonical_name_and_removed_rows():
             parse_variant(f"minus-r:{row}")
 
 
+def test_parse_variant_row_digits_past_leading_zeros():
+    # leading zeros do not count toward the digits int() converts
+    over = sys.get_int_max_str_digits() + 1
+    assert parse_variant("minus-r:" + "0" * over + "3") == ("minus-r:3", (3,))
+    name = "minus-r:" + "1" * over
+    with pytest.raises(ValueError) as err:
+        parse_variant(name)
+    assert str(err.value) == (f"variant {name!r} has {over} significant digits, "
+                              "more than int() converts")
+    for row in ("+3", "-3", "+03", " 3", "3 ", "٣"):
+        with pytest.raises(ValueError, match="^unknown variant"):
+            parse_variant("minus-r:" + row)
+
+
 @pytest.mark.parametrize("family, row", [("A", 3), ("B", 1)])
 def test_a_leading_zero_builds_the_canonical_system(family, row):
     # the two guarded one-row variants: a name passed through uncanonicalized
@@ -182,7 +198,7 @@ def test_degenerate_panel_zero_rows_then_singular():
 def test_solve_identity_system():
     v = np.array([1.0, 2.0, 3.0])
     system = LinearSystem(family="A", variant="minus-r:1",
-                          window_t=4, n=10, y_vec=v, x_mat=np.eye(3),
+                          window_t=4, y_vec=v, x_mat=np.eye(3),
                           row_ids=(1, 2, 3), col_labels=("a", "b", "c"), guards={},
                           cells=np.zeros(32), y_cells=np.zeros((32, 3)),
                           x_cells=np.zeros((32, 3, 3)))

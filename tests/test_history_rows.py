@@ -98,7 +98,8 @@ def _check_against_reference(panel, family, variant, t, two_step):
     if not two_step:
         return
 
-    est = TransformedEstimate(family=family, variant=variant, window_t=t, n=system.n,
+    est = TransformedEstimate(family=family, variant=variant, window_t=t,
+                              n=int(system.cells.sum()),
                               col_labels=system.col_labels, alpha=alpha, vcov=vcov)
     two = two_step_dtd_tm1(est, system)
     kind, sel = ("theta", "-") if family == "A" else ("xi", "+")

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ import pytest
 from panel_logit import (NonpositiveAlpha, NonpositivePhiHat,
                          SingularRestrictionCovariance, TimeTrendSpec,
                          TransformedEstimate, ZeroDenominator, aggregate,
-                         alpha_from_spec, alpha_labels, chi2_sf,
-                         corrected_ratio_variance, estimate_panel,
+                         alpha_from_spec, alpha_labels, estimate_panel,
                          recover_original, simulate_histogram, simulate_panel,
                          two_step_dtd_tm1, wald_test)
 from panel_logit import DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
-from panel_logit.estimators import (SingularSystem, SingularWeight, _sandwich,
+from panel_logit.estimators import (EstimationError, SingularSystem, SingularWeight, _sandwich,
                                     build_system, solve)
 from panel_logit.inference import (RESTRICTION_SETS, _basis,
                                    restriction_rows)
@@ -167,15 +167,6 @@ def test_two_step_ratio_refuses_other_families():
             two_step_dtd_tm1(est, _dummy_system(est, np.ones(32)))
 
 
-def test_corrected_variance_reduces_without_covariances():
-    jac = np.array([0.7, -0.3])
-    assert corrected_ratio_variance(0.9, np.zeros(2), np.zeros((2, 2)), jac) == 0.9
-    # and the correction moves it when covariances are present
-    cov = np.array([[0.2, 0.05], [0.05, 0.1]])
-    out = corrected_ratio_variance(0.9, np.array([0.01, -0.02]), cov, jac)
-    assert out != 0.9
-
-
 def test_two_step_zero_denominator():
     # everyone in the all-zero window: every dagger average is zero
     est = _estimate("A", LABELS6, np.ones(6), n=0)
@@ -200,7 +191,7 @@ def _dummy_system(est, cells):
 
     m = len(est.col_labels)
     return LinearSystem(family=est.family, variant=est.variant, window_t=5,
-                        n=est.n, y_vec=np.zeros(m), x_mat=np.eye(m),
+                        y_vec=np.zeros(m), x_mat=np.eye(m),
                         row_ids=tuple(range(1, m + 1)), col_labels=est.col_labels,
                         guards={}, cells=cells, y_cells=np.zeros((32, m)),
                         x_cells=np.zeros((32, m, m)))
@@ -212,7 +203,7 @@ def test_two_step_singular_dagger_moments_raise_singular_weight():
     # dimensions, so the seven-row dagger moment matrix is singular
     cells = np.zeros(32)
     cells[[0b00000, 0b00010, 0b00100, 0b01001, 0b10011, 0b10101, 0b11100]] = 1.0
-    system = build_system("A", from_cells(5, cells, n=7), "minus-3-7")
+    system = build_system("A", from_cells(5, cells), "minus-3-7")
     alpha = solve(system)
     est = _estimate("A", system.col_labels, alpha, n=7)
     with pytest.raises(SingularWeight, match=r"numerically singular \(rcond="):
@@ -401,10 +392,25 @@ def test_wald_errors():
         wald_test(bad, "ab-dummies")
 
 
-def test_chi2_sf_against_scipy_distribution():
+def test_wald_p_value_is_the_chi2_upper_tail():
     from scipy.stats import chi2
 
-    for df in (1, 3, 6):
-        for x in (0.0, 0.5, 2.0, 7.81, 12.59, 40.0):
-            assert chi2_sf(x, df) == pytest.approx(chi2.sf(x, df), rel=1e-12, abs=1e-300)
-    assert chi2_sf(-1.0, 3) == 1.0
+    # both models under each set, so the statistics run from null to far off it
+    specs = (TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2)),
+             TimeTrendSpec(gamma=1.0, phi_coef=0.3))
+    lines = (("A", "minus-3-7", "ab-dummies"), ("B", "minus-1-5", "ab-dummies"),
+             ("A", "minus-3-7", "ab-trend"), ("B", "minus-1-5", "ab-trend"),
+             ("C", "full", "c-trend"))
+    statistics = []
+    for seed, n, spec in product(range(3), (20_000, 1_000_000), specs):
+        panel = simulate_histogram(spec, DgpConfig(n_individuals=n, n_periods=8,
+                                                   sigma_eta_sq=0.5, seed=seed)).drop_prefix(3)
+        for family, variant, name in lines:
+            try:
+                wald = estimate_panel(panel, family, variant, 7, wald=name).wald
+            except EstimationError:
+                continue
+            assert wald.p_value == pytest.approx(chi2.sf(wald.statistic, wald.df),
+                                                 rel=1e-12, abs=1e-300)
+            statistics.append(wald.statistic)
+    assert len(statistics) >= 30 and min(statistics) < 0.1 and max(statistics) > 1000

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from panel_logit import (AllReplicationsFailed, DgpConfig, EstimatorRun,
 from panel_logit import mc
 from panel_logit.inference import SingularRestrictionCovariance
 from panel_logit.mc import _summarize
+from panel_logit.model import MAX_HISTORY_PERIODS
 
 HET = TimeDummiesSpec(gamma=0.8, td=(0.0, 0.1, -0.05, 0.2, 0.05, 0.15, 0.3, 0.1))
 
@@ -174,6 +176,23 @@ def test_config_refuses_a_dummies_model_short_of_periods(sampler):
     simulate = simulate_histogram if sampler == "histogram" else simulate_panel
     with pytest.raises(ValueError, match=message):
         simulate(HET, dgp)
+
+
+def test_histogram_config_refuses_more_periods_than_the_law_enumerates():
+    # refused when the config is built, with history_law's text; the panel
+    # sampler has no such limit
+    trend = TimeTrendSpec(gamma=0.5, phi_coef=0.2)
+    dgp = DgpConfig(n_individuals=50, n_periods=MAX_HISTORY_PERIODS + 1)
+    runs = (EstimatorRun("C", "full", 9),)
+    message = (f"^history law enumerates 2\\*\\*T histories; T = {MAX_HISTORY_PERIODS + 1} "
+               f"is outside 1..{MAX_HISTORY_PERIODS}$")
+    with pytest.raises(ValueError, match=message):
+        McConfig(spec=trend, dgp=dgp, replications=2, estimators=runs, sampler="histogram")
+    with pytest.raises(ValueError, match=message):
+        history_law(trend, dgp.n_periods, 0.0)
+    McConfig(spec=trend, dgp=dgp, replications=2, estimators=runs)
+    McConfig(spec=trend, dgp=replace(dgp, n_periods=MAX_HISTORY_PERIODS), replications=2,
+             estimators=runs, sampler="histogram")
 
 
 def test_config_refuses_negative_discard():

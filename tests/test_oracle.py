@@ -294,7 +294,9 @@ def test_population_law_matches_plain_enumeration(spec, t):
              (t - 1, stats_t, 1, ("-", "+"))]
     for window, stats, back, sels in cases:
         theta_ref, xi_ref = _enumerated_bars(spec, t + 1, window, *grid)
-        assert stats.n == 0 and stats.window_t - back == window
+        # probabilities: the population's cells total 1, not a sample size
+        assert abs(stats.summands.counts.sum() - 1) <= 1e-14
+        assert stats.window_t - back == window
         for kind, ref in (("theta", theta_ref), ("xi", xi_ref)):
             got = np.array([[bar(stats, kind, j, sel, back=back) for sel in sels]
                             for j in range(1, 5)])
@@ -314,6 +316,7 @@ def test_population_recovery_at_late_windows(t):
              ("C", "full", TimeTrendSpec(gamma=-0.7, phi_coef=0.2))]
     for family, variant, spec in cases:
         est = population_estimate(family, spec, t, variant)
+        assert est.n == 0  # the population estimate alone says there is no sample
         truth = dict(zip(alpha_labels(family), alpha_from_spec(family, spec, t)))
         assert max(abs(est.value(c) - truth[c]) for c in est.col_labels) <= 1e-8
         orig = recover_original(est)
@@ -329,7 +332,7 @@ def _outputs_on_cells(family, variant, t, cells, two_step):
     """Values and variances of every output of the system on ``cells``:
     the transformed components, the recovered parameters and, with the
     two-step, dtd_tm1."""
-    stats = from_cells(t, cells, n=0)
+    stats = from_cells(t, cells)
     if family == "C":
         system = build_system_c(stats, variant)
     else:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from itertools import product
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from panel_logit import (DgpConfig, EstimationError, EstimatorRun, PanelData,
                          TimeDummiesSpec, TimeTrendSpec, TransformedEstimate,
-                         estimate_panel, population_system,
-                         simulate_panel, solve, two_step_dtd_tm1, variance,
+                         aggregate, estimate_panel, population_system,
+                         simulate_histogram, simulate_panel, solve, two_step_dtd_tm1, variance,
                          wald_test, workflow)
 from panel_logit.aggregation import from_cells
 from panel_logit.inference import RESTRICTION_SETS
@@ -125,7 +126,7 @@ def test_line_and_estimate_refuse_with_one_text(family, variant, two_step, wald,
     system = population_system(family, spec, 7, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3),
                                variant)
     alpha = solve(system)
-    est = TransformedEstimate(family, system.variant, 7, system.n,
+    est = TransformedEstimate(family, system.variant, 7, 0,
                               system.col_labels, alpha, variance(system, alpha))
     with pytest.raises(ValueError) as by_estimate:
         if two_step:
@@ -172,7 +173,7 @@ def test_any_cell_table_gives_a_finite_result_or_a_typed_failure(cells):
     if cells.sum() == 0:
         cells[0] = 1.0  # a panel holds at least one individual
     # a filled aggregate cache means the panel itself is never read
-    cache = {7: from_cells(7, cells, n=int(cells.sum()))}
+    cache = {7: from_cells(7, cells)}
     for run in _BATTERY:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -182,6 +183,7 @@ def test_any_cell_table_gives_a_finite_result_or_a_typed_failure(cells):
                                         stats_cache=cache)
             except EstimationError:
                 continue
+        assert result.transformed.n == cells.sum()
         values = np.concatenate([np.ravel(v) for v in _outputs(result).values()])
         assert np.isfinite(values).all(), (run.label, _outputs(result))
         if run.wald:
@@ -227,3 +229,46 @@ def test_line_refuses_a_window_or_two_step_of_another_type(window, two_step, tex
         EstimatorRun("A", "minus-3-7", window, two_step=two_step)
     label = f"A[minus-3-7]@t{window}" + ("+two-step" if two_step else "")
     assert str(err.value) == f"estimator {label}: {text}"
+
+
+@pytest.mark.parametrize("family, variant, wald, label, text", [
+    (["A"], "minus-3-7", None, "['A'][minus-3-7]@t7", "family must be a str, got ['A']"),
+    ("A", 3, None, "A[3]@t7", "variant must be a str, got 3"),
+    ("A", "minus-3-7", 3, "A[minus-3-7]@t7", "wald must be a str, got 3"),
+], ids=["list-family", "int-variant", "int-wald"])
+def test_line_refuses_a_family_variant_or_wald_of_another_type(family, variant, wald,
+                                                                label, text):
+    with pytest.raises(ValueError) as err:
+        EstimatorRun(family, variant, 7, wald=wald)
+    assert str(err.value) == f"estimator {label}: {text}"
+
+
+def test_window_digits_past_leading_zeros():
+    # leading zeros do not count toward the digits int() converts; more
+    # significant digits than it converts are refused in the reader's words
+    over = sys.get_int_max_str_digits() + 1
+    assert EstimatorRun.parse("A minus-3-7 " + "0" * over + "7").window_t == 7
+    assert workflow._ascii_int("-" + "0" * over + "7") == -7
+    assert workflow._ascii_int("+000") == workflow._ascii_int("-0") == 0
+    # refused in linear time: a pattern that can split the zeros two ways
+    # backtracks quadratically
+    with pytest.raises(ValueError, match="must be an integer in ASCII digits"):
+        workflow._ascii_int("0" * 10**6 + "x")
+    with pytest.raises(ValueError) as err:
+        EstimatorRun.parse("A minus-3-7 " + "1" * over)
+    assert str(err.value) == (f"estimator window has {over} significant digits, "
+                              "more than int() converts")
+
+
+def test_estimate_reports_the_cells_total_as_n():
+    # counts past 2**52 stay exact: every partial sum is an integer below 2**53
+    for n in (123_457, 2**52 + 1):
+        panel = simulate_histogram(SPEC_DUMMIES, DgpConfig(n_individuals=n, n_periods=8,
+                                                           sigma_eta_sq=0.5, seed=2))
+        panel = panel.drop_prefix(3)
+        assert panel.n == n
+        est = estimate_panel(panel, "A", "minus-3-7", 7).transformed
+        assert type(est.n) is int and est.n == n
+        # a filled cache is all that is read: no panel to take n from
+        cache = {7: from_cells(7, aggregate(panel, 7).summands.counts)}
+        assert estimate_panel(None, "B", "minus-1-5", 7, stats_cache=cache).transformed.n == n
