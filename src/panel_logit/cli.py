@@ -345,6 +345,13 @@ def _cmd_wald(args) -> int:
         raise ConfigError(f"result file lacks field {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"result file is not an estimate result: {exc}") from exc
+    # an edited result: a value of another type is refused, not converted
+    for key, value in (("family", family), ("variant", variant_name)):
+        if not isinstance(value, str):
+            raise ConfigError(f"result field {key!r} must be a str, got {value!r}")
+    for key, value in (("window_t", window_t), ("n", n)):
+        if type(value) is not int:
+            raise ConfigError(f"result field {key!r} must be an integer, got {value!r}")
 
     est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
                               window_t=window_t, n=n, col_labels=labels,

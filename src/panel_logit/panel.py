@@ -5,10 +5,13 @@ The on-disk format is one row per (individual, period) with header
 ``t0`` names the first stored column so that a panel whose early periods
 were discarded keeps its original period labels.
 
-The file is read as ``csv.reader`` reads it.  Records end at ``\\r\\n``,
-``\\r`` or ``\\n``; blank records are skipped, but they count in the line
-numbers that errors give; fields past the third are ignored; a field may be
-quoted, and the writer quotes ids that hold a comma, a quote or a line break.
+The writer spells each id once and writes the records of ``ROW_BLOCK``
+individuals in one whole-array pass, with ``\\r\\n`` line ends; its bytes
+are those ``csv.writer`` writes record by record.  The file is read as
+``csv.reader`` reads it.  Records end at ``\\r\\n``, ``\\r`` or ``\\n``;
+blank records are skipped, but they count in the line numbers that errors
+give; fields past the third are ignored; a field may be quoted, and the
+writer quotes ids that hold a comma, a quote or a line break.
 Ids read back as int64 when every id spells its integer as ``str(int(s))``
 does (within int64), and as strings otherwise, so ``07`` and ``7`` stay two
 individuals.
@@ -126,29 +129,86 @@ class PanelData:
                          counts=self.counts)
 
 
-_WRITE_BLOCK = 4096
-
-
 def write_panel_csv(panel: PanelData, path) -> None:
     """Write the panel in long format with header ``id,t,y``.
 
     The format has one row per individual, so a panel whose rows stand for
-    several individuals is refused.
+    several individuals is refused.  The bytes are those a ``csv.writer``
+    on a text-mode ``open(path, "w", newline="")`` writes record by record,
+    with ``\\r\\n`` line ends, and so is a failure: the records before an id
+    that cannot be spelled or encoded are written, then its error raised.
+
+    Each id is spelled once: an integer id as ``str(int)`` spells it, any
+    other as ``csv.writer`` spells an id field, quotes included.  A record's
+    tail ``,t,y\\r\\n`` is one of two per period.  ``ROW_BLOCK`` individuals
+    at a time, one gather lays each record's id and tail side by side in a
+    byte matrix, padded to whole words, and a mask of their lengths
+    compresses it to the block's bytes.
     """
     if (panel.counts != 1).any():
         raise ValueError("CSV holds one row per individual; "
                          "this panel's rows carry frequency counts")
-    periods = np.arange(panel.t0, panel.t_last + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "t", "y"])
-        # a block of individuals at a time keeps the Python rows bounded
-        for start in range(0, panel.n_rows, _WRITE_BLOCK):
-            block = slice(start, start + _WRITE_BLOCK)
-            ids = panel.ids[block]
-            writer.writerows(zip(np.repeat(ids, panel.n_periods).tolist(),
-                                 np.tile(periods, len(ids)).tolist(),
-                                 panel.y[block].ravel().tolist()))
+    encoding = locale.getpreferredencoding(False)   # what a text-mode open() encodes with
+    line = io.StringIO()
+    writer = csv.writer(line)
+
+    def spelled(*fields) -> str:
+        line.seek(0)
+        line.truncate()
+        writer.writerow(fields)
+        return line.getvalue()
+
+    periods = np.arange(panel.t0, panel.t_last + 1).tolist()
+    # tail 2k + y is the ",t,y\r\n" of period k and outcome y
+    tails = _masked(np.array([spelled("", t, y).encode(encoding)
+                              for t in periods for y in (0, 1)], dtype=bytes))
+    first_tail = np.arange(0, 2 * len(periods), 2)
+    with open(path, "wb") as fh:
+        fh.write(spelled("id", "t", "y").encode(encoding))
+        # a panel without periods has no record, so it spells no id
+        for start in range(0, panel.n_rows if periods else 0, ROW_BLOCK):
+            ids = panel.ids[start:start + ROW_BLOCK]
+            tail = panel.y[start:start + ROW_BLOCK] + first_tail
+            if ids.dtype.kind in "iu":
+                fh.write(_records(_masked(ids.astype(bytes)), tail, tails))
+                continue
+            names = []
+            try:
+                # the id's own field of a three-field row: a lone empty
+                # field would be quoted
+                for label in ids.tolist():
+                    names.append(spelled(label, "", "")[:-4].encode(encoding))
+            finally:   # the records before an id that raised are written too
+                lengths = np.array([len(name) for name in names], dtype=np.intp)
+                fh.write(_records(_masked(np.array(names, dtype=bytes), lengths),
+                                  tail[:len(names)], tails))
+
+
+def _masked(spellings: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """``(2, k, w)`` uint64: in ``[0]`` each of the ``k`` strings of the
+    ``S`` array ``spellings``, its first ``lengths`` bytes zero-padded to
+    ``w`` whole words, in ``[1]`` a 1 byte for each of those bytes.
+    ``lengths`` defaults to each string's nonzero bytes: its length when,
+    like an integer's spelling, it holds no NUL."""
+    chars = spellings.view(np.uint8).reshape(len(spellings), spellings.itemsize)
+    if lengths is None:
+        lengths = np.count_nonzero(chars, axis=1)
+    width = 8 * -(-int(lengths.max(initial=0)) // 8)
+    out = np.zeros((2, len(lengths), width), np.uint8)
+    out[0, :, :chars.shape[1]] = chars[:, :width]
+    out[1] = np.arange(width) < lengths[:, None]
+    return out.view(np.uint64)
+
+
+def _records(names: np.ndarray, tail: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """The bytes of records ``names[:, i]`` + ``tails[:, tail[i, k]]``, for
+    each individual ``i`` and period ``k`` in turn."""
+    m, n_periods = tail.shape
+    width = names.shape[2]
+    both = np.empty((2, m, n_periods, width + tails.shape[2]), np.uint64)
+    both[..., :width] = names[:, :, None]
+    both[..., width:] = tails.take(tail, axis=1)
+    return both[0].view(np.uint8)[both[1].view(bool)]
 
 
 @dataclass(frozen=True)

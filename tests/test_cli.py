@@ -474,6 +474,32 @@ def test_wald_on_json_that_is_not_an_object_exit_2(tmp_path, capsys):
     assert "not an estimate result" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("variant", 3, "result field 'variant' must be a str, got 3"),
+    ("variant", "minus-r:9", "row to remove must be 1..8, got 9"),
+    ("family", ["A"], "result field 'family' must be a str, got ['A']"),
+    ("window_t", "7", "result field 'window_t' must be an integer, got '7'"),
+    ("window_t", 7.0, "result field 'window_t' must be an integer, got 7.0"),
+    ("n", True, "result field 'n' must be an integer, got True"),
+    ("n", None, "result field 'n' must be an integer, got None"),
+], ids=["int-variant", "unknown-variant", "list-family", "str-window", "float-window",
+        "bool-n", "null-n"])
+def test_wald_on_result_value_of_another_type_exit_2(tmp_path, capsys, key, value, message):
+    # an edited result: a value of another type is refused, not converted
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    result_path = tmp_path / "result.json"
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
+    payload = json.loads(result_path.read_text())
+    payload["transformed"][key] = value
+    path = _write(tmp_path, "edited.json", json.dumps(payload))
+    capsys.readouterr()
+    assert main(["wald", path, "--set", "ab-dummies"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_config_exit_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -10,6 +10,7 @@ from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, read_panel_csv,
                          simulate_panel, write_panel_csv)
 from panel_logit import model as model_module
 from panel_logit import panel as panel_module
+from panel_logit.panel import ROW_BLOCK
 
 
 def _small_panel():
@@ -216,6 +217,109 @@ def test_string_and_quoted_ids_roundtrip(tmp_path):
     back = read_panel_csv(path)
     assert back.ids.dtype == ids.dtype and back.ids.tolist() == ids.tolist()
     assert back.t0 == 3 and np.array_equal(back.y, y)
+
+
+def _reference_write(panel: PanelData, path) -> None:
+    """The panel as a record-by-record writer writes it: ``csv.writer`` on a
+    text-mode file, one row per (individual, period)."""
+    if (panel.counts != 1).any():
+        raise ValueError("CSV holds one row per individual; "
+                         "this panel's rows carry frequency counts")
+    periods = np.arange(panel.t0, panel.t_last + 1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "t", "y"])
+        writer.writerows(zip(np.repeat(panel.ids, panel.n_periods).tolist(),
+                             np.tile(periods, panel.n_rows).tolist(),
+                             panel.y.ravel().tolist()))
+
+
+# ids that csv.writer quotes, leaves empty, or spells with a NUL or non-ASCII
+_NAMES = ["", "a,b", 'say "hi"', "x\ry", "x\ny", "a b", "é", "日本", "a\0b", "z\0"]
+
+
+def _ids(kind: str, n: int) -> np.ndarray:
+    """``n`` distinct ids of one dtype, its edge cases first."""
+    if kind == "int64":
+        return np.array([-2**63, 2**63 - 1, 0, -7, *range(1, n)], dtype=np.int64)[:n]
+    if kind == "uint64":
+        return np.array([2**64 - 1, 0, 2**63, *range(1, n)], dtype=np.uint64)[:n]
+    if kind == "str":
+        return np.array([*_NAMES, *(f"id{k}" for k in range(n))])[:n]
+    if kind == "bytes":
+        return np.array([b"", b"a,b", b"\0z", b"\xff", *(b"%d" % k for k in range(n))])[:n]
+    return np.array([None, 2.5, "a,b", b"x", True, -3, *range(10, 10 + n)], dtype=object)[:n]
+
+
+def _assert_writes_as_reference(panel: PanelData, tmp_path) -> None:
+    write_panel_csv(panel, tmp_path / "got.csv")
+    _reference_write(panel, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    if panel.ids.dtype.kind in "iU":    # the ids that read back as they are
+        back = read_panel_csv(tmp_path / "got.csv")
+        assert back.ids.dtype.kind == panel.ids.dtype.kind
+        assert back.ids.tolist() == panel.ids.tolist()
+        assert back.t0 == panel.t0 and np.array_equal(back.y, panel.y)
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+@pytest.mark.parametrize("kind", ["int64", "uint64", "str", "bytes", "object"])
+def test_write_matches_a_record_by_record_writer(tmp_path, kind, n):
+    y = np.random.default_rng(n).integers(0, 2, (n, 5))
+    _assert_writes_as_reference(PanelData(y=y, ids=_ids(kind, n), t0=2), tmp_path)
+
+
+@pytest.mark.parametrize("n_periods", [1, 12])
+@pytest.mark.parametrize("t0", [-3, 0, 1, 99])
+@pytest.mark.parametrize("kind", ["int64", "str"])
+def test_write_matches_the_reference_at_any_periods(tmp_path, kind, t0, n_periods):
+    # period labels change width across 9 -> 10 and -1 -> 0
+    n = ROW_BLOCK + 1
+    y = np.random.default_rng([t0 + 3, n_periods]).integers(0, 2, (n, n_periods))
+    _assert_writes_as_reference(PanelData(y=y, ids=_ids(kind, n), t0=t0), tmp_path)
+
+
+class _Unspellable:
+    def __str__(self):
+        raise RuntimeError("no spelling")
+
+
+@pytest.mark.parametrize("bad", ["\udc80", "a,\udc80\udc81", _Unspellable()],
+                         ids=["surrogate", "quoted-surrogates", "str-raises"])
+def test_write_fails_where_the_reference_fails(tmp_path, bad):
+    # the records before the failing id are written, as record by record
+    ids = np.array([f"id{k}" for k in range(ROW_BLOCK + 5)], dtype=object)
+    ids[ROW_BLOCK + 2] = bad
+    panel = PanelData(y=np.zeros((len(ids), 3)), ids=ids)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    with pytest.raises(Exception) as expected:
+        _reference_write(panel, want)
+    with pytest.raises(type(expected.value)) as raised:
+        write_panel_csv(panel, got)
+    assert str(raised.value) == str(expected.value)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_raises_the_open_error(tmp_path):
+    missing = tmp_path / "no-such-dir" / "panel.csv"
+    for write in (write_panel_csv, _reference_write):
+        with pytest.raises(FileNotFoundError, match="No such file or directory.*no-such-dir"):
+            write(_small_panel(), missing)
+
+
+def test_write_traces_only_a_block(tmp_path):
+    # the records are assembled ROW_BLOCK individuals at a time, never as a
+    # whole panel's bytes or Python rows
+    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
+    panel = simulate_panel(spec, DgpConfig(n_individuals=200_000, n_periods=5,
+                                           sigma_eta_sq=0.5, seed=2))
+    tracemalloc.start()
+    try:
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_distinct_id_spellings_stay_distinct(tmp_path):
