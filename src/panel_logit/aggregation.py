@@ -7,10 +7,12 @@ window ``(y_{t-3}, .., y_{t+1})`` alone (``kernels.row_cells`` and
 through how many individuals share each of the 32 window patterns.
 ``aggregate`` counts them in one O(N) pass, whatever the number of stored
 periods.  It reads the five period columns, each a contiguous run of
-bytes in ``PanelData``'s period-major layout, ``ROW_BLOCK`` rows at a
-time: each block's columns are packed into a one-byte 5-bit window code
-per row, in one reused buffer, and the block's ``bincount`` of the codes,
-weighted by the row frequencies, is added to the cells.  When every row
+bytes in ``PanelData``'s period-major layout, in blocks of ``ROW_BLOCK``
+uint64 words, eight rows a word: a shift-or of each block's column words
+packs eight one-byte 5-bit window codes at once, in one reused buffer
+(the panel's last block, if its rows fill no whole word, runs the same
+steps on bytes), and the block's ``bincount`` of the codes, weighted by
+the row frequencies, is added to the cells.  When every row
 shares one broadcast count (a simulated or read panel), the codes are
 counted unweighted and the cells scaled by that count once.  It refuses
 a panel lacking any of the five periods.  Everything after the count runs
@@ -76,19 +78,26 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
                              f"{panel.t0}..{panel.t_last}")
     # outcomes are 0/1 int8, so the bytes of each column are the bits
     columns = [panel.col(s).view(np.uint8) for s in range(t - 3, t + 2)]
-    code = np.empty(min(panel.n_rows, ROW_BLOCK), dtype=np.uint8)
+    # a block is ROW_BLOCK words of eight one-byte codes: a shift-or on a
+    # uint64 view packs eight rows, and as no code exceeds 31 no bit crosses
+    # into the next row's byte
+    block_rows = 8 * ROW_BLOCK
+    code = np.empty(min(panel.n_rows, block_rows), dtype=np.uint8)
     # a broadcast count (zero stride) weighs every row alike: count the rows
     # unweighted and scale the cells by it once
     shared = panel.counts.strides == (0,)
     # float64 totals are exact integers: PanelData keeps N below 2**53
     cells = np.zeros(32)
-    for start in range(0, panel.n_rows, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        block = code[:min(ROW_BLOCK, panel.n_rows - start)]
-        block[:] = columns[0][rows]
+    for start in range(0, panel.n_rows, block_rows):
+        rows = slice(start, start + block_rows)
+        block = code[:min(block_rows, panel.n_rows - start)]
+        # only the last block may hold a part word: it runs on bytes
+        word = np.uint64 if block.size % 8 == 0 else np.uint8
+        packed = block.view(word)
+        packed[:] = columns[0][rows].view(word)
         for column in columns[1:]:
-            block <<= 1
-            block |= column[rows]
+            packed <<= 1
+            packed |= column[rows].view(word)
         cells += np.bincount(block, None if shared else panel.counts[rows], minlength=32)
     if shared:
         cells *= panel.counts[0]

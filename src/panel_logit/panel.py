@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# rows per block where a whole-panel pass streams its rows: at 8 periods one
-# block's float64 shocks are 512 KiB, which stays in a core's L2 cache
+# rows per block where a whole-panel pass streams its rows (uint64 words of
+# eight rows in aggregation): at 8 periods one block's float64 shocks are
+# 512 KiB, which stays in a core's L2 cache
 ROW_BLOCK = 8192
 _BYTE_BLOCK = 1 << 16   # bytes per block where a pass reads a whole file
 
@@ -61,6 +62,8 @@ class PanelData:
         object.__setattr__(self, "ids", np.asarray(self.ids))
         if y.ndim != 2:
             raise ValueError("y must be a 2-d array")
+        if self.ids.ndim != 1:
+            raise ValueError("ids must be a 1-d array")
         if len(self.ids) != y.shape[0]:
             raise ValueError("ids length must match the number of rows")
         # check before the cast, which would wrap 256 to 0 and truncate 0.7;

@@ -130,7 +130,11 @@ def _one_shot_cells(panel, t):
     return np.bincount(code, weights=panel.counts, minlength=32)
 
 
-@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+# a block is ROW_BLOCK words of eight rows: n spans word blocks, a last
+# block of bytes and odd n, where drop_prefix starts columns off 8-byte words
+@pytest.mark.parametrize("n", [1, 7, 8, 9, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                               2 * ROW_BLOCK + 3, 8 * ROW_BLOCK - 1, 8 * ROW_BLOCK,
+                               8 * ROW_BLOCK + 1, 16 * ROW_BLOCK + 3])
 def test_row_blocks_count_every_row_once(n):
     rng = np.random.default_rng(n)
     y = rng.integers(0, 2, size=(n, 7)).astype(np.int8)

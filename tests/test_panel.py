@@ -33,6 +33,13 @@ def test_rejects_nonbinary_outcome():
         PanelData(y=np.array([[0, 2]]), ids=np.array([0]))
 
 
+def test_rejects_ids_that_are_not_1d():
+    # a (3, 2) grid of ids has the length of three rows but no id per row
+    for rows, bad in ((3, np.arange(6).reshape(3, 2)), (1, np.array(7))):
+        with pytest.raises(ValueError, match="ids must be a 1-d array"):
+            PanelData(y=np.zeros((rows, 2)), ids=bad)
+
+
 def test_drop_prefix_keeps_labels():
     panel = _small_panel()
     tail = panel.drop_prefix(2)
