@@ -27,9 +27,9 @@ from .inference import (NonpositiveAlpha, NonpositivePhiHat, OriginalEstimate,
 from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
                       alpha_values, all_windows, gh_coefficients, hbar_u,
                       hbar_upsilon)
-from .mc import AllReplicationsFailed, McConfig, McSummary, run_mc, true_values
+from .mc import AllReplicationsFailed, McConfig, McSummary, run_mc
 from .model import (DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec,
-                    history_law, simulate_histogram, simulate_panel)
+                    history_law, simulate_histogram, simulate_panel, true_values)
 from .oracle import (moment_rank, population_aggregates, population_system,
                      run_checks, spec_with_steps)
 from .panel import PanelData, read_panel_csv, write_panel_csv

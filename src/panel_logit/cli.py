@@ -2,10 +2,11 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments;
 repeated keys accumulate into lists (used for ``estimator`` lines in Monte
-Carlo configs).  Flags override file values, but ``estimate
---from-manifest`` refuses the flags naming the panel and the estimator.  A
-key the command does not read is refused, so a misspelt key cannot fall
-back to its default.
+Carlo configs).  Flags override file values.  ``estimate`` takes its panel
+and estimator from flags and records them as the keys ``panel`` and
+``estimator`` (the line ``EstimatorRun`` writes); ``estimate
+--from-manifest`` refuses those flags.  A key the command does not read is
+refused, so a misspelt key cannot fall back to its default.
 ``simulate`` also reads a Monte Carlo config and writes the panel of its
 replication 0 (before the discarded prefix).
 
@@ -37,8 +38,8 @@ from .inference import RESTRICTION_SETS, wald_test
 from .mc import SUMMARY_COLUMNS, McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
-from .panel import read_panel_csv, write_panel_csv
-from .workflow import EstimatorRun, _ascii_int, estimate_panel
+from .panel import _ascii_int, read_panel_csv, write_panel_csv
+from .workflow import EstimatorRun, estimate_panel
 
 
 class ConfigError(Exception):
@@ -146,9 +147,9 @@ def _load_manifest(path: str, command: str) -> dict:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load manifest {path}: {exc}") from exc
-    for key in ("command", "config"):
-        if key not in manifest:
-            raise ConfigError(f"manifest {path} lacks {key!r}")
+    if not (isinstance(manifest, dict) and "command" in manifest
+            and isinstance(manifest.get("config"), dict)):
+        raise ConfigError(f"manifest {path} needs a 'command' and a 'config' object")
     if manifest["command"] != command:
         raise ConfigError(f"manifest {path} is from {manifest['command']!r}, "
                           f"not {command!r}")
@@ -221,30 +222,19 @@ def _cmd_estimate(args) -> int:
         if given:
             raise ConfigError("--from-manifest takes the panel and estimator from the "
                               "manifest; drop " + ", ".join(given))
-        cfg = _load_manifest(args.from_manifest, "estimate")["config"]
-        try:
-            panel_path = cfg["panel"]
-            if not isinstance(panel_path, str):
-                raise ConfigError(f"manifest config key 'panel' must be a path, got {panel_path!r}")
-            window = _ascii_int(cfg["window"], "manifest config key 'window'")
-            run = EstimatorRun(cfg["family"], cfg["variant"], window,
-                               two_step=cfg.get("two_step", False), wald=cfg.get("wald"))
-        except KeyError as exc:
-            raise ConfigError(f"manifest {args.from_manifest} lacks config key {exc}") from None
+        cfg = _load_config(args, "estimate")
+        _refuse_unread(cfg, "estimate", ["panel", "estimator"])
+        panel_path = _get(cfg, "panel", str, required=True)
+        run = _get(cfg, "estimator", EstimatorRun.parse, required=True)
     else:
         if not (args.panel and args.family and args.variant and args.window is not None):
             raise ConfigError("estimate needs PANEL --family --variant --window")
         panel_path = args.panel
         run = EstimatorRun(args.family, args.variant, args.window,
                            two_step=args.two_step, wald=args.wald)
-    try:
-        panel = read_panel_csv(panel_path)
-    except (ValueError, csv.Error) as exc:
-        raise ConfigError(str(exc)) from exc
+    panel = read_panel_csv(panel_path)
 
-    resolved = {"panel": panel_path, "family": run.family, "variant": run.variant,
-                "window": run.window_t, "two_step": run.two_step, "wald": run.wald}
-    core = _manifest_core("estimate", resolved)
+    core = _manifest_core("estimate", {"panel": panel_path, "estimator": str(run)})
     start = time.perf_counter()
     result = estimate_panel(panel, run.family, run.variant, run.window_t,
                             two_step=run.two_step, wald=run.wald)
@@ -306,7 +296,7 @@ def _cmd_mc(args) -> int:
                      "estimator": [str(run) for run in runs]})
     core = _manifest_core("mc", resolved)
     start = time.perf_counter()
-    summary = run_mc(config, threads=threads, keep_raw=bool(args.raw))
+    summary = run_mc(config, threads=threads)
     elapsed = time.perf_counter() - start
     _mc_summary_csv(summary, args.out)
     _write_sidecar(args.out, core, elapsed)
@@ -419,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

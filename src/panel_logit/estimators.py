@@ -30,7 +30,6 @@ and goes through the same sandwich.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +38,7 @@ from scipy.linalg import LinAlgWarning, blas, lapack, lu_factor, lu_solve
 
 from .aggregation import AggregateStats
 from .kernels import alpha_labels, row_cells
+from .panel import _ascii_int
 
 RCOND_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
@@ -63,20 +63,6 @@ class SingularSystem(EstimationError):
 class SingularWeight(EstimationError):
     """The residual second-moment matrix is numerically singular."""
     status = "singular_weight"
-
-
-def _ascii_int(text, name: str = "value") -> int:
-    """``text`` read as ``[+-]?[0-9]+``, leading zeros aside: unlike ``int``,
-    refuse other digits, underscores, spaces and a fraction, naming ``name``."""
-    # one way to match each text: an ambiguous 0*[0-9]+ backtracks quadratically
-    match = re.fullmatch(r"([+-]?)0*([1-9][0-9]*|0)", str(text))
-    if not match:
-        raise ValueError(f"{name} must be an integer in ASCII digits, got {text!r}")
-    try:
-        return int(match[1] + match[2])
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise ValueError(f"{name} has {len(match[2])} significant digits, "
-                         "more than int() converts") from None
 
 
 def parse_variant(name: str) -> tuple[str, tuple[int, ...]]:

@@ -3,10 +3,11 @@
 Each replication draws its panel from an independent stream of the keyed
 generator, so replications can run serially or across a process pool with
 bitwise-identical results; summaries are reductions over the replication-
-ordered records.  Statistics follow the usual reporting set: true value,
-Monte Carlo mean, standard deviation (sample, ddof=1), mean and median
-reported standard error, bias and root mean squared error about the truth,
-so that ``rmse^2 == bias^2 + sd^2 * (R-1)/R`` holds by construction.
+ordered records, which they keep as ``raw``.  Statistics follow the usual
+reporting set: true value (``model.true_values``), Monte Carlo mean,
+standard deviation (sample, ddof=1), mean and median reported standard
+error, bias and root mean squared error about the truth, so that
+``rmse^2 == bias^2 + sd^2 * (R-1)/R`` holds by construction.
 
 Replications where an estimator degenerates (singular system, nonpositive
 transformed estimate, ...) are excluded from the statistics and itemized in
@@ -24,8 +25,9 @@ import numpy as np
 
 from .estimators import EstimationError
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, check_periods, history_law,
-                    simulate_histogram, simulate_panel)
-from .workflow import EstimatorRun, _ascii_int, estimate_panel
+                    simulate_histogram, simulate_panel, true_values)
+from .panel import _ascii_int
+from .workflow import EstimatorRun, estimate_panel
 
 WALD_LEVEL = 0.05
 
@@ -86,19 +88,6 @@ class McConfig:
                              "the Wald set): " + ", ".join(repeated))
 
 
-def true_values(spec: ModelSpec, run: EstimatorRun) -> dict[str, float]:
-    """True original parameters reported by an estimator configuration."""
-    t = run.window_t
-    if run.family == "C":
-        return {"gamma": spec.gamma, "phi_coef": spec.phi_coef}
-    out = {"gamma": spec.gamma,
-           "dtd_t": spec.effect_step(t),
-           "dtd_tp1": spec.effect_step(t + 1)}
-    if run.two_step:
-        out["dtd_tm1"] = spec.effect_step(t - 1)
-    return out
-
-
 def _run_replication(config: McConfig, r: int) -> list[dict]:
     dgp = replace(config.dgp, stream=r)
     simulate = simulate_histogram if config.sampler == "histogram" else simulate_panel
@@ -154,7 +143,7 @@ SUMMARY_COLUMNS = ("estimator", "parameter", "true", "mean", "sd", "se", "se_med
 class McSummary:
     replications: int
     estimators: tuple[EstimatorSummary, ...]
-    raw: tuple[dict, ...] | None = None
+    raw: tuple[dict, ...]
 
     def table_rows(self) -> list[dict]:
         rows = []
@@ -203,13 +192,12 @@ def resolve_threads(threads: int | None, source: str = "threads") -> int:
     return int(threads)
 
 
-def run_mc(config: McConfig, threads: int | None = None,
-           keep_raw: bool = False) -> McSummary:
+def run_mc(config: McConfig, threads: int | None = None) -> McSummary:
     """Run the replications and summarize per estimator and parameter.
 
-    The summary is a pure function of ``config``: the worker count only
-    changes how replications are scheduled, never their streams or the
-    reduction order.
+    The summary, its replication-ordered ``raw`` records included, is a
+    pure function of ``config``: the worker count only changes how
+    replications are scheduled, never their streams or the reduction order.
     """
     # a pool starts all its workers at once: no more than there is work for
     n_workers = min(resolve_threads(threads), config.replications)
@@ -226,8 +214,8 @@ def run_mc(config: McConfig, threads: int | None = None,
 
     summaries = tuple(_summarize(config, run, [recs[idx] for recs in per_rep])
                       for idx, run in enumerate(config.estimators))
-    raw = tuple(rec for recs in per_rep for rec in recs) if keep_raw else None
-    return McSummary(replications=config.replications, estimators=summaries, raw=raw)
+    return McSummary(replications=config.replications, estimators=summaries,
+                     raw=tuple(rec for recs in per_rep for rec in recs))
 
 
 def _summarize(config: McConfig, run: EstimatorRun,
@@ -241,7 +229,7 @@ def _summarize(config: McConfig, run: EstimatorRun,
         raise AllReplicationsFailed(
             f"{run.label}: all {len(records)} replications failed: {failures}")
 
-    truths = true_values(config.spec, run)
+    truths = true_values(config.spec, run.family, run.window_t, run.two_step)
     params: dict[str, ParamSummary] = {}
     for name, true in truths.items():
         values = np.array([rec["params"][name][0] for rec in ok])

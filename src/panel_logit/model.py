@@ -8,7 +8,8 @@ period effect enters the index:
 
 In both, individual ``i`` carries a fixed effect ``eta_i`` and the outcome
 follows ``P(y_t = 1 | y_{t-1}) = logistic(eta + gamma * y_{t-1} + effect(t))``
-for ``t >= 2``; the initial outcome omits the lag term.
+for ``t >= 2``; the initial outcome omits the lag term.  ``true_values``
+reads off a spec the original parameters an estimator reports.
 
 Two samplers draw a panel from this model: ``simulate_panel`` draws every
 individual, ``simulate_histogram`` draws only how many individuals follow
@@ -114,6 +115,19 @@ class TimeTrendSpec:
 ModelSpec = TimeDummiesSpec | TimeTrendSpec
 
 
+def true_values(spec: ModelSpec, family: str, t: int,
+                two_step: bool = False) -> dict[str, float]:
+    """True original parameters a ``family`` estimator at window ``t``
+    reports; ``two_step`` adds the effect step one period before it."""
+    if family == "C":
+        return {"gamma": spec.gamma, "phi_coef": spec.phi_coef}
+    out = {"gamma": spec.gamma, "dtd_t": spec.effect_step(t),
+           "dtd_tp1": spec.effect_step(t + 1)}
+    if two_step:
+        out["dtd_tm1"] = spec.effect_step(t - 1)
+    return out
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Size, heterogeneity and seeding of a simulated panel.
@@ -133,8 +147,9 @@ class DgpConfig:
             raise ValueError("n_individuals must be positive")
         if self.n_periods < 2:
             raise ValueError("n_periods must be at least 2")
-        if self.sigma_eta_sq < 0:
-            raise ValueError("sigma_eta_sq must be nonnegative")
+        if not 0 <= self.sigma_eta_sq < math.inf:
+            raise ValueError("sigma_eta_sq must be nonnegative and finite, "
+                             f"got {self.sigma_eta_sq!r}")
 
 
 def check_periods(spec: ModelSpec, n_periods: int, histories: bool = False) -> None:

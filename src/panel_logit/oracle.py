@@ -30,8 +30,7 @@ from .estimators import (LinearSystem, TransformedEstimate, build_system,
                          build_system_c, kept_components, solve)
 from .inference import recover_original
 from .kernels import WINDOW_COLUMNS, alpha_from_spec, alpha_labels, row_cells
-from .mc import EstimatorRun, true_values
-from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law
+from .model import ModelSpec, TimeDummiesSpec, TimeTrendSpec, chain_law, true_values
 
 # a check passes when its worst violation is at most its tolerance
 _IDENTITY_TOL = 1e-12
@@ -307,7 +306,7 @@ def _population_gap(family: str, spec: ModelSpec, variant: str) -> float:
     recovered = recover_original(est).params()
     gaps = [v - truth[c] for c, v in zip(est.col_labels, est.alpha)]
     gaps += [recovered[name].value - value for name, value
-             in true_values(spec, EstimatorRun(family, variant, 5)).items()]
+             in true_values(spec, family, 5).items()]
     return float(np.max(np.abs(gaps)))
 
 

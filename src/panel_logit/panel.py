@@ -1,9 +1,9 @@
 """Balanced binary panel container and its CSV interface.
 
 The on-disk format is one row per (individual, period) with header
-``id,t,y`` and ``y`` in {0, 1}.  Periods are labelled, not positional:
-``t0`` names the first stored column so that a panel whose early periods
-were discarded keeps its original period labels.
+``id,t,y``, ``t`` an integer in ASCII digits and ``y`` in {0, 1}.  Periods
+are labelled, not positional: ``t0`` names the first stored column so that
+a panel whose early periods were discarded keeps its original period labels.
 
 The writer spells each id once and writes the records of ``ROW_BLOCK``
 individuals in one whole-array pass, with ``\\r\\n`` line ends; its bytes
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import locale
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -481,17 +482,31 @@ def _validate(path, rec: _Records) -> PanelData:
     return PanelData(y=y, ids=_id_array(labels, rec), t0=periods[0])
 
 
+def _ascii_int(text, name: str = "value") -> int:
+    """``text`` read as ``[+-]?[0-9]+``, leading zeros aside: unlike ``int``,
+    refuse other digits, underscores, spaces and a fraction, naming ``name``."""
+    # one way to match each text: an ambiguous 0*[0-9]+ backtracks quadratically
+    match = re.fullmatch(r"([+-]?)0*([1-9][0-9]*|0)", str(text))
+    if not match:
+        raise ValueError(f"{name} must be an integer in ASCII digits, got {text!r}")
+    try:
+        return int(match[1] + match[2])
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"{name} has {len(match[2])} significant digits, "
+                         "more than int() converts") from None
+
+
 def _period_ranks(rec: _Records) -> tuple[np.ndarray, list[int]]:
     """Each record's period as its rank among the distinct periods (-1 for a
-    spelling ``int()`` refuses), and those periods in ascending order.
+    spelling ``_ascii_int`` refuses), and those periods in ascending order.
 
-    ``int()`` runs once per distinct spelling, so its rules hold exactly.
+    ``_ascii_int`` runs once per distinct spelling.
     """
     distinct = np.unique(_keys(rec.ts))
     values = []
     for spelling in distinct.view(rec.ts.dtype):
         try:
-            values.append(int(rec.text(spelling)))
+            values.append(_ascii_int(rec.text(spelling)))
         except ValueError:
             values.append(None)
     periods = sorted({v for v in values if v is not None})

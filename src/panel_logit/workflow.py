@@ -15,12 +15,12 @@ import numbers
 from dataclasses import dataclass, replace
 
 from .aggregation import aggregate
-from .estimators import (TransformedEstimate, _ascii_int, build_system, build_system_c,
+from .estimators import (TransformedEstimate, build_system, build_system_c,
                          kept_components, parse_variant, solve, variance)
 from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
                         _dagger_selector, _restriction_labels, recover_original,
                         two_step_dtd_tm1, wald_test)
-from .panel import PanelData
+from .panel import PanelData, _ascii_int
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -99,6 +100,8 @@ def test_estimate_from_manifest_bitwise(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["estimate", str(panel_path), "--family", "A", "--variant",
                  "minus-3-7", "--window", "7", "--out", str(r1)]) == 0
+    manifest = json.loads((tmp_path / "r1.json.manifest.json").read_text())
+    assert manifest["config"] == {"panel": str(panel_path), "estimator": "A minus-3-7 7"}
     assert main(["estimate", "--from-manifest", str(r1) + ".manifest.json",
                  "--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
@@ -189,18 +192,87 @@ def test_integer_flag_outside_ascii_digits_exit_2(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("window", [7.5, "\u0667", "1_0", True])
-def test_estimate_manifest_window_outside_ascii_digits_exit_2(tmp_path, capsys, window):
-    # a hand-edited 7.5 is refused, not truncated to window 7
+def _estimate_manifest(tmp_path, monkeypatch, config: dict) -> str:
+    """An edited estimate manifest, and the panel ``panel.csv`` it may name,
+    in the working directory."""
+    monkeypatch.chdir(tmp_path)
     dgp = DgpConfig(n_individuals=500, n_periods=8, sigma_eta_sq=0.5, seed=1)
-    panel_path = tmp_path / "panel.csv"
-    write_panel_csv(simulate_panel(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp), panel_path)
-    config = {"panel": str(panel_path), "family": "A", "variant": "minus-3-7",
-              "window": window}
-    path = _write(tmp_path, "m.json", json.dumps({"command": "estimate", "config": config}))
-    assert main(["estimate", "--from-manifest", path]) == 2
-    assert capsys.readouterr().err == ("error: manifest config key 'window' must be an "
-                                       f"integer in ASCII digits, got {window!r}\n")
+    write_panel_csv(simulate_panel(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp), "panel.csv")
+    return _write(tmp_path, "m.json", json.dumps({"command": "estimate", "config": config}))
+
+
+def _refused_from_manifest(path, capsys) -> str:
+    """The error of an estimate from the manifest at ``path``, which must
+    exit 2 and write nothing."""
+    assert main(["estimate", "--from-manifest", path, "--out", "r.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not os.path.exists("r.json")
+    return err
+
+
+@pytest.mark.parametrize("window", [7.5, "\u0667", "1_0", True])
+def test_estimate_manifest_window_outside_ascii_digits_exit_2(tmp_path, capsys, monkeypatch,
+                                                              window):
+    # a hand-edited 7.5 is refused, not truncated to window 7
+    path = _estimate_manifest(tmp_path, monkeypatch,
+                              {"panel": "panel.csv", "estimator": f"A minus-3-7 {window}"})
+    assert _refused_from_manifest(path, capsys) == (
+        "error: config key 'estimator': estimator window must be an integer in ASCII "
+        f"digits, got {str(window)!r}\n")
+
+
+def test_estimate_manifest_repeating_an_option_exit_2(tmp_path, capsys, monkeypatch):
+    line = "A minus-3-7 7 two-step two-step"
+    path = _estimate_manifest(tmp_path, monkeypatch, {"panel": "panel.csv", "estimator": line})
+    assert _refused_from_manifest(path, capsys) == (
+        "error: config key 'estimator': estimator option 'two-step' given more than once: "
+        f"{line!r}\n")
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"panel": 0, "estimator": "A minus-3-7 7"}, "[Errno 2] No such file or directory: '0'"),
+    ({"panel": ["panel.csv", "other.csv"], "estimator": "A minus-3-7 7"},
+     "config key 'panel' given more than once"),
+    ({"panel": "panel.csv", "estimator": ["A minus-3-7 7", "B minus-1-5 7"]},
+     "config key 'estimator' given more than once"),
+], ids=["int-panel", "list-panel", "list-estimator"])
+def test_estimate_manifest_value_of_another_type_exit_2(tmp_path, capsys, monkeypatch,
+                                                        config, message):
+    # an edited manifest: a panel of 0 is the path "0", not standard input,
+    # and a list is not taken for one of its values
+    path = _estimate_manifest(tmp_path, monkeypatch, config)
+    assert _refused_from_manifest(path, capsys) == f"error: {message}\n"
+
+
+def test_estimate_manifest_lacking_a_key_exit_2(tmp_path, capsys, monkeypatch):
+    for key, other in (("panel", "estimator"), ("estimator", "panel")):
+        value = {"panel": "panel.csv", "estimator": "A minus-3-7 7"}[other]
+        path = _estimate_manifest(tmp_path, monkeypatch, {other: value})
+        assert _refused_from_manifest(path, capsys) == f"error: missing config key {key!r}\n"
+
+
+def test_estimate_manifest_of_typed_keys_exit_2(tmp_path, capsys, monkeypatch):
+    # the five typed keys an estimate manifest held before it recorded the
+    # estimator line: refused by name, not read a second way
+    config = {"panel": "panel.csv", "family": "A", "variant": "minus-3-7", "window": 7,
+              "two_step": False, "wald": None}
+    path = _estimate_manifest(tmp_path, monkeypatch, config)
+    assert _refused_from_manifest(path, capsys) == (
+        "error: estimate does not read config keys: "
+        "'family', 'two_step', 'variant', 'wald', 'window'\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_sigma_eta_sq_outside_zero_to_infinity_exit_2(tmp_path, capsys, command, value):
+    # nan drew an all-zero panel and inf one fixed by each effect's sign, both exit 0
+    text = MC_CONFIG.format(n=50, seed=1, reps=2).replace("sigma_eta_sq = 1.5",
+                                                          f"sigma_eta_sq = {value}")
+    cfg = _write(tmp_path, "c.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == ("error: sigma_eta_sq must be nonnegative and finite, "
+                                       f"got {float(value)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
 
 def test_estimate_singular_panel_exit_1(tmp_path):
@@ -402,40 +474,18 @@ def test_from_manifest_of_another_command_exit_2(tmp_path, capsys):
     assert "is from 'simulate', not 'mc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("two_step", "false", "estimator A[minus-3-7]@t7+two-step: two_step must be a bool, "
-                          "got 'false'"),
-    ("two_step", "yes", "estimator A[minus-3-7]@t7+two-step: two_step must be a bool, "
-                        "got 'yes'"),
-    ("variant", 3, "estimator A[3]@t7: variant must be a str, got 3"),
-    ("family", ["A"], "estimator ['A'][minus-3-7]@t7: family must be a str, got ['A']"),
-    ("wald", 3, "estimator A[minus-3-7]@t7: wald must be a str, got 3"),
-    ("panel", 0, "manifest config key 'panel' must be a path, got 0"),
-], ids=["str-two-step", "yes-two-step", "int-variant", "list-family", "int-wald",
-        "int-panel"])
-def test_estimate_manifest_value_of_another_type_exit_2(tmp_path, capsys, key, value,
-                                                        message):
-    # an edited manifest: a value of another type is refused, not converted
-    # (a panel of 0 would read standard input)
-    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
-    panel_path = tmp_path / "panel.csv"
-    main(["simulate", "--config", cfg, "--out", str(panel_path)])
-    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
-                 "minus-3-7", "--window", "7", "--out", str(r1)]) == 0
-    manifest = json.loads((tmp_path / "r1.json.manifest.json").read_text())
-    manifest["config"][key] = value
-    path = _write(tmp_path, "m.json", json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["estimate", "--from-manifest", path, "--out", str(r2)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not r2.exists()
-
-
-def test_estimate_manifest_lacking_a_key_exit_2(tmp_path, capsys):
-    path = _write(tmp_path, "m.json", '{"command": "estimate", "config": {"family": "A"}}')
-    assert main(["estimate", "--from-manifest", path]) == 2
-    assert "lacks config key 'panel'" in capsys.readouterr().err
+@pytest.mark.parametrize("text", [
+    '["command", "config"]', '{"command": "estimate", "config": ["panel"]}', '{"config": {}}',
+], ids=["list", "list-config", "no-command"])
+def test_manifest_not_a_command_and_config_object_exit_2(tmp_path, capsys, text):
+    # each used to end in a traceback: a list has no keys, a list config no items
+    path = _write(tmp_path, "m.json", text)
+    out = str(tmp_path / "out.csv")
+    for argv in (["estimate"], ["simulate", "--out", out], ["mc", "--out", out]):
+        assert main([*argv, "--from-manifest", path]) == 2
+        assert capsys.readouterr().err == (f"error: manifest {path} needs a 'command' "
+                                           "and a 'config' object\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_verify_passes(capsys):

@@ -30,15 +30,14 @@ def _config(n=20_000, reps=4, sigma=1.5, seed=2, estimators=None, spec=HET,
 
 
 def test_true_values():
-    run = EstimatorRun("A", "minus-3-7", 7, two_step=True)
-    truths = true_values(HET, run)
+    truths = true_values(HET, "A", 7, two_step=True)
     assert truths["gamma"] == 0.8
     assert truths["dtd_t"] == pytest.approx(0.15)
     assert truths["dtd_tp1"] == pytest.approx(-0.2)
     assert truths["dtd_tm1"] == pytest.approx(0.1)
+    assert "dtd_tm1" not in true_values(HET, "B", 7)
     trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
-    truths_c = true_values(trend, EstimatorRun("C", "full", 7))
-    assert truths_c == {"gamma": 1.0, "phi_coef": 0.3}
+    assert true_values(trend, "C", 7) == {"gamma": 1.0, "phi_coef": 0.3}
 
 
 def test_config_refuses_trend_estimator_on_dummies_model():
@@ -122,7 +121,7 @@ def test_failure_accounting():
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
     config = _config(n=800, reps=12, sigma=0.5, seed=7, spec=spec,
                      estimators=(EstimatorRun("A", "minus-3-7", 7, two_step=True),))
-    summary = run_mc(config, threads=1, keep_raw=True)
+    summary = run_mc(config, threads=1)
     est = summary.estimators[0]
     assert est.n_success + sum(est.failures.values()) == 12
     assert len(summary.raw) == 12
@@ -320,7 +319,7 @@ def test_pool_workers_start_no_thread(monkeypatch, sampler, n, n_periods):
         estimators=(EstimatorRun("A", "minus-3-7", 7, two_step=True),
                     EstimatorRun("B", "minus-1-5", 7, two_step=True),
                     EstimatorRun("A", "minus-3-7", 7, wald="ab-dummies")))
-    summary = run_mc(config, threads=2, keep_raw=True)
+    summary = run_mc(config, threads=2)
     assert [rec["threads"] for rec in summary.raw] == [1] * 6
 
 

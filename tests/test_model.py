@@ -97,6 +97,16 @@ def test_dgp_config_validation():
         DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=-0.1)
 
 
+@pytest.mark.parametrize("sigma_eta_sq", [math.nan, math.inf, -math.inf, -0.1])
+def test_dgp_config_refuses_a_variance_outside_zero_to_infinity(sigma_eta_sq):
+    # nan drew an all-zero panel, inf fixed every outcome by its effect's sign
+    with pytest.raises(ValueError) as err:
+        DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=sigma_eta_sq)
+    assert str(err.value) == ("sigma_eta_sq must be nonnegative and finite, "
+                              f"got {sigma_eta_sq!r}")
+    DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=0.0)
+
+
 def test_simulate_requires_enough_period_effects():
     spec = TimeDummiesSpec(gamma=0.0, td=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):

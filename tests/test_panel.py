@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,24 @@ def test_read_error_names_its_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     content = f"id,t,y\n1,1,0\n\n{row}\n1,2,0\n2,1,0\n2,2,1\n".encode()
     assert _read_error(path, content) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "csv-reader"])
+@pytest.mark.parametrize("spelling, period", [
+    ("\u0663", None), (" 3", None), ("3 ", None), ("1_0", None), ("+3", 3), ("03", 3),
+])
+def test_read_periods_in_ascii_digits(tmp_path, quote, spelling, period):
+    # int() would read the Arabic-Indic three, the spaces and the underscore;
+    # a quoted id sends the file through csv.reader
+    path = tmp_path / "panel.csv"
+    content = (f"id,t,y\n{quote}1{quote},1,0\n1,2,0\n1,{spelling},1\n"
+               "2,1,0\n2,2,1\n2,3,0\n").encode()
+    if period is None:
+        assert _read_error(path, content) == f"{path}:4: non-integer period {spelling!r}"
+    else:
+        path.write_bytes(content)
+        panel = read_panel_csv(path)
+        assert panel.t0 == 1 and panel.y.tolist() == [[0, 0, 1], [0, 1, 0]]
 
 
 def test_read_reports_first_fault_of_a_line(tmp_path):
@@ -432,7 +451,7 @@ def test_written_panels_take_the_byte_tokenizer(tmp_path, monkeypatch, ids):
 
 def _reference_read(path) -> PanelData:
     """The panel a record-by-record reader gives: ``csv.reader``, dicts and
-    ``int()``, one record at a time."""
+    ``int()`` on periods in ASCII digits, one record at a time."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -445,10 +464,9 @@ def _reference_read(path) -> PanelData:
             if len(row) < 3:
                 raise ValueError(f"{path}:{line}: expected 3 fields")
             name, t, y = row[:3]
-            try:
-                period = int(t)
-            except ValueError:
-                raise ValueError(f"{path}:{line}: non-integer period {t!r}") from None
+            if not re.fullmatch(r"[+-]?[0-9]+", t):
+                raise ValueError(f"{path}:{line}: non-integer period {t!r}")
+            period = int(t)
             if y not in ("0", "1"):
                 raise ValueError(f"{path}:{line}: outcome must be 0 or 1, got {y!r}")
             if period in seen.setdefault(name, {}):
