@@ -5,7 +5,8 @@ repeated keys accumulate into lists (used for ``estimator`` lines in Monte
 Carlo configs).  Flags override file values.  ``estimate`` takes its panel
 and estimator from flags and records them as the keys ``panel`` and
 ``estimator`` (the line ``EstimatorRun`` writes); ``estimate
---from-manifest`` refuses those flags.  A key the command does not read is
+--from-manifest`` refuses those flags.  A command reads ``--config`` or
+``--from-manifest``, never both.  A key the command does not read is
 refused, so a misspelt key cannot fall back to its default.
 ``simulate`` also reads a Monte Carlo config and writes the panel of its
 replication 0 (before the discarded prefix).
@@ -77,16 +78,27 @@ def parse_config_file(path: str) -> dict[str, object]:
     return out
 
 
+def _values(cfg: dict, key: str) -> list[str]:
+    """The texts of ``key``, one per line of a config file: a manifest's
+    null, bool, object or list holding a non-string is refused."""
+    value = cfg[key]
+    values = value if isinstance(value, list) else [value]
+    if not values or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"config key {key!r} must be a string, a number or "
+                          f"a list of strings, got {value!r}")
+    return values
+
+
 def _get(cfg: dict, key: str, cast, default=None, required: bool = False):
     if key not in cfg:
         if required:
             raise ConfigError(f"missing config key {key!r}")
         return default
-    value = cfg[key]
-    if isinstance(value, list):
+    values = _values(cfg, key)
+    if len(values) > 1:
         raise ConfigError(f"config key {key!r} given more than once")
     try:
-        return cast(value)
+        return cast(values[0])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
@@ -117,12 +129,10 @@ def _dgp_from_config(cfg: dict, seed_override: int | None) -> DgpConfig:
 
 
 def _estimators_from_config(cfg: dict) -> tuple[EstimatorRun, ...]:
-    raw = cfg.get("estimator")
-    if raw is None:
+    if "estimator" not in cfg:
         raise ConfigError("missing 'estimator' lines "
                           "(format: estimator = FAMILY VARIANT WINDOW [two-step] [wald=SET])")
-    return tuple(EstimatorRun.parse(str(line))
-                 for line in (raw if isinstance(raw, list) else [raw]))
+    return tuple(EstimatorRun.parse(line) for line in _values(cfg, "estimator"))
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +167,19 @@ def _load_manifest(path: str, command: str) -> dict:
 
 
 def _load_config(args, command: str) -> dict:
-    """The flat config of ``args.config``, or the config of a manifest."""
-    if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest, command)
-        return {k: (v if isinstance(v, list) else str(v))
-                for k, v in manifest["config"].items()}
-    if not args.config:
-        raise ConfigError(f"{command} needs --config or --from-manifest")
-    return parse_config_file(args.config)
+    """The flat config of ``args.config``, or the config of a manifest,
+    its strings and numbers as the text a config file gives."""
+    config = getattr(args, "config", None)     # estimate reads only manifests
+    if args.from_manifest and config:
+        raise ConfigError(f"{command} takes --config or --from-manifest, not both")
+    if not args.from_manifest:
+        if not config:
+            raise ConfigError(f"{command} needs --config or --from-manifest")
+        return parse_config_file(config)
+    manifest = _load_manifest(args.from_manifest, command)
+    # any other value stays as it is, for _values to refuse if it is read
+    return {k: str(v) if isinstance(v, (str, int, float)) and not isinstance(v, bool) else v
+            for k, v in manifest["config"].items()}
 
 
 def _model_and_dgp(cfg: dict, seed_override: int | None) -> tuple[ModelSpec, DgpConfig, dict]:

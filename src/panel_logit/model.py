@@ -147,9 +147,13 @@ class DgpConfig:
             raise ValueError("n_individuals must be positive")
         if self.n_periods < 2:
             raise ValueError("n_periods must be at least 2")
-        if not 0 <= self.sigma_eta_sq < math.inf:
-            raise ValueError("sigma_eta_sq must be nonnegative and finite, "
-                             f"got {self.sigma_eta_sq!r}")
+        _check_variance(self.sigma_eta_sq)
+
+
+def _check_variance(sigma_eta_sq: float) -> None:
+    """Refuse a fixed-effect variance outside ``[0, inf)``, nan included."""
+    if not 0 <= sigma_eta_sq < math.inf:
+        raise ValueError(f"sigma_eta_sq must be nonnegative and finite, got {sigma_eta_sq!r}")
 
 
 def check_periods(spec: ModelSpec, n_periods: int, histories: bool = False) -> None:
@@ -236,6 +240,7 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
     before it forks its workers, which then inherit it.
     """
     check_periods(spec, n_periods, histories=True)
+    _check_variance(sigma_eta_sq)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
     law = weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)

@@ -16,6 +16,15 @@ Ids read back as int64 when every id spells its integer as ``str(int(s))``
 does (within int64), and as strings otherwise, so ``07`` and ``7`` stay two
 individuals.
 
+Two readers give one result.  ``_read_records`` reads the file with
+``csv.reader`` one record at a time and is the one definition of a fault:
+it raises the first in file order.  A clean file (no quote or NUL, one line
+end throughout, every record as wide as the header, and each (id, period)
+cell filled by exactly one sound record) is read instead by ``_read_clean``
+in whole-array passes over its bytes, which decline every other file
+without locating its fault.  Such a file is read again by
+``_read_records``, at about ten times the cost of a clean read.
+
 A panel row may stand for several individuals with the same outcome
 history: ``counts`` holds one integer frequency per row.  A panel read from
 CSV or simulated per individual has unit counts, so every estimator runs
@@ -215,87 +224,109 @@ def _records(names: np.ndarray, tail: np.ndarray, tails: np.ndarray) -> np.ndarr
     return both[0].view(np.uint8)[both[1].view(bool)]
 
 
-@dataclass(frozen=True)
-class _Records:
-    """The non-blank data records of a panel CSV, in file order.
-
-    ``ids``, ``ts`` and ``ys`` spell each record's first three fields: as
-    fixed-width bytes from the byte tokenizer, as ``str`` objects from
-    ``csv.reader``.  ``lineno`` numbers the records as the file does (the
-    header is 1, blank records count); ``short`` marks records with fewer
-    than three fields, whose missing fields spell ``""``.  ``error`` is what
-    ``csv.reader`` raised at the record after the last one.  Blank and short
-    records and errors come only from ``csv.reader``: the byte tokenizer
-    reads only files that have none.
-    """
-
-    ids: np.ndarray
-    ts: np.ndarray
-    ys: np.ndarray
-    lineno: np.ndarray
-    short: np.ndarray
-    encoding: str
-    error: csv.Error | None = None
-
-    def text(self, spelling) -> str:
-        return spelling.decode(self.encoding) if isinstance(spelling, bytes) else spelling
-
-
 def read_panel_csv(path) -> PanelData:
     """Read a long-format panel, validating rectangularity.
 
     Every individual must be observed at exactly the same contiguous set of
-    periods; outcomes must be 0/1.  A fault is reported at the first record
-    that has one, as a record-by-record reader would meet it.
+    periods; outcomes must be 0/1.  A clean file, one that ``_split_bytes``
+    splits and whose sound records each fill their own cell of the panel,
+    is read in whole-array passes.  Any other file is read again, record by
+    record, by ``_read_records``, the one definition of a fault: it raises
+    the first fault in file order.  That fallback runs Python code per
+    record, at about ten times the cost of the whole-array read (1.1-1.6 s
+    against 0.11-0.13 s for a 1e6-line file on 2 cores).
     """
-    header, records = _tokenize(path)
-    if header is None or [h.strip() for h in header[:3]] != ["id", "t", "y"]:
-        raise ValueError(f"{path}: expected header 'id,t,y'")
-    return _validate(path, records)
+    encoding = locale.getpreferredencoding(False)   # what a text-mode open() decodes with
+    return _read_clean(path, encoding) or _read_records(path, encoding)
 
 
-def _tokenize(path):
-    """The file's header fields and data records.
+def _read_records(path, encoding: str) -> PanelData:
+    """The panel as ``csv.reader`` gives it one record at a time, or the
+    first fault: on each record its fields, then period, outcome and
+    duplicate; then over the whole file no data, contiguity and
+    rectangularity.  Blank records are skipped but keep their line number.
+    """
+    with open(path, newline="", encoding=encoding) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:3]] != ["id", "t", "y"]:
+            raise ValueError(f"{path}: expected header 'id,t,y'")
+        seen: dict[str, dict[int, int]] = {}    # id -> {period: outcome}, in first appearance
+        read: dict[str, int] = {}   # period spelling -> period: each is read once
+        for line, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) < 3:
+                raise ValueError(f"{path}:{line}: expected 3 fields")
+            name, t, y = record[:3]
+            period = read.get(t)
+            if period is None:
+                try:
+                    period = read[t] = _ascii_int(t)
+                except ValueError:
+                    raise ValueError(f"{path}:{line}: non-integer period {t!r}") from None
+            if y not in ("0", "1"):
+                raise ValueError(f"{path}:{line}: outcome must be 0 or 1, got {y!r}")
+            outcomes = seen.setdefault(name, {})
+            if period in outcomes:
+                raise ValueError(f"{path}:{line}: duplicate (id={name}, t={period})")
+            outcomes[period] = int(y)
+    if not seen:
+        raise ValueError(f"{path}: no data rows")
+    # the first id's periods set the panel's; every other id must match them
+    expected = sorted(next(iter(seen.values())))
+    if expected[-1] - expected[0] + 1 != len(expected):
+        raise ValueError(f"{path}: periods must be contiguous, got {expected}")
+    for name, outcomes in seen.items():
+        if outcomes.keys() != set(expected):
+            raise ValueError(f"{path}: id {name} observed at {sorted(outcomes)}, "
+                             f"expected {expected} (panel must be rectangular)")
+    y = np.array([[outcomes[t] for t in expected] for outcomes in seen.values()], np.int8)
+    return PanelData(y=np.asfortranarray(y), ids=_text_ids(list(seen)), t0=expected[0])
 
-    A rectangular file takes the byte tokenizer; every other file, quoted,
-    ragged or with blank records among them, takes ``csv.reader``.
+
+def _read_clean(path, encoding: str) -> PanelData | None:
+    """The panel of a clean file, read in whole-array passes; None for any
+    other file, which ``_read_records`` reads.
+
+    A file is clean when ``_split_bytes`` splits it, its header is
+    ``id,t,y``, it holds a data record, every period is an integer in ASCII
+    digits, the periods are contiguous, every outcome is 0 or 1, and the
+    records fill each (id, period) cell once.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    encoding = locale.getpreferredencoding(False)   # what open() decodes with
     if not data.isascii():
         data.decode(encoding)   # raises the UnicodeDecodeError a text read raises
-    return _split_bytes(data, encoding) or _split_text(data.decode(encoding), encoding)
-
-
-def _split_text(text: str, encoding: str):
-    """The header and data records as ``csv.reader`` splits them.
-
-    This is the only tokenizer that handles quoting; every record is a list
-    of ``str``, so its columns are ``str`` objects.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        return None, None
-    rows, lineno, error = [], [], None
-    try:
-        for line, row in enumerate(reader, start=2):
-            if row:
-                rows.append(row)
-                lineno.append(line)
-    except csv.Error as exc:
-        error = exc
-    ids, ts, ys = (np.array([row[k] if k < len(row) else "" for row in rows], dtype=object)
-                   for k in range(3))
-    short = np.array([len(row) < 3 for row in rows], dtype=bool)
-    return header, _Records(ids, ts, ys, np.array(lineno, dtype=np.int64), short,
-                            encoding, error)
+    split = _split_bytes(data, encoding)
+    del data    # the columns are copies: the checks run without the file's bytes
+    if split is None:
+        return None
+    header, (ids, ts, ys) = split
+    if [h.strip() for h in header[:3]] != ["id", "t", "y"] or not len(ids):
+        return None
+    ranked = _period_ranks(ts, encoding)
+    if ranked is None:
+        return None
+    t_rank, periods = ranked
+    one = _spelled(ys, "1")
+    id_code, labels = _first_appearance(ids)
+    if (periods[-1] - periods[0] + 1 != len(periods) or len(labels) * len(periods) != len(ids)
+            or not (one | _spelled(ys, "0")).all()):
+        return None
+    # each record's (id, period) cell: its index in the period-major outcomes;
+    # as many records as cells fill each once unless one cell has two
+    y = np.full((len(labels), len(periods)), -1, np.int8, order="F")
+    y.ravel(order="F")[t_rank * len(labels) + id_code] = one
+    if y.min() < 0:
+        return None
+    return PanelData(y=y, ids=_id_array(labels, encoding), t0=periods[0])
 
 
 def _split_bytes(data: bytes, encoding: str):
-    """The header and data records of a rectangular file, split in
-    whole-array passes over its bytes; None for any other file.
+    """The header's fields and the id, t and y columns of a rectangular
+    file, fixed-width byte strings split in whole-array passes over its
+    bytes; None for any other file.
 
     A file is rectangular when it holds no ``"`` or NUL, every record ends
     with one terminator (``\\r\\n`` when the file holds a ``\\r``,
@@ -303,7 +334,7 @@ def _split_bytes(data: bytes, encoding: str):
     is blank, none is longer than ``csv.field_size_limit()`` bytes, and
     every record has the header's number of fields, at least three.
     ``csv.reader`` splits such a file at its terminators and commas alone,
-    skipping the trailing blank records, and ``_split_text`` reads every
+    skipping the trailing blank records, and ``_read_records`` reads every
     other file.  None also when one field is so long that fixed-width
     columns would take more than twice the file's bytes.
 
@@ -359,9 +390,7 @@ def _split_bytes(data: bytes, encoding: str):
     n = len(starts[0])
     if sum(widths) * n > 2 * len(buf):
         return None
-    columns = [_fixed_width(buf, *field) for field in zip(starts, lengths, widths)]
-    return header, _Records(*columns, np.arange(2, n + 2, dtype=index),
-                            np.zeros(n, bool), encoding)
+    return header, [_fixed_width(buf, *field) for field in zip(starts, lengths, widths)]
 
 
 def _fixed_width(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
@@ -390,11 +419,10 @@ def _fixed_width(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
 
 
 def _keys(column: np.ndarray) -> np.ndarray:
-    """Values equal exactly where the spellings are: byte strings of a key
-    width as unsigned integers of the machine's byte order (which sort
-    fastest, though not in the spellings' order), other columns as they
-    are."""
-    if column.dtype.kind == "S" and column.itemsize in (1, 2, 4, 8):
+    """Values equal exactly where the byte strings are: those of a key width
+    as unsigned integers of the machine's byte order (which sort fastest,
+    though not in the spellings' order), others as they are."""
+    if column.itemsize in (1, 2, 4, 8):
         return column.view(f"u{column.itemsize}")
     return column
 
@@ -422,66 +450,6 @@ def _spelled(column: np.ndarray, text: str) -> np.ndarray:
     return _keys(column) == _keys(np.array([text], dtype=column.dtype))[0]
 
 
-def _validate(path, rec: _Records) -> PanelData:
-    """The panel the records spell, or the error a record-by-record read
-    meets first: fields, period, outcome and duplicate on each record, then
-    missing data, contiguity and rectangularity over the whole file."""
-    t_rank, periods = _period_ranks(rec)
-    bad_t = (t_rank < 0) & ~rec.short
-    one = _spelled(rec.ys, "1")
-    bad_y = ~(one | _spelled(rec.ys, "0")) & ~rec.short
-    id_code, labels = _first_appearance(rec.ids)
-    n = len(id_code)
-    # each record's (id, period) cell: its index in the period-major outcomes
-    cells = t_rank * len(labels) + id_code
-    faulty = rec.short | bad_t | bad_y
-    # the common case: no faulty record, and the records fill every cell once
-    clean = rec.error is None and not faulty.any() and len(labels) * len(periods) == n
-    if clean:
-        y = np.full((len(labels), len(periods)), -1, np.int8, order="F")
-        y.ravel(order="F")[cells] = one
-        clean = y.min(initial=0) == 0
-    if not clean:
-        # a duplicate is a record whose cell an earlier record already has
-        has_cell = np.flatnonzero(~(rec.short | bad_t))
-        order = has_cell[np.argsort(cells[has_cell], kind="stable")]
-        repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
-        at = min(int(np.argmax(faulty)) if faulty.any() else n, int(repeats.min(initial=n)))
-        if at < n:
-            where = f"{path}:{rec.lineno[at]}"
-            if rec.short[at]:
-                raise ValueError(f"{where}: expected 3 fields")
-            if bad_t[at]:
-                raise ValueError(f"{where}: non-integer period {rec.text(rec.ts[at])!r}")
-            if bad_y[at]:
-                raise ValueError(f"{where}: outcome must be 0 or 1, "
-                                 f"got {rec.text(rec.ys[at])!r}")
-            raise ValueError(f"{where}: duplicate (id={rec.text(rec.ids[at])}, "
-                             f"t={periods[t_rank[at]]})")
-        if rec.error is not None:
-            raise rec.error
-    if n == 0:
-        raise ValueError(f"{path}: no data rows")
-
-    # the first id's periods set the panel's; every other id must match them
-    own = np.unique(t_rank[id_code == 0])
-    expected = [periods[k] for k in own]
-    if expected != list(range(expected[0], expected[-1] + 1)):
-        raise ValueError(f"{path}: periods must be contiguous, got {expected}")
-    if not clean:
-        seen = np.bincount(id_code, minlength=len(labels))
-        matched = np.bincount(id_code, weights=np.isin(t_rank, own), minlength=len(labels))
-        wrong = (seen != len(own)) | (matched != seen)
-        if wrong.any():
-            k = int(np.argmax(wrong))
-            observed = sorted(periods[r] for r in t_rank[id_code == k])
-            raise ValueError(f"{path}: id {rec.text(labels[k])} observed at {observed}, "
-                             f"expected {expected} (panel must be rectangular)")
-
-    # only a clean panel, with contiguous periods, gets here
-    return PanelData(y=y, ids=_id_array(labels, rec), t0=periods[0])
-
-
 def _ascii_int(text, name: str = "value") -> int:
     """``text`` read as ``[+-]?[0-9]+``, leading zeros aside: unlike ``int``,
     refuse other digits, underscores, spaces and a fraction, naming ``name``."""
@@ -496,34 +464,39 @@ def _ascii_int(text, name: str = "value") -> int:
                          "more than int() converts") from None
 
 
-def _period_ranks(rec: _Records) -> tuple[np.ndarray, list[int]]:
-    """Each record's period as its rank among the distinct periods (-1 for a
-    spelling ``_ascii_int`` refuses), and those periods in ascending order.
+def _period_ranks(ts: np.ndarray, encoding: str) -> tuple[np.ndarray, list[int]] | None:
+    """Each record's period as its rank among the distinct periods, and
+    those periods in ascending order; None when ``_ascii_int`` refuses a
+    spelling.
 
-    ``_ascii_int`` runs once per distinct spelling.
+    ``_ascii_int`` runs once per distinct spelling, and the periods stay
+    Python integers, however many digits they have.
     """
-    distinct = np.unique(_keys(rec.ts))
-    values = []
-    for spelling in distinct.view(rec.ts.dtype):
-        try:
-            values.append(_ascii_int(rec.text(spelling)))
-        except ValueError:
-            values.append(None)
-    periods = sorted({v for v in values if v is not None})
+    distinct = np.unique(_keys(ts))
+    try:
+        values = [_ascii_int(spelling.decode(encoding))
+                  for spelling in distinct.view(ts.dtype).tolist()]
+    except ValueError:
+        return None
+    periods = sorted(set(values))
     rank = {v: k for k, v in enumerate(periods)}
-    ranks = np.array([rank.get(v, -1) for v in values], dtype=np.int64)
-    return ranks[np.searchsorted(distinct, _keys(rec.ts))], periods
+    ranks = np.array([rank[v] for v in values], dtype=np.int64)
+    return ranks[np.searchsorted(distinct, _keys(ts))], periods
 
 
-def _id_array(labels: np.ndarray, rec: _Records) -> np.ndarray:
-    """The labels as int64 when each spells its integer as ``str(int)`` does,
-    otherwise as text, so that distinct labels stay distinct."""
-    if labels.dtype.kind == "S" and labels.itemsize <= 18:
+def _id_array(labels: np.ndarray, encoding: str) -> np.ndarray:
+    """The byte-string labels as int64 when each spells its integer as
+    ``str(int)`` does, otherwise as text, as ``_text_ids`` reads them."""
+    if labels.itemsize <= 18:
         ints = _canonical_ints(labels)
         if ints is not None:
             return ints
-        return np.array([rec.text(label) for label in labels.tolist()])
-    names = [rec.text(label) for label in labels.tolist()]
+    return _text_ids([label.decode(encoding) for label in labels.tolist()])
+
+
+def _text_ids(names: list[str]) -> np.ndarray:
+    """The names as int64 when each spells its integer as ``str(int)`` does
+    (within int64), otherwise as text, so that distinct names stay distinct."""
     try:
         ints = [int(name) for name in names]
     except ValueError:

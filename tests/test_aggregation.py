@@ -162,6 +162,20 @@ def test_aggregate_traces_only_a_block():
     assert peak < 2**20, peak
 
 
+def test_aggregate_of_counted_rows_traces_only_a_block():
+    # the counts are read a block at a time too: about 1.1 MiB at 2e6 rows
+    rng = np.random.default_rng(4)
+    panel = PanelData(y=rng.integers(0, 2, size=(2_000_000, 5), dtype=np.int8),
+                      ids=np.arange(2_000_000), counts=rng.integers(0, 3, 2_000_000))
+    tracemalloc.start()
+    try:
+        aggregate(panel, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_window_out_of_range_rejected():
     panel = _panel_from_rows([[0, 1, 0, 1, 0]])
     with pytest.raises(ValueError):

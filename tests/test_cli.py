@@ -293,6 +293,15 @@ def test_estimate_bad_csv_exit_2(tmp_path):
     assert code == 2
 
 
+def test_estimate_far_off_period_exit_2(tmp_path, capsys):
+    # the contiguity check built range(5, 10**23) and ended in an OverflowError
+    path = _write(tmp_path, "far.csv", "id,t,y\n1,5,0\n1,99999999999999999999999,1\n")
+    assert main(["estimate", path, "--family", "A", "--variant", "minus-3-7",
+                 "--window", "7"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: periods must be contiguous, got [5, 99999999999999999999999]\n")
+
+
 def test_estimate_overlong_field_exit_2(tmp_path, capsys):
     limit = csv.field_size_limit()
     path = _write(tmp_path, "long.csv", f"id,t,y\n{'7' * (limit + 1)},1,0\n")
@@ -474,18 +483,81 @@ def test_from_manifest_of_another_command_exit_2(tmp_path, capsys):
     assert "is from 'simulate', not 'mc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [
-    '["command", "config"]', '{"command": "estimate", "config": ["panel"]}', '{"config": {}}',
-], ids=["list", "list-config", "no-command"])
-def test_manifest_not_a_command_and_config_object_exit_2(tmp_path, capsys, text):
-    # each used to end in a traceback: a list has no keys, a list config no items
+_NOT_A_MANIFEST = "manifest {path} needs a 'command' and a 'config' object"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('["command", "config"]', _NOT_A_MANIFEST),
+    ('{"command": "estimate", "config": ["panel"]}', _NOT_A_MANIFEST),
+    ('{"config": {}}', _NOT_A_MANIFEST),
+    ('{"command": ', "cannot load manifest {path}: Expecting value: line 1 column 13 (char 12)"),
+], ids=["list", "list-config", "no-command", "not-json"])
+def test_manifest_not_a_command_and_config_object_exit_2(tmp_path, capsys, text, message):
+    # each but the last used to end in a traceback: a list has no keys, a
+    # list config no items
     path = _write(tmp_path, "m.json", text)
     out = str(tmp_path / "out.csv")
     for argv in (["estimate"], ["simulate", "--out", out], ["mc", "--out", out]):
         assert main([*argv, "--from-manifest", path]) == 2
-        assert capsys.readouterr().err == (f"error: manifest {path} needs a 'command' "
-                                           "and a 'config' object\n")
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@pytest.mark.parametrize("key, value, commands", [
+    ("model", None, ["simulate", "mc"]),
+    ("gamma", [1.0], ["simulate", "mc"]),
+    ("gamma", True, ["simulate", "mc"]),
+    ("td", {"1": 0.1}, ["simulate", "mc"]),
+    ("estimator", ["A minus-3-7 7", 7], ["mc"]),
+], ids=["null", "list-of-a-number", "bool", "object", "list-holding-a-number"])
+def test_manifest_value_that_no_config_file_spells_exit_2(tmp_path, capsys, key, value,
+                                                          commands):
+    # a null read as the text 'None', and a one-number list as a repeated key
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=50, seed=1))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 0
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    del manifest["config"]["stream"]    # mc draws a stream per replication
+    manifest["config"].update({"replications": 2, "estimator": ["A minus-3-7 7"], key: value})
+    capsys.readouterr()
+    for command in commands:
+        manifest["command"] = command
+        path = _write(tmp_path, "edited.json", json.dumps(manifest))
+        out = tmp_path / "out.csv"
+        assert main([command, "--from-manifest", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} must be a string, a number or "
+            f"a list of strings, got {value!r}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_config_and_manifest_together_exit_2(tmp_path, capsys, command):
+    # the manifest used to win and the config file went unread
+    cfg = _write(tmp_path, "mc.cfg", MC_CONFIG.format(n=50, seed=1, reps=2))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--from-manifest",
+                 str(tmp_path / "p.csv.manifest.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command} takes --config or --from-manifest, not both\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", "model = dummies\ngamma 0.8\n", "{path}:2: expected 'key = value'"),
+    ("simulate", SIM_CONFIG.format(n=50, seed=1).replace("model = dummies", "model = probit"),
+     "model must be 'dummies' or 'trend', got 'probit'"),
+    ("mc", SIM_CONFIG.format(n=50, seed=1) + "replications = 2\n",
+     "missing 'estimator' lines "
+     "(format: estimator = FAMILY VARIANT WINDOW [two-step] [wald=SET])"),
+], ids=["no-equals-sign", "unknown-model", "mc-without-estimators"])
+def test_config_file_fault_exit_2(tmp_path, capsys, command, text, message):
+    cfg = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
+    assert not out.exists()
 
 
 def test_verify_passes(capsys):

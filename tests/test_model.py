@@ -107,6 +107,15 @@ def test_dgp_config_refuses_a_variance_outside_zero_to_infinity(sigma_eta_sq):
     DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=0.0)
 
 
+@pytest.mark.parametrize("sigma_eta_sq", [math.nan, math.inf, -math.inf, -1.0])
+def test_history_law_refuses_the_variances_dgp_config_refuses(sigma_eta_sq):
+    # inf gave [0.5, 0, 0, 0, ...], nan an all-nan law, -1 a math domain error
+    with pytest.raises(ValueError) as err:
+        history_law(TimeTrendSpec(gamma=1.0, phi_coef=0.3), 3, sigma_eta_sq)
+    assert str(err.value) == ("sigma_eta_sq must be nonnegative and finite, "
+                              f"got {sigma_eta_sq!r}")
+
+
 def test_simulate_requires_enough_period_effects():
     spec = TimeDummiesSpec(gamma=0.0, td=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import csv
+import io
+import locale
 import re
 import tracemalloc
 
@@ -39,6 +41,15 @@ def test_rejects_ids_that_are_not_1d():
     for rows, bad in ((3, np.arange(6).reshape(3, 2)), (1, np.array(7))):
         with pytest.raises(ValueError, match="ids must be a 1-d array"):
             PanelData(y=np.zeros((rows, 2)), ids=bad)
+
+
+@pytest.mark.parametrize("y, ids, message", [
+    (np.zeros(3), np.arange(3), "y must be a 2-d array"),
+    (np.zeros((3, 2)), np.arange(2), "ids length must match the number of rows"),
+], ids=["1-d-y", "short-ids"])
+def test_rejects_outcomes_and_ids_of_another_shape(y, ids, message):
+    with pytest.raises(ValueError, match=message):
+        PanelData(y=y, ids=ids)
 
 
 def test_drop_prefix_keeps_labels():
@@ -195,6 +206,7 @@ def test_read_reports_first_fault_of_a_line(tmp_path):
 
 def test_read_whole_file_errors(tmp_path):
     path = tmp_path / "bad.csv"
+    assert _read_error(path, b"") == f"{path}: expected header 'id,t,y'"
     assert _read_error(path, b"id,t,y\r\n\r\n") == f"{path}: no data rows"
     assert _read_error(path, b"id,t,y\n7,1,0\n7,3,1\n") == f"{path}: periods must be contiguous, got [1, 3]"
     assert _read_error(path, b"id,t,y\n7,1,0\n7,2,1\n8,2,0\n8,3,0\n") == (
@@ -360,15 +372,14 @@ def test_distinct_id_spellings_stay_distinct(tmp_path):
 
 
 def _assert_same_split(text: str, fast) -> None:
-    """The byte tokenizer's split of ``text`` is the one ``csv.reader`` makes."""
-    slow = panel_module._split_text(text, "utf-8")
-    assert fast[0] == slow[0]
-    fast_rec, slow_rec = fast[1], slow[1]
-    assert slow_rec.error is None and not slow_rec.short.any()
-    assert fast_rec.lineno.tolist() == slow_rec.lineno.tolist()
-    for column in ("ids", "ts", "ys"):
-        got = [s.decode() for s in getattr(fast_rec, column).tolist()]
-        assert got == getattr(slow_rec, column).tolist(), column
+    """The byte tokenizer's split of ``text`` is the one ``csv.reader`` makes:
+    the header, then the first three fields of each non-blank record."""
+    header, *records = csv.reader(io.StringIO(text, newline=""))
+    records = [record for record in records if record]
+    assert fast[0] == header
+    assert all(len(record) >= 3 for record in records)
+    for k, column in enumerate(fast[1]):
+        assert [s.decode() for s in column.tolist()] == [record[k] for record in records], k
 
 
 @settings(max_examples=300, deadline=None)
@@ -438,12 +449,14 @@ def test_written_panels_take_the_byte_tokenizer(tmp_path, monkeypatch, ids):
     write_panel_csv(panel, path)
     data = path.read_bytes()
     lf = data.replace(b"\r\n", b"\n")
-    monkeypatch.setattr(panel_module, "_split_text", None)    # no fall-back
+    monkeypatch.setattr(panel_module, "_read_records", None)    # no fall-back
     # as written, with \n line ends, and with trailing blank records
     for variant in (data, lf, data + b"\r\n", data + b"\r\n" * 3, lf + b"\n" * 3):
         path.write_bytes(variant)
         back = read_panel_csv(path)
         assert back.ids.tolist() == ids.tolist() and np.array_equal(back.y, panel.y)
+    # a file without data is a fault, which only the record reader words
+    monkeypatch.undo()
     path.write_bytes(b"id,t,y\n\n\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_panel_csv(path)
@@ -500,11 +513,14 @@ def _outcome(read, path):
 @st.composite
 def _panel_files(draw):
     """A small panel's records, id-grouped, period-major or shuffled, with
-    records dropped, repeated or spoiled, and the file's bytes."""
+    records dropped, repeated, moved to another id or spoiled, and the
+    file's bytes.  A gap before the last period leaves the cells filled but
+    the periods not contiguous."""
     names = draw(st.lists(st.sampled_from(["7", "07", "-3", "a", "é", "0", "12", "b c"]),
                           min_size=1, max_size=4, unique=True))
     t0 = draw(st.integers(-2, 9))
-    periods = range(t0, t0 + draw(st.integers(1, 3)))
+    last = draw(st.integers(0, 2))
+    periods = [*range(t0, t0 + last), t0 + last + draw(st.sampled_from([0, 0, 0, 2]))]
     records = [[name, str(t), draw(st.sampled_from("01"))] for name in names for t in periods]
     order = draw(st.sampled_from(["id", "period", "shuffled"]))
     if order == "period":
@@ -513,11 +529,14 @@ def _panel_files(draw):
         records = draw(st.permutations(records))
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(records) - 1))
-        fault = draw(st.sampled_from(["drop", "repeat", "period", "outcome", "short", "id"]))
+        fault = draw(st.sampled_from(["drop", "repeat", "move", "period", "outcome", "short",
+                                      "id"]))
         if fault == "drop":
             del records[k]
         elif fault == "repeat":
             records.insert(draw(st.integers(0, len(records))), list(records[k]))
+        elif fault == "move":     # a cell doubled and, unless the id had one, one missing
+            records[k][0] = draw(st.sampled_from(names))
         elif fault == "period":
             records[k][1:2] = [draw(st.sampled_from(["x", "", "01", " 2", str(t0 + 5)]))]
         elif fault == "outcome":
@@ -539,6 +558,31 @@ def test_read_matches_a_record_by_record_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("reference") / "panel.csv"
     path.write_bytes(data)
     assert _outcome(read_panel_csv, path) == _outcome(_reference_read, path)
+
+
+def _one_period_panel(text: str) -> bytes:
+    """The records of ``text`` as period 1 of a panel, behind an ``id,t,y``
+    header as wide as they are: their first fields are the ids."""
+    end = "\r\n" if "\r" in text else "\n"
+    records = [line.split(",") for line in text.split(end)]
+    lines = [["id", "t", "y", *["x"] * (len(records[0]) - 3)]]
+    for k, record in enumerate(records):    # a trailing blank record stays blank
+        lines.append([record[0], "1", str(k % 2), *record[3:]] if record != [""] else record)
+    return end.join(",".join(line) for line in lines).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_panel_files() | _rectangular_texts().map(_one_period_panel))
+def test_clean_read_is_none_or_the_record_read(tmp_path_factory, data):
+    # the whole-array pass never decides a file differently from the reader
+    # that defines a fault: it declines it, or reads the same panel
+    path = tmp_path_factory.mktemp("fork") / "panel.csv"
+    path.write_bytes(data)
+    encoding = locale.getpreferredencoding(False)
+    clean = panel_module._read_clean(path, encoding)
+    if clean is not None:
+        assert _outcome(lambda _: clean, path) == _outcome(
+            lambda p: panel_module._read_records(p, encoding), path)
 
 
 def _canonical(spelling: str) -> bool:
