@@ -24,9 +24,8 @@ from .inference import (NonpositiveAlpha, NonpositivePhiHat, OriginalEstimate,
                         ParamEstimate, SingularRestrictionCovariance,
                         TwoStepResult, WaldResult, ZeroDenominator,
                         recover_original, two_step_dtd_tm1, wald_test)
-from .kernels import (GhCoefficients, alpha_from_spec, alpha_labels,
-                      alpha_values, all_windows, gh_coefficients, hbar_u,
-                      hbar_upsilon)
+from .kernels import (alpha_from_spec, alpha_labels, alpha_values, all_windows,
+                      hbar_u, hbar_upsilon)
 from .mc import AllReplicationsFailed, McConfig, McSummary, run_mc
 from .model import (DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec,
                     history_law, simulate_histogram, simulate_panel, true_values)

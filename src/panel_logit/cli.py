@@ -2,7 +2,12 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments;
 repeated keys accumulate into lists (used for ``estimator`` lines in Monte
-Carlo configs).  Flags override file values.  ``estimate`` takes its panel
+Carlo configs).  Each value has one source: the model, the sizes and the
+seed come from the config or the manifest alone, and no flag overrides
+them (``--threads`` sets only the worker count, which no output shows).
+An integer is read in ASCII digits, and a float as ``float`` reads it but
+for underscores and non-ASCII characters, which are refused naming the
+key.  ``estimate`` takes its panel
 and estimator from flags and records them as the keys ``panel`` and
 ``estimator`` (the line ``EstimatorRun`` writes); ``estimate
 --from-manifest`` refuses those flags.  A command reads ``--config`` or
@@ -20,7 +25,8 @@ alone.  JSON data outputs additionally embed the deterministic part of
 their manifest.
 
 Exit codes: 0 success, 1 verification or estimation failure, 2 usage or
-configuration error.
+configuration error (argparse's, or any ``ValueError``, ``OSError`` or
+``csv.Error``, printed as ``error: <text>``).
 """
 
 from __future__ import annotations
@@ -43,10 +49,6 @@ from .panel import _ascii_int, read_panel_csv, write_panel_csv
 from .workflow import EstimatorRun, estimate_panel
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # flat key=value configuration
 
@@ -57,14 +59,14 @@ def parse_config_file(path: str) -> dict[str, object]:
     try:
         fh = open(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.strip()
             if key in out:
@@ -84,54 +86,61 @@ def _values(cfg: dict, key: str) -> list[str]:
     value = cfg[key]
     values = value if isinstance(value, list) else [value]
     if not values or not all(isinstance(v, str) for v in values):
-        raise ConfigError(f"config key {key!r} must be a string, a number or "
-                          f"a list of strings, got {value!r}")
+        raise ValueError(f"config key {key!r} must be a string, a number or "
+                         f"a list of strings, got {value!r}")
     return values
 
 
 def _get(cfg: dict, key: str, cast, default=None, required: bool = False):
     if key not in cfg:
         if required:
-            raise ConfigError(f"missing config key {key!r}")
+            raise ValueError(f"missing config key {key!r}")
         return default
     values = _values(cfg, key)
     if len(values) > 1:
-        raise ConfigError(f"config key {key!r} given more than once")
+        raise ValueError(f"config key {key!r} given more than once")
     try:
         return cast(values[0])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
+        raise ValueError(f"config key {key!r}: {exc}") from exc
+
+
+def _ascii_float(text: str) -> float:
+    """``text`` read as ``float`` reads it, ``nan`` and ``inf`` included,
+    but refusing the underscores and non-ASCII digits it also reads."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"value must be a number in ASCII without underscores, got {text!r}")
+    return float(text)
 
 
 def _model_from_config(cfg: dict) -> ModelSpec:
     model = _get(cfg, "model", str, required=True)
-    gamma = _get(cfg, "gamma", float, required=True)
+    gamma = _get(cfg, "gamma", _ascii_float, required=True)
     if model == "dummies":
-        td = _get(cfg, "td", lambda v: tuple(map(float, v.replace(",", " ").split())),
+        td = _get(cfg, "td", lambda v: tuple(map(_ascii_float, v.replace(",", " ").split())),
                   required=True)
         return TimeDummiesSpec(gamma=gamma, td=td)
     if model == "trend":
         return TimeTrendSpec(gamma=gamma,
-                             phi_coef=_get(cfg, "phi_coef", float, required=True),
-                             tau=_get(cfg, "tau", float, default=1.0))
-    raise ConfigError(f"model must be 'dummies' or 'trend', got {model!r}")
+                             phi_coef=_get(cfg, "phi_coef", _ascii_float, required=True),
+                             tau=_get(cfg, "tau", _ascii_float, default=1.0))
+    raise ValueError(f"model must be 'dummies' or 'trend', got {model!r}")
 
 
-def _dgp_from_config(cfg: dict, seed_override: int | None) -> DgpConfig:
-    seed = seed_override if seed_override is not None else _get(cfg, "seed", _ascii_int, default=0)
+def _dgp_from_config(cfg: dict) -> DgpConfig:
     return DgpConfig(
         n_individuals=_get(cfg, "n_individuals", _ascii_int, required=True),
         n_periods=_get(cfg, "n_periods", _ascii_int, required=True),
-        sigma_eta_sq=_get(cfg, "sigma_eta_sq", float, default=0.0),
-        seed=seed,
+        sigma_eta_sq=_get(cfg, "sigma_eta_sq", _ascii_float, default=0.0),
+        seed=_get(cfg, "seed", _ascii_int, default=0),
         stream=_get(cfg, "stream", _ascii_int, default=0),
     )
 
 
 def _estimators_from_config(cfg: dict) -> tuple[EstimatorRun, ...]:
     if "estimator" not in cfg:
-        raise ConfigError("missing 'estimator' lines "
-                          "(format: estimator = FAMILY VARIANT WINDOW [two-step] [wald=SET])")
+        raise ValueError("missing 'estimator' lines "
+                         "(format: estimator = FAMILY VARIANT WINDOW [two-step] [wald=SET])")
     return tuple(EstimatorRun.parse(line) for line in _values(cfg, "estimator"))
 
 
@@ -156,13 +165,13 @@ def _load_manifest(path: str, command: str) -> dict:
         with open(path) as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load manifest {path}: {exc}") from exc
+        raise ValueError(f"cannot load manifest {path}: {exc}") from exc
     if not (isinstance(manifest, dict) and "command" in manifest
             and isinstance(manifest.get("config"), dict)):
-        raise ConfigError(f"manifest {path} needs a 'command' and a 'config' object")
+        raise ValueError(f"manifest {path} needs a 'command' and a 'config' object")
     if manifest["command"] != command:
-        raise ConfigError(f"manifest {path} is from {manifest['command']!r}, "
-                          f"not {command!r}")
+        raise ValueError(f"manifest {path} is from {manifest['command']!r}, "
+                         f"not {command!r}")
     return manifest
 
 
@@ -171,10 +180,10 @@ def _load_config(args, command: str) -> dict:
     its strings and numbers as the text a config file gives."""
     config = getattr(args, "config", None)     # estimate reads only manifests
     if args.from_manifest and config:
-        raise ConfigError(f"{command} takes --config or --from-manifest, not both")
+        raise ValueError(f"{command} takes --config or --from-manifest, not both")
     if not args.from_manifest:
         if not config:
-            raise ConfigError(f"{command} needs --config or --from-manifest")
+            raise ValueError(f"{command} needs --config or --from-manifest")
         return parse_config_file(config)
     manifest = _load_manifest(args.from_manifest, command)
     # any other value stays as it is, for _values to refuse if it is read
@@ -182,10 +191,10 @@ def _load_config(args, command: str) -> dict:
             for k, v in manifest["config"].items()}
 
 
-def _model_and_dgp(cfg: dict, seed_override: int | None) -> tuple[ModelSpec, DgpConfig, dict]:
+def _model_and_dgp(cfg: dict) -> tuple[ModelSpec, DgpConfig, dict]:
     """Model spec and DGP of a config, with their resolved manifest entries."""
     spec = _model_from_config(cfg)
-    dgp = _dgp_from_config(cfg, seed_override)
+    dgp = _dgp_from_config(cfg)
     if isinstance(spec, TimeDummiesSpec):
         resolved = {"model": "dummies", "gamma": spec.gamma,
                     "td": " ".join(repr(v) for v in spec.td)}
@@ -203,8 +212,8 @@ _EXPERIMENT_KEYS = ("replications", "discard_prefix", "estimator")
 def _refuse_unread(cfg: dict, command: str, read: list[str]) -> None:
     unread = sorted(set(cfg) - set(read))
     if unread:
-        raise ConfigError(f"{command} does not read config keys: "
-                          + ", ".join(repr(k) for k in unread))
+        raise ValueError(f"{command} does not read config keys: "
+                         + ", ".join(repr(k) for k in unread))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +222,7 @@ def _refuse_unread(cfg: dict, command: str, read: list[str]) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
-    spec, dgp, resolved = _model_and_dgp(cfg, args.seed)
+    spec, dgp, resolved = _model_and_dgp(cfg)
     resolved["stream"] = dgp.stream
     _refuse_unread(cfg, "simulate", [*resolved, *_EXPERIMENT_KEYS])
     start = time.perf_counter()
@@ -235,15 +244,15 @@ def _cmd_estimate(args) -> int:
         if args.two_step:
             given.append("--two-step")
         if given:
-            raise ConfigError("--from-manifest takes the panel and estimator from the "
-                              "manifest; drop " + ", ".join(given))
+            raise ValueError("--from-manifest takes the panel and estimator from the "
+                             "manifest; drop " + ", ".join(given))
         cfg = _load_config(args, "estimate")
         _refuse_unread(cfg, "estimate", ["panel", "estimator"])
         panel_path = _get(cfg, "panel", str, required=True)
         run = _get(cfg, "estimator", EstimatorRun.parse, required=True)
     else:
         if not (args.panel and args.family and args.variant and args.window is not None):
-            raise ConfigError("estimate needs PANEL --family --variant --window")
+            raise ValueError("estimate needs PANEL --family --variant --window")
         panel_path = args.panel
         run = EstimatorRun(args.family, args.variant, args.window,
                            two_step=args.two_step, wald=args.wald)
@@ -297,7 +306,7 @@ def _mc_raw_csv(summary, path: str) -> None:
 def _cmd_mc(args) -> int:
     threads = resolve_threads(args.threads, "--threads")
     cfg = _load_config(args, "mc")
-    spec, dgp, resolved = _model_and_dgp(cfg, args.seed)
+    spec, dgp, resolved = _model_and_dgp(cfg)
     # no ``stream``: each replication draws its own
     _refuse_unread(cfg, "mc", [*resolved, *_EXPERIMENT_KEYS])
     runs = _estimators_from_config(cfg)
@@ -324,11 +333,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    levels = args.level or list(CHECK_LEVELS)
-    try:
-        results = run_checks(levels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = run_checks(args.level or list(CHECK_LEVELS))
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -338,7 +343,7 @@ def _cmd_wald(args) -> int:
         with open(args.result) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read estimate result {args.result}: {exc}") from exc
+        raise ValueError(f"cannot read estimate result {args.result}: {exc}") from exc
     try:
         block = payload["transformed"]
         labels = tuple(block["vcov"]["labels"])
@@ -347,16 +352,16 @@ def _cmd_wald(args) -> int:
         family, variant_name = block["family"], block["variant"]
         window_t, n = block["window_t"], block["n"]
     except KeyError as exc:
-        raise ConfigError(f"result file lacks field {exc}") from exc
+        raise ValueError(f"result file lacks field {exc}") from exc
     except TypeError as exc:
-        raise ConfigError(f"result file is not an estimate result: {exc}") from exc
+        raise ValueError(f"result file is not an estimate result: {exc}") from exc
     # an edited result: a value of another type is refused, not converted
     for key, value in (("family", family), ("variant", variant_name)):
         if not isinstance(value, str):
-            raise ConfigError(f"result field {key!r} must be a str, got {value!r}")
+            raise ValueError(f"result field {key!r} must be a str, got {value!r}")
     for key, value in (("window_t", window_t), ("n", n)):
         if type(value) is not int:
-            raise ConfigError(f"result field {key!r} must be an integer, got {value!r}")
+            raise ValueError(f"result field {key!r} must be an integer, got {value!r}")
 
     est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
                               window_t=window_t, n=n, col_labels=labels,
@@ -378,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw a panel and write it as CSV")
     p_sim.add_argument("--config", help="flat key=value model/size config")
-    p_sim.add_argument("--seed", type=_ascii_int, help="override the config seed")
     p_sim.add_argument("--from-manifest", help="re-run from a manifest sidecar")
     p_sim.add_argument("--out", required=True, help="output panel CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -399,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="run a Monte Carlo experiment")
     p_mc.add_argument("--config", help="flat key=value experiment config")
-    p_mc.add_argument("--seed", type=_ascii_int, help="override the config seed")
     p_mc.add_argument("--threads", type=_ascii_int,
-                      help="worker processes (default: PANEL_LOGIT_THREADS or the usable CPUs)")
+                      help="worker processes (default: the usable CPUs)")
     p_mc.add_argument("--from-manifest", help="re-run from a manifest sidecar")
     p_mc.add_argument("--out", required=True, help="summary CSV path")
     p_mc.add_argument("--raw", help="also write per-replication estimates CSV")
@@ -424,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, csv.Error) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

@@ -34,7 +34,6 @@ rescaling one of the two conditional moment forms ``hbar_u`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -81,31 +80,13 @@ def _xi_components(y1, y0, yp):
 # conditional moment forms
 
 
-@dataclass(frozen=True)
-class GhCoefficients:
-    """Mixing weights of the two conditional moment forms.
-
-    All four lie strictly inside (-1, 1) whenever the effect steps are
-    positive and ``delta > -1``; ``psi == phi_big`` exactly when
-    ``delta == 0``.
+def _mix(delta: float, pp: float) -> tuple[float, float]:
+    """Mixing weights ``(psi, phi_big)`` of a conditional moment form at the
+    effect-step product ``pp``: ``phi_t * phi_tp1`` for ``hbar_u``, its
+    reciprocal for ``hbar_upsilon``.  Both lie strictly inside (-1, 1) when
+    ``pp > 0`` and ``delta > -1``, and are equal exactly when ``delta == 0``.
     """
-
-    psi: float
-    phi_big: float
-    psi_star: float
-    phi_big_star: float
-
-
-def gh_coefficients(delta: float, phi_t: float, phi_tp1: float) -> GhCoefficients:
-    _check_params(delta, phi_t, phi_tp1)
-    prod_phi = phi_t * phi_tp1
-    inv_prod = 1.0 / prod_phi
-    return GhCoefficients(
-        psi=(prod_phi - (delta + 1.0)) / (prod_phi + (delta + 1.0)),
-        phi_big=(prod_phi - 1.0) / (prod_phi + 1.0),
-        psi_star=(inv_prod - (delta + 1.0)) / (inv_prod + (delta + 1.0)),
-        phi_big_star=(inv_prod - 1.0) / (inv_prod + 1.0),
-    )
+    return (pp - (delta + 1.0)) / (pp + (delta + 1.0)), (pp - 1.0) / (pp + 1.0)
 
 
 def _check_params(delta: float, phi_t: float, phi_tp1: float, family: str = "") -> None:
@@ -119,23 +100,25 @@ def _check_params(delta: float, phi_t: float, phi_tp1: float, family: str = "") 
 
 def hbar_u(w: Window5, delta: float, phi_t: float, phi_tp1: float) -> float:
     """First conditional moment form; zero-mean given (eta, history to t-2)."""
-    c = gh_coefficients(delta, phi_t, phi_tp1)
+    _check_params(delta, phi_t, phi_tp1)
+    psi, phi_big = _mix(delta, phi_t * phi_tp1)
     _, y2, y1, y0, yp = w
     u = (y0 + (1 - y0) * yp
          - (1 - y0) * yp / phi_tp1
          - delta * y1 * (1 - y0) * yp / phi_tp1)
-    mix = (c.psi - c.phi_big) * y2 + c.phi_big
+    mix = (psi - phi_big) * y2 + phi_big
     return (u - y1) + mix * ((u - y1) - 2.0 * u * (1 - y1))
 
 
 def hbar_upsilon(w: Window5, delta: float, phi_t: float, phi_tp1: float) -> float:
     """Second conditional moment form; zero-mean given (eta, history to t-2)."""
-    c = gh_coefficients(delta, phi_t, phi_tp1)
+    _check_params(delta, phi_t, phi_tp1)
+    psi, phi_big = _mix(delta, 1.0 / (phi_t * phi_tp1))
     _, y2, y1, y0, yp = w
     v = (y0 * yp
          + y0 * (1 - yp) * phi_tp1
          + delta * (1 - y1) * y0 * (1 - yp) * phi_tp1)
-    mix = (c.psi_star - c.phi_big_star) * (1 - y2) + c.phi_big_star
+    mix = (psi - phi_big) * (1 - y2) + phi_big
     return (v - y1) + mix * ((v - y1) - 2.0 * (v - y1) * y1)
 
 

@@ -16,7 +16,6 @@ the summary instead of poisoning it.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ import numpy as np
 from .estimators import EstimationError
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, check_periods, history_law,
                     simulate_histogram, simulate_panel, true_values)
-from .panel import _ascii_int
+from .panel import _is_integer
 from .workflow import EstimatorRun, estimate_panel
 
 WALD_LEVEL = 0.05
@@ -62,6 +61,9 @@ class McConfig:
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
+        for key in ("replications", "discard_prefix"):
+            if not _is_integer(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not self.estimators:
@@ -172,22 +174,17 @@ class McSummary:
 
 
 def resolve_threads(threads: int | None, source: str = "threads") -> int:
-    """Worker count: ``threads``, else the ``PANEL_LOGIT_THREADS``
-    environment variable, else the CPUs this process may run on (its
-    affinity mask, which ``taskset`` or a cpuset narrows).
+    """Worker count: ``threads``, else the CPUs this process may run on
+    (its affinity mask, which ``taskset`` or a cpuset narrows).
 
-    Raises ``ValueError`` naming where a count came from (``source`` for
-    ``threads``) when it is not a whole number of at least 1.
+    Raises ``ValueError`` naming ``source`` when ``threads`` is not a whole
+    number of at least 1.
     """
     if threads is None:
-        env = os.environ.get("PANEL_LOGIT_THREADS")
-        if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        source = "PANEL_LOGIT_THREADS"
-        threads = _ascii_int(env, source)
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if not _is_integer(threads) or threads < 1:
         raise ValueError(f"{source} must be a whole number of at least 1, got {threads!r}")
     return int(threads)
 

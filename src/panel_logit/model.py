@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import _rng
-from .panel import ROW_BLOCK, PanelData
+from .panel import ROW_BLOCK, PanelData, _is_integer
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,9 @@ class DgpConfig:
     stream: int = 0
 
     def __post_init__(self):
+        for key in ("n_individuals", "n_periods", "seed", "stream"):
+            if not _is_integer(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.n_individuals <= 0:
             raise ValueError("n_individuals must be positive")
         if self.n_periods < 2:
@@ -227,13 +230,12 @@ def chain_law(spec: ModelSpec, eta: np.ndarray, n_periods: int,
 
 
 @functools.lru_cache(maxsize=16)
-def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
-                n_nodes: int = HISTORY_NODES) -> np.ndarray:
+def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float) -> np.ndarray:
     """Exact probabilities of the ``2**n_periods`` outcome histories.
 
     Entry ``k`` is the probability of the history whose outcomes, period 1
     first, are the binary digits of ``k``.  The N(0, sigma_eta_sq) fixed
-    effect is integrated out of ``chain_law`` by ``n_nodes``-point
+    effect is integrated out of ``chain_law`` by ``HISTORY_NODES``-point
     Gauss-Hermite quadrature; the integrand is smooth, so 64 nodes leave an
     error below 1e-12.  Laws are cached and read-only: ``hermgauss``'s
     eigensolve wakes OpenBLAS's thread pool, so ``run_mc`` draws the law
@@ -241,7 +243,7 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float,
     """
     check_periods(spec, n_periods, histories=True)
     _check_variance(sigma_eta_sq)
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(HISTORY_NODES)
     eta = math.sqrt(2.0 * sigma_eta_sq) * nodes
     law = weights @ chain_law(spec, eta, n_periods) / math.sqrt(math.pi)
     law.flags.writeable = False

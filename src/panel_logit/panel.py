@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import locale
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -76,6 +77,8 @@ class PanelData:
             raise ValueError("ids must be a 1-d array")
         if len(self.ids) != y.shape[0]:
             raise ValueError("ids length must match the number of rows")
+        if not _is_integer(self.t0):
+            raise ValueError(f"t0 must be an integer, got {self.t0!r}")
         # check before the cast, which would wrap 256 to 0 and truncate 0.7;
         # NaN and strings compare unequal to both, so they are refused too.
         # int8 is 0/1 exactly when its bytes, read unsigned, are at most 1
@@ -448,6 +451,12 @@ def _first_appearance(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spelled(column: np.ndarray, text: str) -> np.ndarray:
     """Which records spell ``text`` exactly."""
     return _keys(column) == _keys(np.array([text], dtype=column.dtype))[0]
+
+
+def _is_integer(value) -> bool:
+    """Whether an integer field may hold ``value``: any ``numbers.Integral``
+    (numpy's too) but a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
 def _ascii_int(text, name: str = "value") -> int:

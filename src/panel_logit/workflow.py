@@ -11,7 +11,6 @@ counted once per panel.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 from .aggregation import aggregate
@@ -20,7 +19,7 @@ from .estimators import (TransformedEstimate, build_system, build_system_c,
 from .inference import (OriginalEstimate, TwoStepResult, WaldResult,
                         _dagger_selector, _restriction_labels, recover_original,
                         two_step_dtd_tm1, wald_test)
-from .panel import PanelData, _ascii_int
+from .panel import PanelData, _ascii_int, _is_integer
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class EstimatorRun:
 
     def __post_init__(self):
         try:
-            if type(self.window_t) is bool or not isinstance(self.window_t, numbers.Integral):
+            if not _is_integer(self.window_t):
                 raise ValueError(f"window must be an integer, got {self.window_t!r}")
             if not isinstance(self.two_step, bool):
                 raise ValueError(f"two_step must be a bool, got {self.two_step!r}")

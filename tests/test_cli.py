@@ -28,6 +28,15 @@ estimator = B minus-1-5 7 two-step
 """
 
 
+TREND_CONFIG = """
+model = trend
+gamma = 0.8
+phi_coef = 0.2
+n_individuals = 50
+n_periods = 8
+"""
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -35,9 +44,9 @@ def _write(tmp_path, name, text):
 
 
 def test_parse_config_repeated_keys(tmp_path):
-    path = _write(tmp_path, "c.cfg", "a = 1\nb = x\nb = y\n# comment\n")
+    path = _write(tmp_path, "c.cfg", "a = 1\nb = x\nb = y\n# comment\nb = z\n")
     cfg = parse_config_file(path)
-    assert cfg == {"a": "1", "b": ["x", "y"]}
+    assert cfg == {"a": "1", "b": ["x", "y", "z"]}
 
 
 def test_simulate_shape_and_determinism(tmp_path):
@@ -54,19 +63,28 @@ def test_simulate_shape_and_determinism(tmp_path):
     assert "timing" in manifest and "config" in manifest
 
 
-def test_simulate_seed_override_changes_output(tmp_path):
-    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=50, seed=1))
+def test_seed_is_set_by_the_config_alone(tmp_path, capsys):
+    # the config's seed changes the panel; no flag overrides it
+    cfg1 = _write(tmp_path, "sim1.cfg", SIM_CONFIG.format(n=50, seed=1))
+    cfg2 = _write(tmp_path, "sim2.cfg", SIM_CONFIG.format(n=50, seed=2))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["simulate", "--config", cfg, "--out", str(out1)])
-    main(["simulate", "--config", cfg, "--seed", "2", "--out", str(out2)])
+    assert main(["simulate", "--config", cfg1, "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", cfg2, "--out", str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+    capsys.readouterr()
+    for command in ("simulate", "mc"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", cfg1, "--out", str(tmp_path / "c.csv"), "--seed", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_roundtrip_aggregates_identical(tmp_path):
     cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=500, seed=3))
     out = tmp_path / "panel.csv"
     main(["simulate", "--config", cfg, "--out", str(out)])
-    spec, dgp, _ = cli._model_and_dgp(parse_config_file(cfg), None)
+    spec, dgp, _ = cli._model_and_dgp(parse_config_file(cfg))
     simulated = simulate_panel(spec, dgp)
     panel = read_panel_csv(out)
     assert np.array_equal(panel.y, simulated.y) and panel.t0 == simulated.t0
@@ -91,6 +109,20 @@ def test_estimate_happy_path(tmp_path, capsys):
     assert "gamma" in payload["original"]
     assert "dtd_tm1" in payload["original"]
     assert payload["two_step"]["ratio"] > 0
+
+
+def test_estimate_without_out_writes_the_result_to_stdout(tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "r.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "panel.csv", "panel.csv.manifest.json", "r.json", "r.json.manifest.json", "sim.cfg"]
 
 
 def test_estimate_from_manifest_bitwise(tmp_path):
@@ -136,22 +168,15 @@ def test_mc_estimator_lines_sharing_a_label_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, env, text", [
-    ("-3", None, "--threads must be a whole number of at least 1, got -3"),
-    ("0", None, "--threads must be a whole number of at least 1, got 0"),
-    (None, "abc", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got 'abc'"),
-    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got -3"),
-    (None, "\u0663", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got '\u0663'"),
-], ids=["flag-negative", "flag-zero", "env-text", "env-negative", "env-arabic-indic"])
-def test_mc_worker_count_below_one_exit_2(tmp_path, capsys, monkeypatch, flag, env, text):
-    # refused before the config is read, naming where the count came from
-    if env is None:
-        monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PANEL_LOGIT_THREADS", env)
+@pytest.mark.parametrize("flag, text", [
+    ("-3", "--threads must be a whole number of at least 1, got -3"),
+    ("0", "--threads must be a whole number of at least 1, got 0"),
+], ids=["flag-negative", "flag-zero"])
+def test_mc_worker_count_below_one_exit_2(tmp_path, capsys, flag, text):
+    # refused before the config is read, naming the flag
     out = tmp_path / "s.csv"
     argv = ["mc", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]
-    assert main(argv + (["--threads", flag] if flag else [])) == 2
+    assert main(argv + ["--threads", flag]) == 2
     assert capsys.readouterr().err == f"error: {text}\n"
     assert not out.exists()
 
@@ -176,13 +201,42 @@ def test_config_integer_outside_ascii_digits_exit_2(tmp_path, capsys, command, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, config", [
+    ("simulate", "gamma", "1_0", SIM_CONFIG),
+    ("mc", "sigma_eta_sq", "\u0660.\u0665", MC_CONFIG),
+    ("simulate", "td", "0.0 0.1 -0.05 0.2 0.05 0.15 0.3 \uff11", SIM_CONFIG),
+    ("mc", "td", "0.0 0.1 -0.05 0.2 0.05 0.15 0.3 1_0.0", MC_CONFIG),
+    ("simulate", "phi_coef", "0.\u0662", TREND_CONFIG),
+    ("simulate", "tau", "1_0", TREND_CONFIG),
+])
+def test_config_float_outside_ascii_exit_2(tmp_path, capsys, command, key, value, config):
+    # ``float`` would read 1_0 as 10.0 and Arabic-Indic digits as 0.5
+    text = config.format(n=50, seed=1, reps=2)
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    cfg = _write(tmp_path, "c.cfg", "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    bad = value.split()[-1]
+    assert capsys.readouterr().err == (f"error: config key {key!r}: value must be a number "
+                                       f"in ASCII without underscores, got {bad!r}\n")
+    assert not out.exists()
+
+
+def test_config_stream_out_of_range_exit_2(tmp_path, capsys):
+    # 2**56 streams: one more does not fit the generator key beside the substream
+    cfg = _write(tmp_path, "c.cfg", SIM_CONFIG.format(n=50, seed=1)
+                 + "stream = 72057594037927936\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stream out of range: 72057594037927936\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--config", "absent.cfg", "--out", "out.csv", "--seed", "1_000"],
-    ["mc", "--config", "absent.cfg", "--out", "out.csv", "--seed", "\u0661"],
     ["mc", "--config", "absent.cfg", "--out", "out.csv", "--threads", "\u0662"],
     ["estimate", "absent.csv", "--family", "A", "--variant", "minus-3-7",
      "--out", "out.csv", "--window", "\u0667"],
-], ids=["simulate-seed", "mc-seed", "mc-threads", "estimate-window"])
+], ids=["mc-threads", "estimate-window"])
 def test_integer_flag_outside_ascii_digits_exit_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -398,7 +452,10 @@ def test_mc_dummies_model_short_of_periods_exit_2(tmp_path, capsys, monkeypatch)
     ("A minus-3-7 7 wald=ab-dumies wald=ab-dummies",
      "estimator option 'wald' given more than once"),
     ("A minus-3-7 7 two-step two-step", "estimator option 'two-step' given more than once"),
-], ids=["arabic-indic-window", "underscore-window", "repeated-wald", "repeated-two-step"])
+    ("A minus-3-7", "estimator line needs FAMILY VARIANT WINDOW: 'A minus-3-7'"),
+    ("A minus-3-7 7 twostep", "unknown estimator option 'twostep'"),
+], ids=["arabic-indic-window", "underscore-window", "repeated-wald", "repeated-two-step",
+        "short-line", "unknown-option"])
 def test_mc_malformed_estimator_line_exit_2(tmp_path, capsys, line, text):
     cfg = _write(tmp_path, "mc.cfg", SIM_CONFIG.format(n=50, seed=1)
                  + f"replications = 2\ndiscard_prefix = 3\nestimator = {line}\n")
@@ -436,15 +493,6 @@ def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     assert failed, "the config is small enough for some replications to fail"
     assert all(row["message"] for row in failed)
     assert all(row["message"] == "" for row in raw if row["status"] == "ok")
-
-
-TREND_CONFIG = """
-model = trend
-gamma = 0.8
-phi_coef = 0.2
-n_individuals = 50
-n_periods = 8
-"""
 
 
 @pytest.mark.parametrize("command, text, key", [

@@ -1,9 +1,12 @@
+import argparse
 import re
 from pathlib import Path
 
 import panel_logit as pl
+from panel_logit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(pl.__file__).resolve().parent
 
 
 def _resolves(path):
@@ -38,3 +41,22 @@ def test_readme_estimator_lines_are_what_the_parser_writes():
     assert lines, "README holds no estimator line"
     for line in lines:
         assert str(pl.EstimatorRun.parse(line)) == line
+
+
+def _cli_section() -> str:
+    return re.search(r"^## CLI\n(.*?)^## ", README.read_text(),
+                     flags=re.MULTILINE | re.DOTALL)[1]
+
+
+def test_readme_cli_names_only_options_the_parser_has():
+    # a removed flag or environment variable cannot stay in the README
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {flag for command in sub.choices.values()
+               for action in command._actions for flag in action.option_strings}
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _cli_section()))
+    assert flags, "README's CLI section names no flag"
+    assert sorted(flags - options) == []
+    source = "".join(p.read_text() for p in SRC.glob("*.py"))
+    names = set(re.findall(r"\bPANEL_LOGIT_\w+", README.read_text()))
+    assert sorted(name for name in names if f'"{name}"' not in source) == []

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panel_logit import (TimeTrendSpec, alpha_from_spec, alpha_labels,
-                         alpha_values, all_windows, gh_coefficients, hbar_u,
-                         hbar_upsilon)
-from panel_logit.kernels import (DAGGER_CELLS, EXPONENTS, ROW_TABLE, exponents,
+                         alpha_values, all_windows, hbar_u, hbar_upsilon)
+from panel_logit.kernels import (DAGGER_CELLS, EXPONENTS, ROW_TABLE, _mix, exponents,
                                  row_cells, scaled_hbar_row)
 from panel_logit.oracle import spec_with_steps
 from scalar_kernels import (SELECTORS, theta_kernels, transformed_moment_row,
@@ -41,16 +40,17 @@ def test_kernel_range():
 
 
 def test_gh_coefficients_bounds_and_equality_at_zero_delta():
+    # the mixing weights of both conditional forms: hbar_u's at the step
+    # product, hbar_upsilon's at its reciprocal
     rng = np.random.default_rng(1)
     for _ in range(100):
         delta = math.exp(rng.uniform(-2, 2)) - 1
         pt, pt1 = np.exp(rng.uniform(-1, 1, 2))
-        c = gh_coefficients(delta, pt, pt1)
-        for v in (c.psi, c.phi_big, c.psi_star, c.phi_big_star):
-            assert -1 < v < 1
-    c = gh_coefficients(0.0, 1.3, 0.7)
-    assert c.psi == c.phi_big
-    assert c.psi_star == c.phi_big_star
+        for pp in (pt * pt1, 1.0 / (pt * pt1)):
+            assert all(-1 < v < 1 for v in _mix(delta, pp))
+    for pp in (1.3 * 0.7, 1.0 / (1.3 * 0.7)):
+        psi, phi_big = _mix(0.0, pp)
+        assert psi == phi_big
 
 
 def test_hbar_rejects_nonpositive_steps():
@@ -58,6 +58,13 @@ def test_hbar_rejects_nonpositive_steps():
         hbar_u((0, 0, 0, 0, 0), 0.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         hbar_upsilon((0, 0, 0, 0, 0), 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("form", [hbar_u, hbar_upsilon])
+@pytest.mark.parametrize("delta", [-1.0, -1.5])
+def test_hbar_rejects_delta_at_or_below_minus_one(form, delta):
+    with pytest.raises(ValueError, match="^delta must exceed -1$"):
+        form((0, 0, 0, 0, 0), delta, 1.0, 1.0)
 
 
 def test_hbar_u_hand_case():

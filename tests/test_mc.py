@@ -161,6 +161,35 @@ def test_config_validation():
                  discard_prefix=4)
     with pytest.raises(ValueError, match="sampler"):
         _config(sampler="bootstrap")
+    with pytest.raises(ValueError, match="^need at least one estimator$"):
+        McConfig(spec=HET, dgp=DgpConfig(n_individuals=10, n_periods=8),
+                 replications=1, estimators=())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _config(reps=2.5), "replications must be an integer, got 2.5"),
+    (lambda: replace(_config(), discard_prefix=True),
+     "discard_prefix must be an integer, got True"),
+    (lambda: DgpConfig(n_individuals=2.5, n_periods=8),
+     "n_individuals must be an integer, got 2.5"),
+    (lambda: DgpConfig(n_individuals=10, n_periods=8.0),
+     "n_periods must be an integer, got 8.0"),
+    (lambda: DgpConfig(n_individuals=10, n_periods=8, seed="1"),
+     "seed must be an integer, got '1'"),
+    (lambda: DgpConfig(n_individuals=10, n_periods=8, stream=1.5),
+     "stream must be an integer, got 1.5"),
+], ids=["replications", "discard_prefix", "n_individuals", "n_periods", "seed", "stream"])
+def test_integer_fields_refuse_other_values(build, message):
+    # refused when the config is built, not deep inside a replication
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_integer_fields_take_numpy_integers():
+    dgp = DgpConfig(n_individuals=np.int32(10), n_periods=np.int64(8), seed=np.uint64(3),
+                    stream=np.int64(1))
+    McConfig(spec=HET, dgp=dgp, replications=np.int64(2), discard_prefix=np.int8(3),
+             estimators=(EstimatorRun("A", "minus-3-7", 7),))
 
 
 @pytest.mark.parametrize("sampler", mc.SAMPLERS)
@@ -324,33 +353,20 @@ def test_pool_workers_start_no_thread(monkeypatch, sampler, n, n_periods):
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
-    monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert mc.resolve_threads(None) == 2
-    monkeypatch.setenv("PANEL_LOGIT_THREADS", "3")
-    assert mc.resolve_threads(None) == 3
     assert mc.resolve_threads(5) == 5
     assert mc.resolve_threads(np.int64(2)) == 2
 
 
-@pytest.mark.parametrize("threads, env, message", [
-    (0, None, "threads must be a whole number of at least 1, got 0"),
-    (-3, None, "threads must be a whole number of at least 1, got -3"),
-    (2.5, None, "threads must be a whole number of at least 1, got 2.5"),
-    (True, None, "threads must be a whole number of at least 1, got True"),
-    (None, "abc", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got 'abc'"),
-    (None, "0", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got 0"),
-    (None, "-3", "PANEL_LOGIT_THREADS must be a whole number of at least 1, got -3"),
-    (None, "2.5", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got '2.5'"),
-    (None, "1_0", "PANEL_LOGIT_THREADS must be an integer in ASCII digits, got '1_0'"),
-], ids=["zero", "negative", "fraction", "bool", "env-text", "env-zero", "env-negative",
-        "env-fraction", "env-underscore"])
-def test_worker_count_refuses_a_count_below_one(monkeypatch, threads, env, message):
-    if env is None:
-        monkeypatch.delenv("PANEL_LOGIT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PANEL_LOGIT_THREADS", env)
+@pytest.mark.parametrize("threads, message", [
+    (0, "threads must be a whole number of at least 1, got 0"),
+    (-3, "threads must be a whole number of at least 1, got -3"),
+    (2.5, "threads must be a whole number of at least 1, got 2.5"),
+    (True, "threads must be a whole number of at least 1, got True"),
+], ids=["zero", "negative", "fraction", "bool"])
+def test_worker_count_refuses_a_count_below_one(threads, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         mc.resolve_threads(threads)
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -218,7 +218,10 @@ def test_history_law_is_a_converged_distribution(spec):
     law = history_law(spec, 8, 0.5)
     assert law.shape == (256,) and law.min() > 0.0
     assert abs(law.sum() - 1.0) < 1e-14
-    assert np.abs(history_law(spec, 8, 0.5, n_nodes=128) - law).max() < 1e-12
+    # twice the nodes move no probability by 1e-12
+    nodes, weights = np.polynomial.hermite.hermgauss(128)
+    fine = weights @ chain_law(spec, math.sqrt(2.0 * 0.5) * nodes, 8) / math.sqrt(math.pi)
+    assert np.abs(fine - law).max() < 1e-12
 
 
 def test_history_law_matches_logit_chain_without_heterogeneity():

@@ -306,6 +306,15 @@ def test_population_law_matches_plain_enumeration(spec, t):
 def test_population_window_needs_period_t_minus_3():
     with pytest.raises(ValueError, match="window 3 needs period 0"):
         population_aggregates(SPEC_31, 3, (0.0,), (1.0,))
+    with pytest.raises(ValueError, match="^window needs at least three preceding periods$"):
+        spec_with_steps(0.5, 0.1, 0.2, t=3)
+    assert spec_with_steps(0.5, 0.1, 0.2, t=4).effect_step(4) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.4), (0.5, 0.5 + 1e-11)])
+def test_population_eta_weights_must_sum_to_one(weights):
+    with pytest.raises(ValueError, match="^eta grid weights must sum to 1$"):
+        population_aggregates(SPEC_31, 7, (-1.0, 1.0), weights)
 
 
 @pytest.mark.parametrize("t", [20, 40])

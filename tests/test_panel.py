@@ -52,6 +52,16 @@ def test_rejects_outcomes_and_ids_of_another_shape(y, ids, message):
         PanelData(y=y, ids=ids)
 
 
+def test_rejects_a_first_period_that_is_not_an_integer(tmp_path):
+    # a t0 of 1.5 was written as the period 1.5, which the reader refuses
+    for t0 in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=f"^t0 must be an integer, got {t0!r}$"):
+            PanelData(y=np.zeros((1, 2)), ids=np.array([0]), t0=t0)
+    panel = PanelData(y=np.zeros((1, 2)), ids=np.array([0]), t0=np.int64(4))
+    write_panel_csv(panel, tmp_path / "p.csv")
+    assert read_panel_csv(tmp_path / "p.csv").t0 == 4
+
+
 def test_drop_prefix_keeps_labels():
     panel = _small_panel()
     tail = panel.drop_prefix(2)
