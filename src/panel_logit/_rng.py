@@ -20,13 +20,21 @@ SUB_HISTOGRAM = 2
 _STREAM_BITS = 8  # low bits of key[1] hold the substream tag
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not a 64-bit key: reduced modulo 2**64, it
+    would draw another seed's values."""
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed!r}")
+
+
 def keyed_generator(seed: int, stream: int = 0, substream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream, substream)."""
+    check_seed(seed)
     if not 0 <= substream < (1 << _STREAM_BITS):
         raise ValueError(f"substream out of range: {substream}")
     if stream < 0 or stream >= (1 << (64 - _STREAM_BITS)):
         raise ValueError(f"stream out of range: {stream}")
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+    key = np.array([np.uint64(seed),
                     np.uint64((stream << _STREAM_BITS) | substream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

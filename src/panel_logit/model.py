@@ -146,6 +146,7 @@ class DgpConfig:
         for key in ("n_individuals", "n_periods", "seed", "stream"):
             if not _is_integer(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        _rng.check_seed(self.seed)
         if self.n_individuals <= 0:
             raise ValueError("n_individuals must be positive")
         if self.n_periods < 2:

@@ -20,10 +20,12 @@ Two readers give one result.  ``_read_records`` reads the file with
 ``csv.reader`` one record at a time and is the one definition of a fault:
 it raises the first in file order.  A clean file (no quote or NUL, one line
 end throughout, every record as wide as the header, and each (id, period)
-cell filled by exactly one sound record) is read instead by ``_read_clean``
-in whole-array passes over its bytes, which decline every other file
-without locating its fault.  Such a file is read again by
-``_read_records``, at about ten times the cost of a clean read.
+cell filled by exactly one sound record) is read instead by ``_read_clean``,
+which streams the file through one ``_BYTE_BLOCK`` buffer in whole-array
+passes over each block and keeps two bytes per record and one id per run
+of equal ids, so its memory follows the panel, not the file.  It declines
+every other file without locating its fault, and such a file is read again
+by ``_read_records``, at about ten times the cost of a clean read.
 
 A panel row may stand for several individuals with the same outcome
 history: ``counts`` holds one integer frequency per row.  A panel read from
@@ -33,8 +35,10 @@ the same frequency-weighted code on both kinds of panel.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
 import locale
 import numbers
 import re
@@ -46,7 +50,7 @@ import numpy as np
 # eight rows in aggregation): at 8 periods one block's float64 shocks are
 # 512 KiB, which stays in a core's L2 cache
 ROW_BLOCK = 8192
-_BYTE_BLOCK = 1 << 16   # bytes per block where a pass reads a whole file
+_BYTE_BLOCK = 1 << 18   # bytes per block where a pass streams a whole file
 
 
 @dataclass(frozen=True)
@@ -231,13 +235,14 @@ def read_panel_csv(path) -> PanelData:
     """Read a long-format panel, validating rectangularity.
 
     Every individual must be observed at exactly the same contiguous set of
-    periods; outcomes must be 0/1.  A clean file, one that ``_split_bytes``
+    periods; outcomes must be 0/1.  A clean file, one that ``_split_blocks``
     splits and whose sound records each fill their own cell of the panel,
-    is read in whole-array passes.  Any other file is read again, record by
-    record, by ``_read_records``, the one definition of a fault: it raises
-    the first fault in file order.  That fallback runs Python code per
-    record, at about ten times the cost of the whole-array read (1.1-1.6 s
-    against 0.11-0.13 s for a 1e6-line file on 2 cores).
+    is streamed in whole-array passes over one block at a time.  Any other
+    file is read again, record by record, by ``_read_records``, the one
+    definition of a fault: it raises the first fault in file order.  That
+    fallback runs Python code per record, at about ten times the cost of
+    the streamed read (1.1-1.6 s against 0.07-0.10 s for a 1e6-line file on
+    2 cores).
     """
     encoding = locale.getpreferredencoding(False)   # what a text-mode open() decodes with
     return _read_clean(path, encoding) or _read_records(path, encoding)
@@ -289,111 +294,213 @@ def _read_records(path, encoding: str) -> PanelData:
 
 
 def _read_clean(path, encoding: str) -> PanelData | None:
-    """The panel of a clean file, read in whole-array passes; None for any
-    other file, which ``_read_records`` reads.
+    """The panel of a clean file, streamed one block at a time; None for
+    any other file, which ``_read_records`` reads.
 
-    A file is clean when ``_split_bytes`` splits it, its header is
+    A file is clean when ``_split_blocks`` splits it, its header is
     ``id,t,y``, it holds a data record, every period is an integer in ASCII
-    digits, the periods are contiguous, every outcome is 0 or 1, and the
-    records fill each (id, period) cell once.
+    digits, the periods have at most 255 spellings and are contiguous,
+    every outcome is 0 or 1, and the records fill each (id, period) cell
+    once.
+
+    Of each block's records it keeps a one-byte period code (an index into
+    the distinct period spellings, so ``_ascii_int`` runs once per
+    spelling), the outcome byte, and the heads of the runs of equal
+    consecutive ids with the runs' lengths, a run across a seam counted
+    once: a file grouped by id keeps one head per individual.  At the end
+    ``_first_appearance`` codes the heads alone, and the cells are filled
+    ``ROW_BLOCK`` runs at a time.  A file that is not clean is declined at
+    the first block that shows it, and its later blocks are only decoded.
     """
+    spellings: dict[bytes, int] = {}    # period spelling -> code, in first appearance
+    tables: dict[int, np.ndarray] = {}
+    # each block's period codes and outcomes, one byte per record, and its
+    # id run heads and run lengths
+    t_codes, outcomes, heads, runs = [], [], [], []
+    last = None     # the id of the last record read
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        data.decode(encoding)   # raises the UnicodeDecodeError a text read raises
-    split = _split_bytes(data, encoding)
-    del data    # the columns are copies: the checks run without the file's bytes
-    if split is None:
+        blocks = _blocks(fh, encoding)
+        split = _split_blocks(blocks, encoding)
+        header = next(split, None)
+        clean = header is not None and [h.strip() for h in header[:3]] == ["id", "t", "y"]
+        for columns in (split if clean else ()):
+            if columns is None:
+                clean = False
+                break
+            ids, ts, ys = columns
+            codes = _codes(ts, spellings, tables)
+            outcome = ys.view(np.uint8)
+            if codes is None or ys.itemsize != 1 or not ((outcome | 1) == ord("1")).all():
+                clean = False
+                break
+            t_codes.append(codes)
+            outcomes.append(outcome & 1)
+            keys = _keys(ids)
+            head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            length = np.diff(head, append=len(ids))
+            if ids[0] == last:      # the first run continues the last block's
+                runs[-1][-1] += length[0]
+                head, length = head[1:], length[1:]
+            if len(head):
+                heads.append(ids[head])
+                runs.append(length)
+            last = ids[-1]
+        for _ in blocks:    # an undecodable byte past the decline still raises
+            pass
+    if not clean or not t_codes:
         return None
-    header, (ids, ts, ys) = split
-    if [h.strip() for h in header[:3]] != ["id", "t", "y"] or not len(ids):
+    try:
+        values = [_ascii_int(spelling.decode(encoding)) for spelling in spellings]
+    except ValueError:
         return None
-    ranked = _period_ranks(ts, encoding)
-    if ranked is None:
+    periods = sorted(set(values))
+    t_code, outcome, lengths = (np.concatenate(parts) for parts in (t_codes, outcomes, runs))
+    del t_codes, outcomes, runs
+    heads = np.concatenate(heads)
+    id_code, labels = _first_appearance(heads)
+    del heads
+    if (periods[-1] - periods[0] + 1 != len(periods) or len(labels) * len(periods) != len(t_code)
+            or lengths.max() > len(periods)):
         return None
-    t_rank, periods = ranked
-    one = _spelled(ys, "1")
-    id_code, labels = _first_appearance(ids)
-    if (periods[-1] - periods[0] + 1 != len(periods) or len(labels) * len(periods) != len(ids)
-            or not (one | _spelled(ys, "0")).all()):
-        return None
+    rank = {v: k for k, v in enumerate(periods)}
+    t_rank = np.array([rank[v] for v in values], np.intp)
     # each record's (id, period) cell: its index in the period-major outcomes;
     # as many records as cells fill each once unless one cell has two
     y = np.full((len(labels), len(periods)), -1, np.int8, order="F")
-    y.ravel(order="F")[t_rank * len(labels) + id_code] = one
+    cells = y.ravel(order="F")
+    start = 0
+    for k in range(0, len(lengths), ROW_BLOCK):
+        run = lengths[k:k + ROW_BLOCK]
+        stop = start + int(run.sum())
+        cells[t_rank[t_code[start:stop]] * len(labels)
+              + np.repeat(id_code[k:k + ROW_BLOCK], run)] = outcome[start:stop]
+        start = stop
     if y.min() < 0:
         return None
     return PanelData(y=y, ids=_id_array(labels, encoding), t0=periods[0])
 
 
-def _split_bytes(data: bytes, encoding: str):
-    """The header's fields and the id, t and y columns of a rectangular
-    file, fixed-width byte strings split in whole-array passes over its
-    bytes; None for any other file.
+def _blocks(fh, encoding: str):
+    """The bytes of binary file ``fh``, ``_BYTE_BLOCK`` at a time, each
+    read into one reused buffer and valid until the next is read.
+
+    Each block is decoded as it is read: an undecodable byte raises the
+    ``UnicodeDecodeError`` that decoding the whole file raises, as a text
+    read would.
+    """
+    decoder = codecs.getincrementaldecoder(encoding)()
+    buf = bytearray(_BYTE_BLOCK)
+    view = memoryview(buf)
+    try:
+        while n := fh.readinto(buf):
+            decoder.decode(view[:n])
+            yield view[:n]
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        fh.seek(0)
+        fh.read().decode(encoding)
+        raise
+
+
+def _split_blocks(blocks, encoding: str):
+    """Split a file given as byte blocks: yield the header's fields, then
+    the id, t and y columns of each block's records, fixed-width byte
+    strings; yield None and stop at the first block that shows the file is
+    not rectangular.
 
     A file is rectangular when it holds no ``"`` or NUL, every record ends
-    with one terminator (``\\r\\n`` when the file holds a ``\\r``,
-    ``\\n`` otherwise; the last may lack it), no record but trailing ones
-    is blank, none is longer than ``csv.field_size_limit()`` bytes, and
-    every record has the header's number of fields, at least three.
-    ``csv.reader`` splits such a file at its terminators and commas alone,
-    skipping the trailing blank records, and ``_read_records`` reads every
-    other file.  None also when one field is so long that fixed-width
-    columns would take more than twice the file's bytes.
+    with the header's terminator (``\\r\\n`` or ``\\n``; the last record
+    may lack it), no record but trailing ones is blank, none is longer than
+    ``csv.field_size_limit()`` bytes, and every record has the header's
+    number of fields, at least three.  ``csv.reader`` splits such a file at
+    its terminators and commas alone, skipping the trailing blank records,
+    and ``_read_records`` reads every other file.  None also when one field
+    is so long that a block's fixed-width columns would take more than
+    twice its bytes.
 
-    The trailing blank records are dropped first, and the last record's
-    line end with them.  One pass then finds the commas and line feeds
-    together, ``_BYTE_BLOCK`` bytes at a time, so no mask is as long as
-    the file, and counts the line feeds and ``\\r``.  A rectangular file
-    has one line feed per record but the last, and its separators fall
-    into one group of ``width`` per record, each group ending at the
-    record's line end: ``width`` is the number of separators over the
-    number of records.  The line ends are checked at those positions
-    alone; the counts show that no other byte is a line feed or ``\\r``.
-    The groups then bound every field.
+    Each block is cut after its last line feed, and the partial record
+    after the cut is carried into the next block, so every record is split
+    whole.  Blank records after a block's last record are trailing only if
+    no record follows them in a later block.
     """
-    cr = int(b"\r" in data)
-    line_end = b"\r\n"[1 - cr:]
-    # csv.reader skips the trailing blank records: stop at the last record's end
-    end = len(data)
-    while end and data[end - 1] in b"\r\n":
-        end -= 1
-    if b'"' in data or b"\0" in data or data[end:].replace(line_end, b""):
+    carry, line_end, width, blank = b"", None, 0, False
+    for block in itertools.chain(blocks, [None]):
+        if block is not None:
+            data = carry + block
+            cut = data.rfind(b"\n") + 1
+            data, carry = data[:cut], data[cut:]
+            if len(carry) > csv.field_size_limit() + 1:    # one record too long
+                yield None
+                return
+        elif carry:     # the last record, without its line end
+            data, carry = carry + (line_end or b"\n"), b""
+        else:
+            return
+        if not data:
+            continue
+        skip = line_end is None     # the header's terminator is every record's
+        if skip:
+            first = data.index(b"\n")
+            line_end = b"\r\n" if data[first - 1:first] == b"\r" else b"\n"
+            header = data[:first + 1 - len(line_end)].decode(encoding).split(",")
+            width = len(header)
+            yield header
+        # csv.reader skips trailing blank records: stop at the last record's end
+        end = len(data.rstrip(b"\r\n"))
+        if (width < 3 or b'"' in data or b"\0" in data or data[end:].replace(line_end, b"")
+                or (blank and end)):
+            yield None
+            return
+        blank |= len(data) - end > (len(line_end) if end else 0)
+        if not end:
+            continue
+        columns = _columns(np.frombuffer(data, np.uint8, end + len(line_end)), width,
+                           len(line_end) - 1, skip)
+        if columns is None:
+            yield None
+            return
+        if len(columns[0]):
+            yield columns
+
+
+def _columns(buf: np.ndarray, width: int, cr: int, skip: int) -> list[np.ndarray] | None:
+    """The id, t and y columns of the records that fill ``buf``, past the
+    first ``skip``, as fixed-width byte strings; None unless each record
+    ends with its line end and has ``width`` fields and at most
+    ``csv.field_size_limit()`` bytes, and the columns take at most twice
+    ``buf``'s bytes.
+
+    One pass finds the commas and line feeds together and counts the line
+    feeds and ``\\r``.  Such records have one line feed each, and their
+    separators fall into one group of ``width`` per record, each group
+    ending at the record's line end: the line ends are checked at those
+    positions alone, and the counts show that no other byte is a line feed
+    or ``\\r``.  The groups then bound every field.
+    """
+    seps = buf == ord("\n")
+    n = np.count_nonzero(seps)
+    seps |= buf == ord(",")
+    seps = np.flatnonzero(seps)
+    if len(seps) != width * n or np.count_nonzero(buf == ord("\r")) != cr * n:
         return None
-    buf = np.frombuffer(data, np.uint8)
-    index = np.int32 if len(buf) < 2**31 - 2 else np.int64  # positions reach len(buf) + 1
-    found, n_lf, n_cr = [], 0, 0
-    for start in range(0, end, _BYTE_BLOCK):
-        block = buf[start:min(start + _BYTE_BLOCK, end)]
-        lf = block == ord("\n")
-        n_lf += np.count_nonzero(lf)
-        n_cr += np.count_nonzero(block == ord("\r"))
-        lf |= block == ord(",")
-        found.append(np.add(np.flatnonzero(lf), start, dtype=index, casting="unsafe"))
-    # the last record's line feed, or where it would be
-    seps = np.concatenate(found + [np.array([end + cr], index)])
-    del found
-    width, rest = divmod(len(seps), n_lf + 1)
-    if width < 3 or rest or n_cr != cr * n_lf:
+    rows = seps.reshape(n, width)
+    ends = rows[:, -1]
+    if not (buf[ends] == ord("\n")).all() or (cr and not (buf[ends - 1] == ord("\r")).all()):
         return None
-    # row j holds each record's j-th separator, the last row its line end
-    seps = seps.reshape(-1, width).T.copy()
-    seps[-1] -= cr
-    longest = max(int(seps[-1, 0]), int(np.diff(seps[-1]).max(initial=0)) - 1 - cr)
-    ends = np.ndarray((len(buf) - cr,), f"u{1 + cr}", buf, strides=(1,))
-    if longest > csv.field_size_limit() or (
-            ends[seps[-1, :-1]] != np.frombuffer(line_end, ends.dtype)).any():
+    ends -= cr      # the last field ends at the line end
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1 + cr
+    if int((ends - starts).max()) > csv.field_size_limit():
         return None
-    header = data[:seps[-1, 0]].decode(encoding).split(",")
-    starts = [seps[-1, :-1] + (1 + cr), seps[0, 1:] + 1, seps[1, 1:] + 1]
-    lengths = [np.subtract(seps[k, 1:], start, out=seps[k, 1:]) for k, start in enumerate(starts)]
+    firsts = [starts[skip:], rows[skip:, 0] + 1, rows[skip:, 1] + 1]
+    lengths = [rows[skip:, k] - first for k, first in enumerate(firsts)]
     # a field's width is a key dtype's size where the spellings fit one
     widths = [next((w for w in (1, 2, 4, 8) if w >= m), m)
               for m in (int(length.max(initial=0)) for length in lengths)]
-    n = len(starts[0])
-    if sum(widths) * n > 2 * len(buf):
+    if sum(widths) * len(firsts[0]) > 2 * len(buf):
         return None
-    return header, [_fixed_width(buf, *field) for field in zip(starts, lengths, widths)]
+    return [_fixed_width(buf, *field) for field in zip(firsts, lengths, widths)]
 
 
 def _fixed_width(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
@@ -431,26 +538,56 @@ def _keys(column: np.ndarray) -> np.ndarray:
 
 
 def _first_appearance(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's code, the codes ranked by first appearance, and the
+    """Each spelling's code, the codes ranked by first appearance, and the
     distinct spellings in that order.
 
-    Only the head of each run of equal consecutive spellings is sorted, and
-    its code repeats over the run: a file grouped by id sorts one spelling
-    per individual.  A spelling first appears at a run head, so the codes
-    are the same for any record order.
+    The run heads of a file grouped by id are distinct, which one sort
+    shows: their codes are their positions.
     """
     keys = _keys(column)
-    heads = np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
-    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return np.arange(len(keys)), column
+    del ordered
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return np.repeat(rank[inverse], np.diff(heads, append=keys.size)), column[heads[first[order]]]
+    return rank[inverse], column[first[order]]
 
 
-def _spelled(column: np.ndarray, text: str) -> np.ndarray:
-    """Which records spell ``text`` exactly."""
-    return _keys(column) == _keys(np.array([text], dtype=column.dtype))[0]
+def _codes(column: np.ndarray, spellings: dict, tables: dict) -> np.ndarray | None:
+    """Each string's index in ``spellings``, the distinct strings in first
+    appearance (string -> index), which it extends; None past 255 strings.
+
+    Keys of one or two bytes are looked up in ``tables``, one per key width
+    (255 where a key is not known yet), wider ones compared with each known
+    string.  The records left over are compared with each new string in
+    turn, so a new string costs a pass over the records that are not yet
+    coded.
+    """
+    keys = _keys(column)
+    table = None
+    if column.itemsize <= 2:
+        table = tables.setdefault(column.itemsize,
+                                  np.full(256 ** column.itemsize, 255, np.uint8))
+        codes = table[keys]
+    else:
+        codes = np.full(len(keys), 255, np.uint8)
+        for spelling, code in spellings.items():
+            codes[column == spelling] = code
+    miss = np.flatnonzero(codes == 255)
+    while len(miss):
+        key = keys[miss[0]]
+        code = spellings.setdefault(column[miss[0]], len(spellings))
+        if code == 255:
+            return None
+        if table is not None:
+            table[key] = code
+        hit = keys[miss] == key
+        codes[miss[hit]] = code
+        miss = miss[~hit]
+    return codes
 
 
 def _is_integer(value) -> bool:
@@ -471,26 +608,6 @@ def _ascii_int(text, name: str = "value") -> int:
     except ValueError:  # past sys.get_int_max_str_digits()
         raise ValueError(f"{name} has {len(match[2])} significant digits, "
                          "more than int() converts") from None
-
-
-def _period_ranks(ts: np.ndarray, encoding: str) -> tuple[np.ndarray, list[int]] | None:
-    """Each record's period as its rank among the distinct periods, and
-    those periods in ascending order; None when ``_ascii_int`` refuses a
-    spelling.
-
-    ``_ascii_int`` runs once per distinct spelling, and the periods stay
-    Python integers, however many digits they have.
-    """
-    distinct = np.unique(_keys(ts))
-    try:
-        values = [_ascii_int(spelling.decode(encoding))
-                  for spelling in distinct.view(ts.dtype).tolist()]
-    except ValueError:
-        return None
-    periods = sorted(set(values))
-    rank = {v: k for k, v in enumerate(periods)}
-    ranks = np.array([rank[v] for v in values], dtype=np.int64)
-    return ranks[np.searchsorted(distinct, _keys(ts))], periods
 
 
 def _id_array(labels: np.ndarray, encoding: str) -> np.ndarray:

@@ -232,6 +232,16 @@ def test_config_stream_out_of_range_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_config_seed_outside_64_bits_exit_2(tmp_path, capsys, seed):
+    # 2**64 drew seed 0's panel and -1 seed 2**64 - 1's
+    cfg = _write(tmp_path, "c.cfg", SIM_CONFIG.format(n=50, seed=seed))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: seed must be in 0..2**64-1, got {seed}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--config", "absent.cfg", "--out", "out.csv", "--threads", "\u0662"],
     ["estimate", "absent.csv", "--family", "A", "--variant", "minus-3-7",

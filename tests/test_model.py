@@ -97,6 +97,22 @@ def test_dgp_config_validation():
         DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=-0.1)
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seed_outside_64_bits_is_refused(seed):
+    # reduced modulo 2**64, seed 2**64 drew seed 0's panel and -1 drew
+    # seed 2**64 - 1's, while the config kept the seed as given
+    message = f"^seed must be in 0..2\\*\\*64-1, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        DgpConfig(n_individuals=10, n_periods=8, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        _rng.keyed_generator(seed)
+    # the two ends of the range are distinct keys
+    edges = [simulate_panel(SPEC_31, DgpConfig(n_individuals=100, n_periods=8,
+                                               sigma_eta_sq=0.5, seed=edge)).y
+             for edge in (0, 2**64 - 1)]
+    assert not np.array_equal(*edges)
+
+
 @pytest.mark.parametrize("sigma_eta_sq", [math.nan, math.inf, -math.inf, -0.1])
 def test_dgp_config_refuses_a_variance_outside_zero_to_infinity(sigma_eta_sq):
     # nan drew an all-zero panel, inf fixed every outcome by its effect's sign

@@ -230,6 +230,29 @@ def test_read_undecodable_file(tmp_path):
         read_panel_csv(path)
 
 
+@pytest.mark.parametrize("block, n", [(1, 50), (7, 50), (panel_module._BYTE_BLOCK, 120_000)])
+@pytest.mark.parametrize("head, tail", [
+    (b"", b"\xff,1,0\n"),
+    (b"", b"7,1,0\n\xc3"),
+    (b'"x",1,0\n', b"7,1,0\n\xff\n"),
+], ids=["bad-byte", "cut-character", "after-a-quote"])
+def test_read_undecodable_byte_in_a_late_block(tmp_path, monkeypatch, block, n, head, tail):
+    # the error a text read of the whole file raises, with its position in
+    # the file: after many clean blocks, at the very end, or after a quote
+    # has sent the file to the record reader
+    data = b"id,t,y\n" + head + b"".join(b"%d,1,0\n" % k for k in range(n)) + tail
+    encoding = locale.getpreferredencoding(False)
+    with pytest.raises(UnicodeDecodeError) as expected:
+        data.decode(encoding)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(panel_module, "_BYTE_BLOCK", block)
+    assert len(data) > 3 * block
+    with pytest.raises(UnicodeDecodeError) as raised:
+        read_panel_csv(path)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_read_overlong_field_after_valid_lines(tmp_path):
     # csv.reader refuses a field over its limit when it reaches that line, so
     # a fault on an earlier line is reported first
@@ -370,6 +393,20 @@ def test_write_traces_only_a_block(tmp_path):
     assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("t0, n_periods", [(1990, 30), (-5, 300)])
+def test_read_wide_and_many_periods(tmp_path, t0, n_periods):
+    # four-byte periods are coded by comparing spellings, not by a table; a
+    # panel with more than 255 period spellings is read record by record
+    y = np.random.default_rng(n_periods).integers(0, 2, (4, n_periods))
+    panel = PanelData(y=y, ids=np.array([5, 3, 9, 12]), t0=t0)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    back = read_panel_csv(path)
+    assert back.t0 == t0 and np.array_equal(back.y, y) and back.ids.tolist() == [5, 3, 9, 12]
+    clean = panel_module._read_clean(path, locale.getpreferredencoding(False))
+    assert (clean is None) == (n_periods > 255)
+
+
 def test_distinct_id_spellings_stay_distinct(tmp_path):
     # 07 and 7 name different individuals; a cast to int64 would merge them
     path = tmp_path / "panel.csv"
@@ -392,11 +429,28 @@ def _assert_same_split(text: str, fast) -> None:
         assert [s.decode() for s in column.tolist()] == [record[k] for record in records], k
 
 
+# block sizes that put every record, line end and multi-byte character
+# across a seam, and the default
+_BLOCKS = [1, 2, 3, 7, panel_module._BYTE_BLOCK]
+
+
+def _split(data: bytes, block: int):
+    """The per-block splitter's header and whole columns of ``data``, given
+    in blocks of ``block`` bytes; None where it declines the text."""
+    parts = list(panel_module._split_blocks(
+        [data[k:k + block] for k in range(0, len(data), block)], "utf-8"))
+    if not parts or parts[-1] is None:
+        return None
+    header, *blocks = parts
+    return header, [np.concatenate([columns[k] for columns in blocks]) if blocks
+                    else np.array([], "S1") for k in range(3)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="01a7-é ,\r\n", max_size=80))
-def test_byte_tokenizer_matches_csv_reader(text):
+@given(st.text(alphabet="01a7-é ,\r\n", max_size=80), st.sampled_from(_BLOCKS))
+def test_byte_tokenizer_matches_csv_reader(text, block):
     # the byte tokenizer declines every text that is not rectangular
-    fast = panel_module._split_bytes(text.encode(), "utf-8")
+    fast = _split(text.encode(), block)
     if fast is not None:
         _assert_same_split(text, fast)
 
@@ -430,12 +484,10 @@ def _rectangular_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rectangular_texts(), st.sampled_from([1, 2, 3, 7, panel_module._BYTE_BLOCK]))
+@given(_rectangular_texts(), st.sampled_from(_BLOCKS))
 def test_byte_tokenizer_reads_every_rectangular_text(text, block):
-    # separators found a few bytes at a time, across every block boundary
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(panel_module, "_BYTE_BLOCK", block)
-        fast = panel_module._split_bytes(text.encode(), "utf-8")
+    # records split a few bytes at a time, across every block boundary
+    fast = _split(text.encode(), block)
     assert fast is not None
     _assert_same_split(text, fast)
 
@@ -449,7 +501,8 @@ def test_byte_tokenizer_reads_every_rectangular_text(text, block):
     "\r\nid,t,y\r\n1,1,0\r\n",     # a blank first record
 ])
 def test_byte_tokenizer_declines_mixed_line_ends(text):
-    assert panel_module._split_bytes(text.encode(), "utf-8") is None
+    for block in _BLOCKS:
+        assert _split(text.encode(), block) is None, block
 
 
 @pytest.mark.parametrize("ids", [np.array([10, 11, 12]), np.array(["b", "a 1", "é"])])
@@ -460,11 +513,14 @@ def test_written_panels_take_the_byte_tokenizer(tmp_path, monkeypatch, ids):
     data = path.read_bytes()
     lf = data.replace(b"\r\n", b"\n")
     monkeypatch.setattr(panel_module, "_read_records", None)    # no fall-back
-    # as written, with \n line ends, and with trailing blank records
+    # as written, with \n line ends, and with trailing blank records, in
+    # blocks of any size
     for variant in (data, lf, data + b"\r\n", data + b"\r\n" * 3, lf + b"\n" * 3):
         path.write_bytes(variant)
-        back = read_panel_csv(path)
-        assert back.ids.tolist() == ids.tolist() and np.array_equal(back.y, panel.y)
+        for block in _BLOCKS:
+            monkeypatch.setattr(panel_module, "_BYTE_BLOCK", block)
+            back = read_panel_csv(path)
+            assert back.ids.tolist() == ids.tolist() and np.array_equal(back.y, panel.y)
     # a file without data is a fault, which only the record reader words
     monkeypatch.undo()
     path.write_bytes(b"id,t,y\n\n\n")
@@ -582,14 +638,17 @@ def _one_period_panel(text: str) -> bytes:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_panel_files() | _rectangular_texts().map(_one_period_panel))
-def test_clean_read_is_none_or_the_record_read(tmp_path_factory, data):
-    # the whole-array pass never decides a file differently from the reader
-    # that defines a fault: it declines it, or reads the same panel
+@given(_panel_files() | _rectangular_texts().map(_one_period_panel), st.sampled_from(_BLOCKS))
+def test_clean_read_is_none_or_the_record_read(tmp_path_factory, data, block):
+    # the streamed pass never decides a file differently from the reader
+    # that defines a fault: it declines it, or reads the same panel, wherever
+    # the blocks cut its records, line ends and multi-byte ids
     path = tmp_path_factory.mktemp("fork") / "panel.csv"
     path.write_bytes(data)
     encoding = locale.getpreferredencoding(False)
-    clean = panel_module._read_clean(path, encoding)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(panel_module, "_BYTE_BLOCK", block)
+        clean = panel_module._read_clean(path, encoding)
     if clean is not None:
         assert _outcome(lambda _: clean, path) == _outcome(
             lambda p: panel_module._read_records(p, encoding), path)
@@ -627,3 +686,24 @@ def test_read_allocates_under_76_bytes_per_line(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.y, panel.y)
     assert peak / lines < 76.0, peak / lines
+
+
+def test_read_traces_under_24_bytes_per_line(tmp_path):
+    # the csv-estimate shape, 1e6 lines grouped by id: the read keeps one
+    # period code and one outcome byte per record and one id run head per
+    # individual, next to the panel it returns; a block's temporaries are
+    # bounded by _BYTE_BLOCK and do not grow with the file
+    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
+    panel = simulate_panel(spec, DgpConfig(n_individuals=200_000, n_periods=5,
+                                           sigma_eta_sq=0.5, seed=2))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    lines = panel.n * panel.n_periods
+    tracemalloc.start()
+    try:
+        back = read_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.y, panel.y) and np.array_equal(back.ids, panel.ids)
+    assert peak / lines <= 24.0, peak / lines
