@@ -182,7 +182,9 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     Individuals are drawn ``ROW_BLOCK`` at a time, so the float64 shocks and
     indices stay cache-sized.  Each generator continues its stream across
     blocks, filling the shocks row by row, so the draws are those of one
-    whole-panel draw, whatever the block.
+    whole-panel draw, whatever the block.  The panel's ids are its row
+    numbers, which it does not store, so its N x T outcome bytes are all it
+    holds; a size whose outcomes cannot be allocated is refused.
     """
     check_periods(spec, cfg.n_periods)
     n, T = cfg.n_individuals, cfg.n_periods
@@ -190,7 +192,11 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     gen_eta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_ETA)
     gen_shocks = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_SHOCKS)
 
-    y = np.empty((n, T), dtype=np.int8, order="F")  # PanelData's layout
+    try:
+        y = np.empty((n, T), dtype=np.int8, order="F")  # PanelData's layout
+    except MemoryError:
+        raise ValueError(f"a panel of {n} x {T} outcomes needs {n * T} bytes, "
+                         "more than can be allocated") from None
     for start in range(0, n, ROW_BLOCK):
         block = y[start:start + ROW_BLOCK]
         eta = _rng.gaussian(gen_eta, len(block), sigma)
@@ -199,7 +205,7 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
         for t in range(2, T + 1):
             idx = eta + spec.gamma * block[:, t - 2] + spec.effect(t)
             block[:, t - 1] = expit(idx) > zeta[:, t - 1]
-    return PanelData(y=y, ids=np.arange(n, dtype=np.int64), t0=1)
+    return PanelData(y=y, t0=1)
 
 
 HISTORY_NODES = 64        # Gauss-Hermite nodes mixing the fixed effect
@@ -265,4 +271,4 @@ def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     counts = gen.multinomial(cfg.n_individuals, law)
     codes = np.arange(law.size)
     y = (codes[:, None] >> np.arange(cfg.n_periods - 1, -1, -1)) & 1
-    return PanelData(y=y, ids=codes, t0=1, counts=counts)
+    return PanelData(y=y, t0=1, counts=counts)    # row k's id is its code k

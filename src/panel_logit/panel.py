@@ -31,6 +31,11 @@ A panel row may stand for several individuals with the same outcome
 history: ``counts`` holds one integer frequency per row.  A panel read from
 CSV or simulated per individual has unit counts, so every estimator runs
 the same frequency-weighted code on both kinds of panel.
+
+A panel stores ids only when they differ from its row numbers.  Simulated
+panels pass none, and both readers drop ids that are int64 ``0 .. n - 1``
+in file order, so such a panel holds its outcomes alone; its ``ids`` are
+built when read, and the writer spells them one block at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import itertools
 import locale
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +58,7 @@ ROW_BLOCK = 8192
 _BYTE_BLOCK = 1 << 18   # bytes per block where a pass streams a whole file
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PanelData:
     """Rows of binary outcomes with row ids and frequency counts.
 
@@ -62,27 +67,31 @@ class PanelData:
     period-major (Fortran order): each period's column is one contiguous
     run of bytes, which is what aggregation reads, and dropping leading
     periods is a view.  Inputs in another layout are copied once.
+    ``ids`` defaults to the row numbers ``0 .. n_rows - 1``, which are not
+    stored: reading ``ids`` then builds them as a read-only int64 array.
     ``counts`` defaults to one individual per row, held as a read-only
     broadcast view that takes no memory.
     """
 
     y: np.ndarray
-    ids: np.ndarray
-    t0: int = 1
-    counts: np.ndarray | None = None
-    n: int = field(init=False)
+    t0: int
+    counts: np.ndarray
+    n: int
+    _ids: np.ndarray | None     # None: the ids are the row numbers
 
-    def __post_init__(self):
-        y = np.asarray(self.y)
-        object.__setattr__(self, "ids", np.asarray(self.ids))
+    def __init__(self, y: np.ndarray, ids: np.ndarray | None = None, t0: int = 1,
+                 counts: np.ndarray | None = None):
+        y = np.asarray(y)
         if y.ndim != 2:
             raise ValueError("y must be a 2-d array")
-        if self.ids.ndim != 1:
-            raise ValueError("ids must be a 1-d array")
-        if len(self.ids) != y.shape[0]:
-            raise ValueError("ids length must match the number of rows")
-        if not _is_integer(self.t0):
-            raise ValueError(f"t0 must be an integer, got {self.t0!r}")
+        if ids is not None:
+            ids = np.asarray(ids)
+            if ids.ndim != 1:
+                raise ValueError("ids must be a 1-d array")
+            if len(ids) != y.shape[0]:
+                raise ValueError("ids length must match the number of rows")
+        if not _is_integer(t0):
+            raise ValueError(f"t0 must be an integer, got {t0!r}")
         # check before the cast, which would wrap 256 to 0 and truncate 0.7;
         # NaN and strings compare unequal to both, so they are refused too.
         # int8 is 0/1 exactly when its bytes, read unsigned, are at most 1
@@ -94,10 +103,10 @@ class PanelData:
             raise ValueError("panel outcomes must be 0 or 1")
         y = np.asfortranarray(y, dtype=np.int8)
         object.__setattr__(self, "y", y)
-        if self.counts is None:
+        if counts is None:
             counts = np.broadcast_to(np.int64(1), y.shape[:1])
         else:
-            counts = np.asarray(self.counts)
+            counts = np.asarray(counts)
             if counts.shape != y.shape[:1] or counts.dtype.kind not in "iu":
                 raise ValueError("counts must be one integer per row")
             if counts.size and counts.min() < 0:
@@ -114,6 +123,17 @@ class PanelData:
             raise ValueError(f"panel of {n} individuals exceeds the exact range 2**53")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "_ids", ids)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Row ``i``'s id: the stored ids, else ``i`` itself."""
+        if self._ids is not None:
+            return self._ids
+        ids = np.arange(self.n_rows, dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
     @property
     def n_rows(self) -> int:
@@ -145,7 +165,7 @@ class PanelData:
             raise ValueError(f"cannot drop {k} of {self.n_periods} periods")
         if k == 0:
             return self
-        return PanelData(y=self.y[:, k:], ids=self.ids, t0=self.t0 + k,
+        return PanelData(y=self.y[:, k:], ids=self._ids, t0=self.t0 + k,
                          counts=self.counts)
 
 
@@ -163,7 +183,8 @@ def write_panel_csv(panel: PanelData, path) -> None:
     tail ``,t,y\\r\\n`` is one of two per period.  ``ROW_BLOCK`` individuals
     at a time, one gather lays each record's id and tail side by side in a
     byte matrix, padded to whole words, and a mask of their lengths
-    compresses it to the block's bytes.
+    compresses it to the block's bytes.  A panel that stores no ids has its
+    row numbers spelled, one block of them at a time.
     """
     if (panel.counts != 1).any():
         raise ValueError("CSV holds one row per individual; "
@@ -187,8 +208,11 @@ def write_panel_csv(panel: PanelData, path) -> None:
         fh.write(spelled("id", "t", "y").encode(encoding))
         # a panel without periods has no record, so it spells no id
         for start in range(0, panel.n_rows if periods else 0, ROW_BLOCK):
-            ids = panel.ids[start:start + ROW_BLOCK]
             tail = panel.y[start:start + ROW_BLOCK] + first_tail
+            if panel._ids is None:
+                ids = np.arange(start, start + len(tail), dtype=np.int64)
+            else:
+                ids = panel._ids[start:start + ROW_BLOCK]
             if ids.dtype.kind in "iu":
                 fh.write(_records(_masked(ids.astype(bytes)), tail, tails))
                 continue
@@ -290,7 +314,8 @@ def _read_records(path, encoding: str) -> PanelData:
             raise ValueError(f"{path}: id {name} observed at {sorted(outcomes)}, "
                              f"expected {expected} (panel must be rectangular)")
     y = np.array([[outcomes[t] for t in expected] for outcomes in seen.values()], np.int8)
-    return PanelData(y=np.asfortranarray(y), ids=_text_ids(list(seen)), t0=expected[0])
+    return PanelData(y=np.asfortranarray(y), ids=_stored_ids(_text_ids(list(seen))),
+                     t0=expected[0])
 
 
 def _read_clean(path, encoding: str) -> PanelData | None:
@@ -377,7 +402,7 @@ def _read_clean(path, encoding: str) -> PanelData | None:
         start = stop
     if y.min() < 0:
         return None
-    return PanelData(y=y, ids=_id_array(labels, encoding), t0=periods[0])
+    return PanelData(y=y, ids=_stored_ids(_id_array(labels, encoding)), t0=periods[0])
 
 
 def _blocks(fh, encoding: str):
@@ -618,6 +643,19 @@ def _id_array(labels: np.ndarray, encoding: str) -> np.ndarray:
         if ints is not None:
             return ints
     return _text_ids([label.decode(encoding) for label in labels.tolist()])
+
+
+def _stored_ids(ids: np.ndarray) -> np.ndarray | None:
+    """The ids a panel stores: None where they are its row numbers, int64
+    ``0 .. n - 1`` in order.  They are compared a ``ROW_BLOCK`` at a time,
+    so the row numbers are never built whole."""
+    if ids.dtype != np.int64:
+        return ids
+    for start in range(0, len(ids), ROW_BLOCK):
+        block = ids[start:start + ROW_BLOCK]
+        if not (block == np.arange(start, start + len(block))).all():
+            return ids
+    return None
 
 
 def _text_ids(names: list[str]) -> np.ndarray:

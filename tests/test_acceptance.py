@@ -59,9 +59,10 @@ def mc_dummies():
     N >= 8.9e7, so N = 1e8 (at 1e7 it is still 0.30).  Neither N nor SEED
     is tuned on results: SEED is the suite's seed and N follows from this
     rule; a bound that fails at this N is reported.  Simulating individuals
-    would take 6.4 GB of shocks per replication at this N, so the
-    replications draw history counts (``sampler="histogram"``), which have
-    the same law.
+    would hold a 0.8 GB panel per replication at this N (``simulate_panel``
+    traces 8.6 bytes per individual at 2e6 x 8) and take about 20 s to draw
+    it, so the replications draw history counts (``sampler="histogram"``),
+    which have the same law.
     """
     config = McConfig(
         spec=SPEC_DUMMIES,

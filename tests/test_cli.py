@@ -339,6 +339,16 @@ def test_sigma_eta_sq_outside_zero_to_infinity_exit_2(tmp_path, capsys, command,
     assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
 
+def test_simulate_too_large_to_allocate_exit_2(tmp_path, capsys):
+    # 8e15 outcome bytes exceed the address space, so the allocation fails
+    # at once, and the refusal is a configuration error
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=10**15, seed=1))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: a panel of {10**15} x 8 outcomes needs "
+                                       f"{8 * 10**15} bytes, more than can be allocated\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sim.cfg"]
+
+
 def test_estimate_singular_panel_exit_1(tmp_path):
     rows = ["id,t,y"]
     for i in range(30):

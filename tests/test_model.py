@@ -174,15 +174,25 @@ def test_row_blocks_draw_the_whole_panel(spec, n):
 
 
 def test_simulate_traces_little_beyond_the_panel():
-    # the shocks are drawn a row block at a time, never as an n x T float64
-    cfg = DgpConfig(n_individuals=200_000, n_periods=8, sigma_eta_sq=0.5, seed=3)
+    # the shocks are drawn a row block at a time, never as an n x T float64,
+    # and the ids are the row numbers, which the panel does not store: its
+    # outcomes are the only array that grows with n
+    cfg = DgpConfig(n_individuals=2_000_000, n_periods=8, sigma_eta_sq=0.5, seed=3)
     tracemalloc.start()
     try:
         panel = simulate_panel(SPEC_31, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < panel.y.nbytes + panel.ids.nbytes + 4 * 2**20, peak
+    assert peak < panel.y.nbytes + 4 * 2**20, peak
+
+
+def test_simulate_refuses_outcomes_it_cannot_allocate():
+    # 8e15 bytes exceed the address space, so the allocation fails at once
+    cfg = DgpConfig(n_individuals=10**15, n_periods=8)
+    with pytest.raises(ValueError, match=f"^a panel of {10**15} x 8 outcomes needs "
+                                         f"{8 * 10**15} bytes, more than can be allocated$"):
+        simulate_panel(SPEC_31, cfg)
 
 
 def test_simulate_degenerate_fair_coin():

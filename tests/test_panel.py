@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, read_panel_csv,
-                         simulate_panel, write_panel_csv)
+                         simulate_histogram, simulate_panel, write_panel_csv)
 from panel_logit import model as model_module
 from panel_logit import panel as panel_module
 from panel_logit.panel import ROW_BLOCK
@@ -69,6 +69,41 @@ def test_drop_prefix_keeps_labels():
     assert np.array_equal(tail.col(6), panel.col(6))
     with pytest.raises(ValueError):
         panel.drop_prefix(5)
+
+
+def test_row_numbered_panels_store_no_ids(tmp_path):
+    # simulated and histogram panels, and panels read by either reader from
+    # a file whose ids are 0 .. n - 1 in order, keep no ids: reading them
+    # builds the row numbers, as the int64 ids these panels used to store
+    spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
+    cfg = DgpConfig(n_individuals=2 * ROW_BLOCK + 3, n_periods=5, sigma_eta_sq=0.5, seed=2)
+    simulated = simulate_panel(spec, cfg)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(simulated, path)
+    panels = [simulated, simulate_histogram(spec, cfg), read_panel_csv(path),
+              panel_module._read_records(path, locale.getpreferredencoding(False))]
+    for panel in [*panels, *(panel.drop_prefix(2) for panel in panels)]:
+        assert panel._ids is None
+        ids = panel.ids
+        assert ids.dtype == np.int64 and ids.tolist() == list(range(panel.n_rows))
+        assert not ids.flags.writeable and ids is not panel.ids
+
+
+def test_ids_other_than_the_row_numbers_are_stored(tmp_path):
+    y = np.random.default_rng(5).integers(0, 2, (ROW_BLOCK + 2, 3))
+    rows = np.arange(len(y))
+    panel = PanelData(y=y, ids=rows)
+    assert panel.ids is rows and panel.drop_prefix(1).ids is rows
+    # row numbers up to the last block, shifted, reversed
+    late = rows.copy()
+    late[-2:] = late[-1], late[-2]
+    path = tmp_path / "panel.csv"
+    for ids in (late, rows + 1, rows[::-1]):
+        write_panel_csv(PanelData(y=y, ids=ids), path)
+        for back in (read_panel_csv(path),
+                     panel_module._read_records(path, locale.getpreferredencoding(False))):
+            assert back._ids is not None and back.ids.tolist() == ids.tolist()
+            assert np.array_equal(back.y, y)
 
 
 def test_counts_default_to_one_and_are_validated(tmp_path):
@@ -309,8 +344,11 @@ def _reference_write(panel: PanelData, path) -> None:
 _NAMES = ["", "a,b", 'say "hi"', "x\ry", "x\ny", "a b", "é", "日本", "a\0b", "z\0"]
 
 
-def _ids(kind: str, n: int) -> np.ndarray:
-    """``n`` distinct ids of one dtype, its edge cases first."""
+def _ids(kind: str, n: int) -> np.ndarray | None:
+    """``n`` distinct ids of one dtype, its edge cases first; for ``rows``
+    none, so the panel's ids are its row numbers."""
+    if kind == "rows":
+        return None
     if kind == "int64":
         return np.array([-2**63, 2**63 - 1, 0, -7, *range(1, n)], dtype=np.int64)[:n]
     if kind == "uint64":
@@ -328,13 +366,14 @@ def _assert_writes_as_reference(panel: PanelData, tmp_path) -> None:
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     if panel.ids.dtype.kind in "iU":    # the ids that read back as they are
         back = read_panel_csv(tmp_path / "got.csv")
+        assert (back._ids is None) == (panel._ids is None)
         assert back.ids.dtype.kind == panel.ids.dtype.kind
         assert back.ids.tolist() == panel.ids.tolist()
         assert back.t0 == panel.t0 and np.array_equal(back.y, panel.y)
 
 
 @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
-@pytest.mark.parametrize("kind", ["int64", "uint64", "str", "bytes", "object"])
+@pytest.mark.parametrize("kind", ["int64", "uint64", "str", "bytes", "object", "rows"])
 def test_write_matches_a_record_by_record_writer(tmp_path, kind, n):
     y = np.random.default_rng(n).integers(0, 2, (n, 5))
     _assert_writes_as_reference(PanelData(y=y, ids=_ids(kind, n), t0=2), tmp_path)
@@ -380,7 +419,9 @@ def test_write_raises_the_open_error(tmp_path):
 
 def test_write_traces_only_a_block(tmp_path):
     # the records are assembled ROW_BLOCK individuals at a time, never as a
-    # whole panel's bytes or Python rows
+    # whole panel's bytes or Python rows, and the simulated panel's ids are
+    # its row numbers, spelled a block at a time: its 1.6 MB of int64 row
+    # numbers built whole would overrun the bound
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
     panel = simulate_panel(spec, DgpConfig(n_individuals=200_000, n_periods=5,
                                            sigma_eta_sq=0.5, seed=2))
