@@ -12,13 +12,12 @@ uint64 words, eight rows a word: a shift-or of each block's column words
 packs eight one-byte 5-bit window codes at once, in one reused buffer
 (the panel's last block, if its rows fill no whole word, runs the same
 steps on bytes), and the block's ``bincount`` of the codes, weighted by
-the row frequencies, is added to the cells.  When every row
-shares one broadcast count (a simulated or read panel), the codes are
-counted unweighted and the cells scaled by that count once.  It refuses
-a panel lacking any of the five periods.  Everything after the count runs
-on 32 cells.  The rows at window ``t - 1`` (family C's second half and the
-two-step's dagger averages) read ``y_{t-3} .. y_t``, four of the same five
-periods, so they need no aggregate of their own.
+the row frequencies unless each row is one individual (a simulated or read
+panel), is added to the cells.  It refuses a panel lacking any of the five
+periods.  Everything after the count runs on 32 cells.  The rows at window
+``t - 1`` (family C's second half and the two-step's dagger averages) read
+``y_{t-3} .. y_t``, four of the same five periods, so they need no
+aggregate of their own.
 
 The cell weights are the integer counts of a sample, or the exact cell
 probabilities of the population (``oracle.population_aggregates``).  Their
@@ -68,7 +67,8 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
     """Count the window cells of ``panel`` at window index ``t``.
 
     Requires the stored periods ``t-3 .. t+1``; each row counts as
-    ``panel.counts`` individuals.  Other stored periods are not read.
+    ``panel.counts`` individuals, or as one when they are None.  Other
+    stored periods are not read.
     """
     if panel.n == 0:
         raise ValueError("cannot aggregate an empty panel")
@@ -83,9 +83,6 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
     # into the next row's byte
     block_rows = 8 * ROW_BLOCK
     code = np.empty(min(panel.n_rows, block_rows), dtype=np.uint8)
-    # a broadcast count (zero stride) weighs every row alike: count the rows
-    # unweighted and scale the cells by it once
-    shared = panel.counts.strides == (0,)
     # float64 totals are exact integers: PanelData keeps N below 2**53
     cells = np.zeros(32)
     for start in range(0, panel.n_rows, block_rows):
@@ -98,7 +95,6 @@ def aggregate(panel: PanelData, t: int) -> AggregateStats:
         for column in columns[1:]:
             packed <<= 1
             packed |= column[rows].view(word)
-        cells += np.bincount(block, None if shared else panel.counts[rows], minlength=32)
-    if shared:
-        cells *= panel.counts[0]
+        weights = None if panel.counts is None else panel.counts[rows]
+        cells += np.bincount(block, weights, minlength=32)
     return from_cells(t, cells)

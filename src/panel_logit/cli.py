@@ -362,11 +362,15 @@ def _cmd_wald(args) -> int:
     for key, value in (("window_t", window_t), ("n", n)):
         if type(value) is not int:
             raise ValueError(f"result field {key!r} must be an integer, got {value!r}")
+    alpha, vcov = np.array(alpha, dtype=float), np.array(vcov, dtype=float)
+    for key, value in (("alpha", alpha), ("vcov", vcov)):
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"result field {key!r} must hold finite numbers, got {bad[0]}")
 
     est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
                               window_t=window_t, n=n, col_labels=labels,
-                              alpha=np.array(alpha, dtype=float),
-                              vcov=np.array(vcov, dtype=float))
+                              alpha=alpha, vcov=vcov)
     result = wald_test(est, args.set)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0

@@ -25,7 +25,7 @@ import numpy as np
 from .estimators import EstimationError
 from .model import (DgpConfig, ModelSpec, TimeTrendSpec, check_periods, history_law,
                     simulate_histogram, simulate_panel, true_values)
-from .panel import _is_integer
+from .panel import _check_total, _is_integer
 from .workflow import EstimatorRun, estimate_panel
 
 WALD_LEVEL = 0.05
@@ -43,8 +43,9 @@ class McConfig:
     """One experiment: model, data-generating process, estimators.
 
     Each ``EstimatorRun`` refuses its own bad line; the config refuses too
-    few period effects, more periods than the histogram sampler enumerates,
-    a window outside the kept periods, C on a dummies model and shared labels.
+    few period effects, more periods than the histogram sampler enumerates
+    or individuals than its counts hold exactly, a window outside the kept
+    periods, C on a dummies model and shared labels.
     ``sampler`` picks how each replication draws its panel: ``"panel"``
     simulates every individual (``simulate_panel``), ``"histogram"`` draws
     counts over the outcome histories (``simulate_histogram``), whose cost
@@ -71,6 +72,8 @@ class McConfig:
         if self.discard_prefix < 0:
             raise ValueError(f"discard_prefix must be nonnegative, got {self.discard_prefix}")
         check_periods(self.spec, self.dgp.n_periods, self.sampler == "histogram")
+        if self.sampler == "histogram":
+            _check_total(self.dgp.n_individuals)
         # the simulated periods are 1..n_periods; the discard drops the first
         first, last = 1 + self.discard_prefix, self.dgp.n_periods
         for run in self.estimators:

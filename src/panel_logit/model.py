@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import _rng
-from .panel import ROW_BLOCK, PanelData, _is_integer
+from .panel import ROW_BLOCK, PanelData, _check_total, _is_integer
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,9 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     Individuals are drawn ``ROW_BLOCK`` at a time, so the float64 shocks and
     indices stay cache-sized.  Each generator continues its stream across
     blocks, filling the shocks row by row, so the draws are those of one
-    whole-panel draw, whatever the block.  The panel's ids are its row
-    numbers, which it does not store, so its N x T outcome bytes are all it
-    holds; a size whose outcomes cannot be allocated is refused.
+    whole-panel draw, whatever the block.  The panel's ids and counts are
+    None (its rows are individuals 0 .. N - 1), so its N x T outcome bytes
+    are all it holds; a size whose outcomes cannot be allocated is refused.
     """
     check_periods(spec, cfg.n_periods)
     n, T = cfg.n_individuals, cfg.n_periods
@@ -264,8 +264,10 @@ def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     the individuals that follow it; the counts are Multinomial(N, law),
     drawn from the ``(cfg.seed, cfg.stream)`` generator.  The panel equals
     ``simulate_panel``'s in law (up to the quadrature error of the law), at
-    a cost that does not grow with N.
+    a cost that does not grow with N.  An N that ``PanelData`` refuses is
+    refused before the draw.
     """
+    _check_total(cfg.n_individuals)
     law = history_law(spec, cfg.n_periods, cfg.sigma_eta_sq)
     gen = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_HISTOGRAM)
     counts = gen.multinomial(cfg.n_individuals, law)

@@ -14,7 +14,8 @@ give; fields past the third are ignored; a field may be quoted, and the
 writer quotes ids that hold a comma, a quote or a line break.
 Ids read back as int64 when every id spells its integer as ``str(int(s))``
 does (within int64), and as strings otherwise, so ``07`` and ``7`` stay two
-individuals.
+individuals; as Python strings in an object array when one ends in a NUL,
+which a numpy string array would drop.
 
 Two readers give one result.  ``_read_records`` reads the file with
 ``csv.reader`` one record at a time and is the one definition of a fault:
@@ -28,14 +29,15 @@ every other file without locating its fault, and such a file is read again
 by ``_read_records``, at about ten times the cost of a clean read.
 
 A panel row may stand for several individuals with the same outcome
-history: ``counts`` holds one integer frequency per row.  A panel read from
-CSV or simulated per individual has unit counts, so every estimator runs
-the same frequency-weighted code on both kinds of panel.
+history: ``counts`` holds one integer frequency per row, or None when each
+row is one individual, as in a panel read from CSV or simulated per
+individual.  Every estimator sees a panel only through its window cells, so
+it runs the same code on both kinds of panel.
 
-A panel stores ids only when they differ from its row numbers.  Simulated
+Likewise ``ids`` is None when a panel's ids are its row numbers.  Simulated
 panels pass none, and both readers drop ids that are int64 ``0 .. n - 1``
-in file order, so such a panel holds its outcomes alone; its ``ids`` are
-built when read, and the writer spells them one block at a time.
+in file order, so such a panel holds its outcomes alone; the writer spells
+its row numbers one block at a time.
 """
 
 from __future__ import annotations
@@ -62,22 +64,21 @@ _BYTE_BLOCK = 1 << 18   # bytes per block where a pass streams a whole file
 class PanelData:
     """Rows of binary outcomes with row ids and frequency counts.
 
-    ``y[i, k]`` is the outcome at period ``t0 + k`` of the ``counts[i]``
-    individuals that row ``ids[i]`` stands for.  ``y`` is int8 and stored
-    period-major (Fortran order): each period's column is one contiguous
-    run of bytes, which is what aggregation reads, and dropping leading
-    periods is a view.  Inputs in another layout are copied once.
-    ``ids`` defaults to the row numbers ``0 .. n_rows - 1``, which are not
-    stored: reading ``ids`` then builds them as a read-only int64 array.
-    ``counts`` defaults to one individual per row, held as a read-only
-    broadcast view that takes no memory.
+    ``y[i, k]`` is the outcome at period ``t0 + k`` of the individuals that
+    row ``i`` stands for.  ``y`` is int8 and stored period-major (Fortran
+    order): each period's column is one contiguous run of bytes, which is
+    what aggregation reads, and dropping leading periods is a view.  Inputs
+    in another layout are copied once.  ``ids`` holds each row's id, or
+    None when the ids are the row numbers ``0 .. n_rows - 1``.  ``counts``
+    holds the number of individuals each row stands for, or None when each
+    stands for one; ``n`` is their total.
     """
 
     y: np.ndarray
     t0: int
-    counts: np.ndarray
+    ids: np.ndarray | None
+    counts: np.ndarray | None
     n: int
-    _ids: np.ndarray | None     # None: the ids are the row numbers
 
     def __init__(self, y: np.ndarray, ids: np.ndarray | None = None, t0: int = 1,
                  counts: np.ndarray | None = None):
@@ -102,38 +103,26 @@ class PanelData:
         if not binary:
             raise ValueError("panel outcomes must be 0 or 1")
         y = np.asfortranarray(y, dtype=np.int8)
-        object.__setattr__(self, "y", y)
-        if counts is None:
-            counts = np.broadcast_to(np.int64(1), y.shape[:1])
-        else:
+        n = y.shape[0]
+        if counts is not None:
             counts = np.asarray(counts)
             if counts.shape != y.shape[:1] or counts.dtype.kind not in "iu":
                 raise ValueError("counts must be one integer per row")
             if counts.size and counts.min() < 0:
                 raise ValueError("counts must be nonnegative")
-        # aggregation sums counts in float64, which is exact only below 2**53;
-        # a float64 total only rounds, where the int64 cast and sum wrap past
-        # 2**63, so it refuses those totals before either runs
-        total = counts.sum(dtype=np.float64)
-        if total < 2**62:
-            counts = counts.astype(np.int64, copy=False)
-            total = counts.sum()
-        n = int(total)
-        if n >= 2**53:
-            raise ValueError(f"panel of {n} individuals exceeds the exact range 2**53")
+            # a float64 total only rounds, where the int64 cast and sum wrap
+            # past 2**63, so it refuses those totals before either runs
+            total = counts.sum(dtype=np.float64)
+            if total < 2**62:
+                counts = counts.astype(np.int64, copy=False)
+                total = counts.sum()
+            n = int(total)
+        _check_total(n)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "_ids", ids)
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Row ``i``'s id: the stored ids, else ``i`` itself."""
-        if self._ids is not None:
-            return self._ids
-        ids = np.arange(self.n_rows, dtype=np.int64)
-        ids.flags.writeable = False
-        return ids
 
     @property
     def n_rows(self) -> int:
@@ -165,7 +154,7 @@ class PanelData:
             raise ValueError(f"cannot drop {k} of {self.n_periods} periods")
         if k == 0:
             return self
-        return PanelData(y=self.y[:, k:], ids=self._ids, t0=self.t0 + k,
+        return PanelData(y=self.y[:, k:], ids=self.ids, t0=self.t0 + k,
                          counts=self.counts)
 
 
@@ -183,10 +172,10 @@ def write_panel_csv(panel: PanelData, path) -> None:
     tail ``,t,y\\r\\n`` is one of two per period.  ``ROW_BLOCK`` individuals
     at a time, one gather lays each record's id and tail side by side in a
     byte matrix, padded to whole words, and a mask of their lengths
-    compresses it to the block's bytes.  A panel that stores no ids has its
+    compresses it to the block's bytes.  A panel whose ids are None has its
     row numbers spelled, one block of them at a time.
     """
-    if (panel.counts != 1).any():
+    if panel.counts is not None and (panel.counts != 1).any():
         raise ValueError("CSV holds one row per individual; "
                          "this panel's rows carry frequency counts")
     encoding = locale.getpreferredencoding(False)   # what a text-mode open() encodes with
@@ -209,10 +198,8 @@ def write_panel_csv(panel: PanelData, path) -> None:
         # a panel without periods has no record, so it spells no id
         for start in range(0, panel.n_rows if periods else 0, ROW_BLOCK):
             tail = panel.y[start:start + ROW_BLOCK] + first_tail
-            if panel._ids is None:
-                ids = np.arange(start, start + len(tail), dtype=np.int64)
-            else:
-                ids = panel._ids[start:start + ROW_BLOCK]
+            ids = (np.arange(start, start + len(tail)) if panel.ids is None
+                   else panel.ids[start:start + ROW_BLOCK])
             if ids.dtype.kind in "iu":
                 fh.write(_records(_masked(ids.astype(bytes)), tail, tails))
                 continue
@@ -615,6 +602,11 @@ def _codes(column: np.ndarray, spellings: dict, tables: dict) -> np.ndarray | No
     return codes
 
 
+def _check_total(n: int) -> None:
+    if n >= 2**53:      # aggregation sums counts in float64, exact below 2**53
+        raise ValueError(f"panel of {n} individuals exceeds the exact range 2**53")
+
+
 def _is_integer(value) -> bool:
     """Whether an integer field may hold ``value``: any ``numbers.Integral``
     (numpy's too) but a bool."""
@@ -663,11 +655,12 @@ def _text_ids(names: list[str]) -> np.ndarray:
     (within int64), otherwise as text, so that distinct names stay distinct."""
     try:
         ints = [int(name) for name in names]
-    except ValueError:
-        return np.array(names)
-    if all(str(i) == name and -2**63 <= i < 2**63 for i, name in zip(ints, names)):
-        return np.array(ints, dtype=np.int64)
-    return np.array(names)
+        if all(str(i) == name for i, name in zip(ints, names)):
+            return np.array(ints, dtype=np.int64)
+    except (ValueError, OverflowError):     # OverflowError: outside int64
+        pass
+    # a numpy string array drops trailing NULs: names ending in one stay str
+    return np.array(names, dtype=object if any(name.endswith("\0") for name in names) else str)
 
 
 def _canonical_ints(labels: np.ndarray) -> np.ndarray | None:

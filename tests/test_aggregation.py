@@ -127,7 +127,7 @@ def _one_shot_cells(panel, t):
     code = np.zeros(panel.n_rows, dtype=np.uint8)
     for s in range(t - 3, t + 2):
         code = (code << 1) | panel.col(s).view(np.uint8)
-    return np.bincount(code, weights=panel.counts, minlength=32)
+    return np.bincount(code, weights=panel.counts, minlength=32).astype(np.float64)
 
 
 # a block is ROW_BLOCK words of eight rows: n spans word blocks, a last
@@ -140,7 +140,7 @@ def test_row_blocks_count_every_row_once(n):
     y = rng.integers(0, 2, size=(n, 7)).astype(np.int8)
     unit = PanelData(y=y, ids=np.arange(n))
     counted = PanelData(y=y, ids=np.arange(n), counts=rng.integers(0, 10**9, size=n))
-    # a broadcast count is counted unweighted and scaled once: still exact
+    # one large count shared by every row, as a zero-stride view: still exact
     shared = PanelData(y=y, ids=np.arange(n), counts=np.broadcast_to(np.int64(2**30 + 7), n))
     for panel in (unit, counted, shared, unit.drop_prefix(2)):
         for t in range(panel.t0 + 3, panel.t_last):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -88,8 +89,7 @@ def test_roundtrip_aggregates_identical(tmp_path):
     simulated = simulate_panel(spec, dgp)
     panel = read_panel_csv(out)
     assert np.array_equal(panel.y, simulated.y) and panel.t0 == simulated.t0
-    assert panel.ids.dtype == simulated.ids.dtype
-    assert np.array_equal(panel.ids, simulated.ids)
+    assert panel.ids is None and simulated.ids is None
     assert np.array_equal(aggregate(panel, 7).summands.counts,
                           aggregate(simulated, 7).summands.counts)
 
@@ -688,6 +688,30 @@ def test_wald_on_result_value_of_another_type_exit_2(tmp_path, capsys, key, valu
     capsys.readouterr()
     assert main(["wald", path, "--set", "ab-dummies"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key, value", [("alpha", math.nan), ("alpha", math.inf),
+                                        ("vcov", math.nan), ("vcov", -math.inf)],
+                         ids=["nan-alpha", "inf-alpha", "nan-vcov", "minus-inf-vcov"])
+def test_wald_on_result_with_a_value_that_is_not_finite_exit_2(tmp_path, capsys, key, value):
+    # an edited result: json reads NaN and Infinity, which no estimate holds
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    result_path = tmp_path / "result.json"
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
+    payload = json.loads(result_path.read_text())
+    block = payload["transformed"]
+    if key == "alpha":
+        block["alpha"][block["vcov"]["labels"][1]] = value
+    else:
+        block["vcov"]["rows"][1][1] = value
+    path = _write(tmp_path, "edited.json", json.dumps(payload))
+    capsys.readouterr()
+    assert main(["wald", path, "--set", "ab-dummies"]) == 2
+    assert capsys.readouterr().err == (f"error: result field {key!r} must hold finite "
+                                       f"numbers, got {value}\n")
 
 
 def test_missing_config_exit_2(tmp_path):

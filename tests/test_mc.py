@@ -223,6 +223,17 @@ def test_histogram_config_refuses_more_periods_than_the_law_enumerates():
              estimators=runs, sampler="histogram")
 
 
+@pytest.mark.parametrize("n", [2**53, 2**63, 2**70])
+def test_histogram_config_refuses_more_individuals_than_counts_hold(n):
+    # refused when the config is built, not in a worker; the panel sampler
+    # refuses a panel it cannot allocate when it draws it
+    with pytest.raises(ValueError, match=f"^panel of {n} individuals exceeds "
+                                         "the exact range 2\\*\\*53$"):
+        _config(n=n, sampler="histogram")
+    _config(n=n)
+    _config(n=2**53 - 1, sampler="histogram")
+
+
 def test_config_refuses_negative_discard():
     # refused at construction, not in every replication's drop_prefix
     with pytest.raises(ValueError, match="discard_prefix must be nonnegative, got -1"):

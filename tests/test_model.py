@@ -283,12 +283,26 @@ def test_simulate_histogram_counts_and_replay():
     a = simulate_histogram(SPEC_31, cfg)
     assert a.n == 10**8 and a.n_rows == 256
     assert np.array_equal(a.y[5], [0, 0, 0, 0, 0, 1, 0, 1])   # row k spells k
-    assert np.array_equal(a.ids, np.arange(256))
+    assert a.ids is None     # row k's id is its code k
     b = simulate_histogram(SPEC_31, cfg)
     assert np.array_equal(a.counts, b.counts)
     c = simulate_histogram(SPEC_31, DgpConfig(n_individuals=10**8, n_periods=8,
                                               sigma_eta_sq=0.5, seed=11, stream=4))
     assert not np.array_equal(a.counts, c.counts)
+
+
+@pytest.mark.parametrize("n", [2**53, 2**63, 2**70])
+def test_simulate_histogram_refuses_counts_past_the_exact_range(monkeypatch, n):
+    # with PanelData's text, before the draw: numpy's multinomial raises an
+    # OverflowError from 2**63 on and would draw every count below it
+    cfg = DgpConfig(n_individuals=n, n_periods=8, sigma_eta_sq=0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(_rng, "keyed_generator", None)    # no draw
+        with pytest.raises(ValueError, match=f"^panel of {n} individuals exceeds "
+                                             "the exact range 2\\*\\*53$"):
+            simulate_histogram(SPEC_31, cfg)
+    cfg = DgpConfig(n_individuals=2**53 - 1, n_periods=8, sigma_eta_sq=0.5)
+    assert simulate_histogram(SPEC_31, cfg).n == 2**53 - 1
 
 
 def test_history_law_refuses_too_many_periods():

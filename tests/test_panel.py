@@ -21,6 +21,11 @@ def _small_panel():
     return PanelData(y=y, ids=np.array([10, 11, 12]), t0=4)
 
 
+def _row_ids(panel: PanelData) -> np.ndarray:
+    """The panel's ids, its row numbers where they are None."""
+    return np.arange(panel.n_rows) if panel.ids is None else panel.ids
+
+
 def test_roundtrip(tmp_path):
     panel = _small_panel()
     path = tmp_path / "panel.csv"
@@ -73,8 +78,8 @@ def test_drop_prefix_keeps_labels():
 
 def test_row_numbered_panels_store_no_ids(tmp_path):
     # simulated and histogram panels, and panels read by either reader from
-    # a file whose ids are 0 .. n - 1 in order, keep no ids: reading them
-    # builds the row numbers, as the int64 ids these panels used to store
+    # a file whose ids are 0 .. n - 1 in order, keep no ids: theirs are None,
+    # and so are the counts of those whose rows are individuals
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
     cfg = DgpConfig(n_individuals=2 * ROW_BLOCK + 3, n_periods=5, sigma_eta_sq=0.5, seed=2)
     simulated = simulate_panel(spec, cfg)
@@ -83,10 +88,11 @@ def test_row_numbered_panels_store_no_ids(tmp_path):
     panels = [simulated, simulate_histogram(spec, cfg), read_panel_csv(path),
               panel_module._read_records(path, locale.getpreferredencoding(False))]
     for panel in [*panels, *(panel.drop_prefix(2) for panel in panels)]:
-        assert panel._ids is None
-        ids = panel.ids
-        assert ids.dtype == np.int64 and ids.tolist() == list(range(panel.n_rows))
-        assert not ids.flags.writeable and ids is not panel.ids
+        assert panel.ids is None
+        if panel.n_rows == cfg.n_individuals:
+            assert panel.counts is None and panel.n == panel.n_rows
+        else:   # the histogram's rows are its 2**T histories
+            assert panel.counts.dtype == np.int64 and panel.n == cfg.n_individuals
 
 
 def test_ids_other_than_the_row_numbers_are_stored(tmp_path):
@@ -102,13 +108,14 @@ def test_ids_other_than_the_row_numbers_are_stored(tmp_path):
         write_panel_csv(PanelData(y=y, ids=ids), path)
         for back in (read_panel_csv(path),
                      panel_module._read_records(path, locale.getpreferredencoding(False))):
-            assert back._ids is not None and back.ids.tolist() == ids.tolist()
+            assert back.ids is not None and back.ids.tolist() == ids.tolist()
             assert np.array_equal(back.y, y)
 
 
 def test_counts_default_to_one_and_are_validated(tmp_path):
     panel = _small_panel()
-    assert panel.n == panel.n_rows == 3 and list(panel.counts) == [1, 1, 1]
+    assert panel.n == panel.n_rows == 3 and panel.counts is None
+    assert panel.drop_prefix(1).counts is None
     y = _small_panel().y
     counted = PanelData(y=y, ids=np.arange(3), counts=np.array([4, 0, 2]))
     assert counted.n == 6 and counted.drop_prefix(1).n == 6
@@ -325,17 +332,36 @@ def test_string_and_quoted_ids_roundtrip(tmp_path):
     assert back.t0 == 3 and np.array_equal(back.y, y)
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("names", [("a\0", "a"), ("a", "a\0"), ("\0", ""), ("", "\0")])
+def test_ids_ending_in_a_nul_roundtrip(tmp_path, names, quoted):
+    # a numpy string array drops trailing NULs: "a\0" and "a" would read as
+    # two rows named "a" and write a file with a duplicate (id, period)
+    def records(fields):
+        return "id,t,y\r\n" + "".join(f"{f},1,{k}\r\n" for k, f in enumerate(fields))
+
+    path, again = tmp_path / "panel.csv", tmp_path / "again.csv"
+    path.write_bytes(records(f'"{name}"' if quoted else name for name in names).encode())
+    for _ in range(2):      # read, write, read
+        panel = read_panel_csv(path)
+        assert panel.ids.dtype == object and panel.ids.tolist() == list(names)
+        assert panel.y.tolist() == [[0], [1]]
+        write_panel_csv(panel, again)
+        assert again.read_bytes() == records(names).encode()
+        path = again
+
+
 def _reference_write(panel: PanelData, path) -> None:
     """The panel as a record-by-record writer writes it: ``csv.writer`` on a
     text-mode file, one row per (individual, period)."""
-    if (panel.counts != 1).any():
+    if panel.counts is not None and (panel.counts != 1).any():
         raise ValueError("CSV holds one row per individual; "
                          "this panel's rows carry frequency counts")
     periods = np.arange(panel.t0, panel.t_last + 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "t", "y"])
-        writer.writerows(zip(np.repeat(panel.ids, panel.n_periods).tolist(),
+        writer.writerows(zip(np.repeat(_row_ids(panel), panel.n_periods).tolist(),
                              np.tile(periods, panel.n_rows).tolist(),
                              panel.y.ravel().tolist()))
 
@@ -357,19 +383,26 @@ def _ids(kind: str, n: int) -> np.ndarray | None:
         return np.array([*_NAMES, *(f"id{k}" for k in range(n))])[:n]
     if kind == "bytes":
         return np.array([b"", b"a,b", b"\0z", b"\xff", *(b"%d" % k for k in range(n))])[:n]
-    return np.array([None, 2.5, "a,b", b"x", True, -3, *range(10, 10 + n)], dtype=object)[:n]
+    # a name ending in a NUL, which only an object array holds
+    return np.array([None, "z\0", 2.5, "a,b", b"x", True, -3, *range(10, 10 + n)],
+                    dtype=object)[:n]
 
 
 def _assert_writes_as_reference(panel: PanelData, tmp_path) -> None:
     write_panel_csv(panel, tmp_path / "got.csv")
     _reference_write(panel, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    if panel.ids.dtype.kind in "iU":    # the ids that read back as they are
-        back = read_panel_csv(tmp_path / "got.csv")
-        assert (back._ids is None) == (panel._ids is None)
+    back = read_panel_csv(tmp_path / "got.csv")
+    assert back.t0 == panel.t0 and np.array_equal(back.y, panel.y)
+    if panel.ids is None:
+        assert back.ids is None
+    elif panel.ids.dtype.kind in "iU":    # the ids that read back as they are
         assert back.ids.dtype.kind == panel.ids.dtype.kind
         assert back.ids.tolist() == panel.ids.tolist()
-        assert back.t0 == panel.t0 and np.array_equal(back.y, panel.y)
+    elif panel.ids.dtype.kind == "O":     # as text, as csv.writer spells them
+        names = ["" if name is None else str(name) for name in panel.ids.tolist()]
+        assert back.ids.dtype.kind == ("O" if "z\0" in names else "U")
+        assert back.ids.tolist() == names
 
 
 @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
@@ -614,7 +647,8 @@ def _outcome(read, path):
         panel = read(path)
     except (ValueError, csv.Error) as exc:
         return type(exc), str(exc)
-    return panel.ids.tolist(), panel.ids.dtype, panel.t0, panel.y.tolist()
+    ids = _row_ids(panel)
+    return ids.tolist(), ids.dtype, panel.t0, panel.y.tolist()
 
 
 @st.composite
@@ -746,5 +780,5 @@ def test_read_traces_under_24_bytes_per_line(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.y, panel.y) and np.array_equal(back.ids, panel.ids)
+    assert np.array_equal(back.y, panel.y) and back.ids is panel.ids is None
     assert peak / lines <= 24.0, peak / lines
