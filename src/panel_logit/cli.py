@@ -367,6 +367,12 @@ def _cmd_wald(args) -> int:
         bad = value[~np.isfinite(value)]
         if bad.size:
             raise ValueError(f"result field {key!r} must hold finite numbers, got {bad[0]}")
+    k = len(labels)
+    if vcov.shape != (k, k):
+        raise ValueError(f"result field 'vcov' must be a {k} x {k} matrix, got shape {vcov.shape}")
+    # an estimate's vcov is exactly symmetric, and JSON keeps its floats
+    if (vcov != vcov.T).any():
+        raise ValueError("result field 'vcov' must be a symmetric matrix")
 
     est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
                               window_t=window_t, n=n, col_labels=labels,

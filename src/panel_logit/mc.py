@@ -46,10 +46,10 @@ class McConfig:
     few period effects, more periods than the histogram sampler enumerates
     or individuals than its counts hold exactly, a window outside the kept
     periods, C on a dummies model and shared labels.
-    ``sampler`` picks how each replication draws its panel: ``"panel"``
+    ``sampler`` picks how each replication draws its sample: ``"panel"``
     simulates every individual (``simulate_panel``), ``"histogram"`` draws
-    counts over the outcome histories (``simulate_histogram``), whose cost
-    does not grow with N.  The two draw different random streams.
+    a history table (``simulate_histogram``), whose cost does not grow with
+    N.  The two draw different random streams.
     """
 
     spec: ModelSpec
@@ -74,7 +74,8 @@ class McConfig:
         check_periods(self.spec, self.dgp.n_periods, self.sampler == "histogram")
         if self.sampler == "histogram":
             _check_total(self.dgp.n_individuals)
-        # the simulated periods are 1..n_periods; the discard drops the first
+        # the simulated periods are 1..n_periods; a window reads only its own
+        # five, so the discard needs no drop, only this refusal
         first, last = 1 + self.discard_prefix, self.dgp.n_periods
         for run in self.estimators:
             t = run.window_t
@@ -96,7 +97,7 @@ class McConfig:
 def _run_replication(config: McConfig, r: int) -> list[dict]:
     dgp = replace(config.dgp, stream=r)
     simulate = simulate_histogram if config.sampler == "histogram" else simulate_panel
-    panel = simulate(config.spec, dgp).drop_prefix(config.discard_prefix)
+    panel = simulate(config.spec, dgp)
     stats_cache: dict = {}
     records = []
     for run in config.estimators:

@@ -11,15 +11,17 @@ follows ``P(y_t = 1 | y_{t-1}) = logistic(eta + gamma * y_{t-1} + effect(t))``
 for ``t >= 2``; the initial outcome omits the lag term.  ``true_values``
 reads off a spec the original parameters an estimator reports.
 
-Two samplers draw a panel from this model: ``simulate_panel`` draws every
-individual, ``simulate_histogram`` draws only how many individuals follow
-each of the ``2**T`` outcome histories, from their exact law.
+Two samplers draw a sample from this model: ``simulate_panel`` draws every
+individual, ``simulate_histogram`` only a history table, how many follow
+each of the ``2**T`` outcome histories, from their exact law.  A float
+parameter refuses a bool and any value that is not a real number.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,9 @@ class TimeDummiesSpec:
     td: tuple[float, ...]
 
     def __post_init__(self):
+        _check_real("gamma", self.gamma)
+        for k, v in enumerate(self.td):
+            _check_real(f"td[{k}]", v)
         object.__setattr__(self, "td", tuple(float(v) for v in self.td))
         vals = (self.gamma,) + self.td
         if not all(math.isfinite(v) for v in vals):
@@ -90,6 +95,8 @@ class TimeTrendSpec:
     tau: float = 1.0
 
     def __post_init__(self):
+        for key in ("gamma", "phi_coef", "tau"):
+            _check_real(key, getattr(self, key))
         if not all(math.isfinite(v) for v in (self.gamma, self.phi_coef, self.tau)):
             raise ValueError("all parameters must be finite")
 
@@ -154,8 +161,16 @@ class DgpConfig:
         _check_variance(self.sigma_eta_sq)
 
 
+def _check_real(key: str, value) -> None:
+    """Refuse a bool or a value that is not a ``numbers.Real`` (numpy's
+    included), naming the field ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
+
+
 def _check_variance(sigma_eta_sq: float) -> None:
     """Refuse a fixed-effect variance outside ``[0, inf)``, nan included."""
+    _check_real("sigma_eta_sq", sigma_eta_sq)
     if not 0 <= sigma_eta_sq < math.inf:
         raise ValueError(f"sigma_eta_sq must be nonnegative and finite, got {sigma_eta_sq!r}")
 
@@ -182,9 +197,9 @@ def simulate_panel(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
     Individuals are drawn ``ROW_BLOCK`` at a time, so the float64 shocks and
     indices stay cache-sized.  Each generator continues its stream across
     blocks, filling the shocks row by row, so the draws are those of one
-    whole-panel draw, whatever the block.  The panel's ids and counts are
-    None (its rows are individuals 0 .. N - 1), so its N x T outcome bytes
-    are all it holds; a size whose outcomes cannot be allocated is refused.
+    whole-panel draw, whatever the block.  The panel's ids are None (its
+    rows are individuals 0 .. N - 1), so its N x T outcome bytes are all it
+    holds; a size whose outcomes cannot be allocated is refused.
     """
     check_periods(spec, cfg.n_periods)
     n, T = cfg.n_individuals, cfg.n_periods
@@ -257,20 +272,18 @@ def history_law(spec: ModelSpec, n_periods: int, sigma_eta_sq: float) -> np.ndar
     return law
 
 
-def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> PanelData:
-    """Draw the panel as frequency counts over its ``2**T`` outcome histories.
+def simulate_histogram(spec: ModelSpec, cfg: DgpConfig) -> np.ndarray:
+    """Draw the sample as a history table, int64 counts of its ``2**T``
+    outcome histories.
 
-    Row ``k`` holds the history of ``history_law`` entry ``k`` and counts
-    the individuals that follow it; the counts are Multinomial(N, law),
-    drawn from the ``(cfg.seed, cfg.stream)`` generator.  The panel equals
-    ``simulate_panel``'s in law (up to the quadrature error of the law), at
-    a cost that does not grow with N.  An N that ``PanelData`` refuses is
-    refused before the draw.
+    Entry ``k`` counts the individuals with ``history_law``'s history ``k``;
+    the counts are Multinomial(N, law), drawn from the ``(cfg.seed,
+    cfg.stream)`` generator.  The table equals the history counts of
+    ``simulate_panel``'s panel in law (up to the quadrature error of the
+    law), at a cost that does not grow with N.  An N that ``aggregate``
+    refuses is refused before the draw.
     """
     _check_total(cfg.n_individuals)
     law = history_law(spec, cfg.n_periods, cfg.sigma_eta_sq)
     gen = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_HISTOGRAM)
-    counts = gen.multinomial(cfg.n_individuals, law)
-    codes = np.arange(law.size)
-    y = (codes[:, None] >> np.arange(cfg.n_periods - 1, -1, -1)) & 1
-    return PanelData(y=y, t0=1, counts=counts)    # row k's id is its code k
+    return gen.multinomial(cfg.n_individuals, law)

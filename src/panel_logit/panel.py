@@ -28,16 +28,14 @@ of equal ids, so its memory follows the panel, not the file.  It declines
 every other file without locating its fault, and such a file is read again
 by ``_read_records``, at about ten times the cost of a clean read.
 
-A panel row may stand for several individuals with the same outcome
-history: ``counts`` holds one integer frequency per row, or None when each
-row is one individual, as in a panel read from CSV or simulated per
-individual.  Every estimator sees a panel only through its window cells, so
-it runs the same code on both kinds of panel.
+Each panel row is one individual.  A sample counted over its outcome
+histories is not a panel but a history table, which ``simulate_histogram``
+draws and ``aggregation.aggregate`` reads as it reads a panel.
 
-Likewise ``ids`` is None when a panel's ids are its row numbers.  Simulated
-panels pass none, and both readers drop ids that are int64 ``0 .. n - 1``
-in file order, so such a panel holds its outcomes alone; the writer spells
-its row numbers one block at a time.
+``ids`` is None when a panel's ids are its row numbers.  Simulated panels
+pass none, and both readers drop ids that are int64 ``0 .. n - 1`` in file
+order, so such a panel holds its outcomes alone; the writer spells its row
+numbers one block at a time.
 """
 
 from __future__ import annotations
@@ -62,26 +60,21 @@ _BYTE_BLOCK = 1 << 18   # bytes per block where a pass streams a whole file
 
 @dataclass(frozen=True, init=False)
 class PanelData:
-    """Rows of binary outcomes with row ids and frequency counts.
+    """Rows of binary outcomes, one row per individual, with row ids.
 
-    ``y[i, k]`` is the outcome at period ``t0 + k`` of the individuals that
-    row ``i`` stands for.  ``y`` is int8 and stored period-major (Fortran
-    order): each period's column is one contiguous run of bytes, which is
-    what aggregation reads, and dropping leading periods is a view.  Inputs
-    in another layout are copied once.  ``ids`` holds each row's id, or
-    None when the ids are the row numbers ``0 .. n_rows - 1``.  ``counts``
-    holds the number of individuals each row stands for, or None when each
-    stands for one; ``n`` is their total.
+    ``y[i, k]`` is the outcome of individual ``i`` at period ``t0 + k``.
+    ``y`` is int8 and stored period-major (Fortran order): each period's
+    column is one contiguous run of bytes, which is what aggregation reads,
+    and dropping leading periods is a view.  Inputs in another layout are
+    copied once.  ``ids`` holds each row's id, or None when the ids are the
+    row numbers ``0 .. n - 1``.
     """
 
     y: np.ndarray
     t0: int
     ids: np.ndarray | None
-    counts: np.ndarray | None
-    n: int
 
-    def __init__(self, y: np.ndarray, ids: np.ndarray | None = None, t0: int = 1,
-                 counts: np.ndarray | None = None):
+    def __init__(self, y: np.ndarray, ids: np.ndarray | None = None, t0: int = 1):
         y = np.asarray(y)
         if y.ndim != 2:
             raise ValueError("y must be a 2-d array")
@@ -102,30 +95,12 @@ class PanelData:
             binary = ((y == 0) | (y == 1)).all()
         if not binary:
             raise ValueError("panel outcomes must be 0 or 1")
-        y = np.asfortranarray(y, dtype=np.int8)
-        n = y.shape[0]
-        if counts is not None:
-            counts = np.asarray(counts)
-            if counts.shape != y.shape[:1] or counts.dtype.kind not in "iu":
-                raise ValueError("counts must be one integer per row")
-            if counts.size and counts.min() < 0:
-                raise ValueError("counts must be nonnegative")
-            # a float64 total only rounds, where the int64 cast and sum wrap
-            # past 2**63, so it refuses those totals before either runs
-            total = counts.sum(dtype=np.float64)
-            if total < 2**62:
-                counts = counts.astype(np.int64, copy=False)
-                total = counts.sum()
-            n = int(total)
-        _check_total(n)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", np.asfortranarray(y, dtype=np.int8))
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", n)
 
     @property
-    def n_rows(self) -> int:
+    def n(self) -> int:
         return self.y.shape[0]
 
     @property
@@ -148,24 +123,29 @@ class PanelData:
     def drop_prefix(self, k: int) -> "PanelData":
         """Discard the first ``k`` periods, keeping period labels.
 
-        The new panel's ``y`` is a view of this one's: no outcome is copied.
+        The new panel's ``y`` is a view of this one's: no outcome is copied,
+        and none is checked again.
         """
+        if not _is_integer(k):
+            raise ValueError(f"k must be an integer, got {k!r}")
         if not 0 <= k < self.n_periods:
             raise ValueError(f"cannot drop {k} of {self.n_periods} periods")
         if k == 0:
             return self
-        return PanelData(y=self.y[:, k:], ids=self.ids, t0=self.t0 + k,
-                         counts=self.counts)
+        view = object.__new__(PanelData)
+        object.__setattr__(view, "y", self.y[:, k:])
+        object.__setattr__(view, "t0", self.t0 + k)
+        object.__setattr__(view, "ids", self.ids)
+        return view
 
 
 def write_panel_csv(panel: PanelData, path) -> None:
     """Write the panel in long format with header ``id,t,y``.
 
-    The format has one row per individual, so a panel whose rows stand for
-    several individuals is refused.  The bytes are those a ``csv.writer``
-    on a text-mode ``open(path, "w", newline="")`` writes record by record,
-    with ``\\r\\n`` line ends, and so is a failure: the records before an id
-    that cannot be spelled or encoded are written, then its error raised.
+    The bytes are those a ``csv.writer`` on a text-mode ``open(path, "w",
+    newline="")`` writes record by record, with ``\\r\\n`` line ends, and so
+    is a failure: the records before an id that cannot be spelled or encoded
+    are written, then its error raised.
 
     Each id is spelled once: an integer id as ``str(int)`` spells it, any
     other as ``csv.writer`` spells an id field, quotes included.  A record's
@@ -175,9 +155,6 @@ def write_panel_csv(panel: PanelData, path) -> None:
     compresses it to the block's bytes.  A panel whose ids are None has its
     row numbers spelled, one block of them at a time.
     """
-    if panel.counts is not None and (panel.counts != 1).any():
-        raise ValueError("CSV holds one row per individual; "
-                         "this panel's rows carry frequency counts")
     encoding = locale.getpreferredencoding(False)   # what a text-mode open() encodes with
     line = io.StringIO()
     writer = csv.writer(line)
@@ -196,7 +173,7 @@ def write_panel_csv(panel: PanelData, path) -> None:
     with open(path, "wb") as fh:
         fh.write(spelled("id", "t", "y").encode(encoding))
         # a panel without periods has no record, so it spells no id
-        for start in range(0, panel.n_rows if periods else 0, ROW_BLOCK):
+        for start in range(0, panel.n if periods else 0, ROW_BLOCK):
             tail = panel.y[start:start + ROW_BLOCK] + first_tail
             ids = (np.arange(start, start + len(tail)) if panel.ids is None
                    else panel.ids[start:start + ROW_BLOCK])
@@ -603,7 +580,7 @@ def _codes(column: np.ndarray, spellings: dict, tables: dict) -> np.ndarray | No
 
 
 def _check_total(n: int) -> None:
-    if n >= 2**53:      # aggregation sums counts in float64, exact below 2**53
+    if n >= 2**53:      # estimators read cell counts as float64, exact below 2**53
         raise ValueError(f"panel of {n} individuals exceeds the exact range 2**53")
 
 

@@ -3,15 +3,17 @@
 This is the layer the CLI and the Monte Carlo harness share.  An estimator
 line is an ``EstimatorRun``, which parses, prints and refuses itself.  Every
 estimator at window ``t``, family C and the two-step correction included,
-reads the panel only through the 32 cell counts of that window, so one call
-aggregates the panel once.  A ``stats_cache`` dict threaded through repeated
-calls on the same panel keeps those aggregates by window, so each window is
-counted once per panel.
+reads the panel, or the history table, only through the 32 cell counts of
+that window, so one call aggregates it once.  A ``stats_cache`` dict
+threaded through repeated calls on the same panel keeps those aggregates by
+window, so each window is counted once per panel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .aggregation import aggregate
 from .estimators import (TransformedEstimate, build_system, build_system_c,
@@ -109,11 +111,12 @@ class EstimatorRun:
                    wald=options.get("wald"))
 
 
-def estimate_panel(panel: PanelData, family: str, variant: str,
+def estimate_panel(panel: PanelData | np.ndarray, family: str, variant: str,
                    window_t: int, two_step: bool = False,
                    wald: str | None = None,
                    stats_cache: dict | None = None) -> EstimationResult:
-    """Run one estimator on a panel and recover the original parameters.
+    """Run one estimator on a panel or a history table (what
+    ``aggregate`` reads) and recover the original parameters.
 
     ``variant`` is a variant name; ``two_step`` additionally estimates the
     effect step one period before the window (families A and B); ``wald``

@@ -52,15 +52,36 @@ def test_partition_identity():
             assert bar(stats, kind, j, "-") + bar(stats, kind, j, "+") == pytest.approx(uncond, abs=1e-15)
 
 
+def _histories(n_periods: int) -> np.ndarray:
+    """Row ``k``: the outcomes, period 1 first, that are the binary digits of ``k``."""
+    return (np.arange(1 << n_periods)[:, None] >> np.arange(n_periods - 1, -1, -1)) & 1
+
+
 def test_counts_weight_rows_like_repeated_rows():
+    # a history table's count of history k weighs it like k's row repeated
     rng = np.random.default_rng(8)
-    y = rng.integers(0, 2, size=(40, 6))
-    counts = rng.integers(0, 4, size=40)
-    weighted = aggregate(PanelData(y=y, ids=np.arange(40), counts=counts), 4)
-    repeated = aggregate(_panel_from_rows(np.repeat(y, counts, axis=0)), 4)
-    assert weighted.summands.counts.sum() == repeated.summands.counts.sum() == counts.sum()
-    assert np.array_equal(weighted.summands.counts, repeated.summands.counts)
-    assert np.array_equal(_all_bars(weighted), _all_bars(repeated))
+    counts = rng.integers(0, 4, size=64)
+    repeated = _panel_from_rows(np.repeat(_histories(6), counts, axis=0))
+    for t in (4, 5):
+        weighted, want = aggregate(counts, t), aggregate(repeated, t)
+        assert weighted.summands.counts.sum() == want.summands.counts.sum() == counts.sum()
+        assert np.array_equal(weighted.summands.counts, want.summands.counts)
+        assert np.array_equal(_all_bars(weighted), _all_bars(want))
+
+
+@pytest.mark.parametrize("table, t, message", [
+    (np.ones((2, 32), dtype=np.int64), 4, r"int64 counts, got int64 of shape \(2, 32\)$"),
+    (np.ones(48, dtype=np.int64), 4, r"int64 counts, got int64 of shape \(48,\)$"),
+    (np.ones(0, dtype=np.int64), 4, r"int64 counts, got int64 of shape \(0,\)$"),
+    (np.ones(32, dtype=np.int32), 4, r"int64 counts, got int32 of shape \(32,\)$"),
+    (np.zeros(32, dtype=np.int64), 4, "cannot aggregate an empty history table"),
+    (np.ones(32, dtype=np.int64), 3, r"window 3 needs periods 0\.\.4, the table holds 1\.\.5"),
+    (np.ones(64, dtype=np.int64), 6, r"window 6 needs periods 3\.\.7, the table holds 1\.\.6"),
+], ids=["2-d", "not-a-power-of-two", "no-entries", "int32", "all-zero", "before-period-1",
+        "past-period-T"])
+def test_history_table_is_refused(table, t, message):
+    with pytest.raises(ValueError, match=message):
+        aggregate(table, t)
 
 
 def test_selector_nesting_brute_force():
@@ -110,8 +131,11 @@ def test_one_byte_code_matches_int64_code(layout):
     elif layout == "column-slice":
         y, t0 = y[:, 2:], 3  # neither C- nor F-contiguous
     elif layout == "counted":
+        # the rows weighted by large counts, as a history table over periods 1..8
         counts = rng.integers(0, 10**9, size=len(y))
-    panel = PanelData(y=y, ids=np.arange(len(y)), t0=t0, counts=counts)
+        codes = y.astype(np.int64) @ (1 << np.arange(7, -1, -1))
+        table = np.bincount(codes, weights=counts, minlength=256).astype(np.int64)
+    panel = table if layout == "counted" else PanelData(y=y, ids=np.arange(len(y)), t0=t0)
     for t in range(t0 + 3, t0 + y.shape[1] - 1):
         want = _int64_cells(y, counts, t - 3 - t0)
         assert np.array_equal(aggregate(panel, t).summands.counts, want)
@@ -122,12 +146,12 @@ def test_one_byte_code_matches_int64_code(layout):
 
 
 def _one_shot_cells(panel, t):
-    """The window cells from one code over all rows and one weighted
-    ``bincount``: what ``aggregate`` must give, block by block."""
-    code = np.zeros(panel.n_rows, dtype=np.uint8)
+    """The window cells from one code over all rows and one ``bincount``:
+    what ``aggregate`` must give, block by block."""
+    code = np.zeros(panel.n, dtype=np.uint8)
     for s in range(t - 3, t + 2):
         code = (code << 1) | panel.col(s).view(np.uint8)
-    return np.bincount(code, weights=panel.counts, minlength=32).astype(np.float64)
+    return np.bincount(code, minlength=32).astype(np.float64)
 
 
 # a block is ROW_BLOCK words of eight rows: n spans word blocks, a last
@@ -139,10 +163,7 @@ def test_row_blocks_count_every_row_once(n):
     rng = np.random.default_rng(n)
     y = rng.integers(0, 2, size=(n, 7)).astype(np.int8)
     unit = PanelData(y=y, ids=np.arange(n))
-    counted = PanelData(y=y, ids=np.arange(n), counts=rng.integers(0, 10**9, size=n))
-    # one large count shared by every row, as a zero-stride view: still exact
-    shared = PanelData(y=y, ids=np.arange(n), counts=np.broadcast_to(np.int64(2**30 + 7), n))
-    for panel in (unit, counted, shared, unit.drop_prefix(2)):
+    for panel in (unit, unit.drop_prefix(2)):
         for t in range(panel.t0 + 3, panel.t_last):
             got = aggregate(panel, t).summands.counts
             assert got.tobytes() == _one_shot_cells(panel, t).tobytes()
@@ -162,18 +183,20 @@ def test_aggregate_traces_only_a_block():
     assert peak < 2**20, peak
 
 
-def test_aggregate_of_counted_rows_traces_only_a_block():
-    # the counts are read a block at a time too: about 1.1 MiB at 2e6 rows
+def test_aggregate_of_a_history_table_traces_no_copy_of_it():
+    # the reshape-sum reads the table in place: numpy's 64 KiB reduction
+    # buffer, a small share of the 512 KiB a copy would take
     rng = np.random.default_rng(4)
-    panel = PanelData(y=rng.integers(0, 2, size=(2_000_000, 5), dtype=np.int8),
-                      ids=np.arange(2_000_000), counts=rng.integers(0, 3, 2_000_000))
-    tracemalloc.start()
-    try:
-        aggregate(panel, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    table = rng.integers(0, 2**30, size=2**16)
+    for t in (4, 9, 15):
+        tracemalloc.start()
+        try:
+            cells = aggregate(table, t).summands.counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.sum() == table.sum()
+        assert peak < 2**17, (t, peak)
 
 
 def test_window_out_of_range_rejected():
@@ -207,9 +230,10 @@ def test_window_t_minus_1_tables_match_fresh_aggregate(seed, n):
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 10**6, size=n)
     counts[0] += 1
-    panel = PanelData(y=rng.integers(0, 2, size=(n, 6)), ids=np.arange(n), t0=2,
-                      counts=counts)
-    got, want = aggregate(panel, 6), aggregate(panel, 5)
+    # n histories of periods 2..7 with their counts, as a table over periods 1..7
+    codes = rng.integers(0, 2**6, size=n)
+    table = np.bincount(codes, weights=counts, minlength=2**7).astype(np.int64)
+    got, want = aggregate(table, 6), aggregate(table, 5)
     assert got.summands.counts.sum() == want.summands.counts.sum() == counts.sum()
     cells, cells_tm1 = got.summands.counts, want.summands.counts
 

@@ -714,6 +714,31 @@ def test_wald_on_result_with_a_value_that_is_not_finite_exit_2(tmp_path, capsys,
                                        f"numbers, got {value}\n")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: [row[:2] for row in rows[:2]],
+     "result field 'vcov' must be a 6 x 6 matrix, got shape (2, 2)"),
+    (lambda rows: [*rows[:1], [rows[1][0] + 1e-9, *rows[1][1:]], *rows[2:]],
+     "result field 'vcov' must be a symmetric matrix"),
+], ids=["wrong-shape", "asymmetric"])
+def test_wald_on_result_with_a_malformed_vcov_exit_2(tmp_path, capsys, edit, message):
+    # an edited result: numpy's broadcast error, or a statistic on an
+    # asymmetric vcov, where an estimate's vcov is symmetric to the bit
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    result_path = tmp_path / "result.json"
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
+    payload = json.loads(result_path.read_text())
+    vcov = payload["transformed"]["vcov"]
+    assert len(vcov["labels"]) == 6
+    vcov["rows"] = edit(vcov["rows"])
+    path = _write(tmp_path, "edited.json", json.dumps(payload))
+    capsys.readouterr()
+    assert main(["wald", path, "--set", "ab-dummies"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_config_exit_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2

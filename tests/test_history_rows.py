@@ -16,8 +16,7 @@ import pytest
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, TimeTrendSpec,
                          aggregate, alpha_labels, build_system, build_system_c,
-                         estimate_panel, simulate_histogram,
-                         simulate_panel, solve, two_step_dtd_tm1, variance)
+                         estimate_panel, simulate_panel, solve, two_step_dtd_tm1, variance)
 from panel_logit.estimators import TransformedEstimate
 from scalar_kernels import SELECTORS, transformed_moment_row, window_kernels
 
@@ -93,7 +92,7 @@ def _check_against_reference(panel, family, variant, t, two_step):
     alpha = solve(system)
     vcov = variance(system, alpha)
     v = _per_individual(panel, system, alpha)
-    assert len(v) == panel.n_rows
+    assert len(v) == panel.n
     _assert_cov_close(vcov, _reference_vcov(v, system.x_mat, panel.n))
     if not two_step:
         return
@@ -153,12 +152,12 @@ def test_more_histories_than_rows_match_reference(family, variant):
     (SPEC_TREND, [dict(family="C", variant="full", wald="c-trend")]),
 ], ids=["dummies", "trend"])
 def test_long_panel_estimates_like_its_window(spec, runs):
-    # the history counts of periods 4..8 at N = 1e8, relabelled as periods
-    # 66..70 of a 70-period panel whose first 65 periods are noise
-    hist = simulate_histogram(spec, DgpConfig(n_individuals=10**8, n_periods=8,
-                                              sigma_eta_sq=0.5, seed=2)).drop_prefix(3)
-    noise = np.random.default_rng(5).integers(0, 2, size=(hist.n_rows, 65))
-    panel = PanelData(y=np.hstack([noise, hist.y]), ids=hist.ids, t0=1, counts=hist.counts)
+    # periods 4..8 of a simulated panel, relabelled as periods 66..70 of a
+    # 70-period panel whose first 65 periods are noise
+    sim = simulate_panel(spec, DgpConfig(n_individuals=200_000, n_periods=8,
+                                         sigma_eta_sq=0.5, seed=2)).drop_prefix(3)
+    noise = np.random.default_rng(5).integers(0, 2, size=(sim.n, 65))
+    panel = PanelData(y=np.hstack([noise, sim.y]), t0=1)
     window = panel.drop_prefix(65)
     assert panel.n_periods == 70 and window.n_periods == 5
     for kwargs in runs:
@@ -167,17 +166,15 @@ def test_long_panel_estimates_like_its_window(spec, runs):
 
 
 def test_zero_count_rows_change_nothing():
+    # the panel's periods 4..8 as a history table over periods 1..8 whose
+    # 224 histories with an outcome of 1 in periods 1..3 count zero
     panel = simulate_panel(SPEC_DUMMIES, DgpConfig(n_individuals=200_000, n_periods=8,
                                                    sigma_eta_sq=0.5, seed=2)).drop_prefix(3)
-    y, counts = np.unique(panel.y, axis=0, return_counts=True)
-    rng = np.random.default_rng(12)
-    extra = rng.integers(0, 2, size=(40, panel.n_periods))
-    dense = PanelData(y=y, ids=np.arange(len(y)), t0=panel.t0, counts=counts)
-    padded = PanelData(y=np.vstack([extra, y, extra]), ids=np.arange(len(y) + 80),
-                       t0=panel.t0, counts=np.concatenate([np.zeros(40, int), counts,
-                                                           np.zeros(40, int)]))
-    assert padded.n == dense.n
+    codes = panel.y.astype(np.int64) @ (1 << np.arange(4, -1, -1))
+    padded = np.zeros(256, dtype=np.int64)
+    padded[:32] = np.bincount(codes, minlength=32)
+    assert padded.sum() == panel.n
     for kwargs in (dict(family="A", variant="minus-3-7", two_step=True, wald="ab-dummies"),
                    dict(family="B", variant="minus-1-5", two_step=True)):
-        want = estimate_panel(dense, window_t=7, **kwargs).to_dict()
+        want = estimate_panel(panel, window_t=7, **kwargs).to_dict()
         assert estimate_panel(padded, window_t=7, **kwargs).to_dict() == want

@@ -339,8 +339,7 @@ def test_wald_matches_literal_rows_on_samples():
         for name, cases in runs.items():
             for spec, family, variant in cases:
                 panel = simulate_histogram(spec, DgpConfig(
-                    n_individuals=1_000_000, n_periods=8, sigma_eta_sq=0.5,
-                    seed=seed)).drop_prefix(3)
+                    n_individuals=1_000_000, n_periods=8, sigma_eta_sq=0.5, seed=seed))
                 try:
                     res = estimate_panel(panel, family, variant, 7, wald=name)
                 except NonpositiveAlpha:
@@ -404,7 +403,7 @@ def test_wald_p_value_is_the_chi2_upper_tail():
     statistics = []
     for seed, n, spec in product(range(3), (20_000, 1_000_000), specs):
         panel = simulate_histogram(spec, DgpConfig(n_individuals=n, n_periods=8,
-                                                   sigma_eta_sq=0.5, seed=seed)).drop_prefix(3)
+                                                   sigma_eta_sq=0.5, seed=seed))
         for family, variant, name in lines:
             try:
                 wald = estimate_panel(panel, family, variant, 7, wald=name).wald

@@ -235,7 +235,7 @@ def test_histogram_config_refuses_more_individuals_than_counts_hold(n):
 
 
 def test_config_refuses_negative_discard():
-    # refused at construction, not in every replication's drop_prefix
+    # refused at construction, not in every replication
     with pytest.raises(ValueError, match="discard_prefix must be nonnegative, got -1"):
         McConfig(spec=HET, dgp=DgpConfig(n_individuals=10, n_periods=8),
                  replications=1, estimators=(EstimatorRun("A", "minus-3-7", 7),),
@@ -338,8 +338,8 @@ def test_estimation_starts_no_thread_in_a_forked_worker(simulate, n):
     # a forked worker starts on one thread; no estimator call may wake a
     # BLAS thread pool there, or every pool worker would busy-wait on it
     dgp = DgpConfig(n_individuals=n, n_periods=8, sigma_eta_sq=0.5, seed=2)
-    dummies = simulate(TimeDummiesSpec(gamma=1.0, td=TD16[:8]), dgp).drop_prefix(3)
-    trend = simulate(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp).drop_prefix(3)
+    dummies = simulate(TimeDummiesSpec(gamma=1.0, td=TD16[:8]), dgp)
+    trend = simulate(TimeTrendSpec(gamma=1.0, phi_coef=0.3), dgp)
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         assert pool.submit(_battery_threads, dummies, trend).result(timeout=120) == 1
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,29 @@ def test_seed_outside_64_bits_is_refused(seed):
                                                sigma_eta_sq=0.5, seed=edge)).y
              for edge in (0, 2**64 - 1)]
     assert not np.array_equal(*edges)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (lambda v: DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=v), "sigma_eta_sq", True),
+    (lambda v: DgpConfig(n_individuals=10, n_periods=8, sigma_eta_sq=v), "sigma_eta_sq", "0.5"),
+    (lambda v: history_law(SPEC_31, 3, v), "sigma_eta_sq", "0.5"),
+    (lambda v: TimeDummiesSpec(gamma=v, td=(0.1, 0.2)), "gamma", True),
+    (lambda v: TimeDummiesSpec(gamma=1.0, td=(0.1, v)), "td[1]", "0.1"),
+    (lambda v: TimeDummiesSpec(gamma=1.0, td=(v, 0.1)), "td[0]", False),
+    (lambda v: TimeTrendSpec(gamma=v, phi_coef=0.3), "gamma", "1"),
+    (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=v), "phi_coef", True),
+    (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=v), "tau", "1"),
+    (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=v), "tau", 1j),
+], ids=["bool-variance", "str-variance", "str-law-variance", "bool-gamma", "str-td",
+        "bool-td", "str-trend-gamma", "bool-phi", "str-tau", "complex-tau"])
+def test_float_fields_refuse_what_is_not_a_real_number(make, field, value):
+    # a bool was kept as True, a str read as a float or left to raise a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be a real number, "
+                                         f"got {re.escape(repr(value))}$"):
+        make(value)
+    # any real number is taken, numpy's and integers too
+    make(1)
+    make(np.float64(0.5))
 
 
 @pytest.mark.parametrize("sigma_eta_sq", [math.nan, math.inf, -math.inf, -0.1])
@@ -281,19 +305,20 @@ def test_history_law_fits_simulated_panel(spec):
 def test_simulate_histogram_counts_and_replay():
     cfg = DgpConfig(n_individuals=10**8, n_periods=8, sigma_eta_sq=0.5, seed=11, stream=3)
     a = simulate_histogram(SPEC_31, cfg)
-    assert a.n == 10**8 and a.n_rows == 256
-    assert np.array_equal(a.y[5], [0, 0, 0, 0, 0, 1, 0, 1])   # row k spells k
-    assert a.ids is None     # row k's id is its code k
+    assert a.dtype == np.int64 and a.shape == (256,) and a.sum() == 10**8
+    # entry k counts history_law's history k, within a few binomial sds
+    law = history_law(SPEC_31, 8, 0.5)
+    assert (np.abs(a - 10**8 * law) <= 6 * np.sqrt(10**8 * law) + 1).all()
     b = simulate_histogram(SPEC_31, cfg)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
     c = simulate_histogram(SPEC_31, DgpConfig(n_individuals=10**8, n_periods=8,
                                               sigma_eta_sq=0.5, seed=11, stream=4))
-    assert not np.array_equal(a.counts, c.counts)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("n", [2**53, 2**63, 2**70])
 def test_simulate_histogram_refuses_counts_past_the_exact_range(monkeypatch, n):
-    # with PanelData's text, before the draw: numpy's multinomial raises an
+    # with `_check_total`'s text, before the draw: numpy's multinomial raises an
     # OverflowError from 2**63 on and would draw every count below it
     cfg = DgpConfig(n_individuals=n, n_periods=8, sigma_eta_sq=0.5)
     with monkeypatch.context() as patch:
@@ -302,7 +327,7 @@ def test_simulate_histogram_refuses_counts_past_the_exact_range(monkeypatch, n):
                                              "the exact range 2\\*\\*53$"):
             simulate_histogram(SPEC_31, cfg)
     cfg = DgpConfig(n_individuals=2**53 - 1, n_periods=8, sigma_eta_sq=0.5)
-    assert simulate_histogram(SPEC_31, cfg).n == 2**53 - 1
+    assert simulate_histogram(SPEC_31, cfg).sum() == 2**53 - 1
 
 
 def test_history_law_refuses_too_many_periods():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, read_panel_csv,
-                         simulate_histogram, simulate_panel, write_panel_csv)
+from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, aggregate, read_panel_csv,
+                         simulate_panel, write_panel_csv)
 from panel_logit import model as model_module
 from panel_logit import panel as panel_module
 from panel_logit.panel import ROW_BLOCK
@@ -23,7 +23,7 @@ def _small_panel():
 
 def _row_ids(panel: PanelData) -> np.ndarray:
     """The panel's ids, its row numbers where they are None."""
-    return np.arange(panel.n_rows) if panel.ids is None else panel.ids
+    return np.arange(panel.n) if panel.ids is None else panel.ids
 
 
 def test_roundtrip(tmp_path):
@@ -74,25 +74,38 @@ def test_drop_prefix_keeps_labels():
     assert np.array_equal(tail.col(6), panel.col(6))
     with pytest.raises(ValueError):
         panel.drop_prefix(5)
+    # a bool or a non-integer is refused, not read as 1 or left to raise a TypeError
+    for k in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            panel.drop_prefix(k)
+    assert panel.drop_prefix(np.int64(2)).t0 == 6
+
+
+def test_drop_prefix_is_a_view_that_is_not_checked_again(monkeypatch):
+    panel = _small_panel()
+    made = []
+    real = PanelData.__init__
+    monkeypatch.setattr(PanelData, "__init__",
+                        lambda self, *a, **kw: made.append(1) or real(self, *a, **kw))
+    tail = panel.drop_prefix(2)
+    assert not made
+    assert type(tail) is PanelData and tail.t0 == panel.t0 + 2 and tail.ids is panel.ids
+    assert np.shares_memory(tail.y, panel.y) and np.array_equal(tail.y, panel.y[:, 2:])
+    assert tail.n == panel.n and tail.n_periods == 3
 
 
 def test_row_numbered_panels_store_no_ids(tmp_path):
-    # simulated and histogram panels, and panels read by either reader from
-    # a file whose ids are 0 .. n - 1 in order, keep no ids: theirs are None,
-    # and so are the counts of those whose rows are individuals
+    # simulated panels, and panels read by either reader from a file whose
+    # ids are 0 .. n - 1 in order, keep no ids: theirs are None
     spec = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1))
     cfg = DgpConfig(n_individuals=2 * ROW_BLOCK + 3, n_periods=5, sigma_eta_sq=0.5, seed=2)
     simulated = simulate_panel(spec, cfg)
     path = tmp_path / "panel.csv"
     write_panel_csv(simulated, path)
-    panels = [simulated, simulate_histogram(spec, cfg), read_panel_csv(path),
+    panels = [simulated, read_panel_csv(path),
               panel_module._read_records(path, locale.getpreferredencoding(False))]
     for panel in [*panels, *(panel.drop_prefix(2) for panel in panels)]:
-        assert panel.ids is None
-        if panel.n_rows == cfg.n_individuals:
-            assert panel.counts is None and panel.n == panel.n_rows
-        else:   # the histogram's rows are its 2**T histories
-            assert panel.counts.dtype == np.int64 and panel.n == cfg.n_individuals
+        assert panel.ids is None and panel.n == cfg.n_individuals
 
 
 def test_ids_other_than_the_row_numbers_are_stored(tmp_path):
@@ -113,23 +126,24 @@ def test_ids_other_than_the_row_numbers_are_stored(tmp_path):
 
 
 def test_counts_default_to_one_and_are_validated(tmp_path):
+    # a panel row is one individual: counts are a history table's alone
     panel = _small_panel()
-    assert panel.n == panel.n_rows == 3 and panel.counts is None
-    assert panel.drop_prefix(1).counts is None
-    y = _small_panel().y
-    counted = PanelData(y=y, ids=np.arange(3), counts=np.array([4, 0, 2]))
-    assert counted.n == 6 and counted.drop_prefix(1).n == 6
-    for bad in (np.array([1, 2]), np.array([1.0, 1.0, 1.0]), np.array([1, -1, 1])):
-        with pytest.raises(ValueError, match="counts"):
-            PanelData(y=y, ids=np.arange(3), counts=bad)
-    # an int64 cast of the uint64 and an int64 sum would both wrap to -2**63
-    for huge in (np.array([2**63, 0, 0], dtype=np.uint64), np.array([2**62, 2**62, 0])):
-        with pytest.raises(ValueError, match="panel of 9223372036854775808 individuals"):
-            PanelData(y=y, ids=np.arange(3), counts=huge)
-    with pytest.raises(ValueError, match="exceeds the exact range"):
-        PanelData(y=y, ids=np.arange(3), counts=np.array([2**52, 2**52, 0]))
-    with pytest.raises(ValueError, match="frequency counts"):
-        write_panel_csv(counted, tmp_path / "counted.csv")
+    assert panel.n == 3 and panel.drop_prefix(1).n == 3
+    with pytest.raises(TypeError, match="counts"):
+        PanelData(y=panel.y, counts=np.array([4, 0, 2]))
+    write_panel_csv(panel, tmp_path / "panel.csv")
+    # 2**5 history counts refuse the values counted rows refused; an int64
+    # cast of the uint64 2**63 and the int64 sum of two 2**62 would both wrap
+    # to -2**63
+    first = np.arange(32) < 1
+    for bad, message in ((np.ones(32), "got float64 of shape"),
+                         (np.where(first, -1, 1), "must be nonnegative"),
+                         (np.where(first, 2**63, 0).astype(np.uint64), "got uint64 of shape"),
+                         (np.where(np.arange(32) < 2, 2**62, 0),
+                          "panel of 9223372036854775808 individuals"),
+                         (np.where(np.arange(32) < 2, 2**52, 0), "exceeds the exact range")):
+        with pytest.raises(ValueError, match=message):
+            aggregate(bad, 4)
 
 
 def test_outcomes_are_checked_before_the_int8_cast():
@@ -354,15 +368,12 @@ def test_ids_ending_in_a_nul_roundtrip(tmp_path, names, quoted):
 def _reference_write(panel: PanelData, path) -> None:
     """The panel as a record-by-record writer writes it: ``csv.writer`` on a
     text-mode file, one row per (individual, period)."""
-    if panel.counts is not None and (panel.counts != 1).any():
-        raise ValueError("CSV holds one row per individual; "
-                         "this panel's rows carry frequency counts")
     periods = np.arange(panel.t0, panel.t_last + 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "t", "y"])
         writer.writerows(zip(np.repeat(_row_ids(panel), panel.n_periods).tolist(),
-                             np.tile(periods, panel.n_rows).tolist(),
+                             np.tile(periods, panel.n).tolist(),
                              panel.y.ravel().tolist()))
 
 

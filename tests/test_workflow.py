@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -20,14 +21,11 @@ SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0
 SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
 
 
-def _history_counts(panel: PanelData) -> PanelData:
-    """The panel as counts over every outcome history, one row per history."""
+def _history_counts(panel: PanelData) -> np.ndarray:
+    """The history table of a panel of periods 1..T: its count of each history."""
     t = panel.n_periods
     codes = panel.y.astype(np.int64) @ (1 << np.arange(t - 1, -1, -1))
-    rows = np.arange(1 << t)
-    y = (rows[:, None] >> np.arange(t - 1, -1, -1)) & 1
-    return PanelData(y=y, ids=rows, t0=panel.t0,
-                     counts=np.bincount(codes, minlength=1 << t))
+    return np.bincount(codes, minlength=1 << t)
 
 
 def _outputs(result) -> dict[str, np.ndarray]:
@@ -56,10 +54,10 @@ def test_history_counts_estimate_like_the_panel(spec, family, variant, two_step,
     panel = simulate_panel(spec, DgpConfig(n_individuals=1_000_000, n_periods=8,
                                            sigma_eta_sq=0.5, seed=2))
     counted = _history_counts(panel)
-    assert counted.n == panel.n and counted.n_rows == 256
+    assert counted.sum() == panel.n and counted.shape == (256,)
     kwargs = dict(two_step=two_step, wald=wald)
     expected = _outputs(estimate_panel(panel.drop_prefix(3), family, variant, 7, **kwargs))
-    got = _outputs(estimate_panel(counted.drop_prefix(3), family, variant, 7, **kwargs))
+    got = _outputs(estimate_panel(counted, family, variant, 7, **kwargs))
     # both representations collapse to the same table of history counts
     assert got.keys() == expected.keys()
     for name, value in expected.items():
@@ -138,20 +136,22 @@ def test_line_and_estimate_refuse_with_one_text(family, variant, two_step, wald,
     assert str(by_line.value) == f"estimator {label}: {by_estimate.value}"
 
 
-def test_estimation_allocates_under_20_bytes_per_individual():
-    # the window code (8 B) and bincount's float64 copy of the unit counts
-    # (8 B) are the only arrays that grow with N
+def test_estimation_allocates_only_a_block():
+    # no array grows with N: a panel is aggregated one block of window codes
+    # at a time, and a history table is reshape-summed in place
     n = 2_000_000
-    panel = simulate_panel(SPEC_DUMMIES, DgpConfig(n_individuals=n, n_periods=8,
-                                                   sigma_eta_sq=0.5, seed=2)).drop_prefix(3)
+    dgp = DgpConfig(n_individuals=n, n_periods=8, sigma_eta_sq=0.5, seed=2)
+    panel = simulate_panel(SPEC_DUMMIES, dgp).drop_prefix(3)
     assert panel.n_periods == 5
-    tracemalloc.start()
-    try:
-        estimate_panel(panel, "A", "minus-3-7", 7, two_step=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / n < 20.0, peak / n
+    table = simulate_histogram(SPEC_DUMMIES, replace(dgp, n_individuals=10**8))
+    for sample in (panel, table):
+        tracemalloc.start()
+        try:
+            estimate_panel(sample, "A", "minus-3-7", 7, two_step=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 # the estimator lines of the benchmark's battery (perfbench/workloads.py)
@@ -265,8 +265,7 @@ def test_estimate_reports_the_cells_total_as_n():
     for n in (123_457, 2**52 + 1):
         panel = simulate_histogram(SPEC_DUMMIES, DgpConfig(n_individuals=n, n_periods=8,
                                                            sigma_eta_sq=0.5, seed=2))
-        panel = panel.drop_prefix(3)
-        assert panel.n == n
+        assert panel.sum() == n
         est = estimate_panel(panel, "A", "minus-3-7", 7).transformed
         assert type(est.n) is int and est.n == n
         # a filled cache is all that is read: no panel to take n from
