@@ -71,8 +71,6 @@ def aggregate(panel: PanelData | np.ndarray, t: int) -> AggregateStats:
     """
     if isinstance(panel, np.ndarray):
         return from_cells(t, _table_cells(panel, t))
-    if panel.n == 0:
-        raise ValueError("cannot aggregate an empty panel")
     for s in range(t - 3, t + 2):
         if not panel.has_period(s):
             raise ValueError(f"window {t} needs period {s}, panel stores "

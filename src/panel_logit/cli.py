@@ -5,16 +5,19 @@ repeated keys accumulate into lists (used for ``estimator`` lines in Monte
 Carlo configs).  Each value has one source: the model, the sizes and the
 seed come from the config or the manifest alone, and no flag overrides
 them (``--threads`` sets only the worker count, which no output shows).
-An integer is read in ASCII digits, and a float as ``float`` reads it but
-for underscores and non-ASCII characters, which are refused naming the
-key.  ``estimate`` takes its panel
-and estimator from flags and records them as the keys ``panel`` and
-``estimator`` (the line ``EstimatorRun`` writes); ``estimate
---from-manifest`` refuses those flags.  A command reads ``--config`` or
-``--from-manifest``, never both.  A key the command does not read is
-refused, so a misspelt key cannot fall back to its default.
+Beside ``model``, the model and DGP keys are the fields of the model's spec
+(``TimeDummiesSpec`` or ``TimeTrendSpec``) and of ``DgpConfig``: each key
+is read by its field's type, a missing key takes the field's default, and
+a manifest records the fields of the objects built.  An integer is read in
+ASCII digits, and a float as ``float`` reads it but for underscores and
+non-ASCII characters, which are refused naming the key.  ``estimate``
+takes its panel and estimator from flags and records them as the keys
+``panel`` and ``estimator`` (the line ``EstimatorRun`` writes);
+``estimate --from-manifest`` refuses those flags.  A command reads
+``--config`` or ``--from-manifest``, never both.  A key the command does
+not read is refused, so a misspelt key cannot fall back to its default.
 ``simulate`` also reads a Monte Carlo config and writes the panel of its
-replication 0 (before the discarded prefix).
+replication ``stream`` (0 by default), before the discarded prefix.
 
 Every data output is paired with a ``<output>.manifest.json`` sidecar
 holding the command, the fully resolved configuration and the tool version,
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -113,28 +117,28 @@ def _ascii_float(text: str) -> float:
     return float(text)
 
 
-def _model_from_config(cfg: dict) -> ModelSpec:
-    model = _get(cfg, "model", str, required=True)
-    gamma = _get(cfg, "gamma", _ascii_float, required=True)
-    if model == "dummies":
-        td = _get(cfg, "td", lambda v: tuple(map(_ascii_float, v.replace(",", " ").split())),
-                  required=True)
-        return TimeDummiesSpec(gamma=gamma, td=td)
-    if model == "trend":
-        return TimeTrendSpec(gamma=gamma,
-                             phi_coef=_get(cfg, "phi_coef", _ascii_float, required=True),
-                             tau=_get(cfg, "tau", _ascii_float, default=1.0))
-    raise ValueError(f"model must be 'dummies' or 'trend', got {model!r}")
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(map(_ascii_float, text.replace(",", " ").split()))
 
 
-def _dgp_from_config(cfg: dict) -> DgpConfig:
-    return DgpConfig(
-        n_individuals=_get(cfg, "n_individuals", _ascii_int, required=True),
-        n_periods=_get(cfg, "n_periods", _ascii_int, required=True),
-        sigma_eta_sq=_get(cfg, "sigma_eta_sq", _ascii_float, default=0.0),
-        seed=_get(cfg, "seed", _ascii_int, default=0),
-        stream=_get(cfg, "stream", _ascii_int, default=0),
-    )
+_MODELS = {"dummies": TimeDummiesSpec, "trend": TimeTrendSpec}
+# a field's type, as its annotation spells it -> the reader of its key's text
+_READERS = {"int": _ascii_int, "float": _ascii_float, "tuple[float, ...]": _float_list}
+
+
+def _from_fields(cls, cfg: dict):
+    """The dataclass ``cls`` built from the config keys named as its
+    fields, each read by its field's type; a field's default stands in
+    for a missing key."""
+    return cls(**{f.name: _get(cfg, f.name, _READERS[f.type], required=True)
+                  for f in dataclasses.fields(cls)
+                  if f.name in cfg or f.default is dataclasses.MISSING})
+
+
+def _fields_config(obj) -> dict:
+    """The config entries of a dataclass's fields, a tuple as its line's text."""
+    return {key: " ".join(map(repr, v)) if isinstance(v, tuple) else v
+            for key, v in dataclasses.asdict(obj).items()}
 
 
 def _estimators_from_config(cfg: dict) -> tuple[EstimatorRun, ...]:
@@ -193,17 +197,11 @@ def _load_config(args, command: str) -> dict:
 
 def _model_and_dgp(cfg: dict) -> tuple[ModelSpec, DgpConfig, dict]:
     """Model spec and DGP of a config, with their resolved manifest entries."""
-    spec = _model_from_config(cfg)
-    dgp = _dgp_from_config(cfg)
-    if isinstance(spec, TimeDummiesSpec):
-        resolved = {"model": "dummies", "gamma": spec.gamma,
-                    "td": " ".join(repr(v) for v in spec.td)}
-    else:
-        resolved = {"model": "trend", "gamma": spec.gamma,
-                    "phi_coef": spec.phi_coef, "tau": spec.tau}
-    resolved.update({"n_individuals": dgp.n_individuals, "n_periods": dgp.n_periods,
-                     "sigma_eta_sq": dgp.sigma_eta_sq, "seed": dgp.seed})
-    return spec, dgp, resolved
+    model = _get(cfg, "model", str, required=True)
+    if model not in _MODELS:
+        raise ValueError(f"model must be {' or '.join(map(repr, _MODELS))}, got {model!r}")
+    spec, dgp = _from_fields(_MODELS[model], cfg), _from_fields(DgpConfig, cfg)
+    return spec, dgp, {"model": model, **_fields_config(spec), **_fields_config(dgp)}
 
 
 _EXPERIMENT_KEYS = ("replications", "discard_prefix", "estimator")
@@ -223,7 +221,6 @@ def _refuse_unread(cfg: dict, command: str, read: list[str]) -> None:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
     spec, dgp, resolved = _model_and_dgp(cfg)
-    resolved["stream"] = dgp.stream
     _refuse_unread(cfg, "simulate", [*resolved, *_EXPERIMENT_KEYS])
     start = time.perf_counter()
     panel = simulate_panel(spec, dgp)
@@ -307,7 +304,7 @@ def _cmd_mc(args) -> int:
     threads = resolve_threads(args.threads, "--threads")
     cfg = _load_config(args, "mc")
     spec, dgp, resolved = _model_and_dgp(cfg)
-    # no ``stream``: each replication draws its own
+    del resolved["stream"]   # each replication draws its own
     _refuse_unread(cfg, "mc", [*resolved, *_EXPERIMENT_KEYS])
     runs = _estimators_from_config(cfg)
     config = McConfig(spec=spec, dgp=dgp,
@@ -338,6 +335,18 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _result_numbers(key: str, values: list) -> np.ndarray:
+    """The entries of the result field ``key`` as float64: each must be a
+    JSON number, not a bool, and finite as a float."""
+    for value in values:
+        if type(value) not in (int, float):
+            raise ValueError(f"result field {key!r} must hold numbers, got {value!r}")
+        # nan, the infinities and an int beyond float range all fail
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"result field {key!r} must hold finite numbers, got {value!r}")
+    return np.array(values, dtype=float)
+
+
 def _cmd_wald(args) -> int:
     try:
         with open(args.result) as fh:
@@ -346,7 +355,10 @@ def _cmd_wald(args) -> int:
         raise ValueError(f"cannot read estimate result {args.result}: {exc}") from exc
     try:
         block = payload["transformed"]
-        labels = tuple(block["vcov"]["labels"])
+        labels = block["vcov"]["labels"]
+        if not (isinstance(labels, list) and labels and all(isinstance(c, str) for c in labels)):
+            raise ValueError("result field 'vcov.labels' must be a nonempty list of strings, "
+                             f"got {labels!r}")
         alpha = [block["alpha"][c] for c in labels]
         vcov = block["vcov"]["rows"]
         family, variant_name = block["family"], block["variant"]
@@ -362,20 +374,22 @@ def _cmd_wald(args) -> int:
     for key, value in (("window_t", window_t), ("n", n)):
         if type(value) is not int:
             raise ValueError(f"result field {key!r} must be an integer, got {value!r}")
-    alpha, vcov = np.array(alpha, dtype=float), np.array(vcov, dtype=float)
-    for key, value in (("alpha", alpha), ("vcov", vcov)):
-        bad = value[~np.isfinite(value)]
-        if bad.size:
-            raise ValueError(f"result field {key!r} must hold finite numbers, got {bad[0]}")
     k = len(labels)
-    if vcov.shape != (k, k):
-        raise ValueError(f"result field 'vcov' must be a {k} x {k} matrix, got shape {vcov.shape}")
+    if not (isinstance(vcov, list) and all(isinstance(row, list) for row in vcov)):
+        raise ValueError(f"result field 'vcov' must be a list of rows, got {vcov!r}")
+    widths = {len(row) for row in vcov}
+    if len(vcov) != k or widths != {k}:
+        got = (f"shape ({len(vcov)}, {widths.pop()})" if len(widths) == 1
+               else f"rows of lengths {[len(row) for row in vcov]}")
+        raise ValueError(f"result field 'vcov' must be a {k} x {k} matrix, got {got}")
+    alpha = _result_numbers("alpha", alpha)
+    vcov = _result_numbers("vcov", [v for row in vcov for v in row]).reshape(k, k)
     # an estimate's vcov is exactly symmetric, and JSON keeps its floats
     if (vcov != vcov.T).any():
         raise ValueError("result field 'vcov' must be a symmetric matrix")
 
     est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
-                              window_t=window_t, n=n, col_labels=labels,
+                              window_t=window_t, n=n, col_labels=tuple(labels),
                               alpha=alpha, vcov=vcov)
     result = wald_test(est, args.set)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

@@ -4,12 +4,16 @@ Two first-order Markov logit models are supported, differing only in how the
 period effect enters the index:
 
 * ``TimeDummiesSpec`` -- one free effect per period (``td[t]``),
-* ``TimeTrendSpec``   -- a linear trend ``phi_coef * (t - tau)``.
+* ``TimeTrendSpec``   -- a linear trend ``phi_coef * (t - 1)``.
 
-In both, individual ``i`` carries a fixed effect ``eta_i`` and the outcome
-follows ``P(y_t = 1 | y_{t-1}) = logistic(eta + gamma * y_{t-1} + effect(t))``
-for ``t >= 2``; the initial outcome omits the lag term.  ``true_values``
-reads off a spec the original parameters an estimator reports.
+Both subclass ``ModelSpec``, which holds ``gamma`` and derives ``delta`` and
+``phi_pair`` from it and the effect steps.  The estimators identify
+``gamma`` and the steps, never a level of the period effect, which the
+fixed effects absorb.  In both, individual ``i`` carries a fixed effect
+``eta_i`` and the outcome follows
+``P(y_t = 1 | y_{t-1}) = logistic(eta + gamma * y_{t-1} + effect(t))`` for
+``t >= 2``; the initial outcome omits the lag term.  ``true_values`` reads
+off a spec the original parameters an estimator reports.
 
 Two samplers draw a sample from this model: ``simulate_panel`` draws every
 individual, ``simulate_histogram`` only a history table, how many follow
@@ -32,7 +36,24 @@ from .panel import ROW_BLOCK, PanelData, _check_total, _is_integer
 
 
 @dataclass(frozen=True)
-class TimeDummiesSpec:
+class ModelSpec:
+    """Markov logit model: state dependence ``gamma`` and the period effects
+    ``effect(t)`` a subclass defines, with their steps ``effect_step(t)``."""
+
+    gamma: float
+
+    @property
+    def delta(self) -> float:
+        """exp(gamma) - 1; always > -1."""
+        return math.exp(self.gamma) - 1.0
+
+    def phi_pair(self, t: int) -> tuple[float, float]:
+        """(exp of effect step at t, at t+1); both strictly positive."""
+        return math.exp(self.effect_step(t)), math.exp(self.effect_step(t + 1))
+
+
+@dataclass(frozen=True)
+class TimeDummiesSpec(ModelSpec):
     """Markov logit model with one period effect per time period.
 
     Parameters
@@ -44,7 +65,6 @@ class TimeDummiesSpec:
         condition.
     """
 
-    gamma: float
     td: tuple[float, ...]
 
     def __post_init__(self):
@@ -55,15 +75,6 @@ class TimeDummiesSpec:
         vals = (self.gamma,) + self.td
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("all parameters must be finite")
-
-    @property
-    def delta(self) -> float:
-        """exp(gamma) - 1; always > -1."""
-        return math.exp(self.gamma) - 1.0
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.td)
 
     def effect(self, t: int) -> float:
         """Period effect at period ``t`` (1-based)."""
@@ -77,49 +88,28 @@ class TimeDummiesSpec:
             raise ValueError(f"effect step undefined at period {t}")
         return self.td[t - 1] - self.td[t - 2]
 
-    def phi_pair(self, t: int) -> tuple[float, float]:
-        """(exp of effect step at t, at t+1); both strictly positive."""
-        return math.exp(self.effect_step(t)), math.exp(self.effect_step(t + 1))
-
 
 @dataclass(frozen=True)
-class TimeTrendSpec:
+class TimeTrendSpec(ModelSpec):
     """Markov logit model with a linear-in-time period effect.
 
-    The index effect at period ``t`` is ``phi_coef * (t - tau)``, so every
-    one-period step of the effect equals ``phi_coef``.
+    The index effect at period ``t`` is ``phi_coef * (t - 1)``, so every
+    one-period step of the effect equals ``phi_coef``; it has no level.
     """
 
-    gamma: float
     phi_coef: float
-    tau: float = 1.0
 
     def __post_init__(self):
-        for key in ("gamma", "phi_coef", "tau"):
+        for key in ("gamma", "phi_coef"):
             _check_real(key, getattr(self, key))
-        if not all(math.isfinite(v) for v in (self.gamma, self.phi_coef, self.tau)):
+        if not all(math.isfinite(v) for v in (self.gamma, self.phi_coef)):
             raise ValueError("all parameters must be finite")
 
-    @property
-    def delta(self) -> float:
-        return math.exp(self.gamma) - 1.0
-
-    @property
-    def phi(self) -> float:
-        """exp(phi_coef), the multiplicative one-period effect step."""
-        return math.exp(self.phi_coef)
-
     def effect(self, t: int) -> float:
-        return self.phi_coef * (t - self.tau)
+        return self.phi_coef * (t - 1)
 
     def effect_step(self, t: int) -> float:
         return self.phi_coef
-
-    def phi_pair(self, t: int) -> tuple[float, float]:
-        return self.phi, self.phi
-
-
-ModelSpec = TimeDummiesSpec | TimeTrendSpec
 
 
 def true_values(spec: ModelSpec, family: str, t: int,
@@ -178,8 +168,8 @@ def _check_variance(sigma_eta_sq: float) -> None:
 def check_periods(spec: ModelSpec, n_periods: int, histories: bool = False) -> None:
     """Refuse a dummies model with fewer period effects than ``n_periods``
     and, for ``histories``, more periods than ``history_law`` enumerates."""
-    if isinstance(spec, TimeDummiesSpec) and spec.n_periods < n_periods:
-        raise ValueError(f"spec provides {spec.n_periods} period effects, need {n_periods}")
+    if isinstance(spec, TimeDummiesSpec) and len(spec.td) < n_periods:
+        raise ValueError(f"spec provides {len(spec.td)} period effects, need {n_periods}")
     if histories and not 1 <= n_periods <= MAX_HISTORY_PERIODS:
         raise ValueError(f"history law enumerates 2**T histories; "
                          f"T = {n_periods} is outside 1..{MAX_HISTORY_PERIODS}")

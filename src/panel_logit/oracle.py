@@ -207,7 +207,7 @@ _ZERO_MEAN_ETA = (-2.0, -1.0, 0.0, 1.0, 2.0)
 def check_zero_means() -> CheckResult:
     """All moment functions have zero conditional mean at true parameters."""
     dummies = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
-    trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=1.0)
+    trend = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
     worst = 0.0
     cases: list[tuple[ModelSpec, int, tuple[str, ...]]] = [
         (dummies, 5, ("A", "B")),

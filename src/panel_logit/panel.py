@@ -78,6 +78,8 @@ class PanelData:
         y = np.asarray(y)
         if y.ndim != 2:
             raise ValueError("y must be a 2-d array")
+        if 0 in y.shape:   # the writer would write a file with no record
+            raise ValueError(f"a panel needs individuals and periods, got shape {y.shape}")
         if ids is not None:
             ids = np.asarray(ids)
             if ids.ndim != 1:
@@ -145,7 +147,9 @@ def write_panel_csv(panel: PanelData, path) -> None:
     The bytes are those a ``csv.writer`` on a text-mode ``open(path, "w",
     newline="")`` writes record by record, with ``\\r\\n`` line ends, and so
     is a failure: the records before an id that cannot be spelled or encoded
-    are written, then its error raised.
+    are written, then its error raised.  Ids that spell one id twice are
+    refused, as the reader would refuse the file: integer ids before any
+    record is written, other ids at the repeat, after the records before it.
 
     Each id is spelled once: an integer id as ``str(int)`` spells it, any
     other as ``csv.writer`` spells an id field, quotes included.  A record's
@@ -165,15 +169,19 @@ def write_panel_csv(panel: PanelData, path) -> None:
         writer.writerow(fields)
         return line.getvalue()
 
+    if panel.ids is not None and panel.ids.dtype.kind in "iu":
+        values, counts = np.unique(panel.ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate id {values[counts > 1][0]}")
     periods = np.arange(panel.t0, panel.t_last + 1).tolist()
     # tail 2k + y is the ",t,y\r\n" of period k and outcome y
     tails = _masked(np.array([spelled("", t, y).encode(encoding)
                               for t in periods for y in (0, 1)], dtype=bytes))
     first_tail = np.arange(0, 2 * len(periods), 2)
+    seen = set()   # the spellings of the ids that are not integers, so far
     with open(path, "wb") as fh:
         fh.write(spelled("id", "t", "y").encode(encoding))
-        # a panel without periods has no record, so it spells no id
-        for start in range(0, panel.n if periods else 0, ROW_BLOCK):
+        for start in range(0, panel.n, ROW_BLOCK):
             tail = panel.y[start:start + ROW_BLOCK] + first_tail
             ids = (np.arange(start, start + len(tail)) if panel.ids is None
                    else panel.ids[start:start + ROW_BLOCK])
@@ -182,10 +190,14 @@ def write_panel_csv(panel: PanelData, path) -> None:
                 continue
             names = []
             try:
-                # the id's own field of a three-field row: a lone empty
-                # field would be quoted
                 for label in ids.tolist():
-                    names.append(spelled(label, "", "")[:-4].encode(encoding))
+                    # the id's own field of a three-field row: a lone empty
+                    # field would be quoted
+                    name = spelled(label, "", "")[:-4]
+                    if name in seen:
+                        raise ValueError(f"duplicate id {name}")
+                    seen.add(name)
+                    names.append(name.encode(encoding))
             finally:   # the records before an id that raised are written too
                 lengths = np.array([len(name) for name in names], dtype=np.intp)
                 fh.write(_records(_masked(np.array(names, dtype=bytes), lengths),

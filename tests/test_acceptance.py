@@ -22,7 +22,7 @@ from panel_logit.oracle import (check_identities, check_population,
 
 SEED = 20250810
 SPEC_DUMMIES = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
-SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=1.0)
+SPEC_TREND = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
 R = 200
 # sample size of the desk-scale experiments; see ``mc_dummies`` for its rule
 N_DESK = 100_000_000

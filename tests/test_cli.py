@@ -207,7 +207,6 @@ def test_config_integer_outside_ascii_digits_exit_2(tmp_path, capsys, command, k
     ("simulate", "td", "0.0 0.1 -0.05 0.2 0.05 0.15 0.3 \uff11", SIM_CONFIG),
     ("mc", "td", "0.0 0.1 -0.05 0.2 0.05 0.15 0.3 1_0.0", MC_CONFIG),
     ("simulate", "phi_coef", "0.\u0662", TREND_CONFIG),
-    ("simulate", "tau", "1_0", TREND_CONFIG),
 ])
 def test_config_float_outside_ascii_exit_2(tmp_path, capsys, command, key, value, config):
     # ``float`` would read 1_0 as 10.0 and Arabic-Indic digits as 0.5
@@ -520,7 +519,10 @@ def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     ("simulate", TREND_CONFIG + "td = 0.0 0.1\n", "td"),
     ("simulate", SIM_CONFIG.format(n=50, seed=1) + "phi_coef = 0.2\n", "phi_coef"),
     ("mc", MC_CONFIG.format(n=50, seed=1, reps=2) + "stream = 3\n", "stream"),
-], ids=["misspelt", "td-under-trend", "phi_coef-under-dummies", "stream-in-mc"])
+    # the trend's effect has no level, so no key sets one
+    ("simulate", TREND_CONFIG + "tau = 1_0\n", "tau"),
+], ids=["misspelt", "td-under-trend", "phi_coef-under-dummies", "stream-in-mc",
+        "trend-level"])
 def test_unread_config_key_exit_2(tmp_path, capsys, command, text, key):
     cfg = _write(tmp_path, "c.cfg", text)
     out = tmp_path / "out.csv"
@@ -616,10 +618,13 @@ def test_config_and_manifest_together_exit_2(tmp_path, capsys, command):
     ("simulate", "model = dummies\ngamma 0.8\n", "{path}:2: expected 'key = value'"),
     ("simulate", SIM_CONFIG.format(n=50, seed=1).replace("model = dummies", "model = probit"),
      "model must be 'dummies' or 'trend', got 'probit'"),
+    ("simulate", "model = probit\ngamma = 1_0\n",
+     "model must be 'dummies' or 'trend', got 'probit'"),
     ("mc", SIM_CONFIG.format(n=50, seed=1) + "replications = 2\n",
      "missing 'estimator' lines "
      "(format: estimator = FAMILY VARIANT WINDOW [two-step] [wald=SET])"),
-], ids=["no-equals-sign", "unknown-model", "mc-without-estimators"])
+], ids=["no-equals-sign", "unknown-model", "unknown-model-before-gamma",
+        "mc-without-estimators"])
 def test_config_file_fault_exit_2(tmp_path, capsys, command, text, message):
     cfg = _write(tmp_path, "c.cfg", text)
     out = tmp_path / "out.csv"
@@ -664,6 +669,28 @@ def test_wald_on_json_that_is_not_an_object_exit_2(tmp_path, capsys):
     assert "not an estimate result" in capsys.readouterr().err
 
 
+def _edited_result(tmp_path, edit) -> str:
+    """The path of an estimate result whose payload ``edit`` changed in place."""
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    result_path = tmp_path / "result.json"
+    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
+    payload = json.loads(result_path.read_text())
+    assert payload["transformed"]["vcov"]["labels"] == list("abcdfg")
+    edit(payload["transformed"])
+    return _write(tmp_path, "edited.json", json.dumps(payload))
+
+
+def _wald_error(path, capsys) -> str:
+    capsys.readouterr()
+    assert main(["wald", path, "--set", "ab-dummies"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("variant", 3, "result field 'variant' must be a str, got 3"),
     ("variant", "minus-r:9", "row to remove must be 1..8, got 9"),
@@ -676,18 +703,15 @@ def test_wald_on_json_that_is_not_an_object_exit_2(tmp_path, capsys):
         "bool-n", "null-n"])
 def test_wald_on_result_value_of_another_type_exit_2(tmp_path, capsys, key, value, message):
     # an edited result: a value of another type is refused, not converted
-    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
-    panel_path = tmp_path / "panel.csv"
-    main(["simulate", "--config", cfg, "--out", str(panel_path)])
-    result_path = tmp_path / "result.json"
-    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
-                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
-    payload = json.loads(result_path.read_text())
-    payload["transformed"][key] = value
-    path = _write(tmp_path, "edited.json", json.dumps(payload))
-    capsys.readouterr()
-    assert main(["wald", path, "--set", "ab-dummies"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    path = _edited_result(tmp_path, lambda block: block.update({key: value}))
+    assert _wald_error(path, capsys) == f"error: {message}\n"
+
+
+def _set_entry(block, field, value):
+    if field == "alpha":
+        block["alpha"]["b"] = value
+    else:
+        block["vcov"]["rows"][1][1] = value
 
 
 @pytest.mark.parametrize("key, value", [("alpha", math.nan), ("alpha", math.inf),
@@ -695,23 +719,9 @@ def test_wald_on_result_value_of_another_type_exit_2(tmp_path, capsys, key, valu
                          ids=["nan-alpha", "inf-alpha", "nan-vcov", "minus-inf-vcov"])
 def test_wald_on_result_with_a_value_that_is_not_finite_exit_2(tmp_path, capsys, key, value):
     # an edited result: json reads NaN and Infinity, which no estimate holds
-    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
-    panel_path = tmp_path / "panel.csv"
-    main(["simulate", "--config", cfg, "--out", str(panel_path)])
-    result_path = tmp_path / "result.json"
-    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
-                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
-    payload = json.loads(result_path.read_text())
-    block = payload["transformed"]
-    if key == "alpha":
-        block["alpha"][block["vcov"]["labels"][1]] = value
-    else:
-        block["vcov"]["rows"][1][1] = value
-    path = _write(tmp_path, "edited.json", json.dumps(payload))
-    capsys.readouterr()
-    assert main(["wald", path, "--set", "ab-dummies"]) == 2
-    assert capsys.readouterr().err == (f"error: result field {key!r} must hold finite "
-                                       f"numbers, got {value}\n")
+    path = _edited_result(tmp_path, lambda block: _set_entry(block, key, value))
+    assert _wald_error(path, capsys) == (
+        f"error: result field {key!r} must hold finite numbers, got {value}\n")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -719,24 +729,42 @@ def test_wald_on_result_with_a_value_that_is_not_finite_exit_2(tmp_path, capsys,
      "result field 'vcov' must be a 6 x 6 matrix, got shape (2, 2)"),
     (lambda rows: [*rows[:1], [rows[1][0] + 1e-9, *rows[1][1:]], *rows[2:]],
      "result field 'vcov' must be a symmetric matrix"),
-], ids=["wrong-shape", "asymmetric"])
+    (lambda rows: [*rows[:1], rows[1][:-1], *rows[2:]],
+     "result field 'vcov' must be a 6 x 6 matrix, got rows of lengths [6, 5, 6, 6, 6, 6]"),
+    (lambda rows: None, "result field 'vcov' must be a list of rows, got None"),
+], ids=["wrong-shape", "asymmetric", "short-row", "null-rows"])
 def test_wald_on_result_with_a_malformed_vcov_exit_2(tmp_path, capsys, edit, message):
     # an edited result: numpy's broadcast error, or a statistic on an
     # asymmetric vcov, where an estimate's vcov is symmetric to the bit
-    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
-    panel_path = tmp_path / "panel.csv"
-    main(["simulate", "--config", cfg, "--out", str(panel_path)])
-    result_path = tmp_path / "result.json"
-    assert main(["estimate", str(panel_path), "--family", "A", "--variant",
-                 "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
-    payload = json.loads(result_path.read_text())
-    vcov = payload["transformed"]["vcov"]
-    assert len(vcov["labels"]) == 6
-    vcov["rows"] = edit(vcov["rows"])
-    path = _write(tmp_path, "edited.json", json.dumps(payload))
-    capsys.readouterr()
-    assert main(["wald", path, "--set", "ab-dummies"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    path = _edited_result(tmp_path, lambda block: block["vcov"].update(
+        rows=edit(block["vcov"]["rows"])))
+    assert _wald_error(path, capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", True, "must hold numbers, got True"),
+    ("alpha", "0.123", "must hold numbers, got '0.123'"),
+    ("alpha", 2**1024, f"must hold finite numbers, got {2**1024}"),
+    ("vcov", True, "must hold numbers, got True"),
+    ("vcov", [0.1], "must hold numbers, got [0.1]"),
+], ids=["bool-alpha", "str-alpha", "int-past-float-alpha", "bool-vcov", "list-vcov"])
+def test_wald_on_result_entry_that_is_not_a_json_number_exit_2(tmp_path, capsys, field,
+                                                               value, message):
+    # an edited result: true was read as 1.0, a numeric string parsed by
+    # numpy and an int past float range ended in an OverflowError
+    path = _edited_result(tmp_path, lambda block: _set_entry(block, field, value))
+    assert _wald_error(path, capsys) == f"error: result field {field!r} {message}\n"
+
+
+@pytest.mark.parametrize("labels", ["abcdfg", ["a", "b", "c", "d", "f", 7], []],
+                         ids=["str", "int-label", "empty"])
+def test_wald_on_result_labels_that_are_not_a_list_of_strings_exit_2(tmp_path, capsys,
+                                                                     labels):
+    # a string of six letters was split into six labels
+    path = _edited_result(tmp_path, lambda block: block["vcov"].update(labels=labels))
+    assert _wald_error(path, capsys) == (
+        "error: result field 'vcov.labels' must be a nonempty list of strings, "
+        f"got {labels!r}\n")
 
 
 def test_missing_config_exit_2(tmp_path):

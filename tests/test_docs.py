@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 import panel_logit as pl
+from panel_logit import cli
 from panel_logit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,3 +62,24 @@ def test_readme_cli_names_only_options_the_parser_has():
     source = "".join(p.read_text() for p in SRC.glob("*.py"))
     names = set(re.findall(r"\bPANEL_LOGIT_\w+", README.read_text()))
     assert sorted(name for name in names if f'"{name}"' not in source) == []
+
+
+def _config_keys() -> set[str]:
+    """The keys the CLI reads: ``model``, the fields of the specs and of
+    ``DgpConfig``, the experiment keys and the estimate manifest's ``panel``."""
+    fields = {f.name for cls in (pl.TimeDummiesSpec, pl.TimeTrendSpec, pl.DgpConfig)
+              for f in dataclasses.fields(cls)}
+    return {"model", "panel", *fields, *cli._EXPERIMENT_KEYS}
+
+
+def test_readme_cli_names_every_config_key():
+    section = _cli_section()
+    named = {*re.findall(r"`(\w+)`", section),
+             *re.findall(r"^(\w+) = ", section, flags=re.MULTILINE)}
+    assert sorted(_config_keys() - named) == []
+
+
+def test_readme_cli_config_lines_are_keys_the_cli_reads():
+    lines = set(re.findall(r"^(\w+) = ", _cli_section(), flags=re.MULTILINE))
+    assert lines, "README's CLI section holds no config line"
+    assert sorted(lines - _config_keys()) == []

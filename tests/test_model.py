@@ -83,10 +83,24 @@ def test_spec_validation():
 
 
 def test_trend_spec_effects():
-    spec = TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=1.0)
+    spec = TimeTrendSpec(gamma=1.0, phi_coef=0.3)
     assert spec.effect(1) == 0.0
     assert spec.effect(4) == pytest.approx(0.9)
     assert spec.phi_pair(6) == (math.exp(0.3), math.exp(0.3))
+
+
+@pytest.mark.parametrize("sigma_eta_sq", [0.0, 0.5])
+def test_trend_is_the_dummies_model_with_effects_from_zero(sigma_eta_sq):
+    # the trend's effect at period 1 is 0: it carries no level, which the
+    # fixed effects would absorb and no estimator identifies
+    gamma, phi_coef, T = 0.8, -0.35, 8
+    trend = TimeTrendSpec(gamma, phi_coef)
+    dummies = TimeDummiesSpec(gamma, td=tuple(phi_coef * k for k in range(T)))
+    dgp = DgpConfig(n_individuals=3 * ROW_BLOCK // 2, n_periods=T,
+                    sigma_eta_sq=sigma_eta_sq, seed=9)
+    assert np.array_equal(simulate_panel(trend, dgp).y, simulate_panel(dummies, dgp).y)
+    assert np.array_equal(history_law(trend, T, sigma_eta_sq),
+                          history_law(dummies, T, sigma_eta_sq))
 
 
 def test_dgp_config_validation():
@@ -123,10 +137,9 @@ def test_seed_outside_64_bits_is_refused(seed):
     (lambda v: TimeDummiesSpec(gamma=1.0, td=(v, 0.1)), "td[0]", False),
     (lambda v: TimeTrendSpec(gamma=v, phi_coef=0.3), "gamma", "1"),
     (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=v), "phi_coef", True),
-    (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=v), "tau", "1"),
-    (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=0.3, tau=v), "tau", 1j),
+    (lambda v: TimeTrendSpec(gamma=1.0, phi_coef=v), "phi_coef", 1j),
 ], ids=["bool-variance", "str-variance", "str-law-variance", "bool-gamma", "str-td",
-        "bool-td", "str-trend-gamma", "bool-phi", "str-tau", "complex-tau"])
+        "bool-td", "str-trend-gamma", "bool-phi", "complex-phi"])
 def test_float_fields_refuse_what_is_not_a_real_number(make, field, value):
     # a bool was kept as True, a str read as a float or left to raise a TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(field)} must be a real number, "

@@ -454,6 +454,27 @@ def test_write_fails_where_the_reference_fails(tmp_path, bad):
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("ids, name, kept", [
+    (np.array([3, 7, 5, 7], dtype=np.int64), "7", None),
+    (np.array(["a", "b", "a"]), "a", 2),
+    (np.array([f"id{k}" for k in range(ROW_BLOCK)] + ["id3"]), "id3", ROW_BLOCK),
+    (np.array(["7", 7], dtype=object), "7", 1),
+], ids=["int64", "str", "str-in-a-later-block", "mixed-object"])
+def test_write_refuses_ids_that_spell_one_id_twice(tmp_path, ids, name, kept):
+    # the reader refused the file written: "duplicate (id=7, t=1)".  Integer
+    # ids are refused before the file is opened; other ids at the repeat,
+    # after the records before it, as an id that cannot be spelled
+    panel = PanelData(y=np.zeros((len(ids), 2)), ids=ids)
+    path = tmp_path / "panel.csv"
+    with pytest.raises(ValueError, match=f"^duplicate id {name}$"):
+        write_panel_csv(panel, path)
+    if kept is None:
+        assert not path.exists()
+    else:
+        _reference_write(PanelData(y=panel.y[:kept], ids=ids[:kept]), tmp_path / "want.csv")
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_write_raises_the_open_error(tmp_path):
     missing = tmp_path / "no-such-dir" / "panel.csv"
     for write in (write_panel_csv, _reference_write):
