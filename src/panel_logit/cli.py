@@ -19,6 +19,12 @@ not read is refused, so a misspelt key cannot fall back to its default.
 ``simulate`` also reads a Monte Carlo config and writes the panel of its
 replication ``stream`` (0 by default), before the discarded prefix.
 
+An ``estimate`` result holds the window's 32 cell counts as ``cells``
+beside the estimates.  Every number in it is a function of those cells and
+the manifest's estimator line, so ``wald`` re-runs that line, its Wald set
+replaced, on the cells; it reads nothing else of the result and refuses
+one without ``cells``.
+
 Every data output is paired with a ``<output>.manifest.json`` sidecar
 holding the command, the fully resolved configuration and the tool version,
 plus wall-clock timing.  Timing is the only non-reproducible entry and
@@ -38,14 +44,16 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .estimators import EstimationError, TransformedEstimate, parse_variant
-from .inference import RESTRICTION_SETS, wald_test
+from .aggregation import _table_cells, from_cells
+from .estimators import EstimationError
+from .inference import RESTRICTION_SETS
 from .mc import SUMMARY_COLUMNS, McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
@@ -214,11 +222,25 @@ def _refuse_unread(cfg: dict, command: str, read: list[str]) -> None:
                          + ", ".join(repr(k) for k in unread))
 
 
+def _refuse_overwrite(reads: dict[str, str | None], writes: dict[str, str | None]) -> None:
+    """Refuse an output path that resolves to a file the command reads or
+    to another output, before anything is computed or written."""
+    named = {os.path.realpath(path): f"{name} {path}" for name, path in reads.items() if path}
+    for name, path in writes.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ValueError(f"{name} {path} names the same file as {named[real]}")
+            named[real] = f"{name} {path}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_simulate(args) -> int:
+    _refuse_overwrite({"--config": args.config, "--from-manifest": args.from_manifest},
+                      {"--out": args.out})
     cfg = _load_config(args, "simulate")
     spec, dgp, resolved = _model_and_dgp(cfg)
     _refuse_unread(cfg, "simulate", [*resolved, *_EXPERIMENT_KEYS])
@@ -253,14 +275,18 @@ def _cmd_estimate(args) -> int:
         panel_path = args.panel
         run = EstimatorRun(args.family, args.variant, args.window,
                            two_step=args.two_step, wald=args.wald)
+    _refuse_overwrite({"PANEL": panel_path, "--from-manifest": args.from_manifest},
+                      {"--out": args.out})
     panel = read_panel_csv(panel_path)
 
     core = _manifest_core("estimate", {"panel": panel_path, "estimator": str(run)})
     start = time.perf_counter()
+    stats_cache: dict = {}
     result = estimate_panel(panel, run.family, run.variant, run.window_t,
-                            two_step=run.two_step, wald=run.wald)
-    payload = {"manifest": core}
-    payload.update(result.to_dict())
+                            two_step=run.two_step, wald=run.wald, stats_cache=stats_cache)
+    # the counts are exact integers in float64
+    cells = [int(c) for c in stats_cache[run.window_t].summands.counts]
+    payload = {"manifest": core, "cells": cells, **result.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -272,12 +298,18 @@ def _cmd_estimate(args) -> int:
 
 
 def _mc_summary_csv(summary, path: str) -> None:
+    """The table's rows, each with what the table prints below them of its
+    estimator: successes, failures and the Wald rejection rate (empty
+    without a Wald set)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary.table_rows():
-            writer.writerow([row["estimator"], row["parameter"],
-                             *(repr(row[c]) for c in SUMMARY_COLUMNS[2:])])
+        writer.writerow([*SUMMARY_COLUMNS, "n_success", "failures", "wald_rejection_rate"])
+        for est in summary.estimators:
+            rate = "" if est.wald_rejection_rate is None else repr(est.wald_rejection_rate)
+            for name, p in est.params.items():
+                writer.writerow([est.label, name,
+                                 *(repr(getattr(p, c)) for c in SUMMARY_COLUMNS[2:]),
+                                 est.n_success, est.failures_text, rate])
 
 
 def _mc_raw_csv(summary, path: str) -> None:
@@ -302,6 +334,8 @@ def _mc_raw_csv(summary, path: str) -> None:
 
 def _cmd_mc(args) -> int:
     threads = resolve_threads(args.threads, "--threads")
+    _refuse_overwrite({"--config": args.config, "--from-manifest": args.from_manifest},
+                      {"--out": args.out, "--raw": args.raw})
     cfg = _load_config(args, "mc")
     spec, dgp, resolved = _model_and_dgp(cfg)
     del resolved["stream"]   # each replication draws its own
@@ -335,64 +369,44 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _result_numbers(key: str, values: list) -> np.ndarray:
-    """The entries of the result field ``key`` as float64: each must be a
-    JSON number, not a bool, and finite as a float."""
-    for value in values:
-        if type(value) not in (int, float):
-            raise ValueError(f"result field {key!r} must hold numbers, got {value!r}")
-        # nan, the infinities and an int beyond float range all fail
-        if not abs(value) <= sys.float_info.max:
-            raise ValueError(f"result field {key!r} must hold finite numbers, got {value!r}")
-    return np.array(values, dtype=float)
+def _result_cells(cells) -> np.ndarray:
+    """A result's window cells as the aggregate reads them: 32 JSON
+    integers, refused as the table of five periods they are would be."""
+    if not (isinstance(cells, list) and len(cells) == 32):
+        got = f"{len(cells)} entries" if isinstance(cells, list) else repr(cells)
+        raise ValueError(f"result field 'cells' must be a list of 32 integers, got {got}")
+    for count in cells:
+        if type(count) is not int:
+            raise ValueError(f"result field 'cells' must hold JSON integers, got {count!r}")
+    try:
+        # an entry past int64 makes an object array, which the table refuses
+        return _table_cells(np.array(cells), 4)
+    except ValueError as exc:
+        raise ValueError(f"result field 'cells': {exc}") from None
 
 
 def _cmd_wald(args) -> int:
+    """Re-run a result's estimator line with the Wald set ``--set`` on the
+    result's cells, and print the Wald block ``estimate`` would write."""
     try:
         with open(args.result) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read estimate result {args.result}: {exc}") from exc
     try:
-        block = payload["transformed"]
-        labels = block["vcov"]["labels"]
-        if not (isinstance(labels, list) and labels and all(isinstance(c, str) for c in labels)):
-            raise ValueError("result field 'vcov.labels' must be a nonempty list of strings, "
-                             f"got {labels!r}")
-        alpha = [block["alpha"][c] for c in labels]
-        vcov = block["vcov"]["rows"]
-        family, variant_name = block["family"], block["variant"]
-        window_t, n = block["window_t"], block["n"]
+        line, cells = payload["manifest"]["config"]["estimator"], payload["cells"]
     except KeyError as exc:
-        raise ValueError(f"result file lacks field {exc}") from exc
+        raise ValueError(f"result file lacks field {exc}; a result written before "
+                         "estimate stored its cells cannot be re-run") from exc
     except TypeError as exc:
         raise ValueError(f"result file is not an estimate result: {exc}") from exc
-    # an edited result: a value of another type is refused, not converted
-    for key, value in (("family", family), ("variant", variant_name)):
-        if not isinstance(value, str):
-            raise ValueError(f"result field {key!r} must be a str, got {value!r}")
-    for key, value in (("window_t", window_t), ("n", n)):
-        if type(value) is not int:
-            raise ValueError(f"result field {key!r} must be an integer, got {value!r}")
-    k = len(labels)
-    if not (isinstance(vcov, list) and all(isinstance(row, list) for row in vcov)):
-        raise ValueError(f"result field 'vcov' must be a list of rows, got {vcov!r}")
-    widths = {len(row) for row in vcov}
-    if len(vcov) != k or widths != {k}:
-        got = (f"shape ({len(vcov)}, {widths.pop()})" if len(widths) == 1
-               else f"rows of lengths {[len(row) for row in vcov]}")
-        raise ValueError(f"result field 'vcov' must be a {k} x {k} matrix, got {got}")
-    alpha = _result_numbers("alpha", alpha)
-    vcov = _result_numbers("vcov", [v for row in vcov for v in row]).reshape(k, k)
-    # an estimate's vcov is exactly symmetric, and JSON keeps its floats
-    if (vcov != vcov.T).any():
-        raise ValueError("result field 'vcov' must be a symmetric matrix")
-
-    est = TransformedEstimate(family=family, variant=parse_variant(variant_name)[0],
-                              window_t=window_t, n=n, col_labels=tuple(labels),
-                              alpha=alpha, vcov=vcov)
-    result = wald_test(est, args.set)
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    if not isinstance(line, str):
+        raise ValueError(f"result field 'estimator' must be a str, got {line!r}")
+    run = dataclasses.replace(EstimatorRun.parse(line), wald=args.set)
+    stats_cache = {run.window_t: from_cells(run.window_t, _result_cells(cells))}
+    result = estimate_panel(None, run.family, run.variant, run.window_t,
+                            two_step=run.two_step, wald=run.wald, stats_cache=stats_cache)
+    print(json.dumps(result.wald.to_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -139,8 +139,14 @@ class EstimatorSummary:
     wald_rejection_rate: float | None = None
     wald_df: int | None = None
 
+    @property
+    def failures_text(self) -> str:
+        """The failure counts as ``kind=count, ...``, or ``none``."""
+        return ", ".join(f"{k}={v}" for k, v in sorted(self.failures.items())) or "none"
 
-# the columns of ``McSummary.table_rows``, the table and the summary CSV
+
+# the columns of ``McSummary.table_rows`` and the table; the summary CSV adds
+# each estimator's successes, failures and Wald rejection rate
 SUMMARY_COLUMNS = ("estimator", "parameter", "true", "mean", "sd", "se", "se_median",
                    "bias", "rmse")
 
@@ -168,12 +174,12 @@ class McSummary:
             lines.append(f"{row['estimator']:<28} {row['parameter']:<9} {row['true']:>9.4f} "
                          + " ".join(f"{row[c]:>10.5f}" for c in wide))
         for est in self.estimators:
-            fails = ", ".join(f"{k}={v}" for k, v in sorted(est.failures.items())) or "none"
             extra = ""
             if est.wald_rejection_rate is not None:
                 extra = (f"; wald rejection at {WALD_LEVEL:.0%}: "
                          f"{est.wald_rejection_rate:.4f} (df={est.wald_df})")
-            lines.append(f"{est.label}: {est.n_success} ok, failures: {fails}{extra}")
+            lines.append(f"{est.label}: {est.n_success} ok, "
+                         f"failures: {est.failures_text}{extra}")
         return "\n".join(lines)
 
 

@@ -6,7 +6,9 @@ estimator at window ``t``, family C and the two-step correction included,
 reads the panel, or the history table, only through the 32 cell counts of
 that window, so one call aggregates it once.  A ``stats_cache`` dict
 threaded through repeated calls on the same panel keeps those aggregates by
-window, so each window is counted once per panel.
+window, so each window is counted once per panel; seeded with a window's
+cells (``aggregation.from_cells``), it stands in for the panel, which is
+how ``panel-logit wald`` re-runs a stored result.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class EstimatorRun:
                    wald=options.get("wald"))
 
 
-def estimate_panel(panel: PanelData | np.ndarray, family: str, variant: str,
+def estimate_panel(panel: PanelData | np.ndarray | None, family: str, variant: str,
                    window_t: int, two_step: bool = False,
                    wald: str | None = None,
                    stats_cache: dict | None = None) -> EstimationResult:
@@ -121,8 +123,9 @@ def estimate_panel(panel: PanelData | np.ndarray, family: str, variant: str,
     ``variant`` is a variant name; ``two_step`` additionally estimates the
     effect step one period before the window (families A and B); ``wald``
     names a restriction set to test.  ``stats_cache``, one dict per panel,
-    keeps its aggregates by window.  The line is an ``EstimatorRun``, so a
-    line no panel could satisfy is refused before the panel is aggregated;
+    keeps its aggregates by window; a panel of ``None`` is read only from
+    it.  The line is an ``EstimatorRun``, so a line no panel could satisfy
+    is refused before the panel is aggregated;
     the reported ``n`` is the cells' total, the N the variance divides by.
     """
     run = EstimatorRun(family, variant, window_t, two_step, wald)

@@ -1,13 +1,14 @@
 import csv
 import json
-import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from panel_logit import (DgpConfig, TimeTrendSpec, aggregate, cli, read_panel_csv,
-                         simulate_panel, write_panel_csv)
+from panel_logit import (DgpConfig, PanelData, TimeTrendSpec, aggregate, cli,
+                         read_panel_csv, simulate_panel, write_panel_csv)
+from panel_logit.model import history_law
 from panel_logit.cli import main, parse_config_file
 
 SIM_CONFIG = """
@@ -505,13 +506,81 @@ def test_mc_summary_and_manifest_rerun(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "raw1.csv").read_bytes() == (tmp_path / "raw2.csv").read_bytes()
     header = out1.read_text().splitlines()[0]
-    assert header == "estimator,parameter,true,mean,sd,se,se_median,bias,rmse"
+    assert header == ("estimator,parameter,true,mean,sd,se,se_median,bias,rmse,"
+                      "n_success,failures,wald_rejection_rate")
     with open(tmp_path / "raw1.csv", newline="") as fh:
         raw = list(csv.DictReader(fh))
     failed = [row for row in raw if row["status"] != "ok"]
     assert failed, "the config is small enough for some replications to fail"
     assert all(row["message"] for row in failed)
     assert all(row["message"] == "" for row in raw if row["status"] == "ok")
+
+
+def test_mc_summary_csv_shows_the_failures_and_rejections_the_table_shows(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.cfg", MC_CONFIG.format(n=3000, seed=1, reps=6)
+                 + "estimator = B minus-1-5 7 wald=ab-dummies\n")
+    out = tmp_path / "s.csv"
+    assert main(["mc", "--config", cfg, "--threads", "1", "--out", str(out)]) == 0
+    table = capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = {(row["estimator"], row["parameter"]): row for row in csv.DictReader(fh)}
+    # one success of six: the sd of a single value stays 0.0, and the CSV says why
+    assert "B[minus-1-5]@t7+two-step: 1 ok, failures: nonpositive_alpha=5\n" in table
+    lone = rows["B[minus-1-5]@t7+two-step", "gamma"]
+    assert (lone["sd"], lone["n_success"], lone["failures"]) == ("0.0", "1", "nonpositive_alpha=5")
+    assert lone["wald_rejection_rate"] == ""
+    assert "A[minus-3-7]@t7: 2 ok, failures: nonpositive_alpha=4\n" in table
+    assert rows["A[minus-3-7]@t7", "dtd_t"]["failures"] == "nonpositive_alpha=4"
+    assert "B[minus-1-5]@t7: 1 ok, failures: nonpositive_alpha=5; wald rejection at 5%: " \
+        "0.0000 (df=3)" in table
+    assert {row["wald_rejection_rate"] for key, row in rows.items()
+            if key[0] == "B[minus-1-5]@t7"} == {"0.0"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory holding the inputs of each command and its outputs'
+    manifests: sim.cfg, panel.csv, r.json and s.csv with their sidecars."""
+    root = tmp_path_factory.mktemp("cli-files")
+    cfg = _write(root, "sim.cfg", MC_CONFIG.format(n=4000, seed=3, reps=3))
+    assert main(["simulate", "--config", cfg, "--out", str(root / "panel.csv")]) == 0
+    assert main(["estimate", str(root / "panel.csv"), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(root / "r.json")]) == 0
+    assert main(["mc", "--config", cfg, "--threads", "1", "--out", str(root / "s.csv")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "{d}/panel.csv", "--family", "A", "--variant", "minus-3-7", "--window", "7",
+      "--out", "{d}/panel.csv"], "--out {d}/panel.csv names the same file as PANEL {d}/panel.csv"),
+    (["estimate", "{d}/panel.csv", "--family", "A", "--variant", "minus-3-7", "--window", "7",
+      "--out", "{d}/new/../panel.csv"],
+     "--out {d}/new/../panel.csv names the same file as PANEL {d}/panel.csv"),
+    (["estimate", "--from-manifest", "{d}/r.json.manifest.json",
+      "--out", "{d}/r.json.manifest.json"],
+     "--out {d}/r.json.manifest.json names the same file as "
+     "--from-manifest {d}/r.json.manifest.json"),
+    (["simulate", "--config", "{d}/sim.cfg", "--out", "{d}/sim.cfg"],
+     "--out {d}/sim.cfg names the same file as --config {d}/sim.cfg"),
+    (["mc", "--config", "{d}/sim.cfg", "--out", "{d}/sim.cfg"],
+     "--out {d}/sim.cfg names the same file as --config {d}/sim.cfg"),
+    (["mc", "--from-manifest", "{d}/s.csv.manifest.json", "--out", "{d}/t.csv",
+      "--raw", "{d}/s.csv.manifest.json"],
+     "--raw {d}/s.csv.manifest.json names the same file as "
+     "--from-manifest {d}/s.csv.manifest.json"),
+    (["mc", "--config", "{d}/sim.cfg", "--out", "{d}/t.csv", "--raw", "{d}/t.csv"],
+     "--raw {d}/t.csv names the same file as --out {d}/t.csv"),
+], ids=["estimate-panel", "estimate-panel-resolved", "estimate-manifest", "simulate-config",
+        "mc-config", "mc-raw-manifest", "mc-out-raw"])
+def test_output_naming_an_input_or_another_output_exit_2(tmp_path, capsys, cli_files, argv,
+                                                        message):
+    d = tmp_path / "files"
+    shutil.copytree(cli_files, d)
+    before = {p.name: p.read_bytes() for p in d.iterdir()}
+    capsys.readouterr()
+    assert main([arg.format(d=d) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(d=d)}\n"
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, text, key", [
@@ -669,102 +738,135 @@ def test_wald_on_json_that_is_not_an_object_exit_2(tmp_path, capsys):
     assert "not an estimate result" in capsys.readouterr().err
 
 
-def _edited_result(tmp_path, edit) -> str:
-    """The path of an estimate result whose payload ``edit`` changed in place."""
+def _trend_law_panel(n: int) -> PanelData:
+    """A panel of periods 4..8 whose window-7 cells are the trend law's
+    cell probabilities times ``n``, rounded: family C's estimate on it is
+    near the truth at a size where C fails on most samples."""
+    law = history_law(TimeTrendSpec(gamma=1.0, phi_coef=0.3), 8, 0.5)
+    counts = np.rint(law.reshape(8, 32).sum(axis=0) * n).astype(np.int64)
+    codes = np.repeat(np.arange(32), counts)
+    # a window code spells y_{t-3} .. y_{t+1} in binary, y_{t-3} first
+    y = (codes[:, None] >> np.arange(4, -1, -1)) & 1
+    return PanelData(y.astype(np.int8), t0=4)
+
+
+@pytest.mark.parametrize("data, line, stored, asked", [
+    ("dummies", "A minus-3-7 7 two-step", "ab-dummies", "ab-dummies"),
+    ("dummies", "B minus-1-5 7", "ab-dummies", "ab-dummies"),
+    ("trend", "C full 7", "c-trend", "c-trend"),
+    ("dummies", "A minus-3-7 7", "ab-dummies", "ab-trend"),
+], ids=["A-two-step", "B", "C-trend", "A-another-set"])
+def test_wald_rederives_the_wald_block_of_estimate(tmp_path, capsys, data, line, stored,
+                                                    asked):
+    panel_path = tmp_path / "panel.csv"
+    if data == "trend":
+        write_panel_csv(_trend_law_panel(100_000), panel_path)
+    else:
+        cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=20000, seed=1))
+        main(["simulate", "--config", cfg, "--out", str(panel_path)])
+    family, variant, window, *two_step = line.split()
+    flags = [str(panel_path), "--family", family, "--variant", variant, "--window", window,
+             *(["--two-step"] if two_step else [])]
+    stored_path, asked_path = tmp_path / "stored.json", tmp_path / "asked.json"
+    assert main(["estimate", *flags, "--wald", stored, "--out", str(stored_path)]) == 0
+    assert main(["estimate", *flags, "--wald", asked, "--out", str(asked_path)]) == 0
+    payload = json.loads(stored_path.read_text())
+    assert len(payload["cells"]) == 32 and sum(payload["cells"]) == payload["transformed"]["n"]
+    capsys.readouterr()
+    assert main(["wald", str(stored_path), "--set", asked]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads(asked_path.read_text())["wald"]
+    # the estimates printed beside the cells are not read: their loss or an
+    # edit of the fields the statistic used to be rebuilt from changes nothing
+    payload["transformed"].update(family="B", variant="minus-1-5", window_t=6, n=1)
+    del payload["original"]
+    _write(tmp_path, "edited.json", json.dumps(payload))
+    assert main(["wald", str(tmp_path / "edited.json"), "--set", asked]) == 0
+    assert json.loads(capsys.readouterr().out) == printed
+
+
+@pytest.fixture(scope="module")
+def a_result(tmp_path_factory) -> dict:
+    """The payload of ``estimate`` on a 5000-individual dummies panel."""
+    tmp_path = tmp_path_factory.mktemp("result")
     cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
     panel_path = tmp_path / "panel.csv"
     main(["simulate", "--config", cfg, "--out", str(panel_path)])
     result_path = tmp_path / "result.json"
     assert main(["estimate", str(panel_path), "--family", "A", "--variant",
                  "minus-3-7", "--window", "7", "--out", str(result_path)]) == 0
-    payload = json.loads(result_path.read_text())
-    assert payload["transformed"]["vcov"]["labels"] == list("abcdfg")
-    edit(payload["transformed"])
-    return _write(tmp_path, "edited.json", json.dumps(payload))
+    return json.loads(result_path.read_text())
 
 
-def _wald_error(path, capsys) -> str:
+def _wald_error(tmp_path, payload, capsys, wald_set="ab-dummies") -> str:
+    path = _write(tmp_path, "edited.json", json.dumps(payload))
     capsys.readouterr()
-    assert main(["wald", path, "--set", "ab-dummies"]) == 2
+    assert main(["wald", path, "--set", wald_set]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     return err
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("variant", 3, "result field 'variant' must be a str, got 3"),
-    ("variant", "minus-r:9", "row to remove must be 1..8, got 9"),
-    ("family", ["A"], "result field 'family' must be a str, got ['A']"),
-    ("window_t", "7", "result field 'window_t' must be an integer, got '7'"),
-    ("window_t", 7.0, "result field 'window_t' must be an integer, got 7.0"),
-    ("n", True, "result field 'n' must be an integer, got True"),
-    ("n", None, "result field 'n' must be an integer, got None"),
-], ids=["int-variant", "unknown-variant", "list-family", "str-window", "float-window",
-        "bool-n", "null-n"])
-def test_wald_on_result_value_of_another_type_exit_2(tmp_path, capsys, key, value, message):
-    # an edited result: a value of another type is refused, not converted
-    path = _edited_result(tmp_path, lambda block: block.update({key: value}))
-    assert _wald_error(path, capsys) == f"error: {message}\n"
+def _with_cell(value, index=5):
+    return lambda cells: [*cells[:index], value, *cells[index + 1:]]
 
 
-def _set_entry(block, field, value):
-    if field == "alpha":
-        block["alpha"]["b"] = value
-    else:
-        block["vcov"]["rows"][1][1] = value
-
-
-@pytest.mark.parametrize("key, value", [("alpha", math.nan), ("alpha", math.inf),
-                                        ("vcov", math.nan), ("vcov", -math.inf)],
-                         ids=["nan-alpha", "inf-alpha", "nan-vcov", "minus-inf-vcov"])
-def test_wald_on_result_with_a_value_that_is_not_finite_exit_2(tmp_path, capsys, key, value):
-    # an edited result: json reads NaN and Infinity, which no estimate holds
-    path = _edited_result(tmp_path, lambda block: _set_entry(block, key, value))
-    assert _wald_error(path, capsys) == (
-        f"error: result field {key!r} must hold finite numbers, got {value}\n")
+_CELLS = "error: result field 'cells'"
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda rows: [row[:2] for row in rows[:2]],
-     "result field 'vcov' must be a 6 x 6 matrix, got shape (2, 2)"),
-    (lambda rows: [*rows[:1], [rows[1][0] + 1e-9, *rows[1][1:]], *rows[2:]],
-     "result field 'vcov' must be a symmetric matrix"),
-    (lambda rows: [*rows[:1], rows[1][:-1], *rows[2:]],
-     "result field 'vcov' must be a 6 x 6 matrix, got rows of lengths [6, 5, 6, 6, 6, 6]"),
-    (lambda rows: None, "result field 'vcov' must be a list of rows, got None"),
-], ids=["wrong-shape", "asymmetric", "short-row", "null-rows"])
-def test_wald_on_result_with_a_malformed_vcov_exit_2(tmp_path, capsys, edit, message):
-    # an edited result: numpy's broadcast error, or a statistic on an
-    # asymmetric vcov, where an estimate's vcov is symmetric to the bit
-    path = _edited_result(tmp_path, lambda block: block["vcov"].update(
-        rows=edit(block["vcov"]["rows"])))
-    assert _wald_error(path, capsys) == f"error: {message}\n"
+    (None, "error: result file lacks field 'cells'; a result written before estimate "
+           "stored its cells cannot be re-run\n"),
+    (lambda cells: cells[:31], f"{_CELLS} must be a list of 32 integers, got 31 entries\n"),
+    (_with_cell(True), f"{_CELLS} must hold JSON integers, got True\n"),
+    (_with_cell(12.0), f"{_CELLS} must hold JSON integers, got 12.0\n"),
+    (_with_cell(-1), f"{_CELLS}: history counts must be nonnegative\n"),
+    (lambda cells: [0] * 32, f"{_CELLS}: cannot aggregate an empty history table\n"),
+    (lambda cells: [2**52, 2**52, *[0] * 30],
+     f"{_CELLS}: panel of {2**53} individuals exceeds the exact range 2**53\n"),
+    (lambda cells: ",".join(map(str, cells)),
+     f"{_CELLS} must be a list of 32 integers, got '"),
+    (_with_cell(2**64), f"{_CELLS}: a history table must be 1-d with 2**T int64 counts, "
+                        "got object of shape (32,)\n"),
+], ids=["missing", "31-entries", "bool", "float", "negative", "all-zero", "2**53-total",
+        "not-a-list", "past-int64"])
+def test_wald_on_result_cells_that_are_not_a_window_table_exit_2(tmp_path, capsys, a_result,
+                                                                 edit, message):
+    payload = json.loads(json.dumps(a_result))
+    if edit is None:     # a result written before estimate stored its cells
+        del payload["cells"]
+    else:
+        payload["cells"] = edit(payload["cells"])
+    assert _wald_error(tmp_path, payload, capsys).startswith(message)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("alpha", True, "must hold numbers, got True"),
-    ("alpha", "0.123", "must hold numbers, got '0.123'"),
-    ("alpha", 2**1024, f"must hold finite numbers, got {2**1024}"),
-    ("vcov", True, "must hold numbers, got True"),
-    ("vcov", [0.1], "must hold numbers, got [0.1]"),
-], ids=["bool-alpha", "str-alpha", "int-past-float-alpha", "bool-vcov", "list-vcov"])
-def test_wald_on_result_entry_that_is_not_a_json_number_exit_2(tmp_path, capsys, field,
-                                                               value, message):
-    # an edited result: true was read as 1.0, a numeric string parsed by
-    # numpy and an int past float range ended in an OverflowError
-    path = _edited_result(tmp_path, lambda block: _set_entry(block, field, value))
-    assert _wald_error(path, capsys) == f"error: result field {field!r} {message}\n"
+def test_estimate_rerun_in_place_restores_the_cells_of_an_older_result(tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG.format(n=5000, seed=2))
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "panel.csv")])
+    result = tmp_path / "r.json"
+    assert main(["estimate", str(tmp_path / "panel.csv"), "--family", "A", "--variant",
+                 "minus-3-7", "--window", "7", "--out", str(result)]) == 0
+    written = result.read_bytes()
+    payload = json.loads(written)
+    del payload["cells"]     # as a result written before estimate stored them
+    result.write_text(json.dumps(payload))
+    assert main(["estimate", "--from-manifest", f"{result}.manifest.json",
+                 "--out", str(result)]) == 0
+    assert result.read_bytes() == written
 
 
-@pytest.mark.parametrize("labels", ["abcdfg", ["a", "b", "c", "d", "f", 7], []],
-                         ids=["str", "int-label", "empty"])
-def test_wald_on_result_labels_that_are_not_a_list_of_strings_exit_2(tmp_path, capsys,
-                                                                     labels):
-    # a string of six letters was split into six labels
-    path = _edited_result(tmp_path, lambda block: block["vcov"].update(labels=labels))
-    assert _wald_error(path, capsys) == (
-        "error: result field 'vcov.labels' must be a nonempty list of strings, "
-        f"got {labels!r}\n")
+@pytest.mark.parametrize("line, wald_set, message", [
+    ("A minus-1-5 7", "ab-dummies",
+     "estimator A[minus-1-5]@t7: restriction set 'ab-dummies' expects components"),
+    ("A minus-3-7 7", "c-trend",
+     "estimator A[minus-3-7]@t7: restriction set 'c-trend' expects components"),
+    (7, "ab-dummies", "result field 'estimator' must be a str, got 7"),
+], ids=["edited-line", "set-off-the-line", "not-a-str"])
+def test_wald_on_a_line_it_cannot_run_exit_2(tmp_path, capsys, a_result, line, wald_set,
+                                             message):
+    payload = json.loads(json.dumps(a_result))
+    payload["manifest"]["config"]["estimator"] = line
+    assert _wald_error(tmp_path, payload, capsys, wald_set).startswith(f"error: {message}")
 
 
 def test_missing_config_exit_2(tmp_path):
