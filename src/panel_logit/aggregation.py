@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import ROW_BLOCK, PanelData, _check_total
+from .panel import ROW_BLOCK, PanelData, _check_total, _is_integer
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ def aggregate(panel: PanelData | np.ndarray, t: int) -> AggregateStats:
 
     Requires the periods ``t-3 .. t+1``; other periods are not read.
     """
+    if not _is_integer(t):
+        raise ValueError(f"window must be an integer, got {t!r}")
     if isinstance(panel, np.ndarray):
         return from_cells(t, _table_cells(panel, t))
     for s in range(t - 3, t + 2):

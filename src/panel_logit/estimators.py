@@ -13,9 +13,11 @@ column only they read); family C keeps all eight rows.  A system carries
 its kept rows at each cell (``y_cells``, ``x_cells``) with the cell
 weights ``c``; ``y_vec`` and ``x_mat`` are their weighted means.
 
-Point estimates come from a pivoted LU solve with a reciprocal-condition
-guard; the weight matrix enters only the variance, never the point
-estimate.  The variance is the one sandwich
+Every matrix here has at most nine rows, and numpy inverts it with one
+guard, ``_checked_inverse``, which refuses it unless its exact 1-norm
+reciprocal condition reaches ``RCOND_TOL``.  Point estimates come from
+numpy's LU solve behind that guard; the weight matrix enters only the
+variance, never the point estimate.  The variance is the one sandwich
 
     (1/N) * inv(X' W X),   W = inv(S),   S = V' diag(c) V / N,
 
@@ -30,11 +32,9 @@ and goes through the same sandwich.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, blas, lapack, lu_factor, lu_solve
 
 from .aggregation import AggregateStats
 from .kernels import alpha_labels, row_cells
@@ -214,35 +214,24 @@ def failed_guards(guards: dict[str, float]) -> list[str]:
 # solve and variance
 
 
-def _reciprocal_condition(mat: np.ndarray, lu) -> float:
-    anorm = np.linalg.norm(mat, 1)
-    if anorm == 0.0:
-        return 0.0
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0:
-        return 0.0
-    return float(rcond)
+def _checked_inverse(mat: np.ndarray, error, what: str) -> tuple[np.ndarray, float]:
+    """The inverse of ``mat`` and its exact 1-norm reciprocal condition
+    ``1 / (norm(mat, 1) * norm(inv(mat), 1))``, 0 when LAPACK finds
+    ``mat`` singular.
 
-
-def _checked_lu(mat: np.ndarray, error, what: str):
-    """Pivoted LU factors of ``mat`` and its reciprocal condition estimate.
-
-    Raises ``error(message)`` when ``mat`` cannot be factored or the
-    estimate falls below ``RCOND_TOL``; the message names ``what`` and
-    reports the estimate.
+    Raises ``error(message)`` unless the condition reaches ``RCOND_TOL``;
+    the message names ``what`` and reports the condition.  At these sizes
+    numpy's inverse starts no BLAS thread in a forked Monte Carlo worker.
     """
     try:
-        # an exactly singular matrix warns; the condition guard below
-        # turns it into ``error``
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu = lu_factor(mat)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise error(f"{what} not invertible: {exc}") from exc
-    rcond = _reciprocal_condition(mat, lu[0])
-    if rcond < RCOND_TOL:
+        inv = np.linalg.inv(mat)
+        # Python floats: a product past the float range is inf, not a warning
+        rcond = 1.0 / (float(np.linalg.norm(mat, 1)) * float(np.linalg.norm(inv, 1)))
+    except np.linalg.LinAlgError:
+        inv, rcond = None, 0.0
+    if not rcond >= RCOND_TOL:
         raise error(f"{what} is numerically singular (rcond={rcond:.3e})")
-    return lu, rcond
+    return inv, rcond
 
 
 def _guarded_error(guards: dict[str, float]):
@@ -261,19 +250,19 @@ def _guarded_error(guards: dict[str, float]):
 def solve(system: LinearSystem) -> np.ndarray:
     """Solve the stacked system by pivoted LU with a condition guard.
 
-    Raises ``SingularSystem`` when the reciprocal condition estimate falls
-    below ``RCOND_TOL``, reporting whichever determinant diagnostics are
+    Raises ``SingularSystem`` when the reciprocal condition falls below
+    ``RCOND_TOL``, reporting whichever determinant diagnostics are
     available for the variant.
     """
     x, y = system.x_mat, system.y_vec
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise SingularSystem("system contains non-finite entries", system.guards)
     what = f"{system.family}[{system.variant}] system at window {system.window_t}"
-    lu, rcond = _checked_lu(x, _guarded_error(system.guards), what)
-    theta = lu_solve(lu, y)
+    rcond = _checked_inverse(x, _guarded_error(system.guards), what)[1]
+    theta = np.linalg.solve(x, y)
     # one refinement step keeps the residual at rounding level even when the
     # condition number approaches the guard threshold
-    theta += lu_solve(lu, y - x @ theta)
+    theta += np.linalg.solve(x, y - x @ theta)
     resid = np.linalg.norm(x @ theta - y)
     if resid > RESIDUAL_RTOL * np.linalg.norm(y) + 1e-300:
         raise SingularSystem(
@@ -282,35 +271,18 @@ def solve(system: LinearSystem) -> np.ndarray:
     return theta
 
 
-def _inverse(lu_piv) -> np.ndarray:
-    """``lu_solve(lu_piv, np.eye(m))``, bitwise, in getrs's own steps: the
-    row interchanges, then unit lower and upper ``dtrsm`` solves.
-
-    The bundled OpenBLAS runs getrs with many right-hand sides, and dlaswp,
-    on its threaded path, which starts a BLAS thread pool in every forked
-    Monte Carlo worker; these steps stay on the calling thread.
-    """
-    lu, piv = lu_piv
-    rows = np.arange(len(piv))
-    for i, p in enumerate(piv):
-        rows[[i, p]] = rows[[p, i]]
-    lower = blas.dtrsm(1.0, lu, np.eye(len(piv))[rows], lower=1, diag=1)
-    return blas.dtrsm(1.0, lu, lower, overwrite_b=1)
-
-
 def _sandwich(system: LinearSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``inv(X' W X) / N`` symmetrized, ``W = inv(V' diag(c) V / N)``.
 
     ``v`` holds the residuals of each of the 32 window cells (one column
     per row of ``x``), ``c`` the cell weights of ``system`` and ``N`` their
-    total.  Both inverses go through ``_inverse``'s triangular solves,
-    which start no BLAS thread in a forked Monte Carlo worker.
+    total.  Both inverses come from ``_checked_inverse``.
     """
     n = system.cells.sum()
     s_mat = (v.T * system.cells) @ v / n
-    w = _inverse(_checked_lu(s_mat, SingularWeight, "residual moment matrix")[0])
-    lu = _checked_lu(x.T @ w @ x, _guarded_error(system.guards), "weighted design")[0]
-    vcov = _inverse(lu) / n
+    w = _checked_inverse(s_mat, SingularWeight, "residual moment matrix")[0]
+    vcov = _checked_inverse(x.T @ w @ x, _guarded_error(system.guards),
+                            "weighted design")[0] / n
     return (vcov + vcov.T) / 2.0
 
 

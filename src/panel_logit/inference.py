@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import lu_solve
 from scipy.special import gammaincc
 
 from .estimators import (EstimationError, LinearSystem, TransformedEstimate,
-                         _checked_lu, _sandwich)
+                         _checked_inverse, _sandwich)
 from .kernels import DAGGER_CELLS, alpha_labels, exponents
 
 
@@ -278,7 +277,8 @@ def wald_test(est: TransformedEstimate, restriction_set: str) -> WaldResult:
     gap = rows @ ell
     cov_gap = rows @ v_log @ rows.T
 
-    lu = _checked_lu(cov_gap, SingularRestrictionCovariance, "restriction covariance")[0]
-    stat = float(max(gap @ lu_solve(lu, gap), 0.0))
+    inv = _checked_inverse(cov_gap, SingularRestrictionCovariance,
+                           "restriction covariance")[0]
+    stat = float(max(gap @ inv @ gap, 0.0))
     df = rows.shape[0]
     return WaldResult(statistic=stat, df=df, p_value=float(gammaincc(df / 2, stat / 2)))

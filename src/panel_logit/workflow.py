@@ -133,6 +133,8 @@ def estimate_panel(panel: PanelData | np.ndarray | None, family: str, variant: s
         stats_cache = {}
     stats = stats_cache.get(run.window_t)
     if stats is None:
+        if panel is None:
+            raise ValueError(f"no panel and no cached aggregate for window {run.window_t}")
         stats = stats_cache[run.window_t] = aggregate(panel, run.window_t)
 
     system = (build_system_c(stats, run.variant) if run.family == "C"

@@ -85,6 +85,15 @@ def test_history_table_is_refused(table, t, message):
         aggregate(table, t)
 
 
+@pytest.mark.parametrize("window", [True, 7.0, "7"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("source", ["panel", "table"])
+def test_aggregate_refuses_a_window_not_an_integer(source, window):
+    panel = (_panel_from_rows(np.zeros((3, 8))) if source == "panel"
+             else np.ones(256, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"^window must be an integer, got {window!r}$"):
+        aggregate(panel, window)
+
+
 def test_selector_nesting_brute_force():
     rng = np.random.default_rng(21)
     panel = _panel_from_rows(rng.integers(0, 2, size=(150, 5)))

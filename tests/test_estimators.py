@@ -2,12 +2,11 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
 
 from panel_logit import (PanelData, SingularSystem, SingularWeight, aggregate,
                          build_system, build_system_c, parse_variant, solve,
                          variance)
-from panel_logit.estimators import LinearSystem, _inverse, failed_guards
+from panel_logit.estimators import LinearSystem, _checked_inverse, failed_guards
 from panel_logit.oracle import population_aggregates, spec_with_steps
 from scalar_kernels import bar
 
@@ -275,18 +274,19 @@ def test_vcov_symmetric_psd():
     assert eigvals.min() >= -1e-10 * np.trace(v)
 
 
-@pytest.mark.parametrize("kind", ["random", "spd", "near-singular"])
-def test_inverse_is_bitwise_lu_solve_of_the_identity(kind):
-    # the sandwich's triangular-solve inverse must not move a single bit
-    # against LAPACK getrs on the identity
+def test_checked_inverse_reports_the_exact_rcond():
     rng = np.random.default_rng(19)
-    for m in range(1, 9):
-        for _ in range(40):
-            a = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3, 3)
-            if kind == "spd":
-                a = a @ a.T + 1e-6 * np.eye(m)
-            elif kind == "near-singular":
-                a[:, -1] = a[:, 0] + 1e-9 * rng.standard_normal(m)
-            lu_piv = lu_factor(a)
-            expected = lu_solve(lu_piv, np.eye(m))
-            assert _inverse(lu_piv).tobytes() == expected.tobytes()
+    for m in range(1, 10):
+        a = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3, 3)
+        inv, rcond = _checked_inverse(a, SingularSystem, "matrix")
+        assert np.array_equal(inv, np.linalg.inv(a))
+        assert rcond == 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+
+
+@pytest.mark.parametrize("error", [SingularSystem, SingularWeight])
+def test_checked_inverse_refuses_below_the_guard_with_its_error(error):
+    with pytest.raises(error, match=r"^diagonal is numerically singular \(rcond=1\.000e-11\)$"):
+        _checked_inverse(np.diag([1.0, 1e-11, 1.0]), error, "diagonal")
+    assert _checked_inverse(np.diag([1.0, 1e-9, 1.0]), error, "diagonal")[1] == pytest.approx(1e-9)
+    with pytest.raises(error, match=r"^ones is numerically singular \(rcond=0\.000e\+00\)$"):
+        _checked_inverse(np.ones((3, 3)), error, "ones")

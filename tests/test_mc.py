@@ -303,13 +303,17 @@ def test_pool_never_exceeds_replications(monkeypatch):
 
 
 def _battery_threads(dummies, trend) -> int:
-    """Run the benchmark battery's four estimator lines on the dummies and
+    """Run the benchmark battery's four estimator lines, and the lines with
+    the largest matrices the package inverts (the 7-row system's 8-row
+    two-step sandwich, the ``ab-trend`` restrictions), on the dummies and
     trend panels; return this process's OS thread count afterwards."""
     for panel, family, variant, two_step, wald in (
             (dummies, "A", "minus-3-7", True, None),
             (dummies, "B", "minus-1-5", True, None),
             (dummies, "A", "minus-3-7", False, "ab-dummies"),
-            (trend, "C", "full", False, "c-trend")):
+            (trend, "C", "full", False, "c-trend"),
+            (dummies, "A", "minus-r:3", True, None),
+            (dummies, "A", "minus-3-7", False, "ab-trend")):
         estimate_panel(panel, family, variant, 7, two_step=two_step, wald=wald)
     return len(os.listdir("/proc/self/task"))
 

@@ -260,6 +260,15 @@ def test_window_digits_past_leading_zeros():
                               "more than int() converts")
 
 
+def test_estimate_without_a_panel_needs_the_window_cached():
+    cache = {6: from_cells(6, np.ones(32))}
+    with pytest.raises(ValueError, match="^no panel and no cached aggregate for window 7$"):
+        estimate_panel(None, "A", "minus-3-7", 7, stats_cache=cache)
+    with pytest.raises(ValueError, match="^no panel and no cached aggregate for window 7$"):
+        estimate_panel(None, "A", "minus-3-7", 7)
+    assert cache.keys() == {6}
+
+
 def test_estimate_reports_the_cells_total_as_n():
     # counts past 2**52 stay exact: every partial sum is an integer below 2**53
     for n in (123_457, 2**52 + 1):
