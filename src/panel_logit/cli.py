@@ -1,19 +1,19 @@
 """Command-line front end: simulate, estimate, mc, verify, wald.
 
-Configuration is a flat ``key = value`` text file with ``#`` comments;
-repeated keys accumulate into lists (used for ``estimator`` lines in Monte
-Carlo configs).  Each value has one source: the model, the sizes and the
-seed come from the config or the manifest alone, and no flag overrides
-them (``--threads`` sets only the worker count, which no output shows).
-Beside ``model``, the model and DGP keys are the fields of the model's spec
-(``TimeDummiesSpec`` or ``TimeTrendSpec``) and of ``DgpConfig``: each key
-is read by its field's type, a missing key takes the field's default, and
-a manifest records the fields of the objects built.  An integer is read in
-ASCII digits, and a float as ``float`` reads it but for underscores and
-non-ASCII characters, which are refused naming the key.  ``estimate``
-takes its panel and estimator from flags and records them as the keys
-``panel`` and ``estimator`` (the line ``EstimatorRun`` writes);
-``estimate --from-manifest`` refuses those flags.  A command reads
+Configuration is a flat ``key = value`` text file with ``#`` comments, read
+as each key's lines in file order; only ``estimator`` may have more than
+one (a Monte Carlo config's estimators).  Each value has one source: the
+model, the sizes and the seed come from the config or the manifest alone,
+and no flag overrides them (``--threads`` sets only the worker count, which
+no output shows).  Beside ``model``, the model and DGP keys are the fields
+of the model's spec (``TimeDummiesSpec`` or ``TimeTrendSpec``) and of
+``DgpConfig``: each key is read by its field's type, a missing key takes
+the field's default, and a manifest records the fields of the objects
+built.  An integer is read in ASCII digits, and a float as ``float`` reads
+it but for underscores and non-ASCII characters, which are refused naming
+the key.  ``estimate`` takes its panel and estimator from flags and records
+them as the keys ``panel`` and ``estimator`` (the line ``EstimatorRun``
+writes); ``estimate --from-manifest`` refuses those flags.  A command reads
 ``--config`` or ``--from-manifest``, never both.  A key the command does
 not read is refused, so a misspelt key cannot fall back to its default.
 ``simulate`` also reads a Monte Carlo config and writes the panel of its
@@ -54,7 +54,7 @@ from . import __version__
 from .aggregation import _table_cells, from_cells
 from .estimators import EstimationError
 from .inference import RESTRICTION_SETS
-from .mc import SUMMARY_COLUMNS, McConfig, resolve_threads, run_mc
+from .mc import SUMMARY_COLUMNS, AllReplicationsFailed, McConfig, resolve_threads, run_mc
 from .model import DgpConfig, ModelSpec, TimeDummiesSpec, TimeTrendSpec, simulate_panel
 from .oracle import CHECK_LEVELS, format_report, run_checks
 from .panel import _ascii_int, read_panel_csv, write_panel_csv
@@ -65,9 +65,9 @@ from .workflow import EstimatorRun, estimate_panel
 # flat key=value configuration
 
 
-def parse_config_file(path: str) -> dict[str, object]:
-    """Parse ``key = value`` lines; repeated keys collect into lists."""
-    out: dict[str, object] = {}
+def parse_config_file(path: str) -> dict[str, list[str]]:
+    """Parse ``key = value`` lines into each key's values, in file order."""
+    out: dict[str, list[str]] = {}
     try:
         fh = open(path)
     except OSError as exc:
@@ -80,34 +80,23 @@ def parse_config_file(path: str) -> dict[str, object]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in out:
-                prev = out[key]
-                if isinstance(prev, list):
-                    prev.append(value)
-                else:
-                    out[key] = [prev, value]
-            else:
-                out[key] = value
+            out.setdefault(key.strip(), []).append(value.strip())
     return out
 
 
 def _values(cfg: dict, key: str) -> list[str]:
     """The texts of ``key``, one per line of a config file: a manifest's
     null, bool, object or list holding a non-string is refused."""
-    value = cfg[key]
-    values = value if isinstance(value, list) else [value]
-    if not values or not all(isinstance(v, str) for v in values):
+    values = cfg[key]
+    if not (isinstance(values, list) and values and all(isinstance(v, str) for v in values)):
         raise ValueError(f"config key {key!r} must be a string, a number or "
-                         f"a list of strings, got {value!r}")
+                         f"a list of strings, got {values!r}")
     return values
 
 
-def _get(cfg: dict, key: str, cast, default=None, required: bool = False):
+def _get(cfg: dict, key: str, cast):
     if key not in cfg:
-        if required:
-            raise ValueError(f"missing config key {key!r}")
-        return default
+        raise ValueError(f"missing config key {key!r}")
     values = _values(cfg, key)
     if len(values) > 1:
         raise ValueError(f"config key {key!r} given more than once")
@@ -138,7 +127,7 @@ def _from_fields(cls, cfg: dict):
     """The dataclass ``cls`` built from the config keys named as its
     fields, each read by its field's type; a field's default stands in
     for a missing key."""
-    return cls(**{f.name: _get(cfg, f.name, _READERS[f.type], required=True)
+    return cls(**{f.name: _get(cfg, f.name, _READERS[f.type])
                   for f in dataclasses.fields(cls)
                   if f.name in cfg or f.default is dataclasses.MISSING})
 
@@ -188,8 +177,8 @@ def _load_manifest(path: str, command: str) -> dict:
 
 
 def _load_config(args, command: str) -> dict:
-    """The flat config of ``args.config``, or the config of a manifest,
-    its strings and numbers as the text a config file gives."""
+    """The lines of each key of ``args.config``, or of a manifest's config:
+    a string or number there is the one line a config file gives."""
     config = getattr(args, "config", None)     # estimate reads only manifests
     if args.from_manifest and config:
         raise ValueError(f"{command} takes --config or --from-manifest, not both")
@@ -199,13 +188,13 @@ def _load_config(args, command: str) -> dict:
         return parse_config_file(config)
     manifest = _load_manifest(args.from_manifest, command)
     # any other value stays as it is, for _values to refuse if it is read
-    return {k: str(v) if isinstance(v, (str, int, float)) and not isinstance(v, bool) else v
+    return {k: [str(v)] if isinstance(v, (str, int, float)) and not isinstance(v, bool) else v
             for k, v in manifest["config"].items()}
 
 
 def _model_and_dgp(cfg: dict) -> tuple[ModelSpec, DgpConfig, dict]:
     """Model spec and DGP of a config, with their resolved manifest entries."""
-    model = _get(cfg, "model", str, required=True)
+    model = _get(cfg, "model", str)
     if model not in _MODELS:
         raise ValueError(f"model must be {' or '.join(map(repr, _MODELS))}, got {model!r}")
     spec, dgp = _from_fields(_MODELS[model], cfg), _from_fields(DgpConfig, cfg)
@@ -267,8 +256,8 @@ def _cmd_estimate(args) -> int:
                              "manifest; drop " + ", ".join(given))
         cfg = _load_config(args, "estimate")
         _refuse_unread(cfg, "estimate", ["panel", "estimator"])
-        panel_path = _get(cfg, "panel", str, required=True)
-        run = _get(cfg, "estimator", EstimatorRun.parse, required=True)
+        panel_path = _get(cfg, "panel", str)
+        run = _get(cfg, "estimator", EstimatorRun.parse)
     else:
         if not (args.panel and args.family and args.variant and args.window is not None):
             raise ValueError("estimate needs PANEL --family --variant --window")
@@ -342,16 +331,20 @@ def _cmd_mc(args) -> int:
     _refuse_unread(cfg, "mc", [*resolved, *_EXPERIMENT_KEYS])
     runs = _estimators_from_config(cfg)
     config = McConfig(spec=spec, dgp=dgp,
-                      replications=_get(cfg, "replications", _ascii_int, required=True),
+                      replications=_get(cfg, "replications", _ascii_int),
                       estimators=runs,
-                      discard_prefix=_get(cfg, "discard_prefix", _ascii_int, default=0))
+                      discard_prefix=(_get(cfg, "discard_prefix", _ascii_int)
+                                      if "discard_prefix" in cfg else 0))
 
     resolved.update({"replications": config.replications,
                      "discard_prefix": config.discard_prefix,
                      "estimator": [str(run) for run in runs]})
     core = _manifest_core("mc", resolved)
     start = time.perf_counter()
-    summary = run_mc(config, threads=threads)
+    try:
+        summary, failed = run_mc(config, threads=threads), None
+    except AllReplicationsFailed as exc:   # written all the same, then raised
+        summary, failed = exc.summary, exc
     elapsed = time.perf_counter() - start
     _mc_summary_csv(summary, args.out)
     _write_sidecar(args.out, core, elapsed)
@@ -360,6 +353,8 @@ def _cmd_mc(args) -> int:
         _write_sidecar(args.raw, core, elapsed)
     print(summary.format_table())
     print(f"wrote summary to {args.out}")
+    if failed:
+        raise failed
     return 0
 
 

@@ -11,7 +11,9 @@ error, bias and root mean squared error about the truth, so that
 
 Replications where an estimator degenerates (singular system, nonpositive
 transformed estimate, ...) are excluded from the statistics and itemized in
-the summary instead of poisoning it.
+the summary instead of poisoning it.  An estimator that fails in every
+replication keeps its failure counts and NaN statistics, and ``run_mc``
+raises ``AllReplicationsFailed`` with the whole summary.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ WALD_LEVEL = 0.05
 
 
 class AllReplicationsFailed(EstimationError):
-    pass
+    """An estimator line failed in every replication; ``summary`` is the
+    whole run's, that line with no successes and NaN statistics."""
+
+    def __init__(self, message: str, summary: McSummary):
+        super().__init__(message)
+        self.summary = summary
 
 
 SAMPLERS = ("panel", "histogram")
@@ -221,8 +228,13 @@ def run_mc(config: McConfig, threads: int | None = None) -> McSummary:
 
     summaries = tuple(_summarize(config, run, [recs[idx] for recs in per_rep])
                       for idx, run in enumerate(config.estimators))
-    return McSummary(replications=config.replications, estimators=summaries,
-                     raw=tuple(rec for recs in per_rep for rec in recs))
+    summary = McSummary(replications=config.replications, estimators=summaries,
+                        raw=tuple(rec for recs in per_rep for rec in recs))
+    dead = [est for est in summaries if not est.n_success]
+    if dead:
+        raise AllReplicationsFailed(f"{dead[0].label}: all {config.replications} "
+                                    f"replications failed: {dead[0].failures}", summary)
+    return summary
 
 
 def _summarize(config: McConfig, run: EstimatorRun,
@@ -232,11 +244,14 @@ def _summarize(config: McConfig, run: EstimatorRun,
     for rec in records:
         if rec["status"] != "ok":
             failures[rec["status"]] = failures.get(rec["status"], 0) + 1
-    if not ok:
-        raise AllReplicationsFailed(
-            f"{run.label}: all {len(records)} replications failed: {failures}")
-
     truths = true_values(config.spec, run.family, run.window_t, run.two_step)
+    if not ok:   # a mean of nothing would warn
+        nan = float("nan")
+        return EstimatorSummary(
+            label=run.label, n_success=0, failures=failures,
+            params={name: ParamSummary(float(true), *[nan] * 6) for name, true in truths.items()},
+            wald_rejection_rate=None if run.wald is None else nan)
+
     params: dict[str, ParamSummary] = {}
     for name, true in truths.items():
         values = np.array([rec["params"][name][0] for rec in ok])

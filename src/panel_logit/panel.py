@@ -46,6 +46,7 @@ import io
 import itertools
 import locale
 import numbers
+import os
 import re
 from dataclasses import dataclass
 
@@ -145,11 +146,12 @@ def write_panel_csv(panel: PanelData, path) -> None:
     """Write the panel in long format with header ``id,t,y``.
 
     The bytes are those a ``csv.writer`` on a text-mode ``open(path, "w",
-    newline="")`` writes record by record, with ``\\r\\n`` line ends, and so
-    is a failure: the records before an id that cannot be spelled or encoded
-    are written, then its error raised.  Ids that spell one id twice are
-    refused, as the reader would refuse the file: integer ids before any
-    record is written, other ids at the repeat, after the records before it.
+    newline="")`` writes record by record, with ``\\r\\n`` line ends.  Ids
+    that spell one id twice are refused, as the reader would refuse the
+    file: integer ids before the file is opened, other ids at the repeat.
+    A write that raises, there or at an id that cannot be spelled or
+    encoded, removes the regular file it opened, so no smaller panel is
+    left.
 
     Each id is spelled once: an integer id as ``str(int)`` spells it, any
     other as ``csv.writer`` spells an id field, quotes included.  A record's
@@ -179,17 +181,18 @@ def write_panel_csv(panel: PanelData, path) -> None:
                               for t in periods for y in (0, 1)], dtype=bytes))
     first_tail = np.arange(0, 2 * len(periods), 2)
     seen = set()   # the spellings of the ids that are not integers, so far
-    with open(path, "wb") as fh:
-        fh.write(spelled("id", "t", "y").encode(encoding))
-        for start in range(0, panel.n, ROW_BLOCK):
-            tail = panel.y[start:start + ROW_BLOCK] + first_tail
-            ids = (np.arange(start, start + len(tail)) if panel.ids is None
-                   else panel.ids[start:start + ROW_BLOCK])
-            if ids.dtype.kind in "iu":
-                fh.write(_records(_masked(ids.astype(bytes)), tail, tails))
-                continue
-            names = []
-            try:
+    fh = open(path, "wb")   # its error is raised with no file to remove
+    try:
+        with fh:
+            fh.write(spelled("id", "t", "y").encode(encoding))
+            for start in range(0, panel.n, ROW_BLOCK):
+                tail = panel.y[start:start + ROW_BLOCK] + first_tail
+                ids = (np.arange(start, start + len(tail)) if panel.ids is None
+                       else panel.ids[start:start + ROW_BLOCK])
+                if ids.dtype.kind in "iu":
+                    fh.write(_records(_masked(ids.astype(bytes)), tail, tails))
+                    continue
+                names = []
                 for label in ids.tolist():
                     # the id's own field of a three-field row: a lone empty
                     # field would be quoted
@@ -198,10 +201,14 @@ def write_panel_csv(panel: PanelData, path) -> None:
                         raise ValueError(f"duplicate id {name}")
                     seen.add(name)
                     names.append(name.encode(encoding))
-            finally:   # the records before an id that raised are written too
                 lengths = np.array([len(name) for name in names], dtype=np.intp)
                 fh.write(_records(_masked(np.array(names, dtype=bytes), lengths),
-                                  tail[:len(names)], tails))
+                                  tail, tails))
+    except BaseException:
+        opened = os.path.realpath(path)
+        if os.path.isfile(opened):   # not a device or pipe, as /dev/stdout may be
+            os.remove(opened)
+        raise
 
 
 def _masked(spellings: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:

@@ -48,7 +48,7 @@ def _write(tmp_path, name, text):
 def test_parse_config_repeated_keys(tmp_path):
     path = _write(tmp_path, "c.cfg", "a = 1\nb = x\nb = y\n# comment\nb = z\n")
     cfg = parse_config_file(path)
-    assert cfg == {"a": "1", "b": ["x", "y", "z"]}
+    assert cfg == {"a": ["1"], "b": ["x", "y", "z"]}
 
 
 def test_simulate_shape_and_determinism(tmp_path):
@@ -535,6 +535,33 @@ def test_mc_summary_csv_shows_the_failures_and_rejections_the_table_shows(tmp_pa
         "0.0000 (df=3)" in table
     assert {row["wald_rejection_rate"] for key, row in rows.items()
             if key[0] == "B[minus-1-5]@t7"} == {"0.0"}
+
+
+def test_mc_writes_both_csvs_when_a_line_fails_in_every_replication(tmp_path, capsys):
+    # at this size and seed B's one replication fails: A's rows and B's
+    # failure are written all the same, then mc exits 1 naming B
+    cfg = _write(tmp_path, "mc.cfg", MC_CONFIG.format(n=5000, seed=2, reps=1))
+    out, raw = tmp_path / "s.csv", tmp_path / "raw.csv"
+    assert main(["mc", "--config", cfg, "--threads", "1",
+                 "--out", str(out), "--raw", str(raw)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("estimation failed: B[minus-1-5]@t7+two-step: all 1 "
+                            "replications failed: {'nonpositive_alpha': 1}\n")
+    assert "B[minus-1-5]@t7+two-step: 0 ok, failures: nonpositive_alpha=1\n" in captured.out
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["estimator"], row["n_success"], row["failures"]) for row in rows] == \
+        [("A[minus-3-7]@t7", "1", "none")] * 3 + \
+        [("B[minus-1-5]@t7+two-step", "0", "nonpositive_alpha=1")] * 4
+    assert not any(np.isnan(float(row["mean"])) for row in rows[:3])
+    assert {row[c] for row in rows[3:] for c in ("mean", "sd", "se", "bias", "rmse")} == {"nan"}
+    with open(raw, newline="") as fh:
+        records = [(row["estimator"], row["status"]) for row in csv.DictReader(fh)]
+    assert records == [("A[minus-3-7]@t7", "ok")] * 3 + \
+        [("B[minus-1-5]@t7+two-step", "nonpositive_alpha")]
+    for path in (out, raw):
+        manifest = json.loads((tmp_path / (path.name + ".manifest.json")).read_text())
+        assert manifest["config"]["estimator"] == ["A minus-3-7 7", "B minus-1-5 7 two-step"]
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
 """The package's import layers: estimation and verification import nothing
-from the workflow, the Monte Carlo harness or the command line, and no
-module imports the command line."""
+from the workflow, the Monte Carlo harness or the command line, no module
+imports the command line, and the package loads no ``scipy.linalg``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,15 @@ def test_no_module_imports_the_cli():
     modules = sorted(PACKAGE.glob("*.py"))
     assert {path.stem for path in modules} >= set(LOWER) | UPPER
     assert [path.stem for path in modules if "cli" in _package_imports(path)] == []
+
+
+def test_the_package_loads_no_scipy_linalg():
+    # scipy's lu_solve is the one call measured to start a BLAS thread in a
+    # forked worker, so every inverse is numpy's; a fresh interpreter shows
+    # what an import loads, whatever this one has loaded already
+    code = ("import sys, panel_logit\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"

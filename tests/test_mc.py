@@ -141,10 +141,30 @@ def test_failure_status_names_the_error_class(monkeypatch):
 
 
 def test_all_replications_failed():
-    # two individuals cannot span the window patterns: always singular
-    config = _config(n=2, reps=3, seed=5)
-    with pytest.raises(AllReplicationsFailed):
+    # two individuals cannot span the window patterns: always singular.  The
+    # error carries the whole summary, the dead line's statistics NaN
+    config = _config(n=2, reps=3, seed=5,
+                     estimators=(EstimatorRun("A", "minus-3-7", 7, wald="ab-dummies"),))
+    with pytest.raises(AllReplicationsFailed,
+                       match=r"^A\[minus-3-7\]@t7: all 3 replications failed: ") as raised:
         run_mc(config, threads=1)
+    summary = raised.value.summary
+    est, = summary.estimators
+    assert (est.n_success, sum(est.failures.values()), len(summary.raw)) == (0, 3, 3)
+    assert list(est.params) == ["gamma", "dtd_t", "dtd_tp1"]
+    assert all(np.isnan([p.mean, p.sd, p.se, p.se_median, p.bias, p.rmse]).all()
+               and p.true == true_values(HET, "A", 7)[name] for name, p in est.params.items())
+    assert np.isnan(est.wald_rejection_rate) and est.wald_df is None
+
+
+def test_all_replications_failed_keeps_the_other_lines():
+    # the summary of a run with one dead line is the run's, the others intact
+    lines = (EstimatorRun("A", "minus-3-7", 7), EstimatorRun("B", "minus-1-5", 7, two_step=True))
+    config = _config(n=5000, reps=1, seed=2, estimators=lines)
+    with pytest.raises(AllReplicationsFailed, match=r"^B\[minus-1-5\]@t7\+two-step: ") as raised:
+        run_mc(config, threads=1)
+    alive = run_mc(replace(config, estimators=lines[:1]), threads=1)
+    assert raised.value.summary.estimators[0] == alive.estimators[0]
 
 
 def test_config_validation():
