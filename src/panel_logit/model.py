@@ -17,8 +17,11 @@ off a spec the original parameters an estimator reports.
 
 Two samplers draw a sample from this model: ``simulate_panel`` draws every
 individual, ``simulate_histogram`` only a history table, how many follow
-each of the ``2**T`` outcome histories, from their exact law.  A float
-parameter refuses a bool and any value that is not a real number.
+each of the ``2**T`` outcome histories, from their exact law.  Both use
+numpy alone: the logistic function is ``expit``, ``1 / (1 + exp(-x))``,
+and the fixed effects are ``_rng.gaussian``'s port of Cephes' inverse
+normal CDF.  A float parameter refuses a bool and any value that is not a
+real number.
 """
 
 from __future__ import annotations
@@ -29,10 +32,16 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import _rng
 from .panel import ROW_BLOCK, PanelData, _check_total, _is_integer
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-x))``; its limits 0 and 1 are
+    reached without a warning where ``exp(-x)`` overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)

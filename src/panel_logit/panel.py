@@ -663,16 +663,23 @@ def _canonical_ints(labels: np.ndarray) -> np.ndarray | None:
     """The integers that NUL-free byte strings of at most 18 bytes spell, or
     None unless every one is ``0`` or matches ``-?[1-9][0-9]*``."""
     chars = labels.view(np.uint8).reshape(len(labels), labels.itemsize).T.copy()
-    length = np.count_nonzero(chars, axis=0)
+    length = (chars != 0).sum(axis=0, dtype=np.uint8)
     negative = chars[0] == ord("-")
     ok = length > negative
+    # each position adds a decimal digit, 0 outside the number, so each
+    # value comes out times 10**(itemsize - length), still below 10**18
     value = np.zeros(len(labels), np.int64)
     for j, c in enumerate(chars):       # one contiguous row per byte position
-        digit = (j >= negative) & (j < length)
-        ok &= ~digit | ((c >= ord("0")) & (c <= ord("9")))
-        # a leading zero only in "0" itself
-        ok &= (j != negative) | (c != ord("0")) | (length == 1)
-        value = np.where(digit, value * 10 + (c - ord("0")), value)
+        digit = j < length
+        if j == 0:
+            digit &= ~negative
+        if j <= 1:      # a leading zero only in "0" itself
+            ok &= (j != negative) | (c != ord("0")) | (length == 1)
+        c = c - ord("0")                # a byte below "0" wraps past 9
+        ok &= ~digit | (c <= 9)
+        value *= 10
+        value += c * digit
     if not ok.all():
         return None
-    return np.where(negative, -value, value)
+    value //= 10 ** np.arange(labels.itemsize, -1, -1)[length]
+    return np.negative(value, out=value, where=negative)

@@ -14,7 +14,7 @@ from panel_logit import DgpConfig, TimeDummiesSpec
 from panel_logit.aggregation import from_cells
 from panel_logit.estimators import (EstimationError, SingularSystem, SingularWeight, _sandwich,
                                     build_system, solve)
-from panel_logit.inference import (RESTRICTION_SETS, _basis,
+from panel_logit.inference import (RESTRICTION_SETS, _basis, chi2_sf,
                                    restriction_rows)
 from panel_logit.kernels import exponents
 from panel_logit.oracle import (population_estimate, population_system,
@@ -413,3 +413,23 @@ def test_wald_p_value_is_the_chi2_upper_tail():
                                                  rel=1e-12, abs=1e-300)
             statistics.append(wald.statistic)
     assert len(statistics) >= 30 and min(statistics) < 0.1 and max(statistics) > 1000
+
+
+@pytest.mark.parametrize("df", range(1, 9))
+def test_chi2_sf_matches_scipy(df):
+    from scipy.stats import chi2
+
+    stats = np.concatenate(([0.0, 1e-300], np.logspace(-8, 4, 2401)))
+    got = [chi2_sf(float(stat), df) for stat in stats]
+    # relative agreement wherever the tail is a normal float; subnormals
+    # carry fewer than 53 bits
+    np.testing.assert_allclose(got, chi2.sf(stats, df), rtol=1e-12,
+                               atol=np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("df", range(1, 9))
+def test_chi2_sf_is_one_at_zero_and_zero_far_out(df):
+    assert chi2_sf(0.0, df) == 1.0
+    # exp(-h) times h**j would be 0 * inf = nan at infinity
+    assert chi2_sf(1e4, df) == 0.0
+    assert chi2_sf(math.inf, df) == 0.0

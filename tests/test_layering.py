@@ -1,6 +1,7 @@
 """The package's import layers: estimation and verification import nothing
 from the workflow, the Monte Carlo harness or the command line, no module
-imports the command line, and the package loads no ``scipy.linalg``."""
+imports the command line, and the package needs nothing but the standard
+library and numpy."""
 
 import ast
 import os
@@ -53,13 +54,36 @@ def test_no_module_imports_the_cli():
     assert [path.stem for path in modules if "cli" in _package_imports(path)] == []
 
 
-def test_the_package_loads_no_scipy_linalg():
-    # scipy's lu_solve is the one call measured to start a BLAS thread in a
-    # forked worker, so every inverse is numpy's; a fresh interpreter shows
-    # what an import loads, whatever this one has loaded already
-    code = ("import sys, panel_logit\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+def test_the_package_loads_no_scipy():
+    # a fresh interpreter shows what an import loads, whatever this one has
+    # loaded already
+    code = ("import sys, panel_logit, panel_logit.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout == "[]\n"
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """The top-level packages a module imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_import_is_the_standard_library_numpy_or_the_package():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "panel_logit"}
+    foreign = {path.name: sorted(_top_level_imports(path) - allowed)
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]

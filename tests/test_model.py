@@ -1,17 +1,18 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit as scipy_expit
 
 from scipy.stats import chi2
 
 from panel_logit import (DgpConfig, TimeDummiesSpec, TimeTrendSpec, history_law,
                          simulate_histogram, simulate_panel)
 from panel_logit import _rng
-from panel_logit.model import chain_law
+from panel_logit.model import chain_law, expit
 from panel_logit.panel import ROW_BLOCK
 
 SPEC_31 = TimeDummiesSpec(gamma=1.0, td=(0.1, -0.1, 0.3, -0.3, -0.1, 0.3, 0.5, 0.2))
@@ -56,6 +57,26 @@ def test_logit_prob_extreme_arguments_no_overflow():
     assert math.isfinite(hi) and math.isfinite(lo)
     assert 0.0 < lo < 1e-300          # stays strictly positive
     assert hi == pytest.approx(1.0)   # rounds to 1.0, never overflows
+
+
+def test_expit_is_within_two_ulp_as_scipy_is():
+    # each is within 2 ulp of the exact value, so they differ by up to 4
+    import mpmath
+
+    x = np.linspace(-40.0, 40.0, 100_001)
+    want = scipy_expit(x)
+    assert (np.abs(expit(x) - want) <= 4 * np.spacing(want)).all()
+    x = x[::50]
+    with mpmath.workprec(120):
+        exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in x.tolist()])
+    assert (np.abs(expit(x) - exact) <= 2 * np.spacing(exact)).all()
+
+
+def test_expit_reaches_its_limits_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(np.array([-800.0, 800.0, -np.inf, np.inf, np.nan]))
+    assert got[:4].tolist() == [0.0, 1.0, 0.0, 1.0] and np.isnan(got[4])
 
 
 def test_logit_prob_monotone():
@@ -188,15 +209,16 @@ def test_simulate_deterministic_replay():
 
 def _whole_panel_outcomes(spec, cfg):
     """The outcomes of one whole-panel draw: every fixed effect, then every
-    shock as one (n, T) array, then the period loop over all rows."""
+    shock as one (n, T) array, then the period loop over all rows, through
+    scipy's ``expit``."""
     n, T = cfg.n_individuals, cfg.n_periods
     gen_eta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_ETA)
     eta = _rng.gaussian(gen_eta, n, math.sqrt(cfg.sigma_eta_sq))
     zeta = _rng.keyed_generator(cfg.seed, cfg.stream, _rng.SUB_SHOCKS).random((n, T))
     y = np.empty((n, T), dtype=np.int8)
-    y[:, 0] = expit(eta + spec.effect(1)) > zeta[:, 0]
+    y[:, 0] = scipy_expit(eta + spec.effect(1)) > zeta[:, 0]
     for t in range(2, T + 1):
-        y[:, t - 1] = expit(eta + spec.gamma * y[:, t - 2] + spec.effect(t)) > zeta[:, t - 1]
+        y[:, t - 1] = scipy_expit(eta + spec.gamma * y[:, t - 2] + spec.effect(t)) > zeta[:, t - 1]
     return y
 
 
@@ -232,6 +254,18 @@ def test_simulate_refuses_outcomes_it_cannot_allocate():
         simulate_panel(SPEC_31, cfg)
 
 
+@pytest.mark.parametrize("sigma_eta_sq", [1e6, 1e300])
+def test_an_extreme_fixed_effect_warns_of_nothing(sigma_eta_sq):
+    # exp(-x) overflows below x = -709, where expit is 0
+    cfg = DgpConfig(n_individuals=5000, n_periods=8, sigma_eta_sq=sigma_eta_sq, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        panel = simulate_panel(SPEC_31, cfg)
+        counts = simulate_histogram(SPEC_31, cfg)
+    assert np.array_equal(panel.y, _whole_panel_outcomes(SPEC_31, cfg))
+    assert counts.sum() == cfg.n_individuals
+
+
 def test_simulate_degenerate_fair_coin():
     # no heterogeneity, no state dependence, no period effects: iid fair cells
     spec = TimeDummiesSpec(gamma=0.0, td=(0.0,) * 8)
@@ -262,11 +296,11 @@ def test_simulate_conditional_transition_matches_quadrature():
     eta = nodes * math.sqrt(2 * 0.5)
     w = weights / math.sqrt(math.pi)
 
-    p4 = expit(eta + SPEC_31.effect(1))  # P(y_1 = 1 | eta)
+    p4 = scipy_expit(eta + SPEC_31.effect(1))  # P(y_1 = 1 | eta)
     for s in (2, 3, 4):
-        p4 = p4 * expit(eta + SPEC_31.gamma + SPEC_31.effect(s)) \
-            + (1 - p4) * expit(eta + SPEC_31.effect(s))
-    p5_given_4 = expit(eta + SPEC_31.gamma + SPEC_31.effect(5))
+        p4 = p4 * scipy_expit(eta + SPEC_31.gamma + SPEC_31.effect(s)) \
+            + (1 - p4) * scipy_expit(eta + SPEC_31.effect(s))
+    p5_given_4 = scipy_expit(eta + SPEC_31.gamma + SPEC_31.effect(5))
     expected = float(np.sum(w * p4 * p5_given_4) / np.sum(w * p4))
 
     mask = panel.col(4) == 1

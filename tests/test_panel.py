@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panel_logit import (DgpConfig, PanelData, TimeDummiesSpec, aggregate, read_panel_csv,
@@ -775,6 +775,16 @@ def _canonical(spelling: str) -> bool:
         return False
 
 
+# each value is scaled by 10**(18 - length) and divided back: 10**18 fits
+@example(["999999999999999999", "1", "-7", "0"])
+@example(["-99999999999999999", "100000000000000000"])
+@example(["-0"])
+@example(["007"])
+@example(["-01"])
+@example(["1\x002"])
+@example(["\x001"])
+@example(["+1"])
+@example(["5", ""])
 @given(st.lists(st.text(alphabet="-0123456789a ", max_size=18), min_size=1, max_size=6))
 def test_vectorized_id_cast_matches_str_int(spellings):
     labels = np.array([s.encode() for s in spellings])
