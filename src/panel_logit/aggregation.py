@@ -11,20 +11,25 @@ bytes in ``PanelData``'s period-major layout, in blocks of ``ROW_BLOCK``
 uint64 words, eight rows a word: a shift-or of each block's column words
 packs eight one-byte 5-bit window codes at once, in one reused buffer
 (the panel's last block, if its rows fill no whole word, runs the same
-steps on bytes), and the block's ``bincount`` of the codes is added to the
-cells.  It refuses a panel lacking any of the five periods.  A history
-table (``model.simulate_histogram``) gives its cells by a reshape-sum, at a
-cost that does not grow with N.  Everything after the count runs on 32
-cells.  The rows at window ``t - 1`` (family C's second half and the
-two-step's dagger averages) read ``y_{t-3} .. y_t``, four of the same five
-periods, so they need no aggregate of their own.
+steps on bytes).  The codes are counted two rows at a time: the buffer,
+read as uint16, holds one key per pair of rows, the two codes in its two
+bytes, and each block's ``bincount`` of the keys is added to one int64
+table of 33 x 256 pair counts.  An odd last row is paired with a padding
+code, 32.  The cells are the table's two marginals added, the count of
+each code as either byte, whichever byte order the machine has; the
+padding code's count is dropped.  It refuses a panel lacking any of the
+five periods.  A history table (``model.simulate_histogram``) gives its
+cells by a reshape-sum, at a cost that does not grow with N.  Everything
+after the count runs on 32 cells.  The rows at window ``t - 1`` (family C's
+second half and the two-step's dagger averages) read ``y_{t-3} .. y_t``,
+four of the same five periods, so they need no aggregate of their own.
 
 The cell weights are the integer counts of a sample, or the exact cell
 probabilities of the population (``oracle.population_aggregates``).  Their
 total N is the sample size (1 for the population); means are cell sums
 divided by N.  For counts every sum is an integer below 2**53 and exact in
-float64, so neither the cells nor the means depend on the block size or on
-the order in which rows and cells are added.
+float64, so neither the cells nor the means depend on the block size, on
+how rows are paired or on the order in which rows and cells are added.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .panel import ROW_BLOCK, PanelData, _check_total, _is_integer
+
+_PAD = 32   # the code after an odd last row, one past the 32 window codes
+_KEYS = (_PAD + 1) * 256   # the uint16 keys of two codes or a code and _PAD
 
 
 @dataclass(frozen=True)
@@ -83,9 +91,10 @@ def aggregate(panel: PanelData | np.ndarray, t: int) -> AggregateStats:
     # uint64 view packs eight rows, and as no code exceeds 31 no bit crosses
     # into the next row's byte
     block_rows = 8 * ROW_BLOCK
-    code = np.empty(min(panel.n, block_rows), dtype=np.uint8)
-    # float64 totals are exact integers: a panel holds far fewer than 2**53 rows
-    cells = np.zeros(32)
+    # one byte past the codes holds _PAD after an odd last row
+    code = np.empty(min(panel.n, block_rows) + 1, dtype=np.uint8)
+    # pairs[k] counts the uint16 keys k: two rows' codes, or a code and _PAD
+    pairs = np.zeros(_KEYS, dtype=np.int64)
     for start in range(0, panel.n, block_rows):
         rows = slice(start, start + block_rows)
         block = code[:min(block_rows, panel.n - start)]
@@ -96,8 +105,14 @@ def aggregate(panel: PanelData | np.ndarray, t: int) -> AggregateStats:
         for column in columns[1:]:
             packed <<= 1
             packed |= column[rows].view(word)
-        cells += np.bincount(block, minlength=32)
-    return from_cells(t, cells)
+        code[block.size] = _PAD
+        keys = code[:block.size + block.size % 2].view(np.uint16)
+        pairs += np.bincount(keys, minlength=_KEYS)
+    # each key's two bytes are its two codes, in either byte order: the
+    # table's two marginals count every row once, and _PAD's count is dropped
+    table = pairs.reshape(_PAD + 1, 256)[:, :_PAD + 1]
+    # float64 totals are exact integers: a panel holds far fewer than 2**53 rows
+    return from_cells(t, (table.sum(0) + table.sum(1))[:_PAD].astype(np.float64))
 
 
 def _table_cells(table: np.ndarray, t: int) -> np.ndarray:

@@ -153,12 +153,13 @@ def write_panel_csv(panel: PanelData, path) -> None:
     encoded, removes the regular file it opened, so no smaller panel is
     left.
 
-    Each id is spelled once: an integer id as ``str(int)`` spells it, any
-    other as ``csv.writer`` spells an id field, quotes included.  A record's
-    tail ``,t,y\\r\\n`` is one of two per period.  ``ROW_BLOCK`` individuals
-    at a time, one gather lays each record's id and tail side by side in a
-    byte matrix, padded to whole words, and a mask of their lengths
-    compresses it to the block's bytes.  A panel whose ids are None has its
+    Each id is spelled once: an integer id as ``str(int)`` spells it (by
+    digit arithmetic, ``_integer_names``), any other as ``csv.writer``
+    spells an id field, quotes included.  A record's tail ``,t,y\\r\\n``
+    is one of two per period.  ``ROW_BLOCK`` individuals at a time, one
+    gather lays each record's id and tail side by side in a byte matrix,
+    padded to whole words, and a mask of their bytes compresses it to the
+    block's bytes.  A panel whose ids are None has its
     row numbers spelled, one block of them at a time.
     """
     encoding = locale.getpreferredencoding(False)   # what a text-mode open() encodes with
@@ -190,7 +191,7 @@ def write_panel_csv(panel: PanelData, path) -> None:
                 ids = (np.arange(start, start + len(tail)) if panel.ids is None
                        else panel.ids[start:start + ROW_BLOCK])
                 if ids.dtype.kind in "iu":
-                    fh.write(_records(_masked(ids.astype(bytes)), tail, tails))
+                    fh.write(_records(_integer_names(ids), tail, tails))
                     continue
                 names = []
                 for label in ids.tolist():
@@ -215,8 +216,8 @@ def _masked(spellings: np.ndarray, lengths: np.ndarray | None = None) -> np.ndar
     """``(2, k, w)`` uint64: in ``[0]`` each of the ``k`` strings of the
     ``S`` array ``spellings``, its first ``lengths`` bytes zero-padded to
     ``w`` whole words, in ``[1]`` a 1 byte for each of those bytes.
-    ``lengths`` defaults to each string's nonzero bytes: its length when,
-    like an integer's spelling, it holds no NUL."""
+    ``lengths`` defaults to each string's nonzero bytes: its length when
+    it holds no NUL."""
     chars = spellings.view(np.uint8).reshape(len(spellings), spellings.itemsize)
     if lengths is None:
         lengths = np.count_nonzero(chars, axis=1)
@@ -225,6 +226,32 @@ def _masked(spellings: np.ndarray, lengths: np.ndarray | None = None) -> np.ndar
     out[0, :, :chars.shape[1]] = chars[:, :width]
     out[1] = np.arange(width) < lengths[:, None]
     return out.view(np.uint64)
+
+
+def _integer_names(ids: np.ndarray) -> np.ndarray:
+    """``_masked``'s layout of the integer ids' ``str(int)`` spellings,
+    each right-aligned in its words: one pass of a division by 10 for each
+    digit of the widest id."""
+    longest = max(len(str(int(ids.min()))), len(str(int(ids.max()))))
+    width = 8 * -(-longest // 8)
+    out = np.empty((2, len(ids), width), np.uint8)
+    negative = ids < 0
+    magnitude = ids.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)   # wraps -2**63 to 2**63
+    lengths = negative + np.intp(1)
+    n_digits = len(str(int(magnitude.max())))
+    for place in range(width - 1, width - 1 - n_digits, -1):
+        rest = magnitude // 10
+        np.subtract(magnitude, rest * 10, out=out[0, :, place], casting="unsafe")
+        magnitude = rest
+        lengths += magnitude > 0
+    out[0, :, width - n_digits:] |= ord("0")
+    start = width - lengths
+    out[0, negative, start[negative]] = ord("-")
+    out = out.view(np.uint64)
+    # row s of the table marks the bytes from s on
+    out[1] = (np.arange(width) >= np.arange(width + 1)[:, None]).view(np.uint64)[start]
+    return out
 
 
 def _records(names: np.ndarray, tail: np.ndarray, tails: np.ndarray) -> np.ndarray:

@@ -179,6 +179,34 @@ def test_row_blocks_count_every_row_once(n):
             assert got.tobytes() == _one_shot_cells(panel, t).tobytes()
 
 
+# rows are counted in pairs, and an odd last row is paired with a padding
+# code that no cell may count
+@pytest.mark.parametrize("n", [1, 3, 8 * ROW_BLOCK + 1, 16 * ROW_BLOCK + 3])
+@pytest.mark.parametrize("row", [[0] * 7, [1] * 7, [1, 0, 1, 1, 0, 0, 1]],
+                         ids=["code-0", "code-31", "mixed"])
+def test_rows_of_one_code_fill_that_cell(row, n):
+    unit = PanelData(y=np.tile(np.array(row, dtype=np.int8), (n, 1)))
+    for panel in (unit, unit.drop_prefix(2)):
+        for t in range(panel.t0 + 3, panel.t_last):
+            code = int("".join(map(str, row[t - 4:t + 1])), 2)
+            want = np.zeros(32)
+            want[code] = n
+            assert aggregate(panel, t).summands.counts.tobytes() == want.tobytes(), (t, code)
+
+
+@pytest.mark.parametrize("n", [9, 8 * ROW_BLOCK + 1, 16 * ROW_BLOCK + 3])
+def test_cells_do_not_depend_on_the_row_order(n):
+    rng = np.random.default_rng(n)
+    y = rng.integers(0, 2, size=(n, 7)).astype(np.int8)
+    y[-1] = 0    # the last rows, before and after the reversal, differ in every window
+    y[0] = 1
+    for order in (slice(None), slice(None, None, -1), rng.permutation(n)):
+        panel = PanelData(y=y[order])
+        for t in range(4, 7):
+            got = aggregate(panel, t).summands.counts
+            assert got.tobytes() == _one_shot_cells(PanelData(y=y), t).tobytes()
+
+
 def test_aggregate_traces_only_a_block():
     # neither the code nor the unit counts are ever made for all rows at once
     rng = np.random.default_rng(4)

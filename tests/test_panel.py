@@ -433,6 +433,25 @@ def test_write_matches_the_reference_at_any_periods(tmp_path, kind, t0, n_period
     _assert_writes_as_reference(PanelData(y=y, ids=_ids(kind, n), t0=t0), tmp_path)
 
 
+_INT64, _UINT64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+
+
+# integer ids are spelled by digit arithmetic, right-aligned in whole words
+@pytest.mark.parametrize("ids", [
+    np.arange(95, 95 + ROW_BLOCK),
+    np.arange(10**7 - 5, 10**7 - 5 + ROW_BLOCK + 3),
+    np.array([_INT64.min, _INT64.max, -1, 0, 1], dtype=np.int64),
+    np.array([_UINT64.max, 0, 10**19, 10**19 - 1], dtype=np.uint64),
+    -np.arange(1, ROW_BLOCK + 1),
+    np.arange(-10**7 - 3, -10**7 + 3),
+    np.array([-128, 127, 0, -1], dtype=np.int8),
+], ids=["99-to-100", "8-digits-in-a-block", "int64-extremes", "uint64-max",
+        "all-negative", "sign-into-a-second-word", "int8"])
+def test_write_spells_integer_ids_as_the_reference(tmp_path, ids):
+    y = np.random.default_rng(len(ids)).integers(0, 2, (len(ids), 3))
+    _assert_writes_as_reference(PanelData(y=y, ids=ids), tmp_path)
+
+
 class _Unspellable:
     def __str__(self):
         raise RuntimeError("no spelling")
